@@ -62,12 +62,6 @@ class SectionScore:
     length_ticks: int
     events: Dict[str, List[NoteEvent]]
 
-    def all_events(self) -> List[NoteEvent]:
-        out: List[NoteEvent] = []
-        for label in self.events:
-            out.extend(self.events[label])
-        return out
-
 
 @dataclass(frozen=True)
 class Score:

@@ -56,11 +56,15 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedDetectionsError(f"cannot read detections {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedDetectionsError("detections must be a JSON object")
 
     scene_ids = {scene.id for scene in scenes}
     counts: SceneCounts = {}
 
     if "per_scene" in doc:
+        if not isinstance(doc["per_scene"], dict):
+            raise MalformedDetectionsError("'per_scene' must map scene ids to counts")
         for key, value in doc["per_scene"].items():
             try:
                 scene_id, count = int(key), float(value)
@@ -72,6 +76,8 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
                 raise MalformedDetectionsError(f"negative count for scene {scene_id}")
             counts[scene_id] = count
     elif "per_frame" in doc:
+        if not isinstance(doc["per_frame"], list):
+            raise MalformedDetectionsError("'per_frame' must be a list of records")
         sums = {scene.id: 0.0 for scene in scenes}
         hits = {scene.id: 0 for scene in scenes}
         for record in doc["per_frame"]:

@@ -21,10 +21,6 @@ class MalformedSourceError(SourceError):
     pass
 
 
-class IncompatibleFramesError(SourceError):
-    pass
-
-
 class EmptyVideoError(SourceError):
     pass
 

@@ -28,7 +28,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import IncompatibleFramesError, MalformedSourceError, SourceNotFoundError
+from .errors import MalformedSourceError, SourceNotFoundError
 
 HUE_SCALE = 256.0  # full hue circle after rescaling; max circular delta is 128
 
@@ -191,19 +191,16 @@ def _read_ppm(path: str) -> tuple[int, int, bytes]:
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P6":
         raise MalformedSourceError(f"{path}: not a binary PPM (P6) file")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    except ValueError as exc:
+        raise MalformedSourceError(f"{path}: bad PPM header: {exc}") from exc
     if maxval != 255:
         raise MalformedSourceError(f"{path}: unsupported maxval {maxval}")
     pixels = data[pos : pos + 3 * width * height]
     if len(pixels) != 3 * width * height:
         raise MalformedSourceError(f"{path}: truncated pixel data")
     return width, height, pixels
-
-
-def write_ppm(path: str, width: int, height: int, pixels: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (width, height))
-        fh.write(pixels)
 
 
 # -- per-frame statistics ------------------------------------------------------
@@ -213,34 +210,14 @@ def compute_intensity(frame: Frame) -> float:
     return float(np.frombuffer(frame.pixels, dtype=np.uint8).mean(dtype=np.float64))
 
 
-def rgb_to_hsv(pixel: tuple[int, int, int]) -> tuple[float, float, float]:
-    """Convert one RGB pixel to HSV with every channel scaled to [0, 255].
+def _frame_hsv(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pixel HSV of a whole frame (float32 arrays), every channel in [0, 255].
 
     Hue comes from the standard hexagonal model rescaled so the full circle is
-    256 units; achromatic pixels get hue 0.
-    """
-    r, g, b = pixel
-    v = float(max(r, g, b))
-    m = float(min(r, g, b))
-    c = v - m
-    s = 0.0 if v == 0 else c / v * 255.0
-    if c == 0:
-        h6 = 0.0
-    elif v == r:
-        h6 = ((g - b) / c) % 6.0
-    elif v == g:
-        h6 = (b - r) / c + 2.0
-    else:
-        h6 = (r - g) / c + 4.0
-    return (h6 * (HUE_SCALE / 6.0), s, v)
-
-
-def _frame_hsv(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized rgb_to_hsv over a whole frame (float32 per-pixel arrays).
-
-    Branchless on purpose: boolean fancy indexing was 5x slower per frame.
-    Chroma is an integer difference, so clamping the divisors to >= 1 only
-    changes pixels where chroma is zero, which are forced to hue 0 anyway.
+    256 units; achromatic pixels get hue 0. Branchless on purpose: boolean
+    fancy indexing was 5x slower per frame. Chroma is an integer difference,
+    so clamping the divisors to >= 1 only changes pixels where chroma is
+    zero, which are forced to hue 0 anyway.
     """
     arr = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
     r = arr[:, 0].astype(np.float32)
@@ -269,15 +246,6 @@ def _hsv_delta(prev, curr) -> float:
         + np.abs(curr[2] - prev[2]).mean(dtype=np.float64)
     ) / 3.0
     return float(score)
-
-
-def content_delta(prev: Frame, curr: Frame) -> float:
-    """Mean absolute HSV change between two frames of the same size."""
-    if len(prev.pixels) != len(curr.pixels):
-        raise IncompatibleFramesError(
-            f"frame sizes differ: {len(prev.pixels)} vs {len(curr.pixels)} bytes"
-        )
-    return _hsv_delta(_frame_hsv(prev), _frame_hsv(curr))
 
 
 def stream_stats(frames) -> Iterator[FrameStats]:

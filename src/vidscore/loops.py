@@ -103,12 +103,15 @@ def mix_stems(
 
 def read_wav(path: str) -> tuple[np.ndarray, int]:
     """16-bit PCM RIFF reader returning (frames x channels int16, rate)."""
-    with wave.open(path, "rb") as wav:
-        if wav.getsampwidth() != 2:
-            raise StemMismatchError(f"{path}: only 16-bit PCM stems are supported")
-        channels = wav.getnchannels()
-        rate = wav.getframerate()
-        raw = wav.readframes(wav.getnframes())
+    try:
+        with wave.open(path, "rb") as wav:
+            if wav.getsampwidth() != 2:
+                raise StemMismatchError(f"{path}: only 16-bit PCM stems are supported")
+            channels = wav.getnchannels()
+            rate = wav.getframerate()
+            raw = wav.readframes(wav.getnframes())
+    except (wave.Error, EOFError) as exc:
+        raise StemMismatchError(f"{path}: not a PCM WAV file: {exc}") from exc
     samples = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)
     if len(samples) == 0:
         raise StemMismatchError(f"{path}: stem has no samples")
@@ -126,8 +129,8 @@ def write_wav(path: str, samples: np.ndarray, sample_rate: int) -> None:
 
 
 def load_stem_manifest(path: str) -> List[Stem]:
-    """Manifest: JSON list of {label, path, activation_rank}; relative stem
-    paths resolve against the manifest's directory."""
+    """Manifest: JSON list of {label, path, activation_rank} with unique
+    labels; relative stem paths resolve against the manifest's directory."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
@@ -149,7 +152,10 @@ def load_stem_manifest(path: str) -> List[Stem]:
                     activation_rank=int(entry["activation_rank"]),
                 )
             )
-    except (KeyError, TypeError) as exc:
+        labels = [stem.label for stem in stems]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"stem manifest {path} repeats a label: {labels}")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad stem manifest entry: {exc}") from exc
     if not stems:
         raise ConfigError(f"stem manifest {path} lists no stems")

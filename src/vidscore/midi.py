@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .composer import Score
 from .errors import (
+    ConfigError,
     InvalidEventError,
     MalformedMidiError,
     MissingInstrumentError,
@@ -43,15 +44,26 @@ class InstrumentMap:
             if value == "percussion":
                 self.mapping[label] = "percussion"
             else:
-                program = int(value)
+                try:
+                    program = int(value)
+                except (TypeError, ValueError) as exc:
+                    raise InvalidEventError(
+                        f"program {value!r} for {label!r} is not an integer"
+                    ) from exc
                 if not (0 <= program <= 127):
                     raise InvalidEventError(f"program {program} for {label!r} out of range")
                 self.mapping[label] = program
 
     @classmethod
     def from_file(cls, path: str) -> "InstrumentMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
+            raise ConfigError(f"cannot read instrument map {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"instrument map {path} is not a JSON object")
+        return cls(doc)
 
     @classmethod
     def default(cls) -> "InstrumentMap":
@@ -70,26 +82,6 @@ class InstrumentMap:
     def _require(self, label: str) -> None:
         if label not in self.mapping:
             raise MissingInstrumentError(f"no instrument mapped for layer {label!r}")
-
-
-def map_instrument(label: str, imap: Optional[InstrumentMap] = None) -> Tuple[int, int]:
-    """(program, channel) for a layer label under the given (or default) map.
-
-    Percussion labels pin to channel 9; melodic labels take channels in map
-    order, skipping 9.
-    """
-    imap = imap or InstrumentMap.default()
-    if imap.is_percussion(label):
-        return (imap.program(label), PERCUSSION_CHANNEL)
-    channel = 0
-    for other in imap.mapping:
-        if other == label:
-            break
-        if imap.mapping[other] != "percussion":
-            channel += 1
-            if channel == PERCUSSION_CHANNEL:
-                channel += 1
-    return (imap.program(label), channel)
 
 
 # -- encoding -------------------------------------------------------------------

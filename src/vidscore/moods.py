@@ -56,24 +56,6 @@ class Scale:
         """Diatonic triad on a degree: root, third and fifth pitch classes."""
         return (self.degree_pc(degree), self.degree_pc(degree + 2), self.degree_pc(degree + 4))
 
-    def snap(self, pitch: int) -> int:
-        """Nearest scale member to a MIDI pitch; ties resolve downward."""
-        pcs = set(self.pitch_classes)
-        for offset in range(12):
-            if (pitch - offset) % 12 in pcs and 0 <= pitch - offset <= 127:
-                down = pitch - offset
-            else:
-                down = None
-            if (pitch + offset) % 12 in pcs and 0 <= pitch + offset <= 127:
-                up = pitch + offset
-            else:
-                up = None
-            if down is not None:
-                return down
-            if up is not None:
-                return up
-        return pitch
-
 
 @dataclass(frozen=True)
 class LayerDef:

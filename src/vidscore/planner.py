@@ -70,12 +70,8 @@ class SectionSpec:
     direction: str
     slope: str
 
-    def phrase_seconds(self, phrase_bars: int) -> float:
-        n, d = self.time_signature
-        return phrase_bars * n * (4.0 / d) * 60.0 / self.tempo
-
     def realized_s(self, phrase_bars: int) -> float:
-        return self.phrases * self.phrase_seconds(phrase_bars)
+        return self.phrases * phrase_seconds(self.tempo, self.time_signature, phrase_bars)
 
 
 @dataclass(frozen=True)
@@ -117,6 +113,14 @@ def phrase_seconds(tempo: int, signature: Tuple[int, int], phrase_bars: int) -> 
     return phrase_bars * n * (4.0 / d) * 60.0 / tempo
 
 
+def _whole_phrases(target_s: float, phrase_s: float, tolerance_s: float) -> Optional[int]:
+    """The whole phrase count landing on the target within tolerance, if any."""
+    phrases = round(target_s / phrase_s)
+    if phrases >= 1 and abs(phrases * phrase_s - target_s) <= tolerance_s:
+        return phrases
+    return None
+
+
 def fit_tolerance(frame_period_s: Optional[float] = None) -> float:
     """Half a frame period, capped at 10 ms."""
     if frame_period_s is None:
@@ -135,35 +139,9 @@ def enumerate_fits(
     for tempo in range(lo, hi + 1):
         for signature in sorted(mood.time_signatures):
             phrase_s = phrase_seconds(tempo, signature, mood.phrase_length_bars)
-            phrases = round(duration_s / phrase_s)
-            if phrases >= 1 and abs(phrases * phrase_s - duration_s) <= tolerance_s:
+            phrases = _whole_phrases(duration_s, phrase_s, tolerance_s)
+            if phrases is not None:
                 fits.append(Fit(tempo, signature, phrases))
-    return fits
-
-
-def enumerate_fits_range(
-    lo_s: float,
-    hi_s: float,
-    mood: MoodConfig,
-    tolerance_s: float = DEFAULT_TOLERANCE_S,
-) -> List[Fit]:
-    """Range targets accept any whole phrase count landing inside [lo, hi];
-    the phrase count closest to the range midpoint is kept per candidate."""
-    if hi_s < lo_s or hi_s <= 0:
-        return []
-    mid = (lo_s + hi_s) / 2.0
-    fits: List[Fit] = []
-    for tempo in range(mood.tempo_range[0], mood.tempo_range[1] + 1):
-        for signature in sorted(mood.time_signatures):
-            phrase_s = phrase_seconds(tempo, signature, mood.phrase_length_bars)
-            first = max(1, math.ceil((lo_s - tolerance_s) / phrase_s))
-            last = math.floor((hi_s + tolerance_s) / phrase_s)
-            if last < first:
-                continue
-            best = min(
-                range(first, last + 1), key=lambda p: (abs(p * phrase_s - mid), p)
-            )
-            fits.append(Fit(tempo, signature, best))
     return fits
 
 
@@ -275,10 +253,8 @@ def _refit_last(
     tolerance; otherwise the original draw stands.
     """
     phrase_s = phrase_seconds(fit.tempo, fit.time_signature, mood.phrase_length_bars)
-    phrases = round(adjusted_target / phrase_s)
-    if phrases >= 1 and abs(phrases * phrase_s - adjusted_target) <= tolerance_s:
-        return Fit(fit.tempo, fit.time_signature, phrases)
-    return fit
+    phrases = _whole_phrases(adjusted_target, phrase_s, tolerance_s)
+    return fit if phrases is None else Fit(fit.tempo, fit.time_signature, phrases)
 
 
 # -- plan INI interchange -------------------------------------------------------
@@ -313,15 +289,10 @@ class PlanDocument:
         return any(isinstance(e.duration, tuple) for e in self.entries)
 
 
-def _fmt_float(value: float) -> str:
-    text = repr(float(value))
-    return text
-
-
 def plan_to_ini(plan: CompositionPlan) -> str:
     lines = [
         "[composition]",
-        f"duration = {_fmt_float(plan.total_duration_s)}",
+        f"duration = {repr(float(plan.total_duration_s))}",
         f"mood = {plan.mood}",
         f"complexity = {plan.complexity}",
         f"seed = {plan.rng_seed}",
@@ -334,7 +305,7 @@ def plan_to_ini(plan: CompositionPlan) -> str:
             f"time_sig = {n}/{d}",
             f"tempo = {section.tempo}",
             f"energy = {section.energy.value}",
-            f"duration = {_fmt_float(section.duration_s)}",
+            f"duration = {repr(float(section.duration_s))}",
             f"direction = {section.direction}",
             f"slope = {section.slope}",
         ]
@@ -505,8 +476,8 @@ def resolve_plan(
             duration = phrases * phrase_s
         else:
             duration = entry.duration
-            phrases = round(duration / phrase_s)
-            if phrases < 1 or abs(phrases * phrase_s - duration) > tolerance_s:
+            phrases = _whole_phrases(duration, phrase_s, tolerance_s)
+            if phrases is None:
                 raise UnplannableSectionError(entry.section_id, duration)
         sections.append(
             SectionSpec(

@@ -42,16 +42,7 @@ class SeededRng:
         """Uniform integer in [lo, hi] inclusive."""
         return lo + self.randrange(hi - lo + 1)
 
-    def random(self):
-        """Uniform float in [0, 1)."""
-        return self.next_u64() / (1 << 64)
-
     def choice(self, seq):
         if not seq:
             raise IndexError("cannot choose from an empty sequence")
         return seq[self.randrange(len(seq))]
-
-    def shuffle(self, items):
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]

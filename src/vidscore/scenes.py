@@ -1,14 +1,17 @@
 """Cut and fade detection over the statistics stream, merged into one scene list.
 
-Two detectors run over the same pass:
+``detect_transitions`` runs two detectors over one pass of the stream:
 
 * cut detection marks every frame whose HSV delta against the previous frame
-  reaches the cut threshold;
+  reaches the cut threshold, dropping one closer than ``min_scene_frames`` to
+  the previously accepted cut;
 * fade detection marks an interval from the first frame whose average
   intensity drops below the fade threshold to the first frame that returns
-  above it (any fade through black necessarily contains such frames).
+  above it (any fade through black necessarily contains such frames); a fade
+  still open at stream end closes at the final frame.
 
-A fade contributes a single scene boundary at its midpoint frame, opening the
+``detect_scenes`` feeds both lists to ``merge_scene_lists``. A fade
+contributes a single scene boundary at its midpoint frame, opening the
 following scene with ``fade-in`` and closing the preceding one with
 ``fade-out``. Boundaries from both detectors that land within the merge
 tolerance are coalesced, earliest first; on an exact tie the fade boundary
@@ -63,48 +66,6 @@ class Scene:
         return self.end_frame - self.start_frame
 
 
-def detect_cuts(stats: Iterable[FrameStats], config: DetectorConfig) -> List[int]:
-    """Frames whose delta crosses the threshold, with close repeats suppressed.
-
-    A boundary closer than min_scene_frames to the previously accepted
-    boundary is dropped.
-    """
-    boundaries: List[int] = []
-    for entry in stats:
-        if entry.hsv_delta is None:
-            continue
-        if entry.hsv_delta >= config.cut_threshold:
-            if boundaries and entry.index - boundaries[-1] < config.min_scene_frames:
-                continue
-            boundaries.append(entry.index)
-    return boundaries
-
-
-def detect_fades(
-    stats: Iterable[FrameStats], config: DetectorConfig
-) -> List[Tuple[int, int]]:
-    """(start, end) frame pairs for every dip below the fade threshold.
-
-    ``start`` is the first frame below the threshold and ``end`` the first
-    frame back above it; a fade still open at stream end closes at the final
-    frame.
-    """
-    fades: List[Tuple[int, int]] = []
-    fade_start = None
-    last_index = None
-    for entry in stats:
-        last_index = entry.index
-        if fade_start is None:
-            if entry.avg_intensity < config.fade_threshold:
-                fade_start = entry.index
-        elif entry.avg_intensity >= config.fade_threshold:
-            fades.append((fade_start, entry.index))
-            fade_start = None
-    if fade_start is not None and last_index is not None:
-        fades.append((fade_start, last_index))
-    return fades
-
-
 def merge_scene_lists(
     cuts: List[int],
     fades: List[Tuple[int, int]],
@@ -151,11 +112,12 @@ def merge_scene_lists(
     return scenes
 
 
-def detect_scenes(stats, total_frames, spec, config=None) -> List[Scene]:
-    """One streaming pass feeding both detectors, then the merge."""
-    config = config or DetectorConfig()
+def detect_transitions(
+    stats: Iterable[FrameStats], config: DetectorConfig
+) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """One streaming pass feeding both detectors: (cut frames, (start, end) fades)."""
     cuts: List[int] = []
-    fade_pairs: List[Tuple[int, int]] = []
+    fades: List[Tuple[int, int]] = []
     fade_start = None
     last_index = None
     for entry in stats:
@@ -167,11 +129,17 @@ def detect_scenes(stats, total_frames, spec, config=None) -> List[Scene]:
             if entry.avg_intensity < config.fade_threshold:
                 fade_start = entry.index
         elif entry.avg_intensity >= config.fade_threshold:
-            fade_pairs.append((fade_start, entry.index))
+            fades.append((fade_start, entry.index))
             fade_start = None
     if fade_start is not None and last_index is not None:
-        fade_pairs.append((fade_start, last_index))
-    return merge_scene_lists(cuts, fade_pairs, total_frames, spec, config)
+        fades.append((fade_start, last_index))
+    return cuts, fades
+
+
+def detect_scenes(stats, total_frames, spec, config=None) -> List[Scene]:
+    """Both detectors over one pass, then the merge."""
+    config = config or DetectorConfig()
+    return merge_scene_lists(*detect_transitions(stats, config), total_frames, spec, config)
 
 
 # -- scene list interchange ----------------------------------------------------

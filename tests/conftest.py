@@ -5,7 +5,7 @@ import random
 import pytest
 
 from vidscore.energy import EnergyLabel
-from vidscore.frames import FrameSpec, FrameStats, rgb_to_hsv
+from vidscore.frames import HUE_SCALE, FrameSpec, FrameStats
 from vidscore.moods import LayerDef, MoodConfig, Scale, load_mood
 from vidscore.planner import (
     CompositionPlan,
@@ -47,6 +47,35 @@ def make_mood(
 
 def solid_frame(width, height, rgb):
     return bytes(rgb) * (width * height)
+
+
+def write_ppm(path, width, height, pixels):
+    with open(path, "wb") as fh:
+        fh.write(b"P6\n%d %d\n255\n" % (width, height))
+        fh.write(pixels)
+
+
+def rgb_to_hsv(pixel):
+    """Scalar oracle for the vectorized per-frame conversion: one RGB pixel
+    to HSV with every channel scaled to [0, 255].
+
+    Hue comes from the standard hexagonal model rescaled so the full circle is
+    256 units; achromatic pixels get hue 0.
+    """
+    r, g, b = pixel
+    v = float(max(r, g, b))
+    m = float(min(r, g, b))
+    c = v - m
+    s = 0.0 if v == 0 else c / v * 255.0
+    if c == 0:
+        h6 = 0.0
+    elif v == r:
+        h6 = ((g - b) / c) % 6.0
+    elif v == g:
+        h6 = (b - r) / c + 2.0
+    else:
+        h6 = (r - g) / c + 4.0
+    return (h6 * (HUE_SCALE / 6.0), s, v)
 
 
 def color_delta(a, b):

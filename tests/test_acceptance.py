@@ -37,9 +37,8 @@ from vidscore.planner import (
 )
 from vidscore.scenes import (
     DetectorConfig,
-    detect_cuts,
-    detect_fades,
     detect_scenes,
+    detect_transitions,
     scenes_from_json,
     scenes_to_json,
 )
@@ -102,8 +101,7 @@ def test_detector_fidelity(tmp_path):
     started = time.perf_counter()
     source = open_frame_source(source_path)
     stats = list(stream_stats(source))
-    cuts = detect_cuts(stats, config)
-    fades = detect_fades(stats, config)
+    cuts, fades = detect_transitions(stats, config)
     scenes = detect_scenes(stats, 300, source.spec, config)
     elapsed = time.perf_counter() - started
 

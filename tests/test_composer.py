@@ -142,9 +142,10 @@ class TestComposeSection:
 
     def test_events_inside_section_span(self):
         _, result = self.compose(spec=section(phrases=3, signature=(6, 8)))
-        for ev in result.all_events():
-            assert 0 <= ev.start_tick
-            assert ev.start_tick + ev.duration_ticks <= result.length_ticks
+        for events in result.events.values():
+            for ev in events:
+                assert 0 <= ev.start_tick
+                assert ev.start_tick + ev.duration_ticks <= result.length_ticks
 
     def test_pitches_valid_and_in_scale(self):
         mood, result = self.compose(spec=section(phrases=2, energy=EnergyLabel.HIGH))
@@ -257,7 +258,11 @@ class TestAssembleScore:
         mood = load_mood("inspire")
         score = compose_plan(plan, mood)
         second = score.sections[1]
-        assert all(ev.start_tick >= second.start_tick for ev in second.all_events())
+        assert all(
+            ev.start_tick >= second.start_tick
+            for events in second.events.values()
+            for ev in events
+        )
 
     def test_whole_score_deterministic_over_random_plans(self):
         rng = random.Random(123)

@@ -59,6 +59,18 @@ class TestLoadDetections:
         with pytest.raises(MalformedDetectionsError):
             load_detections(str(path), two_scenes())
 
+    @pytest.mark.parametrize("doc", [
+        3,
+        "per_scene",
+        {"per_scene": [2, 7]},
+        {"per_frame": 5},
+    ])
+    def test_wrongly_typed_document(self, tmp_path, doc):
+        path = tmp_path / "det.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedDetectionsError):
+            load_detections(str(path), two_scenes())
+
 
 def oracle_labels(counts):
     """Direct mean / population-std classification, independently coded."""

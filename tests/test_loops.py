@@ -208,3 +208,33 @@ class TestWavAndManifest:
         manifest.write_text("not json")
         with pytest.raises(ConfigError):
             load_stem_manifest(str(manifest))
+
+    def write_manifest(self, tmp_path, entries):
+        write_wav(str(tmp_path / "tone.wav"), np.ones(800, dtype=np.int16), 8000)
+        manifest = tmp_path / "stems.json"
+        manifest.write_text(json.dumps(entries))
+        return str(manifest)
+
+    def test_manifest_duplicate_labels(self, tmp_path):
+        # a repeated label would mix one stem twice and never play the other
+        manifest = self.write_manifest(tmp_path, [
+            {"label": "x", "path": "tone.wav", "activation_rank": 1},
+            {"label": "x", "path": "tone.wav", "activation_rank": 2},
+        ])
+        with pytest.raises(ConfigError, match="repeats a label"):
+            load_stem_manifest(manifest)
+
+    def test_manifest_non_integer_rank(self, tmp_path):
+        manifest = self.write_manifest(tmp_path, [
+            {"label": "x", "path": "tone.wav", "activation_rank": "first"},
+        ])
+        with pytest.raises(ConfigError):
+            load_stem_manifest(manifest)
+
+    def test_manifest_stem_not_a_wav(self, tmp_path):
+        (tmp_path / "notes.wav").write_text("not a RIFF file")
+        manifest = self.write_manifest(tmp_path, [
+            {"label": "x", "path": "notes.wav", "activation_rank": 1},
+        ])
+        with pytest.raises(StemMismatchError):
+            load_stem_manifest(manifest)

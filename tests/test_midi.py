@@ -4,6 +4,7 @@ import pytest
 
 from vidscore.composer import NoteEvent, Score, SectionScore, compose_plan
 from vidscore.errors import (
+    ConfigError,
     InvalidEventError,
     MalformedMidiError,
     MissingInstrumentError,
@@ -11,7 +12,6 @@ from vidscore.errors import (
 )
 from vidscore.midi import (
     InstrumentMap,
-    map_instrument,
     read_smf,
     tempo_meta_value,
     write_smf,
@@ -221,28 +221,51 @@ class TestReadSmf:
         assert [(n.tick, n.pitch) for n in notes] == [(0, 60)]
 
 
+def written_program_and_channel(label, imap):
+    """(program change or None, note channel) of a one-layer file."""
+    doc = read_smf(write_smf(tiny_score(label=label), imap))
+    track = doc.tracks[1]
+    programs = [ev.data1 for ev in track.events if ev.kind == "program_change"]
+    return (programs[0] if programs else None, doc.track_notes(track)[0].channel)
+
+
 class TestInstrumentMap:
     def test_piano_maps_to_acoustic_grand(self):
-        assert map_instrument("piano") == (0, 0)
+        assert written_program_and_channel("piano", InstrumentMap.default()) == (0, 0)
 
     def test_percussion_channel(self):
-        program, channel = map_instrument("percussion")
+        program, channel = written_program_and_channel("percussion", InstrumentMap.default())
         assert channel == 9
 
     def test_unknown_label(self):
         with pytest.raises(MissingInstrumentError):
-            map_instrument("kazoo_lead")
+            InstrumentMap.default().program("kazoo_lead")
 
     def test_custom_map_file(self, tmp_path):
         path = tmp_path / "imap.json"
         path.write_text('{"solo": 56, "drums": "percussion"}')
         imap = InstrumentMap.from_file(str(path))
-        assert map_instrument("solo", imap) == (56, 0)
-        assert map_instrument("drums", imap)[1] == 9
+        assert written_program_and_channel("solo", imap) == (56, 0)
+        assert written_program_and_channel("drums", imap)[1] == 9
 
     def test_program_out_of_range(self):
         with pytest.raises(InvalidEventError):
             InstrumentMap({"solo": 200})
+
+    @pytest.mark.parametrize("text, error", [
+        (None, ConfigError),  # no file at all
+        ("{not json", ConfigError),
+        ('["solo", 56]', ConfigError),
+        ('"solo"', ConfigError),
+        ('{"solo": "x"}', InvalidEventError),
+        ('{"solo": null}', InvalidEventError),
+    ])
+    def test_bad_map_file(self, tmp_path, text, error):
+        path = tmp_path / "imap.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(error):
+            InstrumentMap.from_file(str(path))
 
     def test_default_covers_all_preset_layers(self):
         imap = InstrumentMap.default()

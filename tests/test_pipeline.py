@@ -143,6 +143,15 @@ class TestCompose:
                          "--output-dir", str(tmp_path)])
         assert code == 4
 
+    def test_missing_instrument_map_exits_6(self, analyzed, tmp_path):
+        directory, _, scenes_path = analyzed
+        config = PipelineConfig(output_dir=str(tmp_path), rng_seed=1)
+        plan_path = stage_plan(config, scenes_path)
+        code = cli.main(["compose", "--plan", plan_path,
+                         "--instruments", str(tmp_path / "missing.json"),
+                         "--output-dir", str(tmp_path)])
+        assert code == 6
+
     def test_event_dump(self, analyzed, tmp_path):
         directory, _, scenes_path = analyzed
         config = PipelineConfig(output_dir=str(tmp_path), rng_seed=1)

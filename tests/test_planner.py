@@ -15,7 +15,6 @@ from vidscore.planner import (
     Fit,
     SectionDraft,
     enumerate_fits,
-    enumerate_fits_range,
     finalize_plan,
     fit_tolerance,
     harmonize_tempo,
@@ -106,13 +105,6 @@ class TestEnumerateFits:
             assert enumerate_fits(duration, mood, 0.010) == brute_force_fits(
                 duration, mood, 0.010
             )
-
-    def test_range_targets(self):
-        mood = make_mood((90, 90), [(3, 4)])  # phrase = 8 s
-        fits = enumerate_fits_range(8.0, 12.0, mood)
-        assert fits == [Fit(90, (3, 4), 1)]
-        fits = enumerate_fits_range(14.0, 26.0, mood)  # midpoint 20 -> 2 or 3
-        assert fits == [Fit(90, (3, 4), 2)]
 
 
 class TestFitTolerance:
@@ -285,6 +277,16 @@ class TestResolvePlan:
         assert section.duration_s == pytest.approx(8.0)
         # serialized output carries the exact resolved duration, not a range
         assert "to" not in plan_to_ini(plan).split("duration =")[2]
+
+    def test_range_tie_resolves_to_lower_phrase_count(self):
+        # 8 s phrases; midpoint 20 is 4 s from both 2 and 3 phrases
+        text = self.header() + (
+            "[section0]\ntime_sig = 3/4\ntempo = 90\nenergy = medium\n"
+            "duration = 14 to 26\ndirection = up\nslope = stay\n"
+        )
+        section = plan_from_ini(text).sections[0]
+        assert section.phrases == 2
+        assert section.duration_s == pytest.approx(16.0)
 
     def test_exact_duration_must_fit(self):
         text = self.header() + (

@@ -6,9 +6,7 @@ from vidscore.errors import EmptyVideoError, MalformedSourceError
 from vidscore.frames import FrameSpec
 from vidscore.scenes import (
     DetectorConfig,
-    detect_cuts,
-    detect_fades,
-    detect_scenes,
+    detect_transitions,
     merge_scene_lists,
     scenes_from_json,
     scenes_to_json,
@@ -19,6 +17,14 @@ from conftest import make_stats
 SPEC = FrameSpec(width=64, height=36, fps_num=30, fps_den=1)
 
 
+def cuts_of(stats, config):
+    return detect_transitions(stats, config)[0]
+
+
+def fades_of(stats, config):
+    return detect_transitions(stats, config)[1]
+
+
 def stats_with_deltas(deltas):
     return make_stats([100.0] * (len(deltas) + 1), [None] + list(deltas))
 
@@ -26,29 +32,29 @@ def stats_with_deltas(deltas):
 class TestDetectCuts:
     def test_single_spike(self):
         stats = make_stats([100] * 4, [None, 0, 200, 0])
-        assert detect_cuts(stats, DetectorConfig()) == [2]
+        assert cuts_of(stats, DetectorConfig()) == [2]
 
     def test_all_below_threshold(self):
         stats = make_stats([100] * 5, [None, 10, 20, 29.9, 5])
-        assert detect_cuts(stats, DetectorConfig()) == []
+        assert cuts_of(stats, DetectorConfig()) == []
 
     def test_suppression_within_min_scene_frames(self):
         stats = make_stats([100] * 4, [None, 40, 40, 0])
-        assert detect_cuts(stats, DetectorConfig(min_scene_frames=15)) == [1]
+        assert cuts_of(stats, DetectorConfig(min_scene_frames=15)) == [1]
 
     def test_threshold_is_inclusive(self):
         stats = make_stats([100] * 2, [None, 30.0])
-        assert detect_cuts(stats, DetectorConfig(cut_threshold=30.0)) == [1]
+        assert cuts_of(stats, DetectorConfig(cut_threshold=30.0)) == [1]
 
     def test_empty_stream(self):
-        assert detect_cuts([], DetectorConfig()) == []
+        assert cuts_of([], DetectorConfig()) == []
 
     def test_raising_threshold_never_adds_cuts(self):
         rng = random.Random(2)
         deltas = [rng.uniform(0, 80) for _ in range(200)]
         stats = stats_with_deltas(deltas)
         counts = [
-            len(detect_cuts(stats, DetectorConfig(cut_threshold=t)))
+            len(cuts_of(stats, DetectorConfig(cut_threshold=t)))
             for t in (10, 20, 30, 50, 70)
         ]
         assert counts == sorted(counts, reverse=True)
@@ -63,28 +69,28 @@ class TestDetectCuts:
                 not expected or i - expected[-1] >= config.min_scene_frames
             ):
                 expected.append(i)
-        assert detect_cuts(stats_with_deltas(deltas), config) == expected
+        assert cuts_of(stats_with_deltas(deltas), config) == expected
 
 
 class TestDetectFades:
     def test_simple_dip(self):
         stats = make_stats([50, 50, 0, 0, 50])
-        assert detect_fades(stats, DetectorConfig()) == [(2, 4)]
+        assert fades_of(stats, DetectorConfig()) == [(2, 4)]
 
     def test_no_fades(self):
         stats = make_stats([50, 80, 12.0, 200])
-        assert detect_fades(stats, DetectorConfig()) == []
+        assert fades_of(stats, DetectorConfig()) == []
 
     def test_single_black_frame_yields_one_fade(self):
         stats = make_stats([50, 50, 0, 50, 50])
-        fades = detect_fades(stats, DetectorConfig())
+        fades = fades_of(stats, DetectorConfig())
         assert len(fades) == 1
         start, end = fades[0]
         assert start <= 2 < end
 
     def test_unterminated_fade_closes_at_final_frame(self):
         stats = make_stats([50, 50, 0, 0])
-        assert detect_fades(stats, DetectorConfig()) == [(2, 3)]
+        assert fades_of(stats, DetectorConfig()) == [(2, 3)]
 
     def test_lowering_threshold_shrinks_fade_intervals(self):
         # interval counts are not monotone in the threshold (one wide dip can
@@ -95,7 +101,7 @@ class TestDetectFades:
         stats = make_stats(values)
         thresholds = (30, 20, 12, 6, 2)
         by_threshold = [
-            detect_fades(stats, DetectorConfig(fade_threshold=t)) for t in thresholds
+            fades_of(stats, DetectorConfig(fade_threshold=t)) for t in thresholds
         ]
         for wider, narrower in zip(by_threshold, by_threshold[1:]):
             for start, end in narrower:
@@ -116,7 +122,7 @@ class TestDetectFades:
                 start = None
         if start is not None:
             expected.append((start, len(values) - 1))
-        assert detect_fades(make_stats(values), config) == expected
+        assert fades_of(make_stats(values), config) == expected
 
 
 class TestMergeSceneLists:
@@ -176,20 +182,6 @@ class TestMergeSceneLists:
     def test_determinism(self):
         args = ([40, 200], [(90, 110)], 300, SPEC, DetectorConfig())
         assert merge_scene_lists(*args) == merge_scene_lists(*args)
-
-
-class TestDetectScenes:
-    def test_combined_pass_matches_separate_detectors(self):
-        rng = random.Random(5)
-        values = [rng.choice([0.0, 50.0, 200.0]) for _ in range(400)]
-        deltas = [rng.choice([0.0, 10.0, 45.0]) for _ in range(399)]
-        stats = make_stats(values, [None] + deltas)
-        config = DetectorConfig()
-        combined = detect_scenes(stats, 400, SPEC, config)
-        separate = merge_scene_lists(
-            detect_cuts(stats, config), detect_fades(stats, config), 400, SPEC, config
-        )
-        assert combined == separate
 
 
 class TestSceneJson:
