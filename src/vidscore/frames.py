@@ -210,31 +210,67 @@ def compute_intensity(frame: Frame) -> float:
     return float(np.frombuffer(frame.pixels, dtype=np.uint8).mean(dtype=np.float64))
 
 
+def _hsv_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Float32 lookup tables for hue and saturation.
+
+    Hue is indexed by ``(order << 16) | (chroma << 8) | (mid - min)``, where
+    ``order`` packs ``r >= g``, ``r >= b`` and ``g >= b`` into three bits;
+    saturation by ``(value << 8) | chroma``. Each entry is computed with the
+    same float32 operations as the per-pixel hexagonal formula (red maximum:
+    ``(g - b) / c mod 6``, green: ``(b - r) / c + 2``, blue:
+    ``(r - g) / c + 4``, ties going to red, then green), so lookups match it
+    bit for bit. ``|g - b|`` (or the other pair) is always ``mid - min``.
+    """
+    chroma = np.arange(256, dtype=np.float32)[:, None]
+    spread = np.arange(256, dtype=np.float32)[None, :]
+    frac = spread / np.maximum(chroma, np.float32(1.0))  # indexed (chroma, spread)
+    h6 = np.empty((8, 256, 256), dtype=np.float32)
+    for order in range(8):
+        r_ge_g, r_ge_b, g_ge_b = order >> 2 & 1, order >> 1 & 1, order & 1
+        if r_ge_g and r_ge_b:
+            h6[order] = frac if g_ge_b else (-frac) % np.float32(6.0)
+        elif g_ge_b:
+            h6[order] = (-frac if r_ge_b else frac) + np.float32(2.0)
+        else:
+            h6[order] = (frac if r_ge_g else -frac) + np.float32(4.0)
+    hue = h6 * np.float32(HUE_SCALE / 6.0)
+    value = np.arange(256, dtype=np.float32)[:, None]
+    sat = (chroma.T / np.maximum(value, np.float32(1.0))) * np.float32(255.0)
+    return hue.ravel(), sat.ravel()
+
+
+_HUE_TABLE, _SAT_TABLE = _hsv_tables()
+
+
 def _frame_hsv(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-pixel HSV of a whole frame (float32 arrays), every channel in [0, 255].
 
     Hue comes from the standard hexagonal model rescaled so the full circle is
-    256 units; achromatic pixels get hue 0. Branchless on purpose: boolean
-    fancy indexing was 5x slower per frame. Chroma is an integer difference,
-    so clamping the divisors to >= 1 only changes pixels where chroma is
-    zero, which are forced to hue 0 anyway.
+    256 units; achromatic pixels get hue 0. Min, max and median stay in uint8
+    on contiguous channel planes and hue and saturation come from the tables
+    of ``_hsv_tables``: about 6x faster per frame than float32 arithmetic on
+    every pixel, with identical results for all 2**24 colours.
     """
     arr = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
-    r = arr[:, 0].astype(np.float32)
-    g = arr[:, 1].astype(np.float32)
-    b = arr[:, 2].astype(np.float32)
-    v = np.maximum(np.maximum(r, g), b)
-    c = v - np.minimum(np.minimum(r, g), b)
-    c_safe = np.maximum(c, np.float32(1.0))
-
-    s = (c / np.maximum(v, np.float32(1.0))) * np.float32(255.0)
-
-    hr = ((g - b) / c_safe) % np.float32(6.0)
-    hg = (b - r) / c_safe + np.float32(2.0)
-    hb = (r - g) / c_safe + np.float32(4.0)
-    h6 = np.where(v == r, hr, np.where(v == g, hg, hb))
-    h6 = np.where(c > 0, h6, np.float32(0.0))
-    return h6 * np.float32(HUE_SCALE / 6.0), s, v
+    r, g, b = np.ascontiguousarray(arr.T)
+    rg_hi = np.maximum(r, g)
+    rg_lo = np.minimum(r, g)
+    v = np.maximum(rg_hi, b)
+    lo = np.minimum(rg_lo, b)
+    mid = np.maximum(rg_lo, np.minimum(rg_hi, b))
+    c = v - lo
+    order = (r >= g).view(np.uint8) << 2
+    order |= (r >= b).view(np.uint8) << 1
+    order |= (g >= b).view(np.uint8)
+    hue_idx = order.astype(np.intp)
+    hue_idx <<= 8
+    hue_idx |= c
+    hue_idx <<= 8
+    hue_idx |= mid - lo
+    sat_idx = v.astype(np.intp)
+    sat_idx <<= 8
+    sat_idx |= c
+    return _HUE_TABLE.take(hue_idx), _SAT_TABLE.take(sat_idx), v.astype(np.float32)
 
 
 def _hsv_delta(prev, curr) -> float:

@@ -96,6 +96,18 @@ class TestContentDelta:
                 naive_content_delta(a, b), abs=2e-3
             )
 
+    def test_matches_naive_oracle_on_channel_ties(self):
+        # every pattern of equal, maximal and minimal channels, greys included
+        levels = (0, 7, 200, 255)
+        colours = [(r, g, b) for r in levels for g in levels for b in levels]
+        a = Frame(index=0, pixels=b"".join(bytes(c) for c in colours))
+        for shift in (1, 5, 21):
+            rotated = colours[shift:] + colours[:shift]
+            b = Frame(index=1, pixels=b"".join(bytes(c) for c in rotated))
+            assert content_delta(a, b) == pytest.approx(
+                naive_content_delta(a, b), abs=2e-3
+            )
+
     def test_symmetry(self):
         rng = random.Random(42)
         a, b = random_frame(rng), random_frame(rng)
