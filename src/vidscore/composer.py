@@ -52,7 +52,6 @@ class NoteEvent:
     duration_ticks: int
     pitch: int
     velocity: int
-    layer_label: str
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class SectionScore:
     section_id: int
     start_tick: int
     length_ticks: int
-    events: Dict[str, List[NoteEvent]]
+    events: Dict[str, List[NoteEvent]]  # ticks relative to start_tick
 
 
 @dataclass(frozen=True)
@@ -252,14 +251,14 @@ def _bass_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
         base = bar * ctx.bar
         step = _grid_steps(layer.rhythm_density, ctx.beat)
         if step == 0:
-            events.append(NoteEvent(base, ctx.bar, root, velocity, layer.label))
+            events.append(NoteEvent(base, ctx.bar, root, velocity))
             continue
         tick = base
         i = 0
         while tick < base + ctx.bar:
             pitch = root if i % 4 != 3 else fifth
             events.append(
-                NoteEvent(tick, min(step, base + ctx.bar - tick), pitch, velocity, layer.label)
+                NoteEvent(tick, min(step, base + ctx.bar - tick), pitch, velocity)
             )
             tick += step
             i += 1
@@ -297,7 +296,7 @@ def _chordal_events(ctx, layer, rng, phrase_draws, sustained: bool) -> List[Note
             spans = [(base + b * ctx.beat, ctx.beat) for b in range(ctx.beats_per_bar)]
         for start, dur in spans:
             for pitch in pitches:
-                events.append(NoteEvent(start, dur, pitch, velocity, layer.label))
+                events.append(NoteEvent(start, dur, pitch, velocity))
     return events
 
 
@@ -316,7 +315,7 @@ def _arpeggio_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
         while tick < base + ctx.bar:
             pitch = pitches[i % len(pitches)]
             events.append(
-                NoteEvent(tick, min(step, base + ctx.bar - tick), pitch, velocity, layer.label)
+                NoteEvent(tick, min(step, base + ctx.bar - tick), pitch, velocity)
             )
             tick += step
             i += 1
@@ -341,7 +340,7 @@ def _melody_events(ctx, layer, rng, motif: Motif) -> List[NoteEvent]:
                 index = _nearest_index(members, pitch)
                 target = members[max(0, min(len(members) - 1, index + shift))]
                 duration = min(duration, start + phrase_ticks - tick)
-                events.append(NoteEvent(tick, duration, target, velocity, layer.label))
+                events.append(NoteEvent(tick, duration, target, velocity))
                 tick += duration
         else:
             index = _nearest_index(members, (layer.register[0] + layer.register[1]) // 2)
@@ -354,7 +353,6 @@ def _melody_events(ctx, layer, rng, motif: Motif) -> List[NoteEvent]:
                         min(step, start + phrase_ticks - tick),
                         members[index],
                         velocity,
-                        layer.label,
                     )
                 )
                 index += rng.choice([-2, -1, -1, 0, 1, 1, 2])
@@ -387,7 +385,7 @@ def _percussion_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
                 continue
             events.append(
                 NoteEvent(base + offset, min(half or ctx.beat, ctx.bar - offset),
-                          pitch, velocity, layer.label)
+                          pitch, velocity)
             )
     return events
 
@@ -492,18 +490,9 @@ def assemble_score(
     tick = 0
     realized_s = 0.0
     for spec, score in zip(plan.sections, section_scores):
-        moved = SectionScore(
-            section_id=score.section_id,
-            start_tick=tick,
-            length_ticks=score.length_ticks,
-            events={
-                label: [replace(ev, start_tick=ev.start_tick + tick) for ev in evs]
-                for label, evs in score.events.items()
-            },
-        )
         tempo_map.append((tick, spec.tempo))
         ts_map.append((tick, spec.time_signature))
-        placed.append(moved)
+        placed.append(replace(score, start_tick=tick))
         tick += score.length_ticks
         realized_s += score.length_ticks * 60.0 / (spec.tempo * PPQN)
 
@@ -512,13 +501,7 @@ def assemble_score(
         final_tempo = plan.sections[-1].tempo
         pad = int(round(residual * final_tempo * PPQN / 60.0))
         if pad > 0:
-            last = placed[-1]
-            placed[-1] = SectionScore(
-                section_id=last.section_id,
-                start_tick=last.start_tick,
-                length_ticks=last.length_ticks + pad,
-                events=last.events,
-            )
+            placed[-1] = replace(placed[-1], length_ticks=placed[-1].length_ticks + pad)
 
     return Score(
         sections=tuple(placed),
@@ -554,7 +537,8 @@ def score_debug_dump(score: Score) -> str:
                 "length_ticks": section.length_ticks,
                 "events": {
                     label: [
-                        [ev.start_tick, ev.duration_ticks, ev.pitch, ev.velocity]
+                        [section.start_tick + ev.start_tick, ev.duration_ticks,
+                         ev.pitch, ev.velocity]
                         for ev in events
                     ]
                     for label, events in section.events.items()

@@ -11,7 +11,6 @@ the counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,6 +21,7 @@ from .errors import (
     IncompleteDetectionsError,
     MalformedDetectionsError,
 )
+from .files import read_json
 from .scenes import Scene
 
 
@@ -51,14 +51,7 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
     ``{"per_frame": [{"frame": i, "count": c}]}``; per-frame records are
     attributed to scenes via the scene list, averaged, and rounded half-up.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedDetectionsError(f"cannot read detections {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDetectionsError("detections must be a JSON object")
-
+    doc = read_json(path, MalformedDetectionsError, "detections")
     scene_ids = {scene.id for scene in scenes}
     counts: SceneCounts = {}
 

@@ -29,6 +29,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import MalformedSourceError, SourceNotFoundError
+from .files import read_input
 
 HUE_SCALE = 256.0  # full hue circle after rescaling; max circular delta is 128
 
@@ -99,11 +100,10 @@ def open_frame_source(path: str, fps: Optional[tuple[int, int]] = None) -> Frame
 
 def _parse_header(path: str) -> FrameSpec:
     fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for token in fh.read().split():
-            if "=" in token:
-                key, _, value = token.partition("=")
-                fields[key.strip()] = value.strip()
+    for token in read_input(path, MalformedSourceError, "stream header").split():
+        if "=" in token:
+            key, _, value = token.partition("=")
+            fields[key.strip()] = value.strip()
     try:
         return FrameSpec(
             width=int(fields["width"]),
@@ -170,8 +170,7 @@ def _open_image_dir(path: str, fps: tuple[int, int]) -> FrameSource:
 
 def _read_ppm(path: str) -> tuple[int, int, bytes]:
     """Minimal binary PPM (P6, maxval 255) reader."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_input(path, MalformedSourceError, "PPM frame", binary=True)
     fields = []
     pos = 0
     while len(fields) < 4:

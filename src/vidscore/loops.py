@@ -10,7 +10,6 @@ The summed mix is peak-normalized to -1 dBFS.
 
 from __future__ import annotations
 
-import json
 import os
 import wave
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, StemMismatchError
+from .files import publish, read_json
 from .scenes import Scene
 
 PEAK_CEILING = 10 ** (-1.0 / 20.0)  # -1 dBFS as a fraction of full scale
@@ -110,8 +110,8 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
             channels = wav.getnchannels()
             rate = wav.getframerate()
             raw = wav.readframes(wav.getnframes())
-    except (wave.Error, EOFError) as exc:
-        raise StemMismatchError(f"{path}: not a PCM WAV file: {exc}") from exc
+    except (OSError, wave.Error, EOFError) as exc:
+        raise StemMismatchError(f"{path}: cannot read a PCM WAV file: {exc}") from exc
     samples = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)
     if len(samples) == 0:
         raise StemMismatchError(f"{path}: stem has no samples")
@@ -121,7 +121,7 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
 def write_wav(path: str, samples: np.ndarray, sample_rate: int) -> None:
     if samples.ndim == 1:
         samples = samples[:, np.newaxis]
-    with wave.open(path, "wb") as wav:
+    with publish(path, binary=True) as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(samples.shape[1])
         wav.setsampwidth(2)
         wav.setframerate(sample_rate)
@@ -131,11 +131,7 @@ def write_wav(path: str, samples: np.ndarray, sample_rate: int) -> None:
 def load_stem_manifest(path: str) -> List[Stem]:
     """Manifest: JSON list of {label, path, activation_rank} with unique
     labels; relative stem paths resolve against the manifest's directory."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            entries = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read stem manifest {path}: {exc}") from exc
+    entries = read_json(path, ConfigError, "stem manifest", kind=list)
     base = os.path.dirname(os.path.abspath(path))
     stems = []
     try:

@@ -25,6 +25,7 @@ from .errors import (
     MissingInstrumentError,
     UnsupportedFormatError,
 )
+from .files import read_json
 
 PERCUSSION_CHANNEL = 9
 DEFAULT_TEMPO_US = 500000  # 120 BPM, the SMF default before any tempo meta
@@ -56,14 +57,7 @@ class InstrumentMap:
 
     @classmethod
     def from_file(cls, path: str) -> "InstrumentMap":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
-            raise ConfigError(f"cannot read instrument map {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"instrument map {path} is not a JSON object")
-        return cls(doc)
+        return cls(read_json(path, ConfigError, "instrument map"))
 
     @classmethod
     def default(cls) -> "InstrumentMap":
@@ -153,14 +147,15 @@ def write_smf(score: Score, imap: InstrumentMap) -> bytes:
         moments: List[Tuple[int, int, int, int]] = []
         for section in score.sections:
             for ev in section.events.get(label, ()):
+                start = section.start_tick + ev.start_tick
                 if not (0 <= ev.pitch <= 127):
                     raise InvalidEventError(f"pitch {ev.pitch} out of range")
                 if not (1 <= ev.velocity <= 127):
                     raise InvalidEventError(f"velocity {ev.velocity} out of range")
                 if ev.duration_ticks < 1:
-                    raise InvalidEventError(f"non-positive duration at {ev.start_tick}")
-                moments.append((ev.start_tick, 1, ev.pitch, ev.velocity))
-                moments.append((ev.start_tick + ev.duration_ticks, 0, ev.pitch, 0))
+                    raise InvalidEventError(f"non-positive duration at {start}")
+                moments.append((start, 1, ev.pitch, ev.velocity))
+                moments.append((start + ev.duration_ticks, 0, ev.pitch, 0))
         moments.sort()
         cursor = 0
         for tick, is_on, pitch, velocity in moments:

@@ -13,6 +13,7 @@ from importlib import resources
 from typing import Dict, List, Tuple
 
 from .errors import ConfigError
+from .files import read_json
 
 COMPLEXITIES = ("simple", "semi-complex", "complex")
 DENSITIES = ("sparse", "medium", "dense")
@@ -160,13 +161,7 @@ def list_moods() -> List[str]:
 def load_mood(name: str) -> MoodConfig:
     """Load a shipped preset by name, or any mood file by path."""
     if name.endswith(".json"):
-        try:
-            with open(name, "r", encoding="utf-8") as fh:
-                return _from_dict(json.load(fh))
-        except OSError as exc:
-            raise ConfigError(f"cannot read mood file {name}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad mood file {name}: {exc}") from exc
+        return _from_dict(read_json(name, ConfigError, "mood file"))
     entry = resources.files("vidscore").joinpath(f"data/moods/{name}.json")
     if not entry.is_file():
         raise ConfigError(f"unknown mood {name!r} (have: {', '.join(list_moods())})")

@@ -28,7 +28,9 @@ from .energy import (
     classify_energy,
     load_detections,
 )
-from .errors import ConfigError, ExternalToolError, UnplannableSectionError
+from .errors import (ConfigError, ExternalToolError, MalformedSourceError, PlanParseError,
+                     UnplannableSectionError)
+from .files import publish, read_input
 from .frames import fps_fraction, open_frame_source, stream_stats
 from .ini import iter_ini
 from .loops import build_layer_schedule, load_stem_manifest, mix_stems, write_wav
@@ -92,7 +94,10 @@ class PipelineConfig:
             raise ConfigError(f"bad fps {self.fps!r}") from exc
 
     def out_path(self, name: str) -> str:
-        os.makedirs(self.output_dir, exist_ok=True)
+        try:
+            os.makedirs(self.output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.output_dir}: {exc}") from exc
         return os.path.join(self.output_dir, name)
 
     def config_hash(self) -> str:
@@ -116,12 +121,11 @@ _KEY_ALIASES = {
 def load_config_file(path: str) -> dict:
     """Read a [pipeline] block in the plan INI dialect into a settings dict."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        items = list(iter_ini(read_input(path, ConfigError, "config")))
+    except PlanParseError as exc:
+        raise ConfigError(f"bad config {path}: {exc}") from exc
     settings = {}
-    for lineno, section, key, value in iter_ini(text):
+    for lineno, section, key, value in items:
         if key is None:
             if section != "pipeline":
                 raise ConfigError(f"{path}:{lineno}: unknown block [{section}]")
@@ -164,7 +168,7 @@ def stage_analyze(config: PipelineConfig, out_path: Optional[str] = None) -> Tup
     )
     path = out_path or config.out_path("scenes.json")
     fps = (source.spec.fps_num, source.spec.fps_den)
-    with open(path, "w", encoding="utf-8") as fh:
+    with publish(path) as fh:
         fh.write(scenes_to_json(scenes, fps, source.total_frames))
     return path, len(scenes)
 
@@ -173,8 +177,8 @@ def stage_plan(
     config: PipelineConfig, scenes_path: str, out_path: Optional[str] = None
 ) -> str:
     """Energy analysis plus the duration solver; writes plan.ini."""
-    with open(scenes_path, "r", encoding="utf-8") as fh:
-        scenes, fps, _total = scenes_from_json(fh.read())
+    text = read_input(scenes_path, MalformedSourceError, "scene list")
+    scenes, fps, _total = scenes_from_json(text)
     mood = load_mood(config.mood)
 
     if config.detections:
@@ -210,7 +214,7 @@ def stage_plan(
         tolerance_s=tolerance,
     )
     path = out_path or config.out_path("plan.ini")
-    with open(path, "w", encoding="utf-8") as fh:
+    with publish(path) as fh:
         fh.write(plan_to_ini(plan))
     return path
 
@@ -222,19 +226,14 @@ def stage_compose(
     dump_events: Optional[str] = None,
 ) -> str:
     """Realize the plan as a single SMF; deterministic for a given config."""
-    with open(plan_path, "r", encoding="utf-8") as fh:
-        doc = parse_ini(fh.read())
+    doc = parse_ini(read_input(plan_path, PlanParseError, "plan"))
     mood = load_mood(doc.mood)
     plan = resolve_plan(doc, mood)
 
     motif = None
     if config.melody:
-        try:
-            with open(config.melody, "rb") as fh:
-                melody_doc = read_smf(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read melody {config.melody}: {exc}") from exc
-        motif = load_seed_melody(melody_doc)
+        melody = read_input(config.melody, ConfigError, "melody", binary=True)
+        motif = load_seed_melody(read_smf(melody))
 
     imap = (
         InstrumentMap.from_file(config.instruments)
@@ -242,12 +241,11 @@ def stage_compose(
         else InstrumentMap.default()
     )
     score = compose_plan(plan, mood, motif)
-    data = write_smf(score, imap)
     path = out_path or config.out_path("soundtrack.mid")
-    with open(path, "wb") as fh:
-        fh.write(data)
+    with publish(path, binary=True) as fh:
+        fh.write(write_smf(score, imap))
     if dump_events:
-        with open(dump_events, "w", encoding="utf-8") as fh:
+        with publish(dump_events) as fh:
             fh.write(score_debug_dump(score))
     return path
 
@@ -307,8 +305,8 @@ def stage_mix_loops(
 ) -> str:
     if not config.stems:
         raise ConfigError("no stem manifest configured for loop mode")
-    with open(scenes_path, "r", encoding="utf-8") as fh:
-        scenes, _fps, _total = scenes_from_json(fh.read())
+    text = read_input(scenes_path, MalformedSourceError, "scene list")
+    scenes, _fps, _total = scenes_from_json(text)
     stems = load_stem_manifest(config.stems)
     schedule = build_layer_schedule(scenes, stems)
     track = mix_stems(schedule, scenes, stems)
@@ -375,10 +373,7 @@ def cmd_run(config: PipelineConfig) -> dict:
         "stages": stages,
         "final_output": final_path,
     }
-    path = config.out_path("run_manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with publish(config.out_path("run_manifest.json")) as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)  # atomic publish
     return manifest

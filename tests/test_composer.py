@@ -259,7 +259,7 @@ class TestAssembleScore:
         score = compose_plan(plan, mood)
         second = score.sections[1]
         assert all(
-            ev.start_tick >= second.start_tick
+            second.start_tick + ev.start_tick >= second.start_tick
             for events in second.events.values()
             for ev in events
         )

@@ -200,7 +200,7 @@ class TestWavAndManifest:
         manifest.write_text(json.dumps([
             {"label": "kick", "path": "missing.wav", "activation_rank": 1},
         ]))
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(StemMismatchError):
             load_stem_manifest(str(manifest))
 
     def test_manifest_bad_json(self, tmp_path):

@@ -28,7 +28,7 @@ def score_notes(score):
         for label, events in section.events.items():
             out.setdefault(label, [])
             out[label].extend(
-                (ev.start_tick, ev.duration_ticks, ev.pitch, ev.velocity)
+                (section.start_tick + ev.start_tick, ev.duration_ticks, ev.pitch, ev.velocity)
                 for ev in events
             )
     return {label: sorted(v) for label, v in out.items() if v}
@@ -52,7 +52,7 @@ def empty_score():
 
 
 def tiny_score(label="bass", pitch=40, velocity=80):
-    events = {label: [NoteEvent(0, 480, pitch, velocity, label)]}
+    events = {label: [NoteEvent(0, 480, pitch, velocity)]}
     return Score(
         sections=(SectionScore(0, 0, 960, events),),
         tempo_map=((0, 120),),

@@ -5,10 +5,17 @@ import sys
 import numpy as np
 import pytest
 
-from vidscore import cli
+from vidscore import cli, pipeline
 from vidscore.energy import classify_energy
+from vidscore.errors import InvalidEventError
 from vidscore.loops import write_wav
-from vidscore.pipeline import PipelineConfig, cmd_run, stage_analyze, stage_plan
+from vidscore.pipeline import (
+    PipelineConfig,
+    cmd_run,
+    stage_analyze,
+    stage_compose,
+    stage_plan,
+)
 from vidscore.planner import parse_ini
 from vidscore.scenes import scenes_from_json
 
@@ -289,6 +296,17 @@ class TestConfigResolution:
         code = cli.main(["run", "--config", str(cfg)])
         assert code == 6
 
+    @pytest.mark.parametrize("text, line", [
+        ("[pipeline]\nmood ember\n", 2),  # no '='
+        ("mood = ember\n[pipeline]\n", 1),  # key before [pipeline]
+    ])
+    def test_malformed_config_line_exits_6(self, tmp_path, capsys, text, line):
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text(text)
+        assert cli.main(["run", "--config", str(cfg)]) == 6
+        err = capsys.readouterr().err
+        assert str(cfg) in err and f"line {line}" in err
+
     def test_unknown_mood_exits_6(self, quad_video, tmp_path):
         _, source = quad_video
         assert cli.main(["analyze", "--source", source,
@@ -296,3 +314,107 @@ class TestConfigResolution:
         code = cli.main(["plan", "--scenes", str(tmp_path / "scenes.json"),
                          "--mood", "nonexistent", "--output-dir", str(tmp_path)])
         assert code == 6
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(analyzed, tmp_path_factory):
+    """One valid file for each stage input, so a case can break exactly one."""
+    directory = tmp_path_factory.mktemp("valid")
+    _, video, scenes = analyzed
+    plan = stage_plan(PipelineConfig(output_dir=str(directory), rng_seed=1), scenes)
+    rate = 8000
+    write_wav(str(directory / "tone.wav"), (np.ones(rate) * 3000).astype(np.int16), rate)
+    stems = directory / "stems.json"
+    stems.write_text(json.dumps([{"label": "a", "path": "tone.wav", "activation_rank": 1}]))
+    return {"video": video, "scenes": scenes, "plan": plan, "stems": str(stems)}
+
+
+BAD_KINDS = ("missing", "directory", "not_utf8")
+
+# (argv, name of the one bad path, exit code per BAD_KINDS); "{case}" is the
+# case's own directory, which always holds stems.json naming stem.wav, a
+# one-frame clip.rgb24 and a frames/ directory
+ERROR_CONTRACT = {
+    "config": (["run", "--config", "{bad}"], "pipeline.ini", (6, 6, 6)),
+    "plan --scenes": (["plan", "--scenes", "{bad}"], "scenes.json", (2, 2, 2)),
+    "mix-loops --scenes": (["mix-loops", "--scenes", "{bad}", "--stems", "{stems}"],
+                           "scenes.json", (2, 2, 2)),
+    "compose --plan": (["compose", "--plan", "{bad}"], "plan.ini", (3, 3, 3)),
+    "melody": (["compose", "--plan", "{plan}", "--melody", "{bad}"], "motif.mid", (6, 6, 4)),
+    "detections": (["plan", "--scenes", "{scenes}", "--detections", "{bad}"],
+                   "det.json", (3, 3, 3)),
+    "mood file": (["plan", "--scenes", "{scenes}", "--mood", "{bad}"], "mood.json", (6, 6, 6)),
+    "instrument map": (["compose", "--plan", "{plan}", "--instruments", "{bad}"],
+                       "imap.json", (6, 6, 6)),
+    "stem manifest": (["mix-loops", "--scenes", "{scenes}", "--stems", "{bad}"],
+                      "bad.json", (6, 6, 6)),
+    "stem wav": (["mix-loops", "--scenes", "{scenes}", "--stems", "{case}/stems.json"],
+                 "stem.wav", (4, 4, 4)),
+    "stream header": (["analyze", "--source", "{case}/clip.rgb24"], "clip.hdr", (2, 2, 2)),
+    "ppm frame": (["analyze", "--source", "{case}/frames", "--fps", "30/1"],
+                  "frames/0000.ppm", (2, 2, 2)),
+    # outputs: the bad path is the directory written into, so "directory" is
+    # the one kind that succeeds
+    "analyze -o": (["analyze", "--source", "{video}", "-o", "{bad}/scenes.json"],
+                   "out", (6, 0, 6)),
+    "plan -o": (["plan", "--scenes", "{scenes}", "-o", "{bad}/plan.ini"], "out", (6, 0, 6)),
+    "compose -o": (["compose", "--plan", "{plan}", "-o", "{bad}/soundtrack.mid"],
+                   "out", (6, 0, 6)),
+    "--dump-events": (["compose", "--plan", "{plan}", "--dump-events", "{bad}/events.json"],
+                      "out", (6, 0, 6)),
+    "mix-loops -o": (["mix-loops", "--scenes", "{scenes}", "--stems", "{stems}",
+                      "-o", "{bad}/soundtrack.wav"], "out", (6, 0, 6)),
+    "--output-dir": (["analyze", "--source", "{video}", "--output-dir", "{bad}/sub"],
+                     "out", (6, 0, 6)),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_KINDS)
+@pytest.mark.parametrize("case", sorted(ERROR_CONTRACT))
+def test_unreadable_files_exit_with_stage_code(valid_inputs, tmp_path, case, kind):
+    """Every file argument that is missing, a directory or not UTF-8 leaves
+    main() through a VidscoreError with the README's exit code; any other
+    exception escapes main() and fails the test."""
+    argv, bad_name, codes = ERROR_CONTRACT[case]
+    (tmp_path / "stems.json").write_text(
+        json.dumps([{"label": "a", "path": "stem.wav", "activation_rank": 1}]))
+    (tmp_path / "clip.rgb24").write_bytes(bytes(3 * 4 * 4))
+    (tmp_path / "clip.hdr").write_text("width=4 height=4 fps_num=30 fps_den=1\n")
+    (tmp_path / "frames").mkdir()
+    bad = tmp_path / bad_name
+    if bad.exists():
+        bad.unlink()
+    if kind == "missing":  # a dangling link, so a directory listing still names it
+        bad.symlink_to(tmp_path / "nowhere")
+    elif kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe not text \x00\x81")
+    fields = dict(valid_inputs, bad=str(bad), case=str(tmp_path))
+    args = [arg.format(**fields) for arg in argv]
+    # a case's own --output-dir comes later and wins over this default
+    code = cli.main(args[:1] + ["--output-dir", str(tmp_path / "outdir")] + args[1:])
+    assert code == codes[BAD_KINDS.index(kind)]
+
+
+@pytest.mark.parametrize("stage, patched, artifact", [
+    (stage_plan, "plan_to_ini", "plan.ini"),
+    (stage_compose, "write_smf", "soundtrack.mid"),
+])
+def test_failed_writer_keeps_previous_artifact(
+    valid_inputs, tmp_path, monkeypatch, stage, patched, artifact
+):
+    config = PipelineConfig(output_dir=str(tmp_path), rng_seed=4)
+    stage_plan(config, valid_inputs["scenes"])
+    stage_compose(config, str(tmp_path / "plan.ini"))
+    before = (tmp_path / artifact).read_bytes()
+
+    def broken(*_args):
+        raise InvalidEventError("writer failed halfway")
+
+    monkeypatch.setattr(pipeline, patched, broken)
+    source = valid_inputs["scenes"] if stage is stage_plan else str(tmp_path / "plan.ini")
+    with pytest.raises(InvalidEventError):
+        stage(config, source)
+    assert (tmp_path / artifact).read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
