@@ -282,6 +282,37 @@ class TestConfigResolution:
         assert config.mood == "drive"  # flag beats file
         assert config.rng_seed == 9  # file beats default
 
+    def test_values_take_the_type_of_their_default(self, tmp_path):
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text(
+            "[pipeline]\nfade_threshold = 10\ncut_threshold = 25.5\n"
+            "merge_tolerance = 0.2\nmin_scene_frames = 8\nseed = 42\nloop = yes\n"
+        )
+        args = cli.build_parser().parse_args(
+            ["run", "--config", str(cfg), "--cut-threshold", "40", "--seed", "7",
+             "--min-scene-frames", "12"]
+        )
+        config = cli.resolve_config(args)
+        got = {key: getattr(config, key) for key in (
+            "fade_threshold", "cut_threshold", "merge_tolerance_s",
+            "min_scene_frames", "rng_seed", "loop_mode")}
+        assert got == {"fade_threshold": 10.0, "cut_threshold": 40.0,
+                       "merge_tolerance_s": 0.2, "min_scene_frames": 12,
+                       "rng_seed": 7, "loop_mode": True}
+        assert [type(got[key]) for key in got] == [float, float, float, int, int, bool]
+        no_flags = cli.resolve_config(cli.build_parser().parse_args(
+            ["run", "--config", str(cfg)]))
+        assert (no_flags.min_scene_frames, no_flags.rng_seed) == (8, 42)
+        assert type(no_flags.min_scene_frames) is int and type(no_flags.rng_seed) is int
+        cfg.write_text("[pipeline]\nloop = off\n")
+        off = cli.resolve_config(cli.build_parser().parse_args(["run", "--config", str(cfg)]))
+        assert off.loop_mode is False
+
+    def test_non_integer_seed_exits_6(self, tmp_path):
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text("[pipeline]\nseed = x\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 6
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VIDSCORE_OUTPUT_DIR", str(tmp_path / "envout"))
         args = cli.build_parser().parse_args(["run"])
