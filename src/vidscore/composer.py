@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .energy import EnergyLabel
 from .errors import EmptyMelodyError, InconsistentPlanError
-from .moods import LayerDef, MoodConfig, Scale
+from .moods import MoodConfig, Scale
 from .planner import CompositionPlan, SectionSpec
 from .rng import SeededRng
 
@@ -162,9 +162,6 @@ def _snap(tick: int) -> int:
 
 # -- layer arrangement -----------------------------------------------------------
 
-_ENERGY_ORDER = (EnergyLabel.LOW, EnergyLabel.MEDIUM, EnergyLabel.HIGH)
-
-
 def active_layer_count(
     section: SectionSpec, mood: MoodConfig, bar_index: int
 ) -> int:
@@ -181,12 +178,13 @@ def active_layer_count(
     count = start + sign * steps
 
     allowed_lo, allowed_hi = lo, hi
-    idx = _ENERGY_ORDER.index(section.energy)
-    if section.direction == "up" and idx + 1 < len(_ENERGY_ORDER):
-        nxt = mood.layers_per_energy[_ENERGY_ORDER[idx + 1].value]
+    levels = list(EnergyLabel)  # low to high
+    idx = levels.index(section.energy)
+    if section.direction == "up" and idx + 1 < len(levels):
+        nxt = mood.layers_per_energy[levels[idx + 1].value]
         allowed_hi = max(allowed_hi, nxt[1])
     if section.direction == "down" and idx > 0:
-        prev = mood.layers_per_energy[_ENERGY_ORDER[idx - 1].value]
+        prev = mood.layers_per_energy[levels[idx - 1].value]
         allowed_lo = min(allowed_lo, prev[0])
 
     count = max(count, max(1, allowed_lo))
@@ -219,9 +217,10 @@ def _pc_in_register(pc: int, register: Tuple[int, int]) -> int:
 
 
 class _SectionContext:
-    def __init__(self, section: SectionSpec, mood: MoodConfig, chords, counts):
+    def __init__(self, section: SectionSpec, mood: MoodConfig, chords, counts, motif: Motif):
         self.section = section
         self.mood = mood
+        self.motif = motif
         self.chords = chords  # per-bar chord degree
         self.counts = counts  # per-bar active layer count
         n, d = section.time_signature
@@ -233,6 +232,13 @@ class _SectionContext:
         self.phrase_bars = mood.phrase_length_bars
 
 
+def _grid(start: int, end: int, step: int):
+    """(index, tick, duration) every ``step`` ticks from start; the last note
+    is clipped at end."""
+    for i, tick in enumerate(range(start, end, step)):
+        yield i, tick, min(step, end - tick)
+
+
 def _grid_steps(density: str, beat: int) -> int:
     if density == "dense":
         return beat // 2
@@ -241,27 +247,17 @@ def _grid_steps(density: str, beat: int) -> int:
     return 0  # sparse: one event per bar
 
 
-def _bass_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
+def _bass_events(ctx, layer) -> List[NoteEvent]:
     velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
+    step = _grid_steps(layer.rhythm_density, ctx.beat) or ctx.bar  # sparse: whole bar
     events = []
     for bar in range(ctx.bars):
         degree = ctx.chords[bar]
         root = _pc_in_register(ctx.mood.scale.degree_pc(degree), layer.register)
         fifth = _pc_in_register(ctx.mood.scale.degree_pc(degree + 4), layer.register)
         base = bar * ctx.bar
-        step = _grid_steps(layer.rhythm_density, ctx.beat)
-        if step == 0:
-            events.append(NoteEvent(base, ctx.bar, root, velocity))
-            continue
-        tick = base
-        i = 0
-        while tick < base + ctx.bar:
-            pitch = root if i % 4 != 3 else fifth
-            events.append(
-                NoteEvent(tick, min(step, base + ctx.bar - tick), pitch, velocity)
-            )
-            tick += step
-            i += 1
+        events += [NoteEvent(tick, duration, fifth if i % 4 == 3 else root, velocity)
+                   for i, tick, duration in _grid(base, base + ctx.bar, step)]
     return events
 
 
@@ -278,7 +274,7 @@ def _chord_pitches(ctx, degree: int, register, inversion: int) -> List[int]:
     return sorted(set(pitches))
 
 
-def _chordal_events(ctx, layer, rng, phrase_draws, sustained: bool) -> List[NoteEvent]:
+def _chordal_events(ctx, layer, phrase_draws, sustained: bool) -> List[NoteEvent]:
     velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
     events = []
     for bar in range(ctx.bars):
@@ -300,29 +296,21 @@ def _chordal_events(ctx, layer, rng, phrase_draws, sustained: bool) -> List[Note
     return events
 
 
-def _arpeggio_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
+def _arpeggio_events(ctx, layer, phrase_draws) -> List[NoteEvent]:
     velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
     step = _grid_steps(layer.rhythm_density, ctx.beat) or ctx.beat
     events = []
     for bar in range(ctx.bars):
-        upward = phrase_draws[bar // ctx.phrase_bars]
         pitches = _chord_pitches(ctx, ctx.chords[bar], layer.register, 0)
-        if not upward:
+        if phrase_draws[bar // ctx.phrase_bars] % 2:  # odd draw: downward
             pitches = pitches[::-1]
         base = bar * ctx.bar
-        tick = base
-        i = 0
-        while tick < base + ctx.bar:
-            pitch = pitches[i % len(pitches)]
-            events.append(
-                NoteEvent(tick, min(step, base + ctx.bar - tick), pitch, velocity)
-            )
-            tick += step
-            i += 1
+        events += [NoteEvent(tick, duration, pitches[i % len(pitches)], velocity)
+                   for i, tick, duration in _grid(base, base + ctx.bar, step)]
     return events
 
 
-def _melody_events(ctx, layer, rng, motif: Motif) -> List[NoteEvent]:
+def _melody_events(ctx, layer, rng) -> List[NoteEvent]:
     velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
     members = _scale_members(ctx.mood.scale, layer.register[0], layer.register[1])
     if not members:
@@ -331,10 +319,10 @@ def _melody_events(ctx, layer, rng, motif: Motif) -> List[NoteEvent]:
     phrase_ticks = ctx.phrase_bars * ctx.bar
     for phrase in range(ctx.section.phrases):
         start = phrase * phrase_ticks
-        if motif:
+        if ctx.motif:
             shift = rng.randint(-2, 2)
             tick = start
-            for pitch, duration in motif:
+            for pitch, duration in ctx.motif:
                 if tick >= start + phrase_ticks:
                     break
                 index = _nearest_index(members, pitch)
@@ -345,23 +333,14 @@ def _melody_events(ctx, layer, rng, motif: Motif) -> List[NoteEvent]:
         else:
             index = _nearest_index(members, (layer.register[0] + layer.register[1]) // 2)
             step = ctx.beat if layer.rhythm_density != "dense" else ctx.beat // 2
-            tick = start
-            while tick < start + phrase_ticks:
-                events.append(
-                    NoteEvent(
-                        tick,
-                        min(step, start + phrase_ticks - tick),
-                        members[index],
-                        velocity,
-                    )
-                )
+            for _, tick, duration in _grid(start, start + phrase_ticks, step):
+                events.append(NoteEvent(tick, duration, members[index], velocity))
                 index += rng.choice([-2, -1, -1, 0, 1, 1, 2])
                 index = max(0, min(len(members) - 1, index))
-                tick += step
     return events
 
 
-def _percussion_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
+def _percussion_events(ctx, layer) -> List[NoteEvent]:
     velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
     events = []
     half = ctx.beat // 2
@@ -390,20 +369,21 @@ def _percussion_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
     return events
 
 
-_GENERIC_CHORDAL = {"pad": True, "strings": True, "chords": False, "bells": False}
+def _chords(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
+    return _chordal_events(ctx, layer, phrase_draws, sustained=False)
 
 
-def _layer_events(ctx, layer: LayerDef, rng, motif: Motif, phrase_draws) -> List[NoteEvent]:
-    if layer.label == PERCUSSION_LABEL:
-        return _percussion_events(ctx, layer, rng, phrase_draws)
-    if layer.label == "bass":
-        return _bass_events(ctx, layer, rng, phrase_draws)
-    if layer.label in ("arpeggio", "pluck"):
-        return _arpeggio_events(ctx, layer, rng, phrase_draws)
-    if layer.label in ("melody", "lead"):
-        return _melody_events(ctx, layer, rng, motif)
-    sustained = _GENERIC_CHORDAL.get(layer.label, False)
-    return _chordal_events(ctx, layer, rng, phrase_draws, sustained)
+# label -> generator(ctx, layer, rng, phrase_draws); other labels play _chords
+_GENERATORS = {
+    PERCUSSION_LABEL: lambda ctx, layer, rng, draws: _percussion_events(ctx, layer),
+    "bass": lambda ctx, layer, rng, draws: _bass_events(ctx, layer),
+    "arpeggio": lambda ctx, layer, rng, draws: _arpeggio_events(ctx, layer, draws),
+    "pluck": lambda ctx, layer, rng, draws: _arpeggio_events(ctx, layer, draws),
+    "melody": lambda ctx, layer, rng, draws: _melody_events(ctx, layer, rng),
+    "lead": lambda ctx, layer, rng, draws: _melody_events(ctx, layer, rng),
+    "pad": lambda ctx, layer, rng, draws: _chordal_events(ctx, layer, draws, sustained=True),
+    "strings": lambda ctx, layer, rng, draws: _chordal_events(ctx, layer, draws, sustained=True),
+}
 
 
 def _gate_to_active_bars(
@@ -446,15 +426,14 @@ def compose_section(
     if role == "coda":
         chords[-1] = 1  # cadence home on the final bar
     counts = [active_layer_count(section, mood, b) for b in range(bars)]
-    ctx = _SectionContext(section, mood, chords, counts)
+    ctx = _SectionContext(section, mood, chords, counts, motif or [])
 
     events: Dict[str, List[NoteEvent]] = {}
     for position, layer in enumerate(mood.layers_by_rank()):
         rng = SeededRng(seed, section.section_id * _STREAM_SPAN + layer.activation_rank)
+        # drawn for every layer: the melody's notes come after these in its stream
         phrase_draws = [rng.randrange(3) for _ in range(section.phrases)]
-        if layer.label in ("arpeggio", "pluck"):
-            phrase_draws = [draw % 2 == 0 for draw in phrase_draws]
-        raw = _layer_events(ctx, layer, rng, motif or [], phrase_draws)
+        raw = _GENERATORS.get(layer.label, _chords)(ctx, layer, rng, phrase_draws)
         events[layer.label] = _gate_to_active_bars(
             raw, position, counts, ctx.bar, ctx.length
         )

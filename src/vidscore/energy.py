@@ -11,6 +11,7 @@ the counts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,13 +27,15 @@ from .scenes import Scene
 
 
 class EnergyLabel(str, Enum):
+    """Energy levels, declared from low to high; this order is their rank."""
+
     LOW = "low"
     MEDIUM = "medium"
     HIGH = "high"
 
     @property
     def rank(self) -> int:
-        return {"low": 1, "medium": 2, "high": 3}[self.value]
+        return list(EnergyLabel).index(self) + 1
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,7 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
             raise MalformedDetectionsError("'per_frame' must be a list of records")
         sums = {scene.id: 0.0 for scene in scenes}
         hits = {scene.id: 0 for scene in scenes}
+        starts = [scene.start_frame for scene in scenes]  # the scenes tile the video
         for record in doc["per_frame"]:
             try:
                 frame, count = int(record["frame"]), float(record["count"])
@@ -80,9 +84,10 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
                 raise MalformedDetectionsError(f"bad per_frame record {record!r}") from exc
             if count < 0:
                 raise MalformedDetectionsError(f"negative count at frame {frame}")
-            scene = _scene_for_frame(scenes, frame)
-            if scene is None:
+            index = bisect_right(starts, frame) - 1
+            if index < 0 or frame >= scenes[-1].end_frame:
                 raise MalformedDetectionsError(f"frame {frame} outside the video")
+            scene = scenes[index]
             sums[scene.id] += count
             hits[scene.id] += 1
         for scene_id in sums:
@@ -96,13 +101,6 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
     if missing:
         raise IncompleteDetectionsError(f"no counts for scene ids {missing}")
     return counts
-
-
-def _scene_for_frame(scenes: List[Scene], frame: int):
-    for scene in scenes:
-        if scene.start_frame <= frame < scene.end_frame:
-            return scene
-    return None
 
 
 def classify_energy(counts: SceneCounts) -> Dict[int, EnergyLabel]:

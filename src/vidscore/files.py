@@ -35,17 +35,23 @@ def read_json(path: str, error: type, what: str, kind: type = dict):
 
 
 @contextmanager
-def publish(path: str, binary: bool = False):
-    """Yield a file open on ``<path>.tmp`` and rename it over ``path`` when the
-    block completes. On any failure the temp file is removed and ``path`` keeps
-    its previous contents; OSError becomes ConfigError."""
-    tmp = path + ".tmp"
+def staged(path: str, tmp: str):
+    """Yield ``tmp`` and rename it over ``path`` when the block completes. On
+    any failure the temp file is removed and ``path`` keeps its previous
+    contents; OSError becomes ConfigError."""
     try:
-        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
-            yield fh
+        yield tmp
         os.replace(tmp, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     finally:
         with suppress(OSError):
             os.remove(tmp)  # gone already after a successful replace
+
+
+@contextmanager
+def publish(path: str, binary: bool = False):
+    """Yield a file open on ``<path>.tmp``, staged over ``path``."""
+    with staged(path, path + ".tmp") as tmp:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+            yield fh

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Tuple
 
+from .energy import EnergyLabel
 from .errors import ConfigError
 from .files import read_json
 
 COMPLEXITIES = ("simple", "semi-complex", "complex")
 DENSITIES = ("sparse", "medium", "dense")
-ALLOWED_DENOMS = (2, 4, 8)
 
 _NOTE_PC = {
     "C": 0, "C#": 1, "Db": 1, "D": 2, "D#": 3, "Eb": 3, "E": 4, "F": 5,
@@ -85,6 +85,11 @@ class MoodConfig:
         return sorted(self.instrument_layers, key=lambda l: l.activation_rank)
 
 
+def supported_meter(n: int, d: int) -> bool:
+    """Whether n/d is a time signature moods and plans may use."""
+    return 2 <= n <= 12 and d in (2, 4, 8)
+
+
 def _validate(mood: MoodConfig) -> MoodConfig:
     lo, hi = mood.tempo_range
     if not (0 < lo <= hi):
@@ -92,12 +97,12 @@ def _validate(mood: MoodConfig) -> MoodConfig:
     if not mood.time_signatures:
         raise ConfigError(f"mood {mood.name}: no time signatures")
     for n, d in mood.time_signatures:
-        if not (2 <= n <= 12) or d not in ALLOWED_DENOMS:
+        if not supported_meter(n, d):
             raise ConfigError(f"mood {mood.name}: unsupported signature {n}/{d}")
     if mood.phrase_length_bars < 1:
         raise ConfigError(f"mood {mood.name}: bad phrase length")
     maxes = []
-    for level in ("low", "medium", "high"):
+    for level in (label.value for label in EnergyLabel):
         if level not in mood.layers_per_energy:
             raise ConfigError(f"mood {mood.name}: missing {level} layer range")
         rng_lo, rng_hi = mood.layers_per_energy[level]

@@ -30,7 +30,7 @@ from .energy import (
 )
 from .errors import (ConfigError, ExternalToolError, MalformedSourceError, PlanParseError,
                      UnplannableSectionError)
-from .files import publish, read_input
+from .files import publish, read_input, staged
 from .frames import fps_fraction, open_frame_source, stream_stats
 from .ini import iter_ini
 from .loops import build_layer_schedule, load_stem_manifest, mix_stems, write_wav
@@ -56,10 +56,10 @@ from .scenes import DetectorConfig, detect_scenes, scenes_from_json, scenes_to_j
 class PipelineConfig:
     source: Optional[str] = None
     fps: Optional[str] = None  # needed for image-directory sources, e.g. "30/1"
-    fade_threshold: float = 12.0
-    cut_threshold: float = 30.0
-    min_scene_frames: int = 15
-    merge_tolerance_s: float = 0.1
+    fade_threshold: float = DetectorConfig.fade_threshold
+    cut_threshold: float = DetectorConfig.cut_threshold
+    min_scene_frames: int = DetectorConfig.min_scene_frames
+    merge_tolerance_s: float = DetectorConfig.merge_tolerance_s
     mood: str = "inspire"
     complexity: str = "semi-complex"
     planner_mode: str = "global"
@@ -138,16 +138,16 @@ def load_config_file(path: str) -> dict:
 
 
 def apply_settings(config: PipelineConfig, settings: dict) -> PipelineConfig:
+    """Set each given value, converted to the type of the field's default."""
     for key, value in settings.items():
         if value is None:
             continue
+        kind = type(PipelineConfig.__dataclass_fields__[key].default)
         try:
-            if key in ("fade_threshold", "cut_threshold", "merge_tolerance_s"):
-                value = float(value)
-            elif key in ("min_scene_frames", "rng_seed"):
-                value = int(value)
-            elif key == "loop_mode" and isinstance(value, str):
+            if kind is bool and isinstance(value, str):
                 value = value.lower() in ("1", "true", "yes", "on")
+            elif kind in (int, float):
+                value = kind(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
         setattr(config, key, value)
@@ -196,23 +196,13 @@ def stage_plan(
         if not section_fits:
             raise UnplannableSectionError(draft.section_id, draft.duration_s)
 
+    bands = None  # global mode: one shared tempo
     if config.planner_mode == "per-scene-energy":
         bands = [assign_tempo_band(label, mood.tempo_range) for label in labels]
-        fits = harmonize_tempo(fits, "per-scene-energy", bands)
-    else:
-        fits = harmonize_tempo(fits, "global")
+    fits = harmonize_tempo(fits, config.rng_seed, bands)
 
-    plan = finalize_plan(
-        drafts,
-        fits,
-        labels,
-        slopes,
-        mood,
-        config.complexity,
-        config.rng_seed,
-        shared_tempo=config.planner_mode == "global",
-        tolerance_s=tolerance,
-    )
+    plan = finalize_plan(drafts, fits, labels, slopes, mood, config.complexity,
+                         config.rng_seed, tolerance_s=tolerance)
     path = out_path or config.out_path("plan.ini")
     with publish(path) as fh:
         fh.write(plan_to_ini(plan))
@@ -251,22 +241,27 @@ def stage_compose(
 
 
 def _run_template(template: str, substitutions: dict, out_path: str, what: str) -> None:
+    """Run the tool with ``{out}`` set to a temp path beside ``out_path`` that
+    keeps its extension (tools pick the file type from it), then publish it."""
+    root, ext = os.path.splitext(out_path)
+    tmp = root + ".tmp" + ext
     tokens = []
     for token in shlex.split(template):
-        for placeholder, value in substitutions.items():
+        for placeholder, value in dict(substitutions, out=tmp).items():
             token = token.replace("{%s}" % placeholder, value)
         tokens.append(token)
-    try:
-        proc = subprocess.run(tokens, capture_output=True, text=True)
-    except OSError as exc:
-        raise ExternalToolError(f"{what} command failed to start: {exc}") from exc
-    if proc.returncode != 0:
-        tail = (proc.stderr or proc.stdout or "").strip().splitlines()[-5:]
-        raise ExternalToolError(
-            f"{what} command exited {proc.returncode}: {' | '.join(tail)}"
-        )
-    if not os.path.exists(out_path) or os.path.getsize(out_path) == 0:
-        raise ExternalToolError(f"{what} command produced no output at {out_path}")
+    with staged(out_path, tmp):
+        try:
+            proc = subprocess.run(tokens, capture_output=True, text=True)
+        except OSError as exc:
+            raise ExternalToolError(f"{what} command failed to start: {exc}") from exc
+        if proc.returncode != 0:
+            tail = (proc.stderr or proc.stdout or "").strip().splitlines()[-5:]
+            raise ExternalToolError(
+                f"{what} command exited {proc.returncode}: {' | '.join(tail)}"
+            )
+        if not os.path.exists(tmp) or os.path.getsize(tmp) == 0:
+            raise ExternalToolError(f"{what} command produced no output at {tmp}")
 
 
 def stage_render(
@@ -277,7 +272,7 @@ def stage_render(
     path = out_path or config.out_path("soundtrack.wav")
     _run_template(
         config.render_template,
-        {"in": midi_path, "out": path, "soundfont": config.soundfont or ""},
+        {"in": midi_path, "soundfont": config.soundfont or ""},
         path,
         "render",
     )
@@ -292,8 +287,7 @@ def stage_mux(
     path = out_path or config.out_path("final" + os.path.splitext(video_path)[1])
     _run_template(
         config.mux_template,
-        {"in": video_path, "audio": audio_path, "out": path,
-         "soundfont": config.soundfont or ""},
+        {"in": video_path, "audio": audio_path, "soundfont": config.soundfont or ""},
         path,
         "mux",
     )

@@ -6,11 +6,12 @@ where a whole number of phrases lands on the target within tolerance:
 
     phrase_seconds = phrase_bars * n * (4 / d) * 60 / tempo
 
-Candidate survival can additionally be constrained to a single tempo across
-the whole soundtrack (global mode) or to each scene's energy tempo band
-(per-scene-energy mode). One surviving candidate per section is then drawn
-with a deterministic generator keyed by (seed, section id), so regenerating a
-plan with one edited section leaves every other section's draw unchanged.
+``harmonize_tempo`` then constrains the candidates: in global mode it draws
+the soundtrack's single tempo from the tempos every section can reach, and in
+per-scene-energy mode it keeps each scene's energy tempo band. One surviving
+candidate per section is then drawn with a deterministic generator keyed by
+(seed, section id), so regenerating a plan with one edited section leaves
+every other section's draw unchanged.
 
 The plan serializes to an INI document with a [composition] block followed by
 one [sectionN] block per section. Section durations may be written as a range
@@ -32,7 +33,7 @@ from .errors import (
     UnplannableSectionError,
 )
 from .ini import iter_ini
-from .moods import COMPLEXITIES, MoodConfig, load_mood
+from .moods import COMPLEXITIES, MoodConfig, load_mood, supported_meter
 from .rng import SeededRng
 from .scenes import Scene
 
@@ -42,7 +43,6 @@ DEFAULT_SEED = 0xC0FFEE
 # reserved stream id for the shared-tempo draw; section streams use their id
 _TEMPO_STREAM = 1 << 32
 
-ROLES = ("intro", "verse", "chorus", "coda")
 PLANNER_MODES = ("global", "per-scene-energy")
 
 
@@ -147,33 +147,34 @@ def enumerate_fits(
 
 def harmonize_tempo(
     per_section_fits: List[List[Fit]],
-    mode: str = "global",
+    rng_seed: int,
     bands: Optional[List[Tuple[int, int]]] = None,
 ) -> List[List[Fit]]:
     """Trim candidate lists for tempo consistency.
 
-    global: keep only tempos valid for every section (error when none is).
-    per-scene-energy: keep each section's fits inside its energy tempo band,
-    falling back to the untrimmed list when the band has no fit.
+    Without bands (global mode) one tempo valid for every section is drawn
+    from the sorted common tempos and every list keeps only its fits (error
+    when none is common). With one band per section (per-scene-energy mode)
+    each list keeps its fits inside its band, falling back to the untrimmed
+    list when the band has no fit.
     """
-    if mode == "global":
-        tempo_sets = [{fit.tempo for fit in fits} for fits in per_section_fits]
-        common = set.intersection(*tempo_sets) if tempo_sets else set()
+    if bands is None:
+        tempo_sets = [{f.tempo for f in fits} for fits in per_section_fits]
+        common = sorted(set.intersection(*tempo_sets)) if tempo_sets else []
         if not common:
             raise NoConsistentTempoError(
                 "no single tempo fits every section; "
                 "consider per-scene-energy mode"
             )
-        return [[f for f in fits if f.tempo in common] for fits in per_section_fits]
-    if mode == "per-scene-energy":
-        if bands is None or len(bands) != len(per_section_fits):
-            raise ValueError("per-scene-energy mode needs one tempo band per section")
-        trimmed = []
-        for fits, (lo, hi) in zip(per_section_fits, bands):
-            in_band = [f for f in fits if lo <= f.tempo <= hi]
-            trimmed.append(in_band if in_band else list(fits))
-        return trimmed
-    raise ValueError(f"unknown planner mode {mode!r}")
+        tempo = common[SeededRng(rng_seed, _TEMPO_STREAM).randrange(len(common))]
+        return [[f for f in fits if f.tempo == tempo] for fits in per_section_fits]
+    if len(bands) != len(per_section_fits):
+        raise ValueError("per-scene-energy mode needs one tempo band per section")
+    trimmed = []
+    for fits, (lo, hi) in zip(per_section_fits, bands):
+        in_band = [f for f in fits if lo <= f.tempo <= hi]
+        trimmed.append(in_band if in_band else list(fits))
+    return trimmed
 
 
 def finalize_plan(
@@ -184,7 +185,6 @@ def finalize_plan(
     mood: MoodConfig,
     complexity: str,
     rng_seed: int,
-    shared_tempo: bool = False,
     tolerance_s: float = DEFAULT_TOLERANCE_S,
 ) -> CompositionPlan:
     """Draw one candidate per section and assemble the plan.
@@ -201,18 +201,10 @@ def finalize_plan(
         if not fits:
             raise UnplannableSectionError(draft.section_id, draft.duration_s)
 
-    chosen_lists = [list(fits) for fits in candidates]
-    if shared_tempo:
-        common = sorted(set.intersection(*[{f.tempo for f in c} for c in chosen_lists]))
-        if not common:
-            raise NoConsistentTempoError("candidate lists share no tempo")
-        tempo = common[SeededRng(rng_seed, _TEMPO_STREAM).randrange(len(common))]
-        chosen_lists = [[f for f in fits if f.tempo == tempo] for fits in chosen_lists]
-
     total = sum(d.duration_s for d in drafts)
     sections: List[SectionSpec] = []
     realized_sum = 0.0
-    for i, (draft, fits) in enumerate(zip(drafts, chosen_lists)):
+    for i, (draft, fits) in enumerate(zip(drafts, candidates)):
         rng = SeededRng(rng_seed, draft.section_id)
         fit = fits[rng.randrange(len(fits))]
         if i == len(drafts) - 1 and len(drafts) > 1:
@@ -339,7 +331,7 @@ def _parse_time_sig(value: str, lineno: int) -> Tuple[int, int]:
         n, d = int(num), int(den)
     except ValueError:
         raise PlanParseError(f"bad time signature {value!r}", line=lineno)
-    if not (2 <= n <= 12) or d not in (2, 4, 8):
+    if not supported_meter(n, d):
         raise PlanParseError(f"unsupported time signature {value!r}", line=lineno)
     return (n, d)
 
@@ -389,9 +381,10 @@ def parse_ini(text: str) -> PlanDocument:
                 raise PlanParseError(f"tempo must be positive, got {value!r}", line=lineno)
             row[key] = tempo
         elif key == "energy":
-            if value not in ("low", "medium", "high"):
+            try:
+                row[key] = EnergyLabel(value)
+            except ValueError:
                 raise PlanParseError(f"unknown energy {value!r}", line=lineno)
-            row[key] = EnergyLabel(value)
         elif key == "duration":
             row[key] = _parse_duration(value, lineno)
         elif key == "direction":
@@ -510,6 +503,3 @@ def resolve_plan(
         roles=tuple(roles_for_count(len(sections))),
     )
 
-
-def plan_from_ini(text: str, mood: Optional[MoodConfig] = None) -> CompositionPlan:
-    return resolve_plan(parse_ini(text), mood=mood)

@@ -61,10 +61,6 @@ class Scene:
     def duration_s(self) -> float:
         return self.end_s - self.start_s
 
-    @property
-    def frame_count(self) -> int:
-        return self.end_frame - self.start_frame
-
 
 def merge_scene_lists(
     cuts: List[int],

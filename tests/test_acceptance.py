@@ -32,8 +32,9 @@ from vidscore.planner import (
     fit_tolerance,
     harmonize_tempo,
     phrase_seconds,
-    plan_from_ini,
+    parse_ini,
     plan_to_ini,
+    resolve_plan,
 )
 from vidscore.scenes import (
     DetectorConfig,
@@ -138,7 +139,7 @@ def test_solver_correctness():
             duration = phrases * phrase_seconds(tempo, signature, mood.phrase_length_bars)
             drafts.append(SectionDraft(sid, duration, "verse"))
         fits = harmonize_tempo(
-            [enumerate_fits(d.duration_s, mood, tolerance) for d in drafts], "global"
+            [enumerate_fits(d.duration_s, mood, tolerance) for d in drafts], rng_seed=trial
         )
         plan = finalize_plan(
             drafts,
@@ -148,7 +149,6 @@ def test_solver_correctness():
             mood,
             "simple",
             rng_seed=trial,
-            shared_tempo=True,
             tolerance_s=tolerance,
         )
         realized = [s.realized_s(mood.phrase_length_bars) for s in plan.sections]
@@ -314,7 +314,7 @@ def test_interchange_stability(tmp_path):
     rng = random.Random(80_0)
     for _ in range(25):
         plan = random_valid_plan(rng)
-        assert plan_from_ini(plan_to_ini(plan)) == plan
+        assert resolve_plan(parse_ini(plan_to_ini(plan))) == plan
 
     # documented exit codes on malformed inputs
     outdir = str(tmp_path)

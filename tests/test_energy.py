@@ -18,7 +18,7 @@ from vidscore.errors import (
     MalformedDetectionsError,
 )
 from vidscore.frames import FrameSpec
-from vidscore.scenes import DetectorConfig, merge_scene_lists
+from vidscore.scenes import DetectorConfig, Scene, merge_scene_lists
 
 SPEC = FrameSpec(width=64, height=36, fps_num=30, fps_den=1)
 
@@ -40,6 +40,24 @@ class TestLoadDetections:
         path.write_text(json.dumps({"per_frame": records}))
         # scene 0 mean 2.0 -> 2; scene 1 mean 3.5 rounds half-up -> 4
         assert load_detections(str(path), two_scenes()) == {0: 2, 1: 4}
+
+    def test_per_frame_records_at_scene_edges(self, tmp_path):
+        bounds = [(0, 100), (100, 101), (101, 250), (250, 300)]  # one single-frame scene
+        scenes = [Scene(i, start, end, start / 30, end / 30, "cut", "cut")
+                  for i, (start, end) in enumerate(bounds)]
+        records = [{"frame": frame, "count": 10 * scene.id}
+                   for scene in scenes for frame in (scene.start_frame, scene.end_frame - 1)]
+        path = tmp_path / "det.json"
+        path.write_text(json.dumps({"per_frame": records}))
+        assert load_detections(str(path), scenes) == {0: 0, 1: 10, 2: 20, 3: 30}
+
+    @pytest.mark.parametrize("frame", [-1, 300])
+    def test_per_frame_record_outside_the_video(self, tmp_path, frame):
+        path = tmp_path / "det.json"
+        path.write_text(json.dumps({"per_frame": [{"frame": 0, "count": 1},
+                                                  {"frame": frame, "count": 1}]}))
+        with pytest.raises(MalformedDetectionsError, match="outside the video"):
+            load_detections(str(path), two_scenes())
 
     def test_missing_scene(self, tmp_path):
         path = tmp_path / "det.json"

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from vidscore import cli, pipeline
+from vidscore import cli, pipeline, planner
 from vidscore.energy import classify_energy
 from vidscore.errors import InvalidEventError
 from vidscore.loops import write_wav
@@ -201,6 +202,31 @@ class TestExternalTools:
                          "-o", str(tmp_path / "out.wav"),
                          "--render-template", template, "--output-dir", str(tmp_path)])
         assert code == 5
+
+    def test_failed_render_keeps_previous_output(self, tmp_path):
+        (tmp_path / "in.mid").write_bytes(b"x")
+        (tmp_path / "part.wav").write_bytes(b"previous render")
+        template = (f'{PY} -c "import sys,pathlib; '
+                    f"pathlib.Path(sys.argv[1]).write_text('half'); sys.exit(1)\" {{out}}")
+        code = cli.main(["render", "--midi", str(tmp_path / "in.mid"),
+                         "-o", str(tmp_path / "part.wav"),
+                         "--render-template", template, "--output-dir", str(tmp_path)])
+        assert code == 5
+        assert (tmp_path / "part.wav").read_bytes() == b"previous render"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.mid", "part.wav"]
+
+    def test_tool_writes_a_temp_path_with_the_target_extension(self, tmp_path):
+        (tmp_path / "in.mid").write_bytes(b"x")
+        # the tool writes the path it was given for {out} into that file
+        template = f'{PY} -c "import sys,pathlib; pathlib.Path(sys.argv[1]).write_text(sys.argv[1])" {{out}}'
+        code = cli.main(["render", "--midi", str(tmp_path / "in.mid"),
+                         "-o", str(tmp_path / "part.wav"),
+                         "--render-template", template, "--output-dir", str(tmp_path)])
+        assert code == 0
+        given = (tmp_path / "part.wav").read_text()
+        assert given != str(tmp_path / "part.wav")
+        assert os.path.dirname(given) == str(tmp_path) and given.endswith(".wav")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.mid", "part.wav"]
 
     def test_missing_template_exits_6(self, tmp_path):
         (tmp_path / "in.mid").write_bytes(b"x")
@@ -449,3 +475,43 @@ def test_failed_writer_keeps_previous_artifact(
         stage(config, source)
     assert (tmp_path / artifact).read_bytes() == before
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def layer_of_names():
+    """The pipeline names perfbench/spans.py wraps, read from its source."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYER_OF"]:
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("spans.py has no LAYER_OF")
+
+
+def test_traced_names_exist():
+    missing = [name for name in layer_of_names() if not callable(getattr(pipeline, name, None))]
+    assert missing == []
+    assert callable(pipeline.InstrumentMap.default)
+    assert callable(pipeline.InstrumentMap.from_file)
+    assert callable(planner.phrase_seconds)
+
+
+@pytest.mark.parametrize("mode", ["global", "per-scene-energy"])
+def test_stage_plan_calls_planner_names_through_module_globals(
+    analyzed, tmp_path, monkeypatch, mode
+):
+    names = ["sections_from_scenes", "fit_tolerance", "enumerate_fits", "harmonize_tempo",
+             "finalize_plan"] + (["assign_tempo_band"] if mode != "global" else [])
+    called = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    config = PipelineConfig(output_dir=str(tmp_path), planner_mode=mode, rng_seed=5)
+    stage_plan(config, analyzed[2])
+    assert called == set(names)

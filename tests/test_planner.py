@@ -19,8 +19,8 @@ from vidscore.planner import (
     fit_tolerance,
     harmonize_tempo,
     parse_ini,
-    plan_from_ini,
     plan_to_ini,
+    resolve_plan,
     roles_for_count,
     sections_from_scenes,
 )
@@ -124,22 +124,22 @@ class TestHarmonizeTempo:
             [Fit(100, (4, 4), 2), Fit(120, (4, 4), 2)],
             [Fit(120, (3, 4), 3), Fit(140, (3, 4), 3)],
         ]
-        trimmed = harmonize_tempo(fits, "global")
+        trimmed = harmonize_tempo(fits, rng_seed=0)
         assert [{f.tempo for f in fl} for fl in trimmed] == [{120}, {120}]
 
     def test_global_empty_intersection(self):
         fits = [[Fit(100, (4, 4), 2)], [Fit(140, (3, 4), 3)]]
         with pytest.raises(NoConsistentTempoError):
-            harmonize_tempo(fits, "global")
+            harmonize_tempo(fits, rng_seed=0)
 
     def test_band_filter(self):
         fits = [[Fit(90, (4, 4), 2), Fit(110, (4, 4), 2)]]
-        trimmed = harmonize_tempo(fits, "per-scene-energy", bands=[(100, 120)])
+        trimmed = harmonize_tempo(fits, rng_seed=0, bands=[(100, 120)])
         assert trimmed == [[Fit(110, (4, 4), 2)]]
 
     def test_band_fallback_to_full_range(self):
         fits = [[Fit(90, (4, 4), 2)]]
-        trimmed = harmonize_tempo(fits, "per-scene-energy", bands=[(100, 120)])
+        trimmed = harmonize_tempo(fits, rng_seed=0, bands=[(100, 120)])
         assert trimmed == [[Fit(90, (4, 4), 2)]]
 
 
@@ -173,10 +173,8 @@ class TestFinalizePlan:
     def test_shared_tempo_single_value(self):
         mood = make_mood((60, 120), [(4, 4), (3, 4)])
         drafts = [SectionDraft(i, 16.0, r) for i, r in enumerate(["intro", "verse", "coda"])]
-        fits = harmonize_tempo([enumerate_fits(16.0, mood, 0.010)] * 3, "global")
-        plan = finalize_plan(
-            drafts, fits, [M] * 3, [STAY] * 3, mood, "simple", 7, shared_tempo=True
-        )
+        fits = harmonize_tempo([enumerate_fits(16.0, mood, 0.010)] * 3, rng_seed=7)
+        plan = finalize_plan(drafts, fits, [M] * 3, [STAY] * 3, mood, "simple", 7)
         assert len({s.tempo for s in plan.sections}) == 1
 
     def test_durations_within_tolerance(self):
@@ -202,7 +200,7 @@ class TestPlanIni:
         for _ in range(40):
             plan = random_valid_plan(rng)
             text = plan_to_ini(plan)
-            assert plan_from_ini(text) == plan
+            assert resolve_plan(parse_ini(text)) == plan
 
     def test_contains_expected_keys(self):
         rng = random.Random(5)
@@ -271,7 +269,7 @@ class TestResolvePlan:
             "[section0]\ntime_sig = 3/4\ntempo = 90\nenergy = medium\n"
             "duration = 8 to 12\ndirection = up\nslope = stay\n"
         )
-        plan = plan_from_ini(text)
+        plan = resolve_plan(parse_ini(text))
         section = plan.sections[0]
         assert section.phrases == 1
         assert section.duration_s == pytest.approx(8.0)
@@ -284,7 +282,7 @@ class TestResolvePlan:
             "[section0]\ntime_sig = 3/4\ntempo = 90\nenergy = medium\n"
             "duration = 14 to 26\ndirection = up\nslope = stay\n"
         )
-        section = plan_from_ini(text).sections[0]
+        section = resolve_plan(parse_ini(text)).sections[0]
         assert section.phrases == 2
         assert section.duration_s == pytest.approx(16.0)
 
@@ -294,7 +292,7 @@ class TestResolvePlan:
             "duration = 10.0\ndirection = up\nslope = stay\n"
         )
         with pytest.raises(UnplannableSectionError):
-            plan_from_ini(text)
+            resolve_plan(parse_ini(text))
 
     def test_unsatisfiable_range(self):
         text = self.header() + (
@@ -302,7 +300,7 @@ class TestResolvePlan:
             "duration = 9 to 10\ndirection = up\nslope = stay\n"
         )
         with pytest.raises(UnplannableSectionError):
-            plan_from_ini(text)
+            resolve_plan(parse_ini(text))
 
     def test_total_must_match_section_sum(self):
         text = (
@@ -312,4 +310,4 @@ class TestResolvePlan:
             "duration = 8.0\ndirection = up\nslope = stay\n"
         )
         with pytest.raises(PlanParseError, match="section total"):
-            plan_from_ini(text)
+            resolve_plan(parse_ini(text))
