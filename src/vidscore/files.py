@@ -1,8 +1,8 @@
 """File I/O policy shared by every stage.
 
 An unreadable input raises the caller's error class, so each stage exits with
-its own code. Artifacts are written to ``<path>.tmp`` and renamed over the
-target once complete, so a failed stage never leaves a half-written file.
+its own code. Artifacts are written to a temp file beside the target and
+renamed over it once complete, so a failed stage leaves no half-written file.
 """
 
 from __future__ import annotations

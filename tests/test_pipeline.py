@@ -218,7 +218,8 @@ class TestExternalTools:
     def test_tool_writes_a_temp_path_with_the_target_extension(self, tmp_path):
         (tmp_path / "in.mid").write_bytes(b"x")
         # the tool writes the path it was given for {out} into that file
-        template = f'{PY} -c "import sys,pathlib; pathlib.Path(sys.argv[1]).write_text(sys.argv[1])" {{out}}'
+        template = (f'{PY} -c "import sys,pathlib; '
+                    f'pathlib.Path(sys.argv[1]).write_text(sys.argv[1])" {{out}}')
         code = cli.main(["render", "--midi", str(tmp_path / "in.mid"),
                          "-o", str(tmp_path / "part.wav"),
                          "--render-template", template, "--output-dir", str(tmp_path)])
