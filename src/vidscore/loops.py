@@ -6,6 +6,11 @@ symmetrically. Stems join in activation_rank order and drop out in reverse.
 Each active stem restarts from its first sample at every scene boundary, so
 a downbeat always lands on the transition, and is truncated at the scene end.
 The summed mix is peak-normalized to -1 dBFS.
+
+The mix is built in one int32 buffer: each stem is added in place, one loop
+period at a time. It is then normalized block by block, and each block's
+int16 result is written into the front of that same buffer, so the only
+track-sized allocation is the int32 mix.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .files import publish, read_json
 from .scenes import Scene
 
 PEAK_CEILING = 10 ** (-1.0 / 20.0)  # -1 dBFS as a fraction of full scale
+_NORMALIZE_BLOCK = 1 << 16  # frames scaled per step of the normalization
 
 
 @dataclass(frozen=True)
@@ -81,22 +87,32 @@ def mix_stems(
     for scene, active in zip(scenes, schedule):
         start = round(scene.start_s * rate)
         end = round(scene.end_s * rate)
-        span = end - start
-        if span <= 0:
-            continue
         for label in active:
-            stem = by_label[label]
-            length = len(stem.samples)
-            reps = -(-span // length)  # loop from sample 0, truncate at the boundary
-            tiled = np.tile(stem.samples, (reps, 1))[:span]
-            mix[start:end] += tiled.astype(np.int32)
+            samples = by_label[label].samples
+            # loop from sample 0, truncate at the boundary
+            for pos in range(start, end, len(samples)):
+                n = min(len(samples), end - pos)
+                mix[pos:pos + n] += samples[:n]
 
-    peak = int(np.max(np.abs(mix))) if total_samples else 0
+    # The int16 track is the front of the int32 buffer. A block ending at row
+    # e writes its int16 output up to byte 2*e*channels, before the next
+    # block's int32 input starts at byte 4*e*channels, so no block overwrites
+    # input that is still to be read.
+    out = mix.reshape(-1).view(np.int16)[:mix.size].reshape(mix.shape)
+    peak = max(int(mix.max()), -int(mix.min())) if total_samples else 0
     if peak > 0:
         target = PEAK_CEILING * 32767.0
-        scaled = mix.astype(np.float64) * (target / peak)
-        return np.clip(np.rint(scaled), -32768, 32767).astype(np.int16)
-    return mix.astype(np.int16)
+        gain = target / peak
+        scaled = np.empty((min(_NORMALIZE_BLOCK, total_samples), channels), dtype=np.float64)
+        for first in range(0, total_samples, _NORMALIZE_BLOCK):
+            block = mix[first:first + _NORMALIZE_BLOCK]
+            buf = scaled[:len(block)]
+            np.multiply(block, gain, out=buf)
+            np.rint(buf, out=buf)
+            np.clip(buf, -32768, 32767, out=buf)
+            out[first:first + len(block)] = buf
+    # a silent mix is all zeros, which reads as zeros through the view too
+    return out
 
 
 # -- WAV and manifest plumbing ---------------------------------------------------
@@ -112,6 +128,8 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
             raw = wav.readframes(wav.getnframes())
     except (OSError, wave.Error, EOFError) as exc:
         raise StemMismatchError(f"{path}: cannot read a PCM WAV file: {exc}") from exc
+    if len(raw) % (2 * channels):
+        raise StemMismatchError(f"{path}: data ends in a partial frame")
     samples = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)
     if len(samples) == 0:
         raise StemMismatchError(f"{path}: stem has no samples")
@@ -119,13 +137,15 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
 
 
 def write_wav(path: str, samples: np.ndarray, sample_rate: int) -> None:
+    """Write 16-bit PCM; a C-contiguous ``<i2`` array is written uncopied."""
+    samples = np.ascontiguousarray(samples, dtype="<i2")
     if samples.ndim == 1:
         samples = samples[:, np.newaxis]
     with publish(path, binary=True) as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(samples.shape[1])
         wav.setsampwidth(2)
         wav.setframerate(sample_rate)
-        wav.writeframes(samples.astype("<i2").tobytes())
+        wav.writeframes(samples)
 
 
 def load_stem_manifest(path: str) -> List[Stem]:

@@ -35,7 +35,7 @@ from .frames import fps_fraction, open_frame_source, stream_stats
 from .ini import iter_ini
 from .loops import build_layer_schedule, load_stem_manifest, mix_stems, write_wav
 from .midi import InstrumentMap, read_smf, write_smf
-from .moods import load_mood
+from .moods import COMPLEXITIES, load_mood
 from .planner import (
     DEFAULT_SEED,
     PLANNER_MODES,
@@ -137,6 +137,10 @@ def load_config_file(path: str) -> dict:
     return settings
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
 def apply_settings(config: PipelineConfig, settings: dict) -> PipelineConfig:
     """Set each given value, converted to the type of the field's default."""
     for key, value in settings.items():
@@ -145,14 +149,16 @@ def apply_settings(config: PipelineConfig, settings: dict) -> PipelineConfig:
         kind = type(PipelineConfig.__dataclass_fields__[key].default)
         try:
             if kind is bool and isinstance(value, str):
-                value = value.lower() in ("1", "true", "yes", "on")
+                value = _BOOL_WORDS[value.lower()]
             elif kind in (int, float):
                 value = kind(value)
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
         setattr(config, key, value)
     if config.planner_mode not in PLANNER_MODES:
         raise ConfigError(f"unknown planner mode {config.planner_mode!r}")
+    if config.complexity not in COMPLEXITIES:
+        raise ConfigError(f"unknown complexity {config.complexity!r}")
     return config
 
 

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from vidscore.energy import EnergyLabel
 from vidscore.frames import HUE_SCALE, FrameSpec, FrameStats
+from vidscore.loops import PEAK_CEILING
 from vidscore.moods import LayerDef, MoodConfig, Scale, load_mood
 from vidscore.planner import (
     CompositionPlan,
@@ -76,6 +78,37 @@ def rgb_to_hsv(pixel):
     else:
         h6 = (r - g) / c + 4.0
     return (h6 * (HUE_SCALE / 6.0), s, v)
+
+
+def naive_mix_stems(schedule, scenes, stems):
+    """Oracle for the in-place mixer: tile each stem over its scene, sum the
+    whole track in int32 and normalize it in one float64 pass."""
+    by_label = {stem.label: stem for stem in stems}
+    rate = stems[0].sample_rate
+    channels = stems[0].channels
+
+    total_samples = round(scenes[-1].end_s * rate)
+    mix = np.zeros((total_samples, channels), dtype=np.int32)
+
+    for scene, active in zip(scenes, schedule):
+        start = round(scene.start_s * rate)
+        end = round(scene.end_s * rate)
+        span = end - start
+        if span <= 0:
+            continue
+        for label in active:
+            stem = by_label[label]
+            length = len(stem.samples)
+            reps = -(-span // length)  # loop from sample 0, truncate at the boundary
+            tiled = np.tile(stem.samples, (reps, 1))[:span]
+            mix[start:end] += tiled.astype(np.int32)
+
+    peak = int(np.max(np.abs(mix))) if total_samples else 0
+    if peak > 0:
+        target = PEAK_CEILING * 32767.0
+        scaled = mix.astype(np.float64) * (target / peak)
+        return np.clip(np.rint(scaled), -32768, 32767).astype(np.int16)
+    return mix.astype(np.int16)
 
 
 def color_delta(a, b):

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vidscore.errors import ConfigError, EmptyInputError, StemMismatchError
 from vidscore.loops import (
+    _NORMALIZE_BLOCK as BLOCK,
     Stem,
     build_layer_schedule,
     load_stem_manifest,
@@ -14,6 +16,8 @@ from vidscore.loops import (
     write_wav,
 )
 from vidscore.scenes import Scene
+
+from conftest import naive_mix_stems
 
 
 def make_scene(sid, start_s, end_s, fps=30):
@@ -171,6 +175,112 @@ class TestMixStems:
         assert int(np.abs(out.astype(np.int32)).max()) == 0
 
 
+def random_mix_case(seed, channels):
+    """Stems of random length and content (some silent) over scenes cut at
+    random frames, duplicates giving zero-length scenes, with a random
+    subset of stems active in each scene."""
+    gen = np.random.default_rng(seed)
+    rate = 8000
+    stems = []
+    for rank in range(1, int(gen.integers(1, 5)) + 1):
+        length = int(gen.integers(1, 3 * rate))
+        if gen.random() < 0.2:
+            samples = np.zeros((length, channels), dtype=np.int16)
+        else:
+            loud = int(gen.integers(1, 32768))
+            samples = gen.integers(-loud, loud, (length, channels), dtype=np.int16)
+        stems.append(make_stem(f"s{rank}", rank, samples=samples, rate=rate))
+    frames = int(gen.integers(1, 4 * BLOCK))
+    cuts = gen.integers(0, frames, int(gen.integers(0, 8)))
+    cuts = np.sort(np.concatenate([cuts, cuts[:int(gen.integers(0, 3))]]))
+    bounds = [0, *cuts.tolist(), frames]
+    scenes = [make_scene(i, a / rate, b / rate) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    schedule = [[stem.label for stem in stems if gen.random() < 0.6] for _ in scenes]
+    return schedule, scenes, stems
+
+
+def spike_case(sign, channels):
+    """Quiet stems over 3.5 blocks and a one-sample spike stem that plays
+    only in the last scene, which starts after the second block."""
+    rate = 8000
+    gen = np.random.default_rng(channels)
+    quiet = gen.integers(-900, 900, (rate, channels), dtype=np.int16)
+    spike = np.zeros((3 * rate, channels), dtype=np.int16)
+    spike[17] = sign * 20000
+    stems = [make_stem("quiet", 1, samples=quiet, rate=rate),
+             make_stem("spike", 2, samples=spike, rate=rate)]
+    frames = 7 * BLOCK // 2
+    scenes = [make_scene(0, 0.0, BLOCK / rate),
+              make_scene(1, BLOCK / rate, (2 * BLOCK + 100) / rate),
+              make_scene(2, (2 * BLOCK + 100) / rate, frames / rate)]
+    return [["quiet"], ["quiet"], ["quiet", "spike"]], scenes, stems
+
+
+class TestMixMatchesOracle:
+    def assert_matches(self, schedule, scenes, stems):
+        want = naive_mix_stems(schedule, scenes, stems)
+        got = mix_stems(schedule, scenes, stems)
+        assert got.dtype == np.int16 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_cases(self, seed, channels):
+        self.assert_matches(*random_mix_case(seed, channels))
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_positive_peak_in_a_later_block(self, channels):
+        out = self.assert_matches(*spike_case(1, channels))
+        assert len(out) > 3 * BLOCK
+        assert np.abs(out.astype(np.int32)).argmax() // channels >= 2 * BLOCK
+        assert out.max() == PEAK_TARGET
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_negative_peak(self, channels):
+        out = self.assert_matches(*spike_case(-1, channels))
+        assert -int(out.min()) == PEAK_TARGET > int(out.max())
+
+    def test_short_and_zero_length_scenes(self):
+        rate = 8000
+        ramp = np.arange(-rate, rate, 2, dtype=np.int16).reshape(-1, 1)
+        stems = [make_stem("ramp", 1, samples=ramp, rate=rate)]
+        scenes = scene_run([0.3, 0.0, 0.0, 0.05, 1.7, 0.0])  # the stem is 1 s
+        self.assert_matches([["ramp"]] * len(scenes), scenes, stems)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_all_silent_stems(self, channels):
+        stems = [make_stem(f"s{i}", i, rate=8000, channels=channels,
+                           samples=np.zeros((700 * i, channels), dtype=np.int16))
+                 for i in (1, 2, 3)]
+        scenes = scene_run([10.0, 9.0, 4.0])
+        out = self.assert_matches(build_layer_schedule(scenes, stems), scenes, stems)
+        assert len(out) > BLOCK and not out.any()
+
+
+def test_mix_and_write_memory_stays_near_one_int32_track(tmp_path):
+    """60 s of 48 kHz stereo from 8 stems: mixing and writing must trace at
+    most 8 bytes per output sample plus 8 MB (the int32 mix is 4)."""
+    rate = 48000
+    gen = np.random.default_rng(3)
+    stems = [make_stem(f"s{i}", i, rate=rate, channels=2,
+                       samples=gen.integers(-4000, 4000, (rate * (1 + i % 3), 2),
+                                            dtype=np.int16))
+             for i in range(1, 9)]
+    scenes = scene_run([7.5] * 8)
+    schedule = build_layer_schedule(scenes, stems)
+    path = str(tmp_path / "mix.wav")
+    tracemalloc.start()
+    try:
+        write_wav(path, mix_stems(schedule, scenes, stems), rate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    samples = 60 * rate * 2
+    assert peak <= 8 * samples + 8 * 2**20
+    assert read_wav(path)[0].shape == (60 * rate, 2)
+
+
 class TestWavAndManifest:
     def test_wav_roundtrip(self, tmp_path):
         rate = 8000
@@ -230,6 +340,18 @@ class TestWavAndManifest:
         ])
         with pytest.raises(ConfigError):
             load_stem_manifest(manifest)
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
+    def test_stem_ending_in_a_partial_frame(self, tmp_path, cut):
+        write_wav(str(tmp_path / "wide.wav"), np.ones((800, 2), dtype=np.int16), 8000)
+        data = (tmp_path / "wide.wav").read_bytes()
+        (tmp_path / "wide.wav").write_bytes(data[:-cut])
+        manifest = tmp_path / "stems.json"
+        manifest.write_text(json.dumps([
+            {"label": "x", "path": "wide.wav", "activation_rank": 1},
+        ]))
+        with pytest.raises(StemMismatchError, match="partial frame"):
+            load_stem_manifest(str(manifest))
 
     def test_manifest_stem_not_a_wav(self, tmp_path):
         (tmp_path / "notes.wav").write_text("not a RIFF file")

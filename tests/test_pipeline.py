@@ -340,6 +340,23 @@ class TestConfigResolution:
         cfg.write_text("[pipeline]\nseed = x\n")
         assert cli.main(["run", "--config", str(cfg)]) == 6
 
+    @pytest.mark.parametrize("word, value", [
+        ("TRUE", True), ("On", True), ("1", True), ("No", False), ("0", False),
+        ("FALSE", False),
+    ])
+    def test_boolean_words_in_any_case(self, tmp_path, word, value):
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text(f"[pipeline]\nloop = {word}\n")
+        config = cli.resolve_config(cli.build_parser().parse_args(["run", "--config", str(cfg)]))
+        assert config.loop_mode is value
+
+    @pytest.mark.parametrize("word", ["yess", "2", "y", "enabled", "truee"])
+    def test_non_boolean_value_exits_6(self, tmp_path, capsys, word):
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text(f"[pipeline]\nloop = {word}\n")
+        assert cli.main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 6
+        assert "loop_mode" in capsys.readouterr().err
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VIDSCORE_OUTPUT_DIR", str(tmp_path / "envout"))
         args = cli.build_parser().parse_args(["run"])
@@ -372,6 +389,23 @@ class TestConfigResolution:
         code = cli.main(["plan", "--scenes", str(tmp_path / "scenes.json"),
                          "--mood", "nonexistent", "--output-dir", str(tmp_path)])
         assert code == 6
+
+    def test_unknown_complexity_exits_6_without_a_plan(self, analyzed, tmp_path, capsys):
+        _, _, scenes_path = analyzed
+        code = cli.main(["plan", "--scenes", scenes_path, "--complexity", "bogus",
+                         "--output-dir", str(tmp_path)])
+        assert code == 6
+        assert "bogus" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_unknown_complexity_in_config_exits_6(self, analyzed, tmp_path):
+        _, _, scenes_path = analyzed
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text("[pipeline]\ncomplexity = bogus\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["plan", "--scenes", scenes_path, "--config", str(cfg),
+                         "--output-dir", out]) == 6
+        assert not os.path.exists(out)
 
 
 @pytest.fixture(scope="module")
