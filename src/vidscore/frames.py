@@ -20,6 +20,7 @@ Each frame yields two statistics downstream detectors consume:
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -194,6 +195,8 @@ def _read_ppm(path: str) -> tuple[int, int, bytes]:
         width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     except ValueError as exc:
         raise MalformedSourceError(f"{path}: bad PPM header: {exc}") from exc
+    if width < 1 or height < 1:
+        raise MalformedSourceError(f"{path}: bad frame size {width}x{height}")
     if maxval != 255:
         raise MalformedSourceError(f"{path}: unsupported maxval {maxval}")
     pixels = data[pos : pos + 3 * width * height]
@@ -205,80 +208,113 @@ def _read_ppm(path: str) -> tuple[int, int, bytes]:
 # -- per-frame statistics ------------------------------------------------------
 
 def compute_intensity(frame: Frame) -> float:
-    """Mean over pixels of (R+G+B)/3, in [0, 255]."""
-    return float(np.frombuffer(frame.pixels, dtype=np.uint8).mean(dtype=np.float64))
+    """Mean over pixels of (R+G+B)/3, in [0, 255].
 
-
-def _hsv_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Float32 lookup tables for hue and saturation.
-
-    Hue is indexed by ``(order << 16) | (chroma << 8) | (mid - min)``, where
-    ``order`` packs ``r >= g``, ``r >= b`` and ``g >= b`` into three bits;
-    saturation by ``(value << 8) | chroma``. Each entry is computed with the
-    same float32 operations as the per-pixel hexagonal formula (red maximum:
-    ``(g - b) / c mod 6``, green: ``(b - r) / c + 2``, blue:
-    ``(r - g) / c + 4``, ties going to red, then green), so lookups match it
-    bit for bit. ``|g - b|`` (or the other pair) is always ``mid - min``.
+    The channel sum is an integer below 2**53, so summing in uint64 and
+    dividing once gives the same double as a float64 mean.
     """
-    chroma = np.arange(256, dtype=np.float32)[:, None]
-    spread = np.arange(256, dtype=np.float32)[None, :]
-    frac = spread / np.maximum(chroma, np.float32(1.0))  # indexed (chroma, spread)
-    h6 = np.empty((8, 256, 256), dtype=np.float32)
-    for order in range(8):
-        r_ge_g, r_ge_b, g_ge_b = order >> 2 & 1, order >> 1 & 1, order & 1
-        if r_ge_g and r_ge_b:
-            h6[order] = frac if g_ge_b else (-frac) % np.float32(6.0)
-        elif g_ge_b:
-            h6[order] = (-frac if r_ge_b else frac) + np.float32(2.0)
-        else:
-            h6[order] = (frac if r_ge_g else -frac) + np.float32(4.0)
-    hue = h6 * np.float32(HUE_SCALE / 6.0)
+    pixels = np.frombuffer(frame.pixels, dtype=np.uint8)
+    return int(pixels.sum(dtype=np.uint64)) / pixels.size
+
+
+@functools.cache
+def _hsv_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Float32 lookup tables for hue and saturation, built on first use.
+
+    Hue is indexed by ``(r - g + 255) * 511 + (g - b + 255)`` (511 x 511
+    entries, 1 MB). Adding one constant to all three channels changes
+    neither which channel is largest nor any difference between channels,
+    and the hexagonal formula (red maximum: ``(g - b) / c mod 6``, green:
+    ``(b - r) / c + 2``, blue: ``(r - g) / c + 4``, ties going to red, then
+    green, with ``c = max - min``) reads nothing else. So the pair of
+    differences fixes the hue. Each entry is computed from the triple
+    ``(r - g, 0, b - g)``, which shares that pair, with the same float32
+    operations as the per-pixel formula, so lookups match it bit for bit for
+    all 2**24 colours. Pairs whose channels would span more than 255 belong
+    to no colour and are never read. The grid is built in int16 and float32.
+
+    Saturation is indexed by ``(value << 8) | chroma``.
+    """
+    diff = np.arange(-255, 256, dtype=np.int16)
+    red = diff[:, None]  # r - g
+    blue = -diff[None, :]  # b - g
+    hi = np.maximum(np.maximum(red, 0), blue)
+    lo = np.minimum(np.minimum(red, 0), blue)
+    h6 = (red + blue - hi - 2 * lo).astype(np.float32)  # (mid - min) / chroma
+    h6 /= np.maximum(hi - lo, 1).astype(np.float32)
+    del hi, lo
+    red_max = (red >= 0) & (red >= blue)
+    green_max = ~red_max & (blue <= 0)
+    # the formula's numerator is -(mid - min) when b > g (red maximum),
+    # r >= b (green maximum) or g > r (blue maximum)
+    negate = np.where(red_max, blue > 0, np.where(green_max, red >= blue, red < 0))
+    np.negative(h6, out=h6, where=negate)
+    h6[red_max & negate] %= np.float32(6.0)
+    h6[green_max] += np.float32(2.0)
+    h6[~(red_max | green_max)] += np.float32(4.0)
+    h6 *= np.float32(HUE_SCALE / 6.0)
     value = np.arange(256, dtype=np.float32)[:, None]
-    sat = (chroma.T / np.maximum(value, np.float32(1.0))) * np.float32(255.0)
-    return hue.ravel(), sat.ravel()
-
-
-_HUE_TABLE, _SAT_TABLE = _hsv_tables()
+    chroma = np.arange(256, dtype=np.float32)[None, :]
+    sat = (chroma / np.maximum(value, np.float32(1.0))) * np.float32(255.0)
+    return h6.ravel(), sat.ravel()
 
 
 def _frame_hsv(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel HSV of a whole frame (float32 arrays), every channel in [0, 255].
+    """Per-pixel HSV of a whole frame, every channel in [0, 255].
 
     Hue comes from the standard hexagonal model rescaled so the full circle is
-    256 units; achromatic pixels get hue 0. Min, max and median stay in uint8
-    on contiguous channel planes and hue and saturation come from the tables
-    of ``_hsv_tables``: about 6x faster per frame than float32 arithmetic on
-    every pixel, with identical results for all 2**24 colours.
+    256 units; achromatic pixels get hue 0. Hue and saturation are float32
+    lookups in the tables of ``_hsv_tables``: hue by the two channel
+    differences ``r - g`` and ``g - b``, which fix it because hue does not
+    change when one constant is added to every channel, and saturation by
+    value and chroma. Results are identical for all 2**24 colours to
+    float32 arithmetic on every pixel. Value is returned as uint8 so that
+    ``_hsv_delta`` can take its term in integers.
+
+    The index dtypes are spelled out (int32 hue, uint16 saturation) and
+    built in place: numpy 1.x promotes a scalar by its value, so
+    ``uint8_array * 511`` there would be int16 and overflow.
     """
+    hue_table, sat_table = _hsv_tables()
     arr = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
     r, g, b = np.ascontiguousarray(arr.T)
-    rg_hi = np.maximum(r, g)
-    rg_lo = np.minimum(r, g)
-    v = np.maximum(rg_hi, b)
-    lo = np.minimum(rg_lo, b)
-    mid = np.maximum(rg_lo, np.minimum(rg_hi, b))
-    c = v - lo
-    order = (r >= g).view(np.uint8) << 2
-    order |= (r >= b).view(np.uint8) << 1
-    order |= (g >= b).view(np.uint8)
-    hue_idx = order.astype(np.intp)
-    hue_idx <<= 8
-    hue_idx |= c
-    hue_idx <<= 8
-    hue_idx |= mid - lo
-    sat_idx = v.astype(np.intp)
-    sat_idx <<= 8
+    # a fresh frame-sized temporary costs about as much as a pass
+    v = np.maximum(r, g)
+    np.maximum(v, b, out=v)
+    c = np.minimum(r, g)
+    np.minimum(c, b, out=c)
+    np.subtract(v, c, out=c)
+    # (r - g + 255) * 511 + (g - b + 255), accumulated in int32
+    hue_idx = r.astype(np.int32)
+    hue_idx -= g
+    hue_idx *= np.int32(511)
+    hue_idx += g
+    hue_idx -= b
+    hue_idx += np.int32(255 * 511 + 255)
+    sat_idx = v.astype(np.uint16)
+    sat_idx <<= np.uint16(8)
     sat_idx |= c
-    return _HUE_TABLE.take(hue_idx), _SAT_TABLE.take(sat_idx), v.astype(np.float32)
+    return hue_table.take(hue_idx), sat_table.take(sat_idx), v
 
 
 def _hsv_delta(prev, curr) -> float:
-    dh = np.abs(curr[0] - prev[0])
-    dh = np.minimum(dh, np.float32(HUE_SCALE) - dh)
+    """Mean absolute HSV change, averaged over the three channels.
+
+    Hue and saturation are float32, so their means sum in float64. The value
+    term is a sum of integers below 2**53, so it is summed exactly in
+    integers and divided once, giving the same double as a float64 mean.
+    """
+    dh = np.subtract(curr[0], prev[0])
+    np.abs(dh, out=dh)
+    np.minimum(dh, np.float32(HUE_SCALE) - dh, out=dh)
+    ds = np.subtract(curr[1], prev[1])
+    np.abs(ds, out=ds)
+    dv = np.subtract(curr[2], prev[2], dtype=np.int16)
+    np.abs(dv, out=dv)
     score = (
         dh.mean(dtype=np.float64)
-        + np.abs(curr[1] - prev[1]).mean(dtype=np.float64)
-        + np.abs(curr[2] - prev[2]).mean(dtype=np.float64)
+        + ds.mean(dtype=np.float64)
+        + int(dv.sum()) / dv.size
     ) / 3.0
     return float(score)
 

@@ -86,12 +86,16 @@ class PipelineConfig:
             raise ConfigError(str(exc)) from exc
 
     def fps_pair(self) -> Optional[Tuple[int, int]]:
+        """The configured frame rate as (num, den), checked whatever the source."""
         if self.fps is None:
             return None
         try:
-            return fps_fraction(self.fps)
+            num, den = fps_fraction(self.fps)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad fps {self.fps!r}") from exc
+        if num <= 0:
+            raise ConfigError(f"bad fps {self.fps!r}: the frame rate must be positive")
+        return num, den
 
     def out_path(self, name: str) -> str:
         try:

@@ -1,5 +1,8 @@
+import hashlib
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from vidscore.errors import MalformedSourceError, SourceNotFoundError
@@ -108,6 +111,20 @@ class TestContentDelta:
                 naive_content_delta(a, b), abs=2e-3
             )
 
+    def test_value_term_is_exact_on_greys(self):
+        # greys have hue and saturation 0, so the delta is the value term alone:
+        # an exact integer sum over the pixels, divided once
+        rng = random.Random(13)
+        for count in (35, 627, 1440):
+            a = [rng.randrange(256) for _ in range(count)]
+            b = [rng.randrange(256) for _ in range(count)]
+            total = sum(abs(x - y) for x, y in zip(a, b))
+            delta = content_delta(
+                Frame(0, bytes(x for x in a for _ in "rgb")),
+                Frame(1, bytes(x for x in b for _ in "rgb")),
+            )
+            assert delta == total / count / 3.0
+
     def test_symmetry(self):
         rng = random.Random(42)
         a, b = random_frame(rng), random_frame(rng)
@@ -168,6 +185,12 @@ class TestFrameSource:
         with pytest.raises(MalformedSourceError):
             open_frame_source(str(tmp_path), fps=(25, 1))
 
+    @pytest.mark.parametrize("size", [b"-2 2", b"2 -2", b"0 2", b"-2 -2"])
+    def test_ppm_size_below_one_is_a_bad_frame_size(self, tmp_path, size):
+        (tmp_path / "0000.ppm").write_bytes(b"P6\n" + size + b"\n255\n" + bytes(12))
+        with pytest.raises(MalformedSourceError, match="bad frame size"):
+            open_frame_source(str(tmp_path), fps=(25, 1))
+
     def test_image_sequence(self, tmp_path):
         for i, level in enumerate([10, 20, 30]):
             write_ppm(str(tmp_path / f"{i:04d}.ppm"), 4, 3, solid_frame(4, 3, (level,) * 3))
@@ -206,3 +229,38 @@ class TestStreamStats:
             assert 0.0 <= entry.avg_intensity <= 255.0
             if entry.hsv_delta is not None:
                 assert 0.0 <= entry.hsv_delta <= 255.0
+
+
+def every_colour_frames(order=None):
+    """256 frames of 256x256 pixels; frame k holds every (g, b) at red k.
+
+    Together they hold all 2**24 colours once. ``order`` permutes the pixels
+    of every frame the same way.
+    """
+    g, b = np.divmod(np.arange(256 * 256), 256)
+    gb = np.stack([g, b], axis=1).astype(np.uint8)
+    if order is not None:
+        gb = gb[order]
+    pixels = np.empty((256 * 256, 3), dtype=np.uint8)
+    pixels[:, 1:] = gb
+    for red in range(256):
+        pixels[:, 0] = red
+        yield Frame(index=red, pixels=pixels.tobytes())
+
+
+# sha256 of every avg_intensity and hsv_delta, packed as little-endian
+# doubles, over all 2**24 colours in raster and in shuffled pixel order.
+EVERY_COLOUR_DIGEST = "bf8c572646cff4a2b6a29e17c575003898e5588a86e25d672ddce61c9a862751"
+
+
+def test_stats_over_every_colour_are_pinned_bit_for_bit():
+    # The oracle tests compare with a tolerance, and the golden scenes cannot
+    # see a last-bit change in a delta: this pins the exact doubles.
+    digest = hashlib.sha256()
+    shuffled = np.random.default_rng(6).permutation(256 * 256)
+    for order in (None, shuffled):
+        for entry in stream_stats(every_colour_frames(order)):
+            digest.update(struct.pack("<d", entry.avg_intensity))
+            if entry.hsv_delta is not None:
+                digest.update(struct.pack("<d", entry.hsv_delta))
+    assert digest.hexdigest() == EVERY_COLOUR_DIGEST

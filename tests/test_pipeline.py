@@ -357,6 +357,31 @@ class TestConfigResolution:
         assert cli.main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 6
         assert "loop_mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["raw stream", "ppm directory"])
+    @pytest.mark.parametrize("fps", ["0", "0/1", "-30", "1/0", "fast", "config -30000/1001"])
+    def test_bad_fps_exits_6_whatever_the_source(self, tmp_path, capsys, source, fps):
+        (tmp_path / "clip.rgb24").write_bytes(bytes(3 * 4 * 4))
+        (tmp_path / "clip.hdr").write_text("width=4 height=4 fps_num=30 fps_den=1\n")
+        (tmp_path / "frames").mkdir()
+        (tmp_path / "frames" / "0000.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(48))
+        path = tmp_path / ("clip.rgb24" if source == "raw stream" else "frames")
+        out = tmp_path / "out"
+        argv = ["analyze", "--source", str(path), "--output-dir", str(out)]
+        if fps.startswith("config "):  # argparse reads "-30000/1001" as an option
+            (tmp_path / "pipeline.ini").write_text(f"[pipeline]\nfps = {fps[7:]}\n")
+            argv += ["--config", str(tmp_path / "pipeline.ini")]
+        else:
+            argv += ["--fps", fps]
+        code = cli.main(argv)
+        assert code == 6
+        assert "bad fps" in capsys.readouterr().err
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_positive_fps_reaches_the_source(self):
+        assert PipelineConfig(fps="30000/1001").fps_pair() == (30000, 1001)
+        assert PipelineConfig(fps="25").fps_pair() == (25, 1)
+        assert PipelineConfig().fps_pair() is None
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VIDSCORE_OUTPUT_DIR", str(tmp_path / "envout"))
         args = cli.build_parser().parse_args(["run"])
