@@ -6,7 +6,9 @@ dialect as plans), then the VIDSCORE_OUTPUT_DIR environment variable, then
 command line flags, later sources winning.
 
 Exit codes: 0 success, 2 source problems, 3 planning problems, 4 composition
-or MIDI problems, 5 external tool failures, 6 configuration problems.
+or MIDI problems, 5 external tool failures, 6 configuration problems. A
+command line argparse cannot parse (a missing or unknown flag, a flag with no
+value) is a configuration problem and exits 6; ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import sys
 from typing import Optional
 
-from .errors import VidscoreError
+from .errors import ConfigError, VidscoreError
 from .pipeline import (
     PipelineConfig,
     apply_settings,
@@ -52,6 +54,14 @@ _SETTING_FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors exit with the configuration code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(ConfigError.exit_code, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file with a [pipeline] block")
     for key, flag in _SETTING_FLAGS.items():
@@ -63,7 +73,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vidscore",
         description="Compose a picture-synched soundtrack for a silent video.",
     )

@@ -16,13 +16,22 @@ Each frame yields two statistics downstream detectors consume:
   value versus the previous frame, each channel scaled to [0, 255], averaged
   over the three channels. Hue lives on a circle of 256 units and differences
   are taken on the shorter arc, so a hue delta never exceeds 128.
+
+``stream_stats`` splits a clip opened here across the CPUs in the process's
+affinity mask (``os.sched_getaffinity``): one contiguous frame range per CPU,
+each range after the first computed by a forked child that reads the source
+itself. There is no setting for it; to use fewer CPUs, narrow the mask (for
+example with ``taskset``). The statistics do not depend on the split.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import os
 import re
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -178,7 +187,8 @@ def _read_ppm(path: str) -> tuple[int, int, bytes]:
         if pos >= len(data):
             raise MalformedSourceError(f"{path}: truncated PPM header")
         if data[pos : pos + 1] == b"#":  # comment runs to end of line
-            pos = data.find(b"\n", pos) + 1
+            newline = data.find(b"\n", pos)
+            pos = len(data) if newline < 0 else newline + 1
             continue
         if data[pos : pos + 1].isspace():
             pos += 1
@@ -320,8 +330,24 @@ def _hsv_delta(prev, curr) -> float:
 
 
 def stream_stats(frames) -> Iterator[FrameStats]:
-    """Single pass over a frame iterable yielding FrameStats per frame."""
-    prev_hsv = None
+    """FrameStats per frame, in order, from one pass over ``frames``.
+
+    A FrameSource is split into contiguous frame ranges, one per CPU in this
+    process's affinity mask, and every range after the first is computed by
+    a forked child (see ``_split_stats``). Any other iterable, a single CPU
+    or a clip of one frame runs the same per-frame loop in this process.
+    The statistics are the same bit for bit either way.
+    """
+    if isinstance(frames, FrameSource) and hasattr(os, "sched_getaffinity"):
+        parts = min(len(os.sched_getaffinity(0)), frames.total_frames)
+        if parts > 1:
+            total = frames.total_frames
+            return _split_stats(frames, [total * k // parts for k in range(parts + 1)])
+    return _per_frame(frames)
+
+
+def _per_frame(frames, prev_hsv=None):
+    """The per-frame loop; returns the HSV of the last frame it computed."""
     for frame in frames:
         hsv = _frame_hsv(frame)
         delta = None if prev_hsv is None else _hsv_delta(prev_hsv, hsv)
@@ -331,6 +357,100 @@ def stream_stats(frames) -> Iterator[FrameStats]:
             hsv_delta=delta,
         )
         prev_hsv = hsv
+    return prev_hsv
+
+
+def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
+    """Stats of ``source`` with frames ``bounds[k]:bounds[k + 1]`` computed
+    by forked child k for k >= 1, and the first range by this process.
+
+    The children are forked before any frame is read, so each one opens and
+    reads the source itself; no pixel data crosses a process boundary. This
+    process then yields its own range, then each child's results in order.
+    Every child is waited for, also on early close or error, so its CPU
+    counts in ``RUSAGE_CHILDREN``. When a child fails or dies, or cannot be
+    forked, this process computes that range and every later one from its
+    own iterator, so bad input raises the same error after the same stats
+    as the single-process loop.
+    """
+    _hsv_tables()  # built once, before the children copy this process
+    children = []  # (pid, read end of its pipe, start, stop), not yet reaped
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            try:
+                pid, read_fd = _fork_range(source, start, stop)
+            except OSError:
+                break  # the ranges left are computed below
+            children.append((pid, read_fd, start, stop))
+        frames = iter(source)
+        prev_hsv = yield from _per_frame(itertools.islice(frames, bounds[1]))
+        done = bounds[1]
+        while children:
+            pid, read_fd, start, stop = children[0]
+            data = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            os.close(read_fd)
+            if status != 0 or len(data) != 16 * (stop - start):  # two float64 a frame
+                break
+            for index, (avg, delta) in enumerate(np.frombuffer(data).reshape(-1, 2).tolist(),
+                                                 start=start):
+                yield FrameStats(index=index, avg_intensity=avg, hsv_delta=delta)
+            done = stop
+        if done < bounds[-1]:
+            _reap(children)
+            if done > bounds[1]:
+                collections.deque(itertools.islice(frames, done - 1 - bounds[1]), maxlen=0)
+                prev_hsv = _frame_hsv(next(frames))
+            yield from _per_frame(frames, prev_hsv)
+    finally:
+        _reap(children)
+
+
+def _fork_range(source: FrameSource, start: int, stop: int):
+    """Fork a child that computes frames ``start:stop`` of ``source``.
+
+    The child pulls the earlier frames without computing them, seeds its
+    first delta with the HSV of frame ``start - 1``, and writes each frame's
+    ``(avg_intensity, hsv_delta)`` as two float64 to a pipe. It leaves
+    through ``os._exit``, so it runs no exit handler, flushes no buffer it
+    inherited and raises nothing into the caller's code; any failure shows
+    only as a non-zero status. The child calls no BLAS routine, so it never
+    needs the idle BLAS threads that fork does not copy. Returns the child's
+    pid and the pipe's read end.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            frames = iter(source)
+            collections.deque(itertools.islice(frames, start - 1), maxlen=0)
+            stats = _per_frame(itertools.islice(frames, stop - start), _frame_hsv(next(frames)))
+            values = np.array([(s.avg_intensity, s.hsv_delta) for s in stats], dtype=np.float64)
+            unwritten = memoryview(values.tobytes())
+            while unwritten:
+                unwritten = unwritten[os.write(write_fd, unwritten):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _reap(children: list) -> None:
+    """Kill and wait for every child still in ``children``, then empty it."""
+    while children:
+        pid, read_fd, _start, _stop = children.pop()
+        os.close(read_fd)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def fps_fraction(text: str) -> tuple[int, int]:

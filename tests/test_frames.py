@@ -1,11 +1,14 @@
 import hashlib
+import os
 import random
+import signal
 import struct
 
 import numpy as np
 import pytest
 
-from vidscore.errors import MalformedSourceError, SourceNotFoundError
+from vidscore import frames as frames_module
+from vidscore.errors import MalformedSourceError, SourceNotFoundError, VidscoreError
 from vidscore.frames import Frame, compute_intensity, open_frame_source, stream_stats
 
 from conftest import rgb_to_hsv, solid_frame, write_ppm
@@ -191,6 +194,11 @@ class TestFrameSource:
         with pytest.raises(MalformedSourceError, match="bad frame size"):
             open_frame_source(str(tmp_path), fps=(25, 1))
 
+    def test_ppm_comment_running_to_end_of_file_is_a_truncated_header(self, tmp_path):
+        (tmp_path / "0000.ppm").write_bytes(b"P6\n2 2 #c")
+        with pytest.raises(MalformedSourceError, match="truncated PPM header"):
+            open_frame_source(str(tmp_path), fps=(25, 1))
+
     def test_image_sequence(self, tmp_path):
         for i, level in enumerate([10, 20, 30]):
             write_ppm(str(tmp_path / f"{i:04d}.ppm"), 4, 3, solid_frame(4, 3, (level,) * 3))
@@ -229,6 +237,147 @@ class TestStreamStats:
             assert 0.0 <= entry.avg_intensity <= 255.0
             if entry.hsv_delta is not None:
                 assert 0.0 <= entry.hsv_delta <= 255.0
+
+
+def noisy_clip(total, transition, width=12, height=8):
+    """``total`` noisy frames with a cut, or the bottom of a fade through
+    black, at the middle frame, where a split over two CPUs starts the
+    child's range."""
+    noise = np.random.default_rng(total).integers(0, 40, size=(total, height * width, 3))
+    middle = total // 2
+    clip = []
+    for i in range(total):
+        if transition == "cut":
+            base = np.array((200, 30, 30) if i < middle else (30, 60, 210))
+        else:
+            base = np.array((180, 140, 60)) * abs(i - middle) // max(middle, 1)
+        pixels = np.clip(base + noise[i], 0, 255).astype(np.uint8)
+        clip.append(Frame(index=i, pixels=pixels.tobytes()))
+    return clip
+
+
+def write_source(directory, clip, kind, width=12, height=8):
+    """Write ``clip`` as a raw stream or a PPM directory and open it."""
+    if kind == "raw":
+        path = directory / "clip.rgb24"
+        path.write_bytes(b"".join(frame.pixels for frame in clip))
+        (directory / "clip.hdr").write_text(
+            f"width={width} height={height} fps_num=30 fps_den=1\n")
+        return open_frame_source(str(path))
+    for frame in clip:
+        write_ppm(str(directory / f"{frame.index:04d}.ppm"), width, height, frame.pixels)
+    return open_frame_source(str(directory), fps=(30, 1))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count stream_stats sees; returns the pids it forks."""
+    forked = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)),
+                            raising=False)
+        return forked
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return set_cpus
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def stats_until_error(stats):
+    """The stats yielded before the error, and the error's class and message."""
+    seen = []
+    with pytest.raises(VidscoreError) as info:
+        for entry in stats:
+            seen.append(entry)
+    return seen, type(info.value), str(info.value)
+
+
+class TestSplitStats:
+    """A FrameSource's stats are split across forked children, one frame
+    range per CPU, and must match the single-process loop bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["raw", "ppm"])
+    @pytest.mark.parametrize("transition", ["cut", "fade"])
+    @pytest.mark.parametrize("total", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_split_matches_serial_bit_for_bit(self, tmp_path, cpus, kind, transition,
+                                              total, count):
+        forked = cpus(count)
+        clip = noisy_clip(total, transition)
+        split = list(stream_stats(write_source(tmp_path, clip, kind)))
+        assert split == list(stream_stats(clip))
+        assert len(forked) == min(count, total) - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("bad_index", [1, 4, 7],
+                             ids=["parent range", "first child range", "second child range"])
+    @pytest.mark.parametrize("bad_bytes", [
+        b"P6\n12 8\n255\n" + bytes(10),
+        b"P6\n4 3\n255\n" + bytes(36),
+        b"P5\n12 8\n255\n" + bytes(96),
+    ], ids=["truncated pixels", "other size", "not P6"])
+    def test_malformed_frame_fails_as_the_serial_loop_does(self, tmp_path, cpus,
+                                                          bad_index, bad_bytes):
+        forked = cpus(3)  # frames 0-2 here, 3-5 and 6-8 in the children
+        write_source(tmp_path, noisy_clip(9, "cut"), "ppm")
+        (tmp_path / f"{bad_index:04d}.ppm").write_bytes(bad_bytes)
+        serial = stats_until_error(stream_stats(iter(open_frame_source(str(tmp_path), (30, 1)))))
+        split = stats_until_error(stream_stats(open_frame_source(str(tmp_path), (30, 1))))
+        assert split == serial
+        assert len(serial[0]) == bad_index
+        assert len(forked) == 2
+        assert_no_child_left()
+
+    def test_a_killed_child_leaves_its_range_to_the_parent(self, tmp_path, cpus, monkeypatch):
+        forked = cpus(3)
+        clip = noisy_clip(9, "fade")
+        parent, frame_hsv = os.getpid(), frames_module._frame_hsv
+
+        def dying(frame):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return frame_hsv(frame)
+
+        monkeypatch.setattr(frames_module, "_frame_hsv", dying)
+        assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == list(stream_stats(clip))
+        assert len(forked) == 2
+        assert_no_child_left()
+
+    def test_a_failed_fork_leaves_its_range_to_the_parent(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2}, raising=False)
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        clip = noisy_clip(7, "cut")
+        assert list(stream_stats(write_source(tmp_path, clip, "ppm"))) == list(stream_stats(clip))
+
+    def test_closing_early_leaves_no_child(self, tmp_path, cpus):
+        forked = cpus(3)
+        stats = stream_stats(write_source(tmp_path, noisy_clip(40, "cut"), "raw"))
+        assert next(stats).index == 0
+        stats.close()
+        assert len(forked) == 2
+        assert_no_child_left()
+
+    def test_one_cpu_never_forks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+        clip = noisy_clip(5, "fade")
+        assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == list(stream_stats(clip))
 
 
 def every_colour_frames(order=None):

@@ -1,11 +1,14 @@
 import ast
 import json
 import os
+import resource
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import vidscore
 from vidscore import cli, pipeline, planner
 from vidscore.energy import classify_energy
 from vidscore.errors import InvalidEventError
@@ -23,6 +26,13 @@ from vidscore.scenes import scenes_from_json
 from conftest import CUT_SAFE_COLORS, VideoBuilder
 
 PY = sys.executable
+SRC = os.path.dirname(os.path.dirname(vidscore.__file__))
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def children_cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +86,29 @@ class TestAnalyze:
         code = cli.main(["analyze", "--source", source, "--output-dir", str(tmp_path)])
         assert code == 0
         assert "1 scene" in capsys.readouterr().out
+
+    def test_cli_prints_one_line_from_a_subprocess(self, tmp_path):
+        # a forked child that flushed the stdout buffer it inherited, or
+        # returned into the CLI, would print a second line
+        builder = VideoBuilder().add_run(CUT_SAFE_COLORS[0], 60).add_run(CUT_SAFE_COLORS[1], 60)
+        source = builder.write(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        result = subprocess.run(
+            [PY, "-m", "vidscore.cli", "analyze", "--source", source,
+             "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [f"2 scenes -> {tmp_path / 'scenes.json'}"]
+
+    @pytest.mark.skipif(CPUS < 2, reason="with one CPU analyze forks no child")
+    def test_child_cpu_is_counted_before_stage_analyze_returns(self, tmp_path):
+        builder = VideoBuilder().add_run(CUT_SAFE_COLORS[0], 60).add_run(CUT_SAFE_COLORS[1], 60)
+        config = PipelineConfig(source=builder.write(tmp_path), output_dir=str(tmp_path))
+        before = children_cpu_s()
+        assert stage_analyze(config)[1] == 2
+        assert children_cpu_s() > before
 
 
 class TestPlan:
@@ -376,6 +409,26 @@ class TestConfigResolution:
         assert code == 6
         assert "bad fps" in capsys.readouterr().err
         assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--fps", "-30000/1001"],  # argparse reads the value as a flag
+        ["analyze", "--no-such-flag"],
+        ["plan"],  # --scenes is required
+        ["bogus"],
+        [],
+    ])
+    def test_command_line_that_does_not_parse_exits_6(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 6
+        assert "usage: vidscore" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 0
+        assert "usage: vidscore" in capsys.readouterr().out
 
     def test_positive_fps_reaches_the_source(self):
         assert PipelineConfig(fps="30000/1001").fps_pair() == (30000, 1001)
