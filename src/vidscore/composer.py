@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .energy import EnergyLabel
-from .errors import EmptyMelodyError, InconsistentPlanError
-from .moods import MoodConfig, Scale
+from .errors import EmptyMelodyError
+from .moods import MAX_ACTIVATION_RANK, MoodConfig, Scale
 from .planner import CompositionPlan, SectionSpec
 from .rng import SeededRng
 
@@ -35,12 +35,12 @@ PPQN = 480
 SIXTEENTH_TICKS = PPQN // 4
 
 # one rng stream per (section, layer); rank 0 is the section's own stream
-_STREAM_SPAN = 1000
+_STREAM_SPAN = MAX_ACTIVATION_RANK + 1
 
 VELOCITY_BY_DENSITY = {"sparse": 70, "medium": 82, "dense": 94}
 
 # GM percussion keys; the percussion layer is channel-mapped, not pitched
-KICK, SNARE, CLOSED_HAT, OPEN_HAT, RIDE = 36, 38, 42, 46, 51
+KICK, SNARE, CLOSED_HAT, OPEN_HAT = 36, 38, 42, 46
 PERCUSSION_LABEL = "percussion"
 
 Motif = List[Tuple[int, int]]  # (pitch, duration_ticks) at PPQN resolution
@@ -69,7 +69,6 @@ class Score:
     time_signature_map: Tuple[Tuple[int, Tuple[int, int]], ...]
     mood: str
     rng_seed: int
-    ppqn: int = PPQN
 
     @property
     def total_ticks(self) -> int:
@@ -86,22 +85,6 @@ class Score:
                 if label not in labels:
                     labels.append(label)
         return labels
-
-    def duration_s(self) -> float:
-        """Integrate the tempo map over the full tick span."""
-        total = 0.0
-        for i, (tick, bpm) in enumerate(self.tempo_map):
-            end = (
-                self.tempo_map[i + 1][0]
-                if i + 1 < len(self.tempo_map)
-                else self.total_ticks
-            )
-            total += (end - tick) * 60.0 / (bpm * self.ppqn)
-        return total
-
-
-def beat_ticks(denominator: int) -> int:
-    return PPQN * 4 // denominator
 
 
 # -- seed melody ----------------------------------------------------------------
@@ -217,15 +200,14 @@ def _pc_in_register(pc: int, register: Tuple[int, int]) -> int:
 
 
 class _SectionContext:
-    def __init__(self, section: SectionSpec, mood: MoodConfig, chords, counts, motif: Motif):
+    def __init__(self, section: SectionSpec, mood: MoodConfig, chords, motif: Motif):
         self.section = section
         self.mood = mood
         self.motif = motif
         self.chords = chords  # per-bar chord degree
-        self.counts = counts  # per-bar active layer count
         n, d = section.time_signature
         self.beats_per_bar = n
-        self.beat = beat_ticks(d)
+        self.beat = PPQN * 4 // d
         self.bar = n * self.beat
         self.bars = section.phrases * mood.phrase_length_bars
         self.length = self.bars * self.bar
@@ -247,7 +229,11 @@ def _grid_steps(density: str, beat: int) -> int:
     return 0  # sparse: one event per bar
 
 
-def _bass_events(ctx, layer) -> List[NoteEvent]:
+# Generators share the signature (ctx, layer, rng, phrase_draws): rng is the
+# layer's stream, and phrase_draws the one draw in [0, 3) per phrase taken
+# from it first.
+
+def _bass_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
     velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
     step = _grid_steps(layer.rhythm_density, ctx.beat) or ctx.bar  # sparse: whole bar
     events = []
@@ -274,14 +260,15 @@ def _chord_pitches(ctx, degree: int, register, inversion: int) -> List[int]:
     return sorted(set(pitches))
 
 
-def _chordal_events(ctx, layer, phrase_draws, sustained: bool) -> List[NoteEvent]:
+def _chordal_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
+    """Block chords; pad and strings hold each chord for the whole bar."""
     velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
     events = []
     for bar in range(ctx.bars):
         inversion = phrase_draws[bar // ctx.phrase_bars]
         pitches = _chord_pitches(ctx, ctx.chords[bar], layer.register, inversion)
         base = bar * ctx.bar
-        if layer.rhythm_density == "sparse" or sustained:
+        if layer.rhythm_density == "sparse" or layer.label in ("pad", "strings"):
             spans = [(base, ctx.bar)]
         elif layer.rhythm_density == "medium":
             half = (ctx.beats_per_bar // 2) * ctx.beat
@@ -296,7 +283,7 @@ def _chordal_events(ctx, layer, phrase_draws, sustained: bool) -> List[NoteEvent
     return events
 
 
-def _arpeggio_events(ctx, layer, phrase_draws) -> List[NoteEvent]:
+def _arpeggio_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
     velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
     step = _grid_steps(layer.rhythm_density, ctx.beat) or ctx.beat
     events = []
@@ -310,7 +297,7 @@ def _arpeggio_events(ctx, layer, phrase_draws) -> List[NoteEvent]:
     return events
 
 
-def _melody_events(ctx, layer, rng) -> List[NoteEvent]:
+def _melody_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
     velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
     members = _scale_members(ctx.mood.scale, layer.register[0], layer.register[1])
     if not members:
@@ -340,7 +327,7 @@ def _melody_events(ctx, layer, rng) -> List[NoteEvent]:
     return events
 
 
-def _percussion_events(ctx, layer) -> List[NoteEvent]:
+def _percussion_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
     velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
     events = []
     half = ctx.beat // 2
@@ -369,20 +356,14 @@ def _percussion_events(ctx, layer) -> List[NoteEvent]:
     return events
 
 
-def _chords(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
-    return _chordal_events(ctx, layer, phrase_draws, sustained=False)
-
-
-# label -> generator(ctx, layer, rng, phrase_draws); other labels play _chords
+# label -> generator; every other label plays _chordal_events
 _GENERATORS = {
-    PERCUSSION_LABEL: lambda ctx, layer, rng, draws: _percussion_events(ctx, layer),
-    "bass": lambda ctx, layer, rng, draws: _bass_events(ctx, layer),
-    "arpeggio": lambda ctx, layer, rng, draws: _arpeggio_events(ctx, layer, draws),
-    "pluck": lambda ctx, layer, rng, draws: _arpeggio_events(ctx, layer, draws),
-    "melody": lambda ctx, layer, rng, draws: _melody_events(ctx, layer, rng),
-    "lead": lambda ctx, layer, rng, draws: _melody_events(ctx, layer, rng),
-    "pad": lambda ctx, layer, rng, draws: _chordal_events(ctx, layer, draws, sustained=True),
-    "strings": lambda ctx, layer, rng, draws: _chordal_events(ctx, layer, draws, sustained=True),
+    PERCUSSION_LABEL: _percussion_events,
+    "bass": _bass_events,
+    "arpeggio": _arpeggio_events,
+    "pluck": _arpeggio_events,
+    "melody": _melody_events,
+    "lead": _melody_events,
 }
 
 
@@ -411,66 +392,51 @@ def _gate_to_active_bars(
 
 def compose_section(
     section: SectionSpec,
-    role: str,
+    cadence: bool,
     mood: MoodConfig,
     complexity: str,
     motif: Optional[Motif],
     seed: int,
 ) -> SectionScore:
-    """Render one section; a pure function of its arguments."""
+    """Render one section; a pure function of its arguments. With ``cadence``
+    the final bar's chord is the tonic."""
     section_rng = SeededRng(seed, section.section_id * _STREAM_SPAN)
     progression = section_rng.choice(mood.progressions[complexity])
 
     bars = section.phrases * mood.phrase_length_bars
     chords = [progression[b % len(progression)] for b in range(bars)]
-    if role == "coda":
-        chords[-1] = 1  # cadence home on the final bar
+    if cadence:
+        chords[-1] = 1
     counts = [active_layer_count(section, mood, b) for b in range(bars)]
-    ctx = _SectionContext(section, mood, chords, counts, motif or [])
+    ctx = _SectionContext(section, mood, chords, motif or [])
 
     events: Dict[str, List[NoteEvent]] = {}
     for position, layer in enumerate(mood.layers_by_rank()):
         rng = SeededRng(seed, section.section_id * _STREAM_SPAN + layer.activation_rank)
         # drawn for every layer: the melody's notes come after these in its stream
         phrase_draws = [rng.randrange(3) for _ in range(section.phrases)]
-        raw = _GENERATORS.get(layer.label, _chords)(ctx, layer, rng, phrase_draws)
-        events[layer.label] = _gate_to_active_bars(
-            raw, position, counts, ctx.bar, ctx.length
-        )
-    return SectionScore(
-        section_id=section.section_id,
-        start_tick=0,
-        length_ticks=ctx.length,
-        events=events,
-    )
+        raw = _GENERATORS.get(layer.label, _chordal_events)(ctx, layer, rng, phrase_draws)
+        events[layer.label] = _gate_to_active_bars(raw, position, counts, ctx.bar, ctx.length)
+    return SectionScore(section.section_id, 0, ctx.length, events)
 
 
-def assemble_score(
-    plan: CompositionPlan, section_scores: Sequence[SectionScore], mood: MoodConfig
+def compose_plan(
+    plan: CompositionPlan, mood: MoodConfig, motif: Optional[Motif] = None
 ) -> Score:
-    """Place sections end to end and emit the tempo/meter maps.
+    """Compose every section of a plan and place them end to end, with a
+    tempo and meter entry at each section start.
 
-    Any positive gap between the realized music and the plan's total duration
-    becomes trailing silence in the final section.
+    The last of two or more sections ends on the tonic. Any positive gap
+    between the realized music and the plan's total duration becomes
+    trailing silence in the final section.
     """
-    if len(section_scores) != len(plan.sections):
-        raise InconsistentPlanError(
-            f"plan has {len(plan.sections)} sections, got {len(section_scores)} scores"
-        )
-    for spec, score in zip(plan.sections, section_scores):
-        if spec.section_id != score.section_id:
-            raise InconsistentPlanError(
-                f"section id mismatch: plan {spec.section_id}, score {score.section_id}"
-            )
-
     placed: List[SectionScore] = []
-    tempo_map: List[Tuple[int, int]] = []
-    ts_map: List[Tuple[int, Tuple[int, int]]] = []
     tick = 0
     realized_s = 0.0
-    for spec, score in zip(plan.sections, section_scores):
-        tempo_map.append((tick, spec.tempo))
-        ts_map.append((tick, spec.time_signature))
+    last = len(plan.sections) - 1
+    for i, spec in enumerate(plan.sections):
+        score = compose_section(spec, 0 < i == last, mood, plan.complexity, motif,
+                                plan.rng_seed)
         placed.append(replace(score, start_tick=tick))
         tick += score.length_ticks
         realized_s += score.length_ticks * 60.0 / (spec.tempo * PPQN)
@@ -482,24 +448,14 @@ def assemble_score(
         if pad > 0:
             placed[-1] = replace(placed[-1], length_ticks=placed[-1].length_ticks + pad)
 
+    starts = [section.start_tick for section in placed]
     return Score(
         sections=tuple(placed),
-        tempo_map=tuple(tempo_map),
-        time_signature_map=tuple(ts_map),
+        tempo_map=tuple(zip(starts, (spec.tempo for spec in plan.sections))),
+        time_signature_map=tuple(zip(starts, (spec.time_signature for spec in plan.sections))),
         mood=plan.mood,
         rng_seed=plan.rng_seed,
     )
-
-
-def compose_plan(
-    plan: CompositionPlan, mood: MoodConfig, motif: Optional[Motif] = None
-) -> Score:
-    """Compose every section of a plan and assemble the full score."""
-    scores = [
-        compose_section(section, role, mood, plan.complexity, motif, plan.rng_seed)
-        for section, role in zip(plan.sections, plan.roles)
-    ]
-    return assemble_score(plan, scores, mood)
 
 
 def score_debug_dump(score: Score) -> str:
@@ -507,7 +463,7 @@ def score_debug_dump(score: Score) -> str:
     doc = {
         "mood": score.mood,
         "seed": score.rng_seed,
-        "ppqn": score.ppqn,
+        "ppqn": PPQN,
         "tempo_map": [list(entry) for entry in score.tempo_map],
         "sections": [
             {

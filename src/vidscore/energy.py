@@ -11,6 +11,7 @@ the counts.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -68,8 +69,8 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
                 raise MalformedDetectionsError(f"bad per_scene entry {key!r}") from exc
             if scene_id not in scene_ids:
                 raise MalformedDetectionsError(f"unknown scene id {scene_id}")
-            if count < 0:
-                raise MalformedDetectionsError(f"negative count for scene {scene_id}")
+            if not math.isfinite(count) or count < 0:
+                raise MalformedDetectionsError(f"bad count {value!r} for scene {scene_id}")
             counts[scene_id] = count
     elif "per_frame" in doc:
         if not isinstance(doc["per_frame"], list):
@@ -82,8 +83,8 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
                 frame, count = int(record["frame"]), float(record["count"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedDetectionsError(f"bad per_frame record {record!r}") from exc
-            if count < 0:
-                raise MalformedDetectionsError(f"negative count at frame {frame}")
+            if not math.isfinite(count) or count < 0:
+                raise MalformedDetectionsError(f"bad count {record['count']!r} at frame {frame}")
             index = bisect_right(starts, frame) - 1
             if index < 0 or frame >= scenes[-1].end_frame:
                 raise MalformedDetectionsError(f"frame {frame} outside the video")
@@ -93,6 +94,8 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
         for scene_id in sums:
             if hits[scene_id]:
                 mean = sums[scene_id] / hits[scene_id]
+                if not math.isfinite(mean):
+                    raise MalformedDetectionsError(f"counts for scene {scene_id} overflow")
                 counts[scene_id] = float(int(mean + 0.5))  # round half-up
     else:
         raise MalformedDetectionsError("detections need 'per_scene' or 'per_frame'")

@@ -75,10 +75,6 @@ class EmptyMelodyError(ComposeError):
     pass
 
 
-class InconsistentPlanError(ComposeError):
-    pass
-
-
 class MissingInstrumentError(ComposeError):
     pass
 

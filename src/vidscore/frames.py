@@ -40,46 +40,15 @@ import numpy as np
 
 from .errors import MalformedSourceError, SourceNotFoundError
 from .files import read_input
+from .scenes import FrameSpec, FrameStats
 
 HUE_SCALE = 256.0  # full hue circle after rescaling; max circular delta is 128
-
-
-@dataclass(frozen=True)
-class FrameSpec:
-    width: int
-    height: int
-    fps_num: int
-    fps_den: int
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise MalformedSourceError(f"bad frame size {self.width}x{self.height}")
-        if self.fps_num < 1 or self.fps_den < 1:
-            raise MalformedSourceError(f"bad frame rate {self.fps_num}/{self.fps_den}")
-
-    @property
-    def frame_bytes(self) -> int:
-        return 3 * self.width * self.height
-
-    @property
-    def frame_period_s(self) -> float:
-        return self.fps_den / self.fps_num
-
-    def timestamp(self, index: int) -> float:
-        return index * self.fps_den / self.fps_num
 
 
 @dataclass(frozen=True)
 class Frame:
     index: int
     pixels: bytes  # interleaved RGB, 8 bits per channel, row-major
-
-
-@dataclass(frozen=True)
-class FrameStats:
-    index: int
-    avg_intensity: float
-    hsv_delta: Optional[float]  # None for frame 0
 
 
 class FrameSource:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Optional, Tuple, Union
 
-from .composer import Score
+from .composer import PPQN, Score
 from .errors import (
     ConfigError,
     InvalidEventError,
@@ -28,12 +28,12 @@ from .errors import (
 from .files import read_json
 
 PERCUSSION_CHANNEL = 9
-DEFAULT_TEMPO_US = 500000  # 120 BPM, the SMF default before any tempo meta
 
 _META_TEMPO = 0x51
 _META_TIME_SIG = 0x58
 _META_TRACK_NAME = 0x03
 _META_END_OF_TRACK = 0x2F
+_CHANNEL_KINDS = {0x80: "note_off", 0x90: "note_on", 0xB0: "control", 0xC0: "program_change"}
 
 
 class InstrumentMap:
@@ -170,7 +170,7 @@ def write_smf(score: Score, imap: InstrumentMap) -> bytes:
         + (6).to_bytes(4, "big")
         + (1).to_bytes(2, "big")
         + len(chunks).to_bytes(2, "big")
-        + score.ppqn.to_bytes(2, "big")
+        + PPQN.to_bytes(2, "big")
     )
     return header + b"".join(chunks)
 
@@ -203,13 +203,6 @@ class MidiTrack:
     events: List[MidiEvent] = field(default_factory=list)
 
     @property
-    def name(self) -> str:
-        for ev in self.events:
-            if ev.kind == "track_name":
-                return ev.data.decode("utf-8", "replace")
-        return ""
-
-    @property
     def end_tick(self) -> int:
         return self.events[-1].tick if self.events else 0
 
@@ -240,48 +233,6 @@ class MidiDocument:
                 notes.append(MidiNote(start, max(end - start, 0), pitch, velocity, channel))
         notes.sort(key=lambda n: (n.tick, n.pitch))
         return notes
-
-    def notes(self) -> List[MidiNote]:
-        out: List[MidiNote] = []
-        for track in self.tracks:
-            out.extend(self.track_notes(track))
-        out.sort(key=lambda n: (n.tick, n.channel, n.pitch))
-        return out
-
-    def tempos(self) -> List[Tuple[int, int]]:
-        """(tick, microseconds per quarter) across all tracks, tick-ordered."""
-        out = []
-        for track in self.tracks:
-            for ev in track.events:
-                if ev.kind == "tempo":
-                    out.append((ev.tick, ev.data1))
-        out.sort()
-        return out
-
-    def time_signatures(self) -> List[Tuple[int, Tuple[int, int]]]:
-        out = []
-        for track in self.tracks:
-            for ev in track.events:
-                if ev.kind == "time_signature":
-                    out.append((ev.tick, (ev.data1, 1 << ev.data2)))
-        out.sort()
-        return out
-
-    @property
-    def total_ticks(self) -> int:
-        return max((t.end_tick for t in self.tracks), default=0)
-
-    def duration_s(self) -> float:
-        """Integrate the tempo map over the document's tick span."""
-        total_ticks = self.total_ticks
-        tempos = self.tempos()
-        if not tempos or tempos[0][0] > 0:
-            tempos = [(0, DEFAULT_TEMPO_US)] + tempos
-        seconds = 0.0
-        for i, (tick, us) in enumerate(tempos):
-            end = tempos[i + 1][0] if i + 1 < len(tempos) else total_ticks
-            seconds += (end - tick) * us / (self.ppqn * 1_000_000.0)
-        return seconds
 
 
 class _Reader:
@@ -384,24 +335,11 @@ def _read_track(reader: _Reader, index: int, end: int) -> MidiTrack:
             reader.bytes(length)
             running = None
         else:
-            channel = status & 0x0F
             high = status & 0xF0
-            if high in (0xC0, 0xD0):
-                data1 = reader.u8()
-                data2 = 0
-            else:
-                data1 = reader.u8()
-                data2 = reader.u8()
-            if high == 0x90:
-                track.events.append(MidiEvent(tick, "note_on", channel, data1, data2))
-            elif high == 0x80:
-                track.events.append(MidiEvent(tick, "note_off", channel, data1, data2))
-            elif high == 0xC0:
-                track.events.append(MidiEvent(tick, "program_change", channel, data1))
-            elif high == 0xB0:
-                track.events.append(MidiEvent(tick, "control", channel, data1, data2))
-            else:
-                track.events.append(MidiEvent(tick, "other", channel, data1, data2))
+            data1 = reader.u8()
+            data2 = 0 if high in (0xC0, 0xD0) else reader.u8()  # one data byte
+            kind = _CHANNEL_KINDS.get(high, "other")
+            track.events.append(MidiEvent(tick, kind, status & 0x0F, data1, data2))
     return track
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .energy import EnergyLabel
 from .errors import ConfigError
@@ -18,6 +18,10 @@ from .files import read_json
 
 COMPLEXITIES = ("simple", "semi-complex", "complex")
 DENSITIES = ("sparse", "medium", "dense")
+
+# the composer derives one rng stream per (section, rank) in blocks of
+# MAX_ACTIVATION_RANK + 1, with rank 0 the section's own stream
+MAX_ACTIVATION_RANK = 999
 
 _NOTE_PC = {
     "C": 0, "C#": 1, "Db": 1, "D": 2, "D#": 3, "Eb": 3, "E": 4, "F": 5,
@@ -90,9 +94,15 @@ def supported_meter(n: int, d: int) -> bool:
     return 2 <= n <= 12 and d in (2, 4, 8)
 
 
+def supported_tempo(bpm: int) -> bool:
+    """Whether a tempo fits the SMF tempo meta: round(60e6 / bpm)
+    microseconds per quarter must fit its 3 bytes and not round to 0."""
+    return 4 <= bpm < 120_000_000
+
+
 def _validate(mood: MoodConfig) -> MoodConfig:
     lo, hi = mood.tempo_range
-    if not (0 < lo <= hi):
+    if not (lo <= hi and supported_tempo(lo) and supported_tempo(hi)):
         raise ConfigError(f"mood {mood.name}: bad tempo range {mood.tempo_range}")
     if not mood.time_signatures:
         raise ConfigError(f"mood {mood.name}: no time signatures")
@@ -114,14 +124,15 @@ def _validate(mood: MoodConfig) -> MoodConfig:
     if mood.scale.root not in _NOTE_PC or mood.scale.mode not in _MODE_STEPS:
         raise ConfigError(f"mood {mood.name}: unknown scale {mood.scale}")
     for level in COMPLEXITIES:
-        if not mood.progressions.get(level):
-            raise ConfigError(f"mood {mood.name}: no {level} progressions")
+        if not mood.progressions.get(level) or not all(mood.progressions[level]):
+            raise ConfigError(f"mood {mood.name}: no {level} progressions, or an empty one")
     ranks = [layer.activation_rank for layer in mood.instrument_layers]
     if len(set(ranks)) != len(ranks):
         raise ConfigError(f"mood {mood.name}: duplicate activation ranks")
-    # the composer derives one rng stream per (section, rank) in blocks of 1000
-    if any(not (1 <= rank <= 999) for rank in ranks):
-        raise ConfigError(f"mood {mood.name}: activation ranks must be in 1..999")
+    if any(not (1 <= rank <= MAX_ACTIVATION_RANK) for rank in ranks):
+        raise ConfigError(
+            f"mood {mood.name}: activation ranks must be in 1..{MAX_ACTIVATION_RANK}"
+        )
     for layer in mood.instrument_layers:
         reg_lo, reg_hi = layer.register
         if not (0 <= reg_lo < reg_hi <= 127):
@@ -131,29 +142,46 @@ def _validate(mood: MoodConfig) -> MoodConfig:
     return mood
 
 
+def _typed(value, kind: type, length: Optional[int] = None):
+    """``value`` if its type is exactly ``kind`` (so a JSON float or bool is
+    no int) and, when ``length`` is given, it has that many items."""
+    if type(value) is not kind or (length is not None and len(value) != length):
+        size = "" if length is None else f" of {length}"
+        raise TypeError(f"expected a {kind.__name__}{size}, got {value!r}")
+    return value
+
+
+def _ints(value, length: Optional[int] = None) -> Tuple[int, ...]:
+    return tuple(_typed(item, int) for item in _typed(value, list, length))
+
+
 def _from_dict(doc: dict) -> MoodConfig:
     try:
         mood = MoodConfig(
-            name=doc["name"],
-            tempo_range=tuple(doc["tempo_range"]),
-            time_signatures=tuple(tuple(sig) for sig in doc["time_signatures"]),
-            phrase_length_bars=int(doc.get("phrase_length_bars", 4)),
-            layers_per_energy={
-                k: tuple(v) for k, v in doc["layers_per_energy"].items()
+            name=_typed(doc["name"], str),
+            tempo_range=_ints(doc["tempo_range"], 2),
+            time_signatures=tuple(
+                _ints(sig, 2) for sig in _typed(doc["time_signatures"], list)
+            ),
+            phrase_length_bars=_typed(doc.get("phrase_length_bars", 4), int),
+            layers_per_energy={k: _ints(v, 2) for k, v in doc["layers_per_energy"].items()},
+            scale=Scale(root=_typed(doc["scale"]["root"], str),
+                        mode=_typed(doc["scale"]["mode"], str)),
+            progressions={
+                k: [list(_ints(p)) for p in _typed(v, list)]
+                for k, v in doc["progressions"].items()
             },
-            scale=Scale(root=doc["scale"]["root"], mode=doc["scale"]["mode"]),
-            progressions={k: [list(p) for p in v] for k, v in doc["progressions"].items()},
             instrument_layers=tuple(
                 LayerDef(
-                    label=layer["label"],
-                    activation_rank=int(layer["activation_rank"]),
-                    register=tuple(layer["register"]),
-                    rhythm_density=layer["rhythm_density"],
+                    label=_typed(layer["label"], str),
+                    activation_rank=_typed(layer["activation_rank"], int),
+                    register=_ints(layer["register"], 2),
+                    rhythm_density=_typed(layer["rhythm_density"], str),
                 )
-                for layer in doc["instrument_layers"]
+                for layer in _typed(doc["instrument_layers"], list)
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad mood document: {exc}") from exc
     return _validate(mood)
 

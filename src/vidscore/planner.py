@@ -33,7 +33,7 @@ from .errors import (
     UnplannableSectionError,
 )
 from .ini import iter_ini
-from .moods import COMPLEXITIES, MoodConfig, load_mood, supported_meter
+from .moods import COMPLEXITIES, MoodConfig, load_mood, supported_meter, supported_tempo
 from .rng import SeededRng
 from .scenes import Scene
 
@@ -56,7 +56,6 @@ class Fit(NamedTuple):
 class SectionDraft:
     section_id: int
     duration_s: float
-    role: str
 
 
 @dataclass(frozen=True)
@@ -81,31 +80,12 @@ class CompositionPlan:
     complexity: str
     rng_seed: int
     sections: Tuple[SectionSpec, ...]
-    roles: Tuple[str, ...]
-
-
-def roles_for_count(count: int) -> List[str]:
-    """First section is the intro, last the coda, interior alternates
-    verse/chorus starting with verse. One section is just an intro."""
-    if count < 1:
-        raise EmptyInputError("no sections")
-    if count == 1:
-        return ["intro"]
-    roles = ["intro"]
-    for i in range(count - 2):
-        roles.append("verse" if i % 2 == 0 else "chorus")
-    roles.append("coda")
-    return roles
 
 
 def sections_from_scenes(scenes: Sequence[Scene]) -> List[SectionDraft]:
     if not scenes:
         raise EmptyInputError("no scenes")
-    roles = roles_for_count(len(scenes))
-    return [
-        SectionDraft(section_id=i, duration_s=scene.duration_s, role=roles[i])
-        for i, scene in enumerate(scenes)
-    ]
+    return [SectionDraft(i, scene.duration_s) for i, scene in enumerate(scenes)]
 
 
 def phrase_seconds(tempo: int, signature: Tuple[int, int], phrase_bars: int) -> float:
@@ -228,7 +208,6 @@ def finalize_plan(
         complexity=complexity,
         rng_seed=rng_seed,
         sections=tuple(sections),
-        roles=tuple(d.role for d in drafts),
     )
 
 
@@ -253,6 +232,7 @@ def _refit_last(
 
 _GLOBAL_KEYS = ("duration", "mood", "complexity", "seed")
 _SECTION_KEYS = ("time_sig", "tempo", "energy", "duration", "direction", "slope")
+_WORDS = {"direction": ("up", "down"), "slope": ("stay", "gradual", "steep")}
 
 DurationValue = Union[float, Tuple[float, float]]
 
@@ -377,8 +357,8 @@ def parse_ini(text: str) -> PlanDocument:
                 tempo = int(value)
             except ValueError:
                 raise PlanParseError(f"bad tempo {value!r}", line=lineno)
-            if tempo < 1:
-                raise PlanParseError(f"tempo must be positive, got {value!r}", line=lineno)
+            if not supported_tempo(tempo):
+                raise PlanParseError(f"unsupported tempo {value!r}", line=lineno)
             row[key] = tempo
         elif key == "energy":
             try:
@@ -387,13 +367,9 @@ def parse_ini(text: str) -> PlanDocument:
                 raise PlanParseError(f"unknown energy {value!r}", line=lineno)
         elif key == "duration":
             row[key] = _parse_duration(value, lineno)
-        elif key == "direction":
-            if value not in ("up", "down"):
-                raise PlanParseError(f"unknown direction {value!r}", line=lineno)
-            row[key] = value
-        elif key == "slope":
-            if value not in ("stay", "gradual", "steep"):
-                raise PlanParseError(f"unknown slope {value!r}", line=lineno)
+        else:  # direction or slope
+            if value not in _WORDS[key]:
+                raise PlanParseError(f"unknown {key} {value!r}", line=lineno)
             row[key] = value
 
     for field in _GLOBAL_KEYS:
@@ -500,6 +476,5 @@ def resolve_plan(
         complexity=doc.complexity,
         rng_seed=doc.rng_seed,
         sections=tuple(sections),
-        roles=tuple(roles_for_count(len(sections))),
     )
 

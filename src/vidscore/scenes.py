@@ -22,13 +22,46 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import EmptyVideoError, MalformedSourceError
-from .frames import FrameSpec, FrameStats
 
 OPENS = ("start-of-video", "cut", "fade-in")
 CLOSES = ("end-of-video", "cut", "fade-out")
+
+
+# The frame geometry and per-frame statistics the detectors read live here,
+# not in ``frames``, so scenes and everything downstream import without numpy.
+@dataclass(frozen=True)
+class FrameSpec:
+    width: int
+    height: int
+    fps_num: int
+    fps_den: int
+
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise MalformedSourceError(f"bad frame size {self.width}x{self.height}")
+        if self.fps_num < 1 or self.fps_den < 1:
+            raise MalformedSourceError(f"bad frame rate {self.fps_num}/{self.fps_den}")
+
+    @property
+    def frame_bytes(self) -> int:
+        return 3 * self.width * self.height
+
+    @property
+    def frame_period_s(self) -> float:
+        return self.fps_den / self.fps_num
+
+    def timestamp(self, index: int) -> float:
+        return index * self.fps_den / self.fps_num
+
+
+@dataclass(frozen=True)
+class FrameStats:
+    index: int
+    avg_intensity: float
+    hsv_delta: Optional[float]  # None for frame 0
 
 
 @dataclass(frozen=True)

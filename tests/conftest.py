@@ -5,16 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from vidscore.composer import PPQN
 from vidscore.energy import EnergyLabel
-from vidscore.frames import HUE_SCALE, FrameSpec, FrameStats
+from vidscore.frames import HUE_SCALE
 from vidscore.loops import PEAK_CEILING
 from vidscore.moods import LayerDef, MoodConfig, Scale, load_mood
-from vidscore.planner import (
-    CompositionPlan,
-    SectionSpec,
-    phrase_seconds,
-    roles_for_count,
-)
+from vidscore.planner import CompositionPlan, SectionSpec, phrase_seconds
+from vidscore.scenes import FrameSpec, FrameStats
 
 
 def make_mood(
@@ -255,8 +252,59 @@ def random_valid_plan(rng: random.Random, mood=None) -> CompositionPlan:
         complexity=rng.choice(["simple", "semi-complex", "complex"]),
         rng_seed=rng.getrandbits(32),
         sections=tuple(sections),
-        roles=tuple(roles_for_count(count)),
     )
+
+
+# -- readers over a score and a parsed SMF document -----------------------------
+
+DEFAULT_TEMPO_US = 500000  # 120 BPM, the SMF default before any tempo meta
+
+
+def score_duration_s(score):
+    """Integrate a score's tempo map over its full tick span."""
+    total = 0.0
+    for i, (tick, bpm) in enumerate(score.tempo_map):
+        end = score.tempo_map[i + 1][0] if i + 1 < len(score.tempo_map) else score.total_ticks
+        total += (end - tick) * 60.0 / (bpm * PPQN)
+    return total
+
+
+def track_name(track):
+    for ev in track.events:
+        if ev.kind == "track_name":
+            return ev.data.decode("utf-8", "replace")
+    return ""
+
+
+def doc_notes(doc):
+    """Every track's notes, ordered by (tick, channel, pitch)."""
+    out = [note for track in doc.tracks for note in doc.track_notes(track)]
+    out.sort(key=lambda n: (n.tick, n.channel, n.pitch))
+    return out
+
+
+def doc_tempos(doc):
+    """(tick, microseconds per quarter) across all tracks, tick-ordered."""
+    return sorted((ev.tick, ev.data1) for track in doc.tracks
+                  for ev in track.events if ev.kind == "tempo")
+
+
+def doc_time_signatures(doc):
+    return sorted((ev.tick, (ev.data1, 1 << ev.data2)) for track in doc.tracks
+                  for ev in track.events if ev.kind == "time_signature")
+
+
+def doc_duration_s(doc):
+    """Integrate the tempo map over the document's tick span."""
+    total_ticks = max((t.end_tick for t in doc.tracks), default=0)
+    tempos = doc_tempos(doc)
+    if not tempos or tempos[0][0] > 0:
+        tempos = [(0, DEFAULT_TEMPO_US)] + tempos
+    seconds = 0.0
+    for i, (tick, us) in enumerate(tempos):
+        end = tempos[i + 1][0] if i + 1 < len(tempos) else total_ticks
+        seconds += (end - tick) * us / (doc.ppqn * 1_000_000.0)
+    return seconds
 
 
 @pytest.fixture

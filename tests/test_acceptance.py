@@ -44,7 +44,13 @@ from vidscore.scenes import (
     scenes_to_json,
 )
 
-from conftest import CUT_SAFE_COLORS, VideoBuilder, random_valid_plan
+from conftest import (
+    CUT_SAFE_COLORS,
+    VideoBuilder,
+    doc_duration_s,
+    doc_tempos,
+    random_valid_plan,
+)
 from test_midi import document_notes, score_notes
 from test_planner import brute_force_fits
 
@@ -137,7 +143,7 @@ def test_solver_correctness():
             signature = rng.choice(sorted(mood.time_signatures))
             phrases = rng.randint(1, 3)
             duration = phrases * phrase_seconds(tempo, signature, mood.phrase_length_bars)
-            drafts.append(SectionDraft(sid, duration, "verse"))
+            drafts.append(SectionDraft(sid, duration))
         fits = harmonize_tempo(
             [enumerate_fits(d.duration_s, mood, tolerance) for d in drafts], rng_seed=trial
         )
@@ -220,9 +226,9 @@ def test_midi_integrity():
         expected_tempos = [
             (tick, round(60_000_000 / bpm)) for tick, bpm in score.tempo_map
         ]
-        assert doc.tempos() == expected_tempos
+        assert doc_tempos(doc) == expected_tempos
         slowest_tick_s = 60.0 / (480 * min(s.tempo for s in plan.sections))
-        assert abs(doc.duration_s() - plan.total_duration_s) <= slowest_tick_s
+        assert abs(doc_duration_s(doc) - plan.total_duration_s) <= slowest_tick_s
 
 
 @criterion(6, "loop schedule unimodality and mixed WAV output contract")
@@ -287,7 +293,7 @@ def test_end_to_end_performance(tmp_path):
     elapsed = time.perf_counter() - started
 
     doc = read_smf(open(f"{outdir}/soundtrack.mid", "rb").read())
-    assert abs(doc.duration_s() - 60.0) < 0.1
+    assert abs(doc_duration_s(doc) - 60.0) < 0.1
     assert elapsed < 60.0, f"chain took {elapsed:.1f} s"
     target_note = "" if elapsed < 10.0 else " (above the 10 s stretch target)"
     print(f"\n  analyze+plan+compose on 60 s video: {elapsed:.2f} s{target_note}")

@@ -17,8 +17,7 @@ from vidscore.errors import (
     IncompleteDetectionsError,
     MalformedDetectionsError,
 )
-from vidscore.frames import FrameSpec
-from vidscore.scenes import DetectorConfig, Scene, merge_scene_lists
+from vidscore.scenes import DetectorConfig, FrameSpec, Scene, merge_scene_lists
 
 SPEC = FrameSpec(width=64, height=36, fps_num=30, fps_den=1)
 
@@ -69,6 +68,27 @@ class TestLoadDetections:
         path = tmp_path / "det.json"
         path.write_text(json.dumps({"per_scene": {"0": 2, "1": -1}}))
         with pytest.raises(MalformedDetectionsError):
+            load_detections(str(path), two_scenes())
+
+    @pytest.mark.parametrize("doc", [
+        {"per_frame": [{"frame": 0, "count": float("nan")}, {"frame": 150, "count": 1}]},
+        {"per_frame": [{"frame": 0, "count": 1}, {"frame": 150, "count": float("inf")}]},
+        {"per_scene": {"0": float("inf"), "1": 2}},
+        {"per_scene": {"0": 2, "1": float("nan")}},
+        {"per_scene": {"0": 2, "1": float("-inf")}},
+    ])
+    def test_non_finite_count(self, tmp_path, doc):
+        path = tmp_path / "det.json"
+        path.write_text(json.dumps(doc))  # written as NaN / Infinity, which json reads back
+        with pytest.raises(MalformedDetectionsError, match="bad count"):
+            load_detections(str(path), two_scenes())
+
+    def test_per_frame_sum_overflow(self, tmp_path):
+        records = [{"frame": 0, "count": 1e308}, {"frame": 1, "count": 1e308},
+                   {"frame": 150, "count": 1}]
+        path = tmp_path / "det.json"
+        path.write_text(json.dumps({"per_frame": records}))
+        with pytest.raises(MalformedDetectionsError, match="overflow"):
             load_detections(str(path), two_scenes())
 
     def test_unknown_shape(self, tmp_path):

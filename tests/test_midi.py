@@ -18,7 +18,15 @@ from vidscore.midi import (
 )
 from vidscore.moods import load_mood
 
-from conftest import random_valid_plan
+from conftest import (
+    doc_duration_s,
+    doc_notes,
+    doc_tempos,
+    doc_time_signatures,
+    random_valid_plan,
+    score_duration_s,
+    track_name,
+)
 
 
 def score_notes(score):
@@ -40,7 +48,7 @@ def document_notes(doc):
     for track in doc.tracks[1:]:
         notes = doc.track_notes(track)
         if notes:
-            out[track.name] = sorted(
+            out[track_name(track)] = sorted(
                 (n.tick, n.duration, n.pitch, n.velocity) for n in notes
             )
     return out
@@ -77,15 +85,15 @@ class TestWriteSmf:
         score = compose_plan(plan, load_mood(plan.mood))
         doc = read_smf(write_smf(score, InstrumentMap.default()))
         expected = [(tick, tempo_meta_value(bpm)) for tick, bpm in score.tempo_map]
-        assert doc.tempos() == expected
-        assert doc.time_signatures() == list(score.time_signature_map)
+        assert doc_tempos(doc) == expected
+        assert doc_time_signatures(doc) == list(score.time_signature_map)
 
     def test_empty_score_is_minimal_valid_file(self):
         data = write_smf(empty_score(), InstrumentMap.default())
         doc = read_smf(data)
         assert doc.format == 1
         assert len(doc.tracks) == 1  # just the meta track
-        assert doc.notes() == []
+        assert doc_notes(doc) == []
 
     def test_missing_instrument(self):
         score = tiny_score(label="kazoo_lead")
@@ -112,7 +120,7 @@ class TestWriteSmf:
     def test_percussion_on_channel_nine(self):
         score = tiny_score(label="percussion", pitch=38)
         doc = read_smf(write_smf(score, InstrumentMap.default()))
-        notes = doc.notes()
+        notes = doc_notes(doc)
         assert notes and all(n.channel == 9 for n in notes)
 
     def test_melodic_channels_skip_nine_and_stay_unique(self):
@@ -123,7 +131,7 @@ class TestWriteSmf:
         channels = {}
         for track in doc.tracks[1:]:
             for note in doc.track_notes(track):
-                channels.setdefault(track.name, set()).add(note.channel)
+                channels.setdefault(track_name(track), set()).add(note.channel)
         for label, chans in channels.items():
             assert len(chans) == 1
             if label == "percussion":
@@ -152,7 +160,7 @@ class TestRoundTrip:
             score = compose_plan(plan, load_mood(plan.mood))
             doc = read_smf(write_smf(score, imap))
             slowest_tick_s = 60.0 / (min(t for _, t in score.tempo_map) * 480)
-            assert abs(doc.duration_s() - score.duration_s()) <= slowest_tick_s
+            assert abs(doc_duration_s(doc) - score_duration_s(score)) <= slowest_tick_s
 
 
 def track_chunk(body):

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,6 +487,54 @@ class TestConfigResolution:
         assert not os.path.exists(out)
 
 
+def inspire_with(**changes):
+    mood = json.loads((Path(SRC) / "vidscore/data/moods/inspire.json").read_text())
+    mood.update(changes)
+    return mood
+
+
+class TestBadContentExitCodes:
+    """Readable files with bad values leave main() through a VidscoreError
+    with the README's exit code, not a bare traceback."""
+
+    @pytest.mark.parametrize("doc", [
+        {"per_frame": [{"frame": 0, "count": float("nan")}]},
+        {"per_scene": {"0": float("inf"), "1": 1, "2": 1, "3": 1}},
+    ])
+    def test_non_finite_detections_exit_3(self, analyzed, tmp_path, doc):
+        _, _, scenes_path = analyzed
+        detections = tmp_path / "det.json"
+        detections.write_text(json.dumps(doc))
+        assert cli.main(["plan", "--scenes", scenes_path, "--detections", str(detections),
+                         "--output-dir", str(tmp_path)]) == 3
+        assert not (tmp_path / "plan.ini").exists()
+
+    def test_plan_tempo_the_smf_cannot_hold_exits_3(self, tmp_path, capsys):
+        plan = tmp_path / "plan.ini"
+        plan.write_text(
+            "[composition]\nduration = 1920.0\nmood = inspire\ncomplexity = simple\n"
+            "seed = 1\n\n[section0]\ntime_sig = 4/4\ntempo = 2\nenergy = medium\n"
+            "duration = 1920.0\ndirection = up\nslope = stay\n"
+        )
+        assert cli.main(["compose", "--plan", str(plan), "--output-dir", str(tmp_path)]) == 3
+        assert "line 9: unsupported tempo '2'" in capsys.readouterr().err
+        assert not (tmp_path / "soundtrack.mid").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"tempo_range": [2, 120]},
+        {"tempo_range": [60.5, 120]},
+        {"scale": {"root": ["C"], "mode": "major"}},
+        {"time_signatures": [[4.0, 4]]},
+    ])
+    def test_bad_mood_values_exit_6(self, analyzed, tmp_path, changes):
+        _, _, scenes_path = analyzed
+        mood = tmp_path / "mood.json"
+        mood.write_text(json.dumps(inspire_with(**changes)))
+        assert cli.main(["plan", "--scenes", scenes_path, "--mood", str(mood),
+                         "--output-dir", str(tmp_path)]) == 6
+        assert not (tmp_path / "plan.ini").exists()
+
+
 @pytest.fixture(scope="module")
 def valid_inputs(analyzed, tmp_path_factory):
     """One valid file for each stage input, so a case can break exactly one."""
@@ -588,6 +637,21 @@ def test_failed_writer_keeps_previous_artifact(
         stage(config, source)
     assert (tmp_path / artifact).read_bytes() == before
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_plan_and_compose_modules_import_without_numpy():
+    """Only analyze and mix-loops need numpy; the modules that plan and
+    compose a score import without it."""
+    code = ("import sys\n"
+            "import vidscore.scenes, vidscore.energy, vidscore.planner\n"
+            "import vidscore.moods, vidscore.composer, vidscore.midi\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([PY, "-c", code], capture_output=True, text=True, env=env,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def layer_of_names():

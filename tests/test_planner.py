@@ -9,7 +9,6 @@ from vidscore.errors import (
     PlanParseError,
     UnplannableSectionError,
 )
-from vidscore.frames import FrameSpec
 from vidscore.moods import load_mood
 from vidscore.planner import (
     Fit,
@@ -21,10 +20,9 @@ from vidscore.planner import (
     parse_ini,
     plan_to_ini,
     resolve_plan,
-    roles_for_count,
     sections_from_scenes,
 )
-from vidscore.scenes import DetectorConfig, merge_scene_lists
+from vidscore.scenes import DetectorConfig, FrameSpec, merge_scene_lists
 
 from conftest import make_mood, random_valid_plan
 
@@ -32,27 +30,12 @@ M = EnergyLabel.MEDIUM
 STAY = DirectionSlope("up", "stay")
 
 
-class TestRoles:
-    def test_four_scenes(self):
-        assert roles_for_count(4) == ["intro", "verse", "chorus", "coda"]
-
-    def test_single_scene(self):
-        assert roles_for_count(1) == ["intro"]
-
-    def test_two_scenes(self):
-        assert roles_for_count(2) == ["intro", "coda"]
-
-    def test_interior_alternation(self):
-        assert roles_for_count(7) == [
-            "intro", "verse", "chorus", "verse", "chorus", "verse", "coda",
-        ]
-
+class TestSectionsFromScenes:
     def test_sections_from_scenes(self):
         spec = FrameSpec(width=4, height=4, fps_num=30, fps_den=1)
         scenes = merge_scene_lists([150], [], 300, spec, DetectorConfig())
         drafts = sections_from_scenes(scenes)
         assert [d.section_id for d in drafts] == [0, 1]
-        assert [d.role for d in drafts] == ["intro", "coda"]
         assert drafts[0].duration_s == pytest.approx(5.0)
 
     def test_empty_scene_list(self):
@@ -146,7 +129,7 @@ class TestHarmonizeTempo:
 class TestFinalizePlan:
     def setup_plan(self, seed, candidates=None, mood=None):
         mood = mood or make_mood((60, 120), [(4, 4), (3, 4)])
-        drafts = [SectionDraft(0, 16.0, "intro"), SectionDraft(1, 16.0, "coda")]
+        drafts = [SectionDraft(0, 16.0), SectionDraft(1, 16.0)]
         if candidates is None:
             candidates = [enumerate_fits(16.0, mood, 0.010)] * 2
         return finalize_plan(
@@ -172,7 +155,7 @@ class TestFinalizePlan:
 
     def test_shared_tempo_single_value(self):
         mood = make_mood((60, 120), [(4, 4), (3, 4)])
-        drafts = [SectionDraft(i, 16.0, r) for i, r in enumerate(["intro", "verse", "coda"])]
+        drafts = [SectionDraft(i, 16.0) for i in range(3)]
         fits = harmonize_tempo([enumerate_fits(16.0, mood, 0.010)] * 3, rng_seed=7)
         plan = finalize_plan(drafts, fits, [M] * 3, [STAY] * 3, mood, "simple", 7)
         assert len({s.tempo for s in plan.sections}) == 1
@@ -188,7 +171,6 @@ class TestFinalizePlan:
 
     def test_metadata_attached(self):
         plan = self.setup_plan(3)
-        assert plan.roles == ("intro", "coda")
         assert plan.complexity == "simple"
         assert plan.total_duration_s == pytest.approx(32.0)
         assert [s.energy for s in plan.sections] == [M, M]

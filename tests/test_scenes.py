@@ -3,9 +3,9 @@ import random
 import pytest
 
 from vidscore.errors import EmptyVideoError, MalformedSourceError
-from vidscore.frames import FrameSpec
 from vidscore.scenes import (
     DetectorConfig,
+    FrameSpec,
     detect_transitions,
     merge_scene_lists,
     scenes_from_json,
