@@ -81,7 +81,7 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
         for record in doc["per_frame"]:
             try:
                 frame, count = int(record["frame"]), float(record["count"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise MalformedDetectionsError(f"bad per_frame record {record!r}") from exc
             if not math.isfinite(count) or count < 0:
                 raise MalformedDetectionsError(f"bad count {record['count']!r} at frame {frame}")

@@ -171,7 +171,7 @@ def load_stem_manifest(path: str) -> List[Stem]:
         labels = [stem.label for stem in stems]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"stem manifest {path} repeats a label: {labels}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad stem manifest entry: {exc}") from exc
     if not stems:
         raise ConfigError(f"stem manifest {path} lists no stems")

@@ -47,7 +47,7 @@ class InstrumentMap:
             else:
                 try:
                     program = int(value)
-                except (TypeError, ValueError) as exc:
+                except (OverflowError, TypeError, ValueError) as exc:
                     raise InvalidEventError(
                         f"program {value!r} for {label!r} is not an integer"
                     ) from exc

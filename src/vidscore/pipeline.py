@@ -189,7 +189,10 @@ def stage_plan(
     """Energy analysis plus the duration solver; writes plan.ini."""
     text = read_input(scenes_path, MalformedSourceError, "scene list")
     scenes, fps, _total = scenes_from_json(text)
-    mood = load_mood(config.mood)
+    # plan.ini records what compose hands to load_mood, so a mood file is
+    # kept by its absolute path, not by the name inside it
+    mood_ref = os.path.abspath(config.mood) if config.mood.endswith(".json") else config.mood
+    mood = load_mood(mood_ref)
 
     if config.detections:
         counts = load_detections(config.detections, scenes)
@@ -199,20 +202,20 @@ def stage_plan(
         labels = [EnergyLabel.MEDIUM] * len(scenes)  # neutral default
     slopes = choose_direction_slope(labels)
 
-    drafts = sections_from_scenes(scenes)
+    durations = sections_from_scenes(scenes)
     tolerance = fit_tolerance(fps[1] / fps[0])
-    fits = [enumerate_fits(d.duration_s, mood, tolerance) for d in drafts]
-    for draft, section_fits in zip(drafts, fits):
+    fits = [enumerate_fits(duration, mood, tolerance) for duration in durations]
+    for section_id, (duration, section_fits) in enumerate(zip(durations, fits)):
         if not section_fits:
-            raise UnplannableSectionError(draft.section_id, draft.duration_s)
+            raise UnplannableSectionError(section_id, duration)
 
     bands = None  # global mode: one shared tempo
     if config.planner_mode == "per-scene-energy":
         bands = [assign_tempo_band(label, mood.tempo_range) for label in labels]
     fits = harmonize_tempo(fits, config.rng_seed, bands)
 
-    plan = finalize_plan(drafts, fits, labels, slopes, mood, config.complexity,
-                         config.rng_seed, tolerance_s=tolerance)
+    plan = finalize_plan(durations, fits, labels, slopes, mood_ref, config.complexity,
+                         config.rng_seed)
     path = out_path or config.out_path("plan.ini")
     with publish(path) as fh:
         fh.write(plan_to_ini(plan))

@@ -53,12 +53,6 @@ class Fit(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SectionDraft:
-    section_id: int
-    duration_s: float
-
-
-@dataclass(frozen=True)
 class SectionSpec:
     section_id: int
     time_signature: Tuple[int, int]
@@ -68,9 +62,6 @@ class SectionSpec:
     phrases: int
     direction: str
     slope: str
-
-    def realized_s(self, phrase_bars: int) -> float:
-        return self.phrases * phrase_seconds(self.tempo, self.time_signature, phrase_bars)
 
 
 @dataclass(frozen=True)
@@ -82,10 +73,11 @@ class CompositionPlan:
     sections: Tuple[SectionSpec, ...]
 
 
-def sections_from_scenes(scenes: Sequence[Scene]) -> List[SectionDraft]:
+def sections_from_scenes(scenes: Sequence[Scene]) -> List[float]:
+    """One section per scene: the target durations in seconds, in scene order."""
     if not scenes:
         raise EmptyInputError("no scenes")
-    return [SectionDraft(i, scene.duration_s) for i, scene in enumerate(scenes)]
+    return [scene.duration_s for scene in scenes]
 
 
 def phrase_seconds(tempo: int, signature: Tuple[int, int], phrase_bars: int) -> float:
@@ -148,8 +140,6 @@ def harmonize_tempo(
             )
         tempo = common[SeededRng(rng_seed, _TEMPO_STREAM).randrange(len(common))]
         return [[f for f in fits if f.tempo == tempo] for fits in per_section_fits]
-    if len(bands) != len(per_section_fits):
-        raise ValueError("per-scene-energy mode needs one tempo band per section")
     trimmed = []
     for fits, (lo, hi) in zip(per_section_fits, bands):
         in_band = [f for f in fits if lo <= f.tempo <= hi]
@@ -158,74 +148,41 @@ def harmonize_tempo(
 
 
 def finalize_plan(
-    drafts: Sequence[SectionDraft],
+    durations: Sequence[float],
     candidates: Sequence[Sequence[Fit]],
     energies: Sequence[EnergyLabel],
     direction_slopes: Sequence[DirectionSlope],
-    mood: MoodConfig,
+    mood: str,
     complexity: str,
     rng_seed: int,
-    tolerance_s: float = DEFAULT_TOLERANCE_S,
 ) -> CompositionPlan:
     """Draw one candidate per section and assemble the plan.
 
-    The final section is re-fit against (total duration - realized duration of
-    the earlier sections) when possible, so rounding drift across sections is
-    absorbed rather than accumulated.
+    A section's id is its position. ``mood`` is recorded as given: what
+    ``load_mood`` takes, a preset name or a mood file's path.
     """
-    if not drafts:
-        raise EmptyInputError("no sections to plan")
-    if not (len(drafts) == len(candidates) == len(energies) == len(direction_slopes)):
-        raise ValueError("drafts, candidates, energies and slopes must align")
-    for draft, fits in zip(drafts, candidates):
-        if not fits:
-            raise UnplannableSectionError(draft.section_id, draft.duration_s)
-
-    total = sum(d.duration_s for d in drafts)
     sections: List[SectionSpec] = []
-    realized_sum = 0.0
-    for i, (draft, fits) in enumerate(zip(drafts, candidates)):
-        rng = SeededRng(rng_seed, draft.section_id)
+    for i, (duration, fits) in enumerate(zip(durations, candidates)):
+        rng = SeededRng(rng_seed, i)
         fit = fits[rng.randrange(len(fits))]
-        if i == len(drafts) - 1 and len(drafts) > 1:
-            fit = _refit_last(fit, fits, total - realized_sum, mood, tolerance_s)
-        section = SectionSpec(
-            section_id=draft.section_id,
+        sections.append(SectionSpec(
+            section_id=i,
             time_signature=fit.time_signature,
             tempo=fit.tempo,
             energy=energies[i],
-            duration_s=draft.duration_s,
+            duration_s=duration,
             phrases=fit.phrases,
             direction=direction_slopes[i].direction,
             slope=direction_slopes[i].slope,
-        )
-        realized_sum += section.realized_s(mood.phrase_length_bars)
-        sections.append(section)
+        ))
 
     return CompositionPlan(
-        total_duration_s=total,
-        mood=mood.name,
+        total_duration_s=sum(durations),
+        mood=mood,
         complexity=complexity,
         rng_seed=rng_seed,
         sections=tuple(sections),
     )
-
-
-def _refit_last(
-    fit: Fit,
-    allowed: Sequence[Fit],
-    adjusted_target: float,
-    mood: MoodConfig,
-    tolerance_s: float,
-) -> Fit:
-    """Re-aim the drawn candidate's phrase count at the drift-adjusted target.
-
-    Only the phrase count may move, and only if it still fits within
-    tolerance; otherwise the original draw stands.
-    """
-    phrase_s = phrase_seconds(fit.tempo, fit.time_signature, mood.phrase_length_bars)
-    phrases = _whole_phrases(adjusted_target, phrase_s, tolerance_s)
-    return fit if phrases is None else Fit(fit.tempo, fit.time_signature, phrases)
 
 
 # -- plan INI interchange -------------------------------------------------------
@@ -291,15 +248,17 @@ def _parse_duration(value: str, lineno: int) -> DurationValue:
             lo, hi = float(lo_text), float(hi_text)
         except ValueError:
             raise PlanParseError(f"bad duration range {value!r}", line=lineno)
-        if lo <= 0 or hi < lo:
+        if not 0 < lo <= hi < math.inf:
             raise PlanParseError(f"bad duration range {value!r}", line=lineno)
         return (lo, hi)
     try:
         duration = float(value)
     except ValueError:
         raise PlanParseError(f"bad duration {value!r}", line=lineno)
-    if duration <= 0:
-        raise PlanParseError(f"duration must be positive, got {value!r}", line=lineno)
+    if not 0 < duration < math.inf:
+        raise PlanParseError(
+            f"duration must be positive and finite, got {value!r}", line=lineno
+        )
     return duration
 
 
@@ -380,6 +339,8 @@ def parse_ini(text: str) -> PlanDocument:
         seed = int(globals_["seed"])
     except ValueError as exc:
         raise PlanParseError(f"bad [composition] value: {exc}")
+    if not math.isfinite(total):
+        raise PlanParseError(f"bad [composition] duration {globals_['duration']!r}")
     if globals_["complexity"] not in COMPLEXITIES:
         raise PlanParseError(f"unknown complexity {globals_['complexity']!r}")
 

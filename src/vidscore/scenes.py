@@ -218,7 +218,7 @@ def scenes_from_json(text: str) -> Tuple[List[Scene], Tuple[int, int], int]:
                     closes_with=raw["closes_with"],
                 )
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedSourceError(f"bad scene list document: {exc}") from exc
     _check_tiling(scenes, total)
     return scenes, (num, den), total

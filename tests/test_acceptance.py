@@ -26,7 +26,6 @@ from vidscore.loops import Stem, build_layer_schedule, mix_stems, write_wav
 from vidscore.midi import InstrumentMap, read_smf, write_smf
 from vidscore.moods import load_mood, list_moods
 from vidscore.planner import (
-    SectionDraft,
     enumerate_fits,
     finalize_plan,
     fit_tolerance,
@@ -131,33 +130,36 @@ def test_solver_correctness():
             duration, mood, 0.010
         )
 
-    # plans built from scene-like drafts: per-section error <= 10 ms and the
+    # plans built from scene-like durations: per-section error <= 10 ms and the
     # whole plan lands within one frame period of the video duration
     frame_period = 1.0 / 30.0
     tolerance = fit_tolerance(frame_period)
     for trial in range(20):
         mood = moods[rng.choice(sorted(moods))]
         tempo = rng.randint(*mood.tempo_range)
-        drafts = []
-        for sid in range(rng.randint(2, 5)):
+        durations = []
+        for _ in range(rng.randint(2, 5)):
             signature = rng.choice(sorted(mood.time_signatures))
             phrases = rng.randint(1, 3)
-            duration = phrases * phrase_seconds(tempo, signature, mood.phrase_length_bars)
-            drafts.append(SectionDraft(sid, duration))
+            durations.append(
+                phrases * phrase_seconds(tempo, signature, mood.phrase_length_bars)
+            )
         fits = harmonize_tempo(
-            [enumerate_fits(d.duration_s, mood, tolerance) for d in drafts], rng_seed=trial
+            [enumerate_fits(d, mood, tolerance) for d in durations], rng_seed=trial
         )
         plan = finalize_plan(
-            drafts,
+            durations,
             fits,
-            [EnergyLabel.MEDIUM] * len(drafts),
-            [DirectionSlope("up", "stay")] * len(drafts),
-            mood,
+            [EnergyLabel.MEDIUM] * len(durations),
+            [DirectionSlope("up", "stay")] * len(durations),
+            mood.name,
             "simple",
             rng_seed=trial,
-            tolerance_s=tolerance,
         )
-        realized = [s.realized_s(mood.phrase_length_bars) for s in plan.sections]
+        realized = [
+            s.phrases * phrase_seconds(s.tempo, s.time_signature, mood.phrase_length_bars)
+            for s in plan.sections
+        ]
         for section, r in zip(plan.sections, realized):
             assert abs(r - section.duration_s) <= 0.010
         assert abs(sum(realized) - plan.total_duration_s) <= frame_period

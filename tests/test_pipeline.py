@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -11,9 +12,12 @@ import pytest
 
 import vidscore
 from vidscore import cli, pipeline, planner
+from vidscore.composer import compose_plan
 from vidscore.energy import classify_energy
 from vidscore.errors import InvalidEventError
 from vidscore.loops import write_wav
+from vidscore.midi import InstrumentMap, read_smf, write_smf
+from vidscore.moods import load_mood
 from vidscore.pipeline import (
     PipelineConfig,
     cmd_run,
@@ -21,10 +25,10 @@ from vidscore.pipeline import (
     stage_compose,
     stage_plan,
 )
-from vidscore.planner import parse_ini
+from vidscore.planner import parse_ini, resolve_plan
 from vidscore.scenes import scenes_from_json
 
-from conftest import CUT_SAFE_COLORS, VideoBuilder
+from conftest import CUT_SAFE_COLORS, VideoBuilder, doc_tempos
 
 PY = sys.executable
 SRC = os.path.dirname(os.path.dirname(vidscore.__file__))
@@ -306,6 +310,34 @@ class TestRun:
         cmd_run(config)
         assert open(tmp_path / "soundtrack.mid", "rb").read() == first
 
+    def test_custom_mood_file_survives_plan_to_compose(self, quad_video, tmp_path):
+        _, source = quad_video
+        mood = tmp_path / "custom.json"  # 4/4 at 128 BPM: 7.5 s phrases
+        mood.write_text(json.dumps(
+            inspire_with(name="mycustom", tempo_range=[128, 128], time_signatures=[[4, 4]])))
+        assert cli.main(["run", "--source", source, "--mood", str(mood),
+                         "--output-dir", str(tmp_path)]) == 0
+        doc = parse_ini((tmp_path / "plan.ini").read_text())
+        assert doc.mood == str(mood)
+        assert {entry.tempo for entry in doc.entries} == {128}
+        smf = read_smf((tmp_path / "soundtrack.mid").read_bytes())
+        assert {usec for _tick, usec in doc_tempos(smf)} == {round(60e6 / 128)}
+
+    def test_custom_mood_named_like_a_preset_keeps_its_own_scale(self, quad_video, tmp_path):
+        _, source = quad_video
+        path = tmp_path / "inspire.json"
+        path.write_text(json.dumps(inspire_with(scale={"root": "F#", "mode": "phrygian"})))
+        assert cli.main(["run", "--source", source, "--mood", str(path), "--seed", "3",
+                         "--output-dir", str(tmp_path)]) == 0
+        plan = resolve_plan(parse_ini((tmp_path / "plan.ini").read_text()))
+
+        def composed(mood):
+            return write_smf(compose_plan(plan, mood), InstrumentMap.default())
+
+        written = (tmp_path / "soundtrack.mid").read_bytes()
+        assert written == composed(load_mood(str(path)))
+        assert written != composed(load_mood("inspire"))
+
     def test_loop_mode_dispatch(self, quad_video, tmp_path):
         _, source = quad_video
         rate = 8000
@@ -500,6 +532,7 @@ class TestBadContentExitCodes:
     @pytest.mark.parametrize("doc", [
         {"per_frame": [{"frame": 0, "count": float("nan")}]},
         {"per_scene": {"0": float("inf"), "1": 1, "2": 1, "3": 1}},
+        {"per_frame": [{"frame": float("inf"), "count": 1}]},
     ])
     def test_non_finite_detections_exit_3(self, analyzed, tmp_path, doc):
         _, _, scenes_path = analyzed
@@ -519,6 +552,48 @@ class TestBadContentExitCodes:
         assert cli.main(["compose", "--plan", str(plan), "--output-dir", str(tmp_path)]) == 3
         assert "line 9: unsupported tempo '2'" in capsys.readouterr().err
         assert not (tmp_path / "soundtrack.mid").exists()
+
+    @pytest.mark.parametrize("section, composition", [
+        ("nan", "10.0"),
+        ("inf", "10.0"),
+        ("1e400", "10.0"),
+        ("1 to inf", "10.0"),
+        ("nan to 9", "10.0"),
+        ("10.0", "nan"),
+    ])
+    def test_non_finite_plan_durations_exit_3(self, tmp_path, capsys, section, composition):
+        plan = tmp_path / "plan.ini"
+        plan.write_text(
+            f"[composition]\nduration = {composition}\nmood = inspire\n"
+            "complexity = simple\nseed = 1\n\n[section0]\ntime_sig = 4/4\ntempo = 96\n"
+            f"energy = medium\nduration = {section}\ndirection = up\nslope = stay\n"
+        )
+        assert cli.main(["compose", "--plan", str(plan), "--output-dir", str(tmp_path)]) == 3
+        assert "duration" in capsys.readouterr().err
+        assert not (tmp_path / "soundtrack.mid").exists()
+
+    @pytest.mark.parametrize("field", ["fps", "total_frames", "id", "start_frame"])
+    def test_scene_number_too_big_for_an_int_exits_2(self, valid_inputs, tmp_path, field):
+        # json reads 1e400 as inf, which int() cannot hold
+        text = Path(valid_inputs["scenes"]).read_text()
+        bad = tmp_path / "scenes.json"
+        bad.write_text(re.sub(rf'("{field}": \[?\s*)\d+', r"\g<1>1e400", text, count=1))
+        assert bad.read_text() != text
+        assert cli.main(["plan", "--scenes", str(bad), "--output-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv, text, code", [
+        (["mix-loops", "--scenes", "{scenes}", "--stems", "{bad}"],
+         '[{"label": "a", "path": "tone.wav", "activation_rank": 1e400}]', 6),
+        (["compose", "--plan", "{plan}", "--instruments", "{bad}"], '{"piano": 1e400}', 4),
+    ], ids=["stem-manifest", "instrument-map"])
+    def test_setting_too_big_for_an_int_exits_with_stage_code(
+        self, valid_inputs, tmp_path, argv, text, code
+    ):
+        write_wav(str(tmp_path / "tone.wav"), np.ones(800, dtype=np.int16), 8000)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        args = [arg.format(bad=bad, **valid_inputs) for arg in argv]
+        assert cli.main(args + ["--output-dir", str(tmp_path / "out")]) == code
 
     @pytest.mark.parametrize("changes", [
         {"tempo_range": [2, 120]},

@@ -2,22 +2,28 @@ import random
 
 import pytest
 
-from vidscore.energy import DirectionSlope, EnergyLabel
+from vidscore.energy import (
+    DirectionSlope,
+    EnergyLabel,
+    assign_tempo_band,
+    choose_direction_slope,
+)
 from vidscore.errors import (
     EmptyInputError,
     NoConsistentTempoError,
     PlanParseError,
     UnplannableSectionError,
 )
-from vidscore.moods import load_mood
+from vidscore.moods import list_moods, load_mood
 from vidscore.planner import (
+    PLANNER_MODES,
     Fit,
-    SectionDraft,
     enumerate_fits,
     finalize_plan,
     fit_tolerance,
     harmonize_tempo,
     parse_ini,
+    phrase_seconds,
     plan_to_ini,
     resolve_plan,
     sections_from_scenes,
@@ -34,9 +40,9 @@ class TestSectionsFromScenes:
     def test_sections_from_scenes(self):
         spec = FrameSpec(width=4, height=4, fps_num=30, fps_den=1)
         scenes = merge_scene_lists([150], [], 300, spec, DetectorConfig())
-        drafts = sections_from_scenes(scenes)
-        assert [d.section_id for d in drafts] == [0, 1]
-        assert drafts[0].duration_s == pytest.approx(5.0)
+        durations = sections_from_scenes(scenes)
+        assert len(durations) == 2  # a section's id is its position
+        assert durations[0] == pytest.approx(5.0)
 
     def test_empty_scene_list(self):
         with pytest.raises(EmptyInputError):
@@ -129,11 +135,10 @@ class TestHarmonizeTempo:
 class TestFinalizePlan:
     def setup_plan(self, seed, candidates=None, mood=None):
         mood = mood or make_mood((60, 120), [(4, 4), (3, 4)])
-        drafts = [SectionDraft(0, 16.0), SectionDraft(1, 16.0)]
         if candidates is None:
             candidates = [enumerate_fits(16.0, mood, 0.010)] * 2
         return finalize_plan(
-            drafts, candidates, [M, M], [STAY, STAY], mood, "simple", seed
+            [16.0, 16.0], candidates, [M, M], [STAY, STAY], mood.name, "simple", seed
         )
 
     def test_deterministic(self):
@@ -149,15 +154,10 @@ class TestFinalizePlan:
             plan = self.setup_plan(seed, candidates=candidates)
             assert all(s.tempo == 60 and s.phrases == 1 for s in plan.sections)
 
-    def test_empty_candidates(self):
-        with pytest.raises(UnplannableSectionError):
-            self.setup_plan(1, candidates=[[Fit(60, (4, 4), 1)], []])
-
     def test_shared_tempo_single_value(self):
         mood = make_mood((60, 120), [(4, 4), (3, 4)])
-        drafts = [SectionDraft(i, 16.0) for i in range(3)]
         fits = harmonize_tempo([enumerate_fits(16.0, mood, 0.010)] * 3, rng_seed=7)
-        plan = finalize_plan(drafts, fits, [M] * 3, [STAY] * 3, mood, "simple", 7)
+        plan = finalize_plan([16.0] * 3, fits, [M] * 3, [STAY] * 3, mood.name, "simple", 7)
         assert len({s.tempo for s in plan.sections}) == 1
 
     def test_durations_within_tolerance(self):
@@ -165,15 +165,61 @@ class TestFinalizePlan:
         for seed in range(25):
             plan = self.setup_plan(seed, mood=mood)
             for section in plan.sections:
-                assert abs(
-                    section.realized_s(mood.phrase_length_bars) - section.duration_s
-                ) <= 0.010
+                phrase_s = phrase_seconds(
+                    section.tempo, section.time_signature, mood.phrase_length_bars
+                )
+                assert abs(section.phrases * phrase_s - section.duration_s) <= 0.010
 
     def test_metadata_attached(self):
         plan = self.setup_plan(3)
         assert plan.complexity == "simple"
         assert plan.total_duration_s == pytest.approx(32.0)
         assert [s.energy for s in plan.sections] == [M, M]
+
+
+class TestPlanInterchange:
+    """The plan the plan stage builds is the plan compose reads back from
+    plan.ini, phrase counts included."""
+
+    def stage_plan(self, durations, mood, mode, seed, labels=None):
+        """The plan stage's planner calls, in stage_plan's order."""
+        labels = labels or [M] * len(durations)
+        tolerance = fit_tolerance(1 / 30)
+        fits = [enumerate_fits(duration, mood, tolerance) for duration in durations]
+        bands = None
+        if mode == "per-scene-energy":
+            bands = [assign_tempo_band(label, mood.tempo_range) for label in labels]
+        fits = harmonize_tempo(fits, seed, bands)
+        return finalize_plan(durations, fits, labels, choose_direction_slope(labels),
+                             mood.name, "simple", seed)
+
+    def assert_round_trips(self, plan, mood):
+        assert resolve_plan(parse_ini(plan_to_ini(plan)), mood) == plan
+
+    def test_last_section_keeps_its_scene(self):
+        # 0.3 s phrases: every 0.5901 s section is 2 phrases, 9.9 ms short,
+        # and the 29 before the last one sum to 0.29 s short of the scenes
+        mood = make_mood((200, 200), [(2, 8)], phrase_bars=1)
+        plan = self.stage_plan([0.5901] * 30, mood, "global", 1)
+        assert [s.phrases for s in plan.sections] == [2] * 30
+        self.assert_round_trips(plan, mood)
+
+    @pytest.mark.parametrize("mode", PLANNER_MODES)
+    def test_random_scene_like_plans(self, mode):
+        # scenes a little off whole phrases at a shared tempo, as cut by
+        # hand; each lands within the fit tolerance of some phrase count
+        rng = random.Random(4100)
+        for trial in range(40):
+            mood = load_mood(rng.choice(list_moods()))
+            tempo = rng.randint(*mood.tempo_range)
+            durations = []
+            for _ in range(rng.randint(1, 8)):
+                signature = rng.choice(sorted(mood.time_signatures))
+                phrase_s = phrase_seconds(tempo, signature, mood.phrase_length_bars)
+                durations.append(rng.randint(1, 4) * phrase_s + rng.uniform(-0.009, 0.009))
+            labels = [rng.choice(list(EnergyLabel)) for _ in durations]
+            plan = self.stage_plan(durations, mood, mode, trial, labels)
+            self.assert_round_trips(plan, mood)
 
 
 class TestPlanIni:
