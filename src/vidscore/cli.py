@@ -3,7 +3,10 @@
 Subcommands mirror the pipeline stages; ``run`` chains them. Settings come
 from built-in defaults, then a config file ([pipeline] block, same INI
 dialect as plans), then the VIDSCORE_OUTPUT_DIR environment variable, then
-command line flags, later sources winning.
+command line flags, later sources winning. Each ``PipelineConfig`` field is
+one setting. A config key is the flag's name without the dashes, with ``-``
+written as ``_``; the field name also works (``--seed``: ``seed`` or
+``rng_seed``).
 
 Exit codes: 0 success, 2 source problems, 3 planning problems, 4 composition
 or MIDI problems, 5 external tool failures, 6 configuration problems. A
@@ -16,10 +19,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from .errors import ConfigError, VidscoreError
 from .pipeline import (
+    SHORT_NAMES,
     PipelineConfig,
     apply_settings,
     cmd_run,
@@ -32,27 +37,6 @@ from .pipeline import (
     stage_render,
 )
 
-_SETTING_FLAGS = {
-    "source": "--source",
-    "fps": "--fps",
-    "fade_threshold": "--fade-threshold",
-    "cut_threshold": "--cut-threshold",
-    "min_scene_frames": "--min-scene-frames",
-    "merge_tolerance_s": "--merge-tolerance",
-    "mood": "--mood",
-    "complexity": "--complexity",
-    "planner_mode": "--mode",
-    "rng_seed": "--seed",
-    "detections": "--detections",
-    "melody": "--melody",
-    "instruments": "--instruments",
-    "render_template": "--render-template",
-    "mux_template": "--mux-template",
-    "soundfont": "--soundfont",
-    "stems": "--stems",
-    "output_dir": "--output-dir",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage errors exit with the configuration code."""
@@ -64,12 +48,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file with a [pipeline] block")
-    for key, flag in _SETTING_FLAGS.items():
-        parser.add_argument(flag, dest=key, default=None)
-    parser.add_argument(
-        "--loop", dest="loop_mode", action="store_const", const=True, default=None,
-        help="use the loop-based sequencer instead of the composer",
-    )
+    for field in fields(PipelineConfig):
+        flag = "--" + SHORT_NAMES.get(field.name, field.name).replace("_", "-")
+        if type(field.default) is bool:
+            parser.add_argument(flag, dest=field.name, action="store_const", const=True)
+        else:
+            parser.add_argument(flag, dest=field.name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,38 +65,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="detect scenes and write scenes.json")
     p.add_argument("-o", "--out", help="output path (default: <outdir>/scenes.json)")
-    _add_common(p)
+    p.set_defaults(run=lambda c, a: "{1} scenes -> {0}".format(*stage_analyze(c, a.out)))
 
     p = sub.add_parser("plan", help="solve the section plan and write plan.ini")
     p.add_argument("--scenes", required=True, help="scenes.json from analyze")
     p.add_argument("-o", "--out", help="output path (default: <outdir>/plan.ini)")
-    _add_common(p)
+    p.set_defaults(run=lambda c, a: f"plan -> {stage_plan(c, a.scenes, a.out)}")
 
     p = sub.add_parser("compose", help="realize plan.ini as soundtrack.mid")
     p.add_argument("--plan", required=True, help="plan.ini from plan")
     p.add_argument("-o", "--out", help="output path (default: <outdir>/soundtrack.mid)")
     p.add_argument("--dump-events", help="also write a JSON event dump here")
-    _add_common(p)
+    p.set_defaults(run=lambda c, a: "soundtrack -> "
+                   + stage_compose(c, a.plan, a.out, a.dump_events))
 
     p = sub.add_parser("render", help="synthesize audio via the render template")
     p.add_argument("--midi", required=True)
     p.add_argument("-o", "--out", help="output path (default: <outdir>/soundtrack.wav)")
-    _add_common(p)
+    p.set_defaults(run=lambda c, a: f"audio -> {stage_render(c, a.midi, a.out)}")
 
     p = sub.add_parser("mux", help="attach audio to the video via the mux template")
     p.add_argument("--video", required=True)
     p.add_argument("--audio", required=True)
     p.add_argument("-o", "--out")
-    _add_common(p)
+    p.set_defaults(run=lambda c, a: f"video -> {stage_mux(c, a.video, a.audio, a.out)}")
 
     p = sub.add_parser("mix-loops", help="mix WAV stems over the scene list")
     p.add_argument("--scenes", required=True)
     p.add_argument("-o", "--out", help="output path (default: <outdir>/soundtrack.wav)")
-    _add_common(p)
+    p.set_defaults(run=lambda c, a: f"audio -> {stage_mix_loops(c, a.scenes, a.out)}")
 
     p = sub.add_parser("run", help="run the full pipeline and write a manifest")
-    _add_common(p)
+    p.set_defaults(run=lambda c, a: f"done -> {cmd_run(c)['final_output']}")
 
+    for p in sub.choices.values():
+        _add_common(p)
     return parser
 
 
@@ -123,39 +110,14 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     env_outdir = os.environ.get("VIDSCORE_OUTPUT_DIR")
     if env_outdir:
         config.output_dir = env_outdir
-    flags = {
-        key: getattr(args, key)
-        for key in list(_SETTING_FLAGS) + ["loop_mode"]
-        if getattr(args, key, None) is not None
-    }
+    flags = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
     return apply_settings(config, flags)
 
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = resolve_config(args)
-        if args.command == "analyze":
-            path, count = stage_analyze(config, args.out)
-            print(f"{count} scenes -> {path}")
-        elif args.command == "plan":
-            path = stage_plan(config, args.scenes, args.out)
-            print(f"plan -> {path}")
-        elif args.command == "compose":
-            path = stage_compose(config, args.plan, args.out, args.dump_events)
-            print(f"soundtrack -> {path}")
-        elif args.command == "render":
-            path = stage_render(config, args.midi, args.out)
-            print(f"audio -> {path}")
-        elif args.command == "mux":
-            path = stage_mux(config, args.video, args.audio, args.out)
-            print(f"video -> {path}")
-        elif args.command == "mix-loops":
-            path = stage_mix_loops(config, args.scenes, args.out)
-            print(f"audio -> {path}")
-        elif args.command == "run":
-            manifest = cmd_run(config)
-            print(f"done -> {manifest['final_output']}")
+        print(args.run(resolve_config(args), args))
     except VidscoreError as exc:
         print(f"vidscore {args.command}: {exc}", file=sys.stderr)
         return exc.exit_code

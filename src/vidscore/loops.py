@@ -126,7 +126,8 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
             channels = wav.getnchannels()
             rate = wav.getframerate()
             raw = wav.readframes(wav.getnframes())
-    except (OSError, wave.Error, EOFError) as exc:
+    except (OSError, wave.Error, EOFError, RuntimeError) as exc:
+        # wave raises a bare RuntimeError for a chunk that runs past the end
         raise StemMismatchError(f"{path}: cannot read a PCM WAV file: {exc}") from exc
     if len(raw) % (2 * channels):
         raise StemMismatchError(f"{path}: data ends in a partial frame")

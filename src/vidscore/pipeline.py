@@ -16,7 +16,7 @@ import shlex
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -75,15 +75,7 @@ class PipelineConfig:
     output_dir: str = "."
 
     def detector_config(self) -> DetectorConfig:
-        try:
-            return DetectorConfig(
-                fade_threshold=self.fade_threshold,
-                cut_threshold=self.cut_threshold,
-                min_scene_frames=self.min_scene_frames,
-                merge_tolerance_s=self.merge_tolerance_s,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return DetectorConfig(**{f.name: getattr(self, f.name) for f in fields(DetectorConfig)})
 
     def fps_pair(self) -> Optional[Tuple[int, int]]:
         """The configured frame rate as (num, den), checked whatever the source."""
@@ -109,16 +101,13 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-_CONFIG_KEYS = {f for f in PipelineConfig.__dataclass_fields__}
-
-# short spellings accepted in config files, matching the CLI flags
-_KEY_ALIASES = {
-    "seed": "rng_seed",
-    "mode": "planner_mode",
-    "merge_tolerance": "merge_tolerance_s",
-    "loop": "loop_mode",
-    "render": "render_template",
-    "mux": "mux_template",
+# a setting's name where it differs from its field's: the CLI flag is "--" plus
+# the name with "_" written as "-", and a config key is the name or the field's
+SHORT_NAMES = {
+    "rng_seed": "seed",
+    "planner_mode": "mode",
+    "merge_tolerance_s": "merge_tolerance",
+    "loop_mode": "loop",
 }
 
 
@@ -128,16 +117,17 @@ def load_config_file(path: str) -> dict:
         items = list(iter_ini(read_input(path, ConfigError, "config")))
     except PlanParseError as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
+    field_of = {short: name for name, short in SHORT_NAMES.items()}
     settings = {}
     for lineno, section, key, value in items:
         if key is None:
             if section != "pipeline":
                 raise ConfigError(f"{path}:{lineno}: unknown block [{section}]")
             continue
-        key = _KEY_ALIASES.get(key, key)
-        if key not in _CONFIG_KEYS:
+        field = field_of.get(key, key)
+        if field not in PipelineConfig.__dataclass_fields__:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
-        settings[key] = value
+        settings[field] = value
     return settings
 
 

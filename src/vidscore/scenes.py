@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, asdict
 from typing import Iterable, List, Optional, Tuple
 
-from .errors import EmptyVideoError, MalformedSourceError
+from .errors import ConfigError, EmptyVideoError, MalformedSourceError
 
 OPENS = ("start-of-video", "cut", "fade-in")
 CLOSES = ("end-of-video", "cut", "fade-out")
@@ -73,11 +73,13 @@ class DetectorConfig:
 
     def __post_init__(self):
         if not (0 < self.fade_threshold < 255):
-            raise ValueError(f"fade_threshold {self.fade_threshold} out of (0, 255)")
+            raise ConfigError(f"fade_threshold {self.fade_threshold} out of (0, 255)")
         if not (0 < self.cut_threshold < 255):
-            raise ValueError(f"cut_threshold {self.cut_threshold} out of (0, 255)")
+            raise ConfigError(f"cut_threshold {self.cut_threshold} out of (0, 255)")
         if self.min_scene_frames < 1:
-            raise ValueError("min_scene_frames must be >= 1")
+            raise ConfigError("min_scene_frames must be >= 1")
+        if not (0 <= self.merge_tolerance_s < float("inf")):  # also rejects NaN
+            raise ConfigError(f"merge_tolerance_s {self.merge_tolerance_s} out of [0, inf)")
 
 
 @dataclass(frozen=True)

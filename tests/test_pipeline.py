@@ -476,6 +476,20 @@ class TestConfigResolution:
         args = cli.build_parser().parse_args(["run", "--output-dir", str(tmp_path)])
         assert cli.resolve_config(args).output_dir == str(tmp_path)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1", "-0.05"])
+    def test_bad_merge_tolerance_exits_6(self, quad_video, tmp_path, capsys, value):
+        _, source = quad_video
+        assert cli.main(["analyze", "--source", source, f"--merge-tolerance={value}",
+                         "--output-dir", str(tmp_path)]) == 6
+        assert "merge_tolerance_s" in capsys.readouterr().err
+        assert not (tmp_path / "scenes.json").exists()
+
+    def test_zero_merge_tolerance_is_valid(self, quad_video, tmp_path):
+        _, source = quad_video
+        assert cli.main(["analyze", "--source", source, "--merge-tolerance", "0",
+                         "--output-dir", str(tmp_path)]) == 0
+        assert len(scenes_from_json((tmp_path / "scenes.json").read_text())[0]) == 4
+
     def test_unknown_config_key_exits_6(self, tmp_path):
         cfg = tmp_path / "pipeline.ini"
         cfg.write_text("[pipeline]\nvolume = 11\n")
@@ -594,6 +608,20 @@ class TestBadContentExitCodes:
         bad.write_text(text)
         args = [arg.format(bad=bad, **valid_inputs) for arg in argv]
         assert cli.main(args + ["--output-dir", str(tmp_path / "out")]) == code
+
+    def test_stem_chunk_past_the_end_exits_4(self, valid_inputs, tmp_path, capsys):
+        write_wav(str(tmp_path / "tone.wav"), np.ones(800, dtype=np.int16), 8000)
+        data = bytearray((tmp_path / "tone.wav").read_bytes())
+        assert data[12:16] == b"fmt "
+        data[17] = 0xFF  # the fmt chunk now claims 65296 bytes
+        (tmp_path / "tone.wav").write_bytes(bytes(data))
+        (tmp_path / "stems.json").write_text(
+            json.dumps([{"label": "a", "path": "tone.wav", "activation_rank": 1}]))
+        out = tmp_path / "out"
+        assert cli.main(["mix-loops", "--scenes", valid_inputs["scenes"], "--stems",
+                         str(tmp_path / "stems.json"), "--output-dir", str(out)]) == 4
+        assert "cannot read a PCM WAV file" in capsys.readouterr().err
+        assert not (out / "soundtrack.wav").exists()
 
     @pytest.mark.parametrize("changes", [
         {"tempo_range": [2, 120]},
