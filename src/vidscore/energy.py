@@ -65,7 +65,7 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
         for key, value in doc["per_scene"].items():
             try:
                 scene_id, count = int(key), float(value)
-            except (TypeError, ValueError) as exc:
+            except (OverflowError, TypeError, ValueError) as exc:
                 raise MalformedDetectionsError(f"bad per_scene entry {key!r}") from exc
             if scene_id not in scene_ids:
                 raise MalformedDetectionsError(f"unknown scene id {scene_id}")

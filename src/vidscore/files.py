@@ -27,7 +27,7 @@ def read_json(path: str, error: type, what: str, kind: type = dict):
     """Parse a JSON file whose top-level value must be a ``kind``."""
     try:
         doc = json.loads(read_input(path, error, what))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise error(f"bad {what} {path}: {exc}") from exc
     if not isinstance(doc, kind):
         raise error(f"{what} {path} must hold a JSON {kind.__name__}")

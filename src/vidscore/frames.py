@@ -335,43 +335,42 @@ def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
 
     The children are forked before any frame is read, so each one opens and
     reads the source itself; no pixel data crosses a process boundary. This
-    process then yields its own range, then each child's results in order.
-    Every child is waited for, also on early close or error, so its CPU
-    counts in ``RUSAGE_CHILDREN``. When a child fails or dies, or cannot be
-    forked, this process computes that range and every later one from its
-    own iterator, so bad input raises the same error after the same stats
-    as the single-process loop.
+    process yields its own range, then reads every child's results before
+    it yields them in order. Every child is waited for, also on early close
+    or error, so its CPU counts in ``RUSAGE_CHILDREN``. When a child fails or
+    dies, or cannot be forked, this process computes every frame after its
+    own range from its own iterator, which already stands there, so bad input
+    raises the same error after the same stats as the single-process loop.
     """
     _hsv_tables()  # built once, before the children copy this process
-    children = []  # (pid, read end of its pipe, start, stop), not yet reaped
+    children = []  # (pid, read end of its pipe), not yet reaped
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
             try:
-                pid, read_fd = _fork_range(source, start, stop)
+                children.append(_fork_range(source, start, stop))
             except OSError:
                 break  # the ranges left are computed below
-            children.append((pid, read_fd, start, stop))
         frames = iter(source)
         prev_hsv = yield from _per_frame(itertools.islice(frames, bounds[1]))
-        done = bounds[1]
+        results = []
         while children:
-            pid, read_fd, start, stop = children[0]
-            data = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
+            pid, read_fd = children[0]
+            result = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
             _, status = os.waitpid(pid, 0)
             del children[0]
             os.close(read_fd)
-            if status != 0 or len(data) != 16 * (stop - start):  # two float64 a frame
+            if status != 0:
                 break
-            for index, (avg, delta) in enumerate(np.frombuffer(data).reshape(-1, 2).tolist(),
-                                                 start=start):
-                yield FrameStats(index=index, avg_intensity=avg, hsv_delta=delta)
-            done = stop
-        if done < bounds[-1]:
+            results.append(result)
+        # a child writes at most its own range, so only whole results add up
+        data = b"".join(results)
+        if len(data) != 16 * (bounds[-1] - bounds[1]):  # two float64 a frame
             _reap(children)
-            if done > bounds[1]:
-                collections.deque(itertools.islice(frames, done - 1 - bounds[1]), maxlen=0)
-                prev_hsv = _frame_hsv(next(frames))
             yield from _per_frame(frames, prev_hsv)
+            return
+        for index, (avg, delta) in enumerate(np.frombuffer(data).reshape(-1, 2).tolist(),
+                                             start=bounds[1]):
+            yield FrameStats(index=index, avg_intensity=avg, hsv_delta=delta)
     finally:
         _reap(children)
 
@@ -416,7 +415,7 @@ def _fork_range(source: FrameSource, start: int, stop: int):
 def _reap(children: list) -> None:
     """Kill and wait for every child still in ``children``, then empty it."""
     while children:
-        pid, read_fd, _start, _stop = children.pop()
+        pid, read_fd = children.pop()
         os.close(read_fd)
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)

@@ -95,9 +95,11 @@ def supported_meter(n: int, d: int) -> bool:
 
 
 def supported_tempo(bpm: int) -> bool:
-    """Whether a tempo fits the SMF tempo meta: round(60e6 / bpm)
-    microseconds per quarter must fit its 3 bytes and not round to 0."""
-    return 4 <= bpm < 120_000_000
+    """Whether moods and plans may use a tempo. 4 BPM is the slowest whose
+    round(60e6 / bpm) microseconds per quarter fit the SMF tempo meta's 3
+    bytes. 1000 BPM is a musical ceiling: a section's note count grows with
+    its tempo, and a mood's fit search tries every tempo in its range."""
+    return 4 <= bpm <= 1000
 
 
 def _validate(mood: MoodConfig) -> MoodConfig:

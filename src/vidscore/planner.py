@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .energy import DirectionSlope, EnergyLabel
 from .errors import (
@@ -187,10 +188,6 @@ def finalize_plan(
 
 # -- plan INI interchange -------------------------------------------------------
 
-_GLOBAL_KEYS = ("duration", "mood", "complexity", "seed")
-_SECTION_KEYS = ("time_sig", "tempo", "energy", "duration", "direction", "slope")
-_WORDS = {"direction": ("up", "down"), "slope": ("stay", "gradual", "steep")}
-
 DurationValue = Union[float, Tuple[float, float]]
 
 
@@ -200,7 +197,7 @@ class SectionEntry:
     time_signature: Tuple[int, int]
     tempo: int
     energy: EnergyLabel
-    duration: DurationValue  # exact target, or an unresolved (lo, hi) range
+    duration_s: DurationValue  # exact target, or an unresolved (lo, hi) range
     direction: str
     slope: str
 
@@ -215,169 +212,142 @@ class PlanDocument:
 
     @property
     def has_ranges(self) -> bool:
-        return any(isinstance(e.duration, tuple) for e in self.entries)
+        return any(isinstance(e.duration_s, tuple) for e in self.entries)
 
 
-def plan_to_ini(plan: CompositionPlan) -> str:
-    lines = [
-        "[composition]",
-        f"duration = {repr(float(plan.total_duration_s))}",
-        f"mood = {plan.mood}",
-        f"complexity = {plan.complexity}",
-        f"seed = {plan.rng_seed}",
-    ]
-    for section in plan.sections:
-        n, d = section.time_signature
-        lines += [
-            "",
-            f"[section{section.section_id}]",
-            f"time_sig = {n}/{d}",
-            f"tempo = {section.tempo}",
-            f"energy = {section.energy.value}",
-            f"duration = {repr(float(section.duration_s))}",
-            f"direction = {section.direction}",
-            f"slope = {section.slope}",
-        ]
-    return "\n".join(lines) + "\n"
+def _checked(kind: Callable[[str], Any], bad: str,
+             ok: Callable[[Any], bool] = lambda value: True, unsupported: str = ""):
+    """A parser that converts a value's text with ``kind`` and keeps the
+    result only if ``ok`` accepts it. Its ValueError carries ``bad``, formatted
+    with the ``text`` and the conversion's error ``exc``, when ``kind`` fails,
+    and ``unsupported`` (``bad`` when empty) when ``ok`` refuses."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise ValueError(bad.format(text=text, exc=exc))
+        if not ok(value):
+            raise ValueError((unsupported or bad).format(text=text))
+        return value
+    return parse
 
 
-def _parse_duration(value: str, lineno: int) -> DurationValue:
-    if " to " in value:
-        lo_text, _, hi_text = value.partition(" to ")
+def _meter(text: str) -> Tuple[int, int]:
+    num, _, den = text.partition("/")  # no "/" leaves den empty, which int() rejects
+    return (int(num), int(den))
+
+
+def _parse_duration(text: str) -> DurationValue:
+    if " to " in text:
+        lo_text, _, hi_text = text.partition(" to ")
         try:
             lo, hi = float(lo_text), float(hi_text)
         except ValueError:
-            raise PlanParseError(f"bad duration range {value!r}", line=lineno)
+            raise ValueError(f"bad duration range {text!r}")
         if not 0 < lo <= hi < math.inf:
-            raise PlanParseError(f"bad duration range {value!r}", line=lineno)
+            raise ValueError(f"bad duration range {text!r}")
         return (lo, hi)
     try:
-        duration = float(value)
+        duration = float(text)
     except ValueError:
-        raise PlanParseError(f"bad duration {value!r}", line=lineno)
+        raise ValueError(f"bad duration {text!r}")
     if not 0 < duration < math.inf:
-        raise PlanParseError(
-            f"duration must be positive and finite, got {value!r}", line=lineno
-        )
+        raise ValueError(f"duration must be positive and finite, got {text!r}")
     return duration
 
 
-def _parse_time_sig(value: str, lineno: int) -> Tuple[int, int]:
-    num, sep, den = value.partition("/")
-    if not sep:
-        raise PlanParseError(f"bad time signature {value!r}", line=lineno)
-    try:
-        n, d = int(num), int(den)
-    except ValueError:
-        raise PlanParseError(f"bad time signature {value!r}", line=lineno)
-    if not supported_meter(n, d):
-        raise PlanParseError(f"unsupported time signature {value!r}", line=lineno)
-    return (n, d)
+def _seconds(value: float) -> str:
+    return repr(float(value))
+
+
+# One table per block: plan.ini key -> (field, parse, write), in the order
+# plan_to_ini writes the keys. The fields are CompositionPlan's and
+# PlanDocument's, then SectionSpec's and SectionEntry's. parse_ini reports a
+# parser's ValueError at the value's line.
+_Field = Tuple[str, Callable[[str], Any], Callable[[Any], str]]
+_BAD_VALUE = "bad [composition] value: {exc}"
+_COMPOSITION: Dict[str, _Field] = {
+    "duration": ("total_duration_s", _checked(float, _BAD_VALUE, math.isfinite,
+                                              "bad [composition] duration {text!r}"), _seconds),
+    "mood": ("mood", str, str),
+    "complexity": ("complexity", _checked(str, "unknown complexity {text!r}",
+                                          COMPLEXITIES.__contains__), str),
+    "seed": ("rng_seed", _checked(int, _BAD_VALUE), str),
+}
+_SECTION: Dict[str, _Field] = {
+    "time_sig": ("time_signature",
+                 _checked(_meter, "bad time signature {text!r}", lambda sig: supported_meter(*sig),
+                          "unsupported time signature {text!r}"), lambda sig: "%d/%d" % sig),
+    "tempo": ("tempo", _checked(int, "bad tempo {text!r}", supported_tempo,
+                                "unsupported tempo {text!r}"), str),
+    "energy": ("energy", _checked(EnergyLabel, "unknown energy {text!r}"), attrgetter("value")),
+    "duration": ("duration_s", _parse_duration, _seconds),
+    "direction": ("direction", _checked(str, "unknown direction {text!r}",
+                                        ("up", "down").__contains__), str),
+    "slope": ("slope", _checked(str, "unknown slope {text!r}",
+                                ("stay", "gradual", "steep").__contains__), str),
+}
+
+
+def _block(header: str, record, table: Dict[str, _Field]) -> str:
+    lines = [f"[{header}]"]
+    lines += [f"{key} = {write(getattr(record, field))}" for key, (field, _, write) in table.items()]
+    return "\n".join(lines)
+
+
+def plan_to_ini(plan: CompositionPlan) -> str:
+    blocks = [_block("composition", plan, _COMPOSITION)]
+    blocks += [_block(f"section{s.section_id}", s, _SECTION) for s in plan.sections]
+    return "\n\n".join(blocks) + "\n"
 
 
 def parse_ini(text: str) -> PlanDocument:
     """Parse a plan document, validating vocabulary and section numbering."""
-    globals_: Dict[str, str] = {}
-    section_rows: Dict[int, Dict[str, object]] = {}
-    section_order: List[int] = []
-    current: Optional[int] = None
+    composition: Dict[str, Any] = {}
+    sections: Dict[int, Dict[str, Any]] = {}
+    header_line: Dict[int, int] = {}
+    # the first header replaces these: iter_ini rejects a key before it
+    fields, table, block = composition, _COMPOSITION, "composition"
 
     for lineno, section, key, value in iter_ini(text):
         if key is None:  # a section header
             if section == "composition":
-                current = None
+                fields, table, block = composition, _COMPOSITION, section
             elif section.startswith("section"):
                 try:
                     sid = int(section[len("section"):])
                 except ValueError:
                     raise PlanParseError(f"bad section header [{section}]", line=lineno)
-                if sid in section_rows:
+                if sid in sections:
                     raise PlanParseError(f"duplicate section id {sid}", line=lineno)
-                section_rows[sid] = {"_line": lineno}
-                section_order.append(sid)
-                current = sid
+                fields = sections[sid] = {}
+                header_line[sid] = lineno
+                table, block = _SECTION, f"section{sid}"
             else:
                 raise PlanParseError(f"unknown block [{section}]", line=lineno)
             continue
 
-        if current is None:
-            if key not in _GLOBAL_KEYS:
-                raise PlanParseError(f"unknown key {key!r} in [composition]", line=lineno)
-            globals_[key] = value
-            continue
+        if key not in table:
+            raise PlanParseError(f"unknown key {key!r} in [{block}]", line=lineno)
+        field, parse, _ = table[key]
+        try:
+            fields[field] = parse(value)
+        except ValueError as exc:
+            raise PlanParseError(str(exc), line=lineno)
 
-        if key not in _SECTION_KEYS:
-            raise PlanParseError(f"unknown key {key!r} in [section{current}]", line=lineno)
-        row = section_rows[current]
-        if key == "time_sig":
-            row[key] = _parse_time_sig(value, lineno)
-        elif key == "tempo":
-            try:
-                tempo = int(value)
-            except ValueError:
-                raise PlanParseError(f"bad tempo {value!r}", line=lineno)
-            if not supported_tempo(tempo):
-                raise PlanParseError(f"unsupported tempo {value!r}", line=lineno)
-            row[key] = tempo
-        elif key == "energy":
-            try:
-                row[key] = EnergyLabel(value)
-            except ValueError:
-                raise PlanParseError(f"unknown energy {value!r}", line=lineno)
-        elif key == "duration":
-            row[key] = _parse_duration(value, lineno)
-        else:  # direction or slope
-            if value not in _WORDS[key]:
-                raise PlanParseError(f"unknown {key} {value!r}", line=lineno)
-            row[key] = value
-
-    for field in _GLOBAL_KEYS:
-        if field not in globals_:
-            raise PlanParseError(f"[composition] is missing {field!r}")
-    try:
-        total = float(globals_["duration"])
-        seed = int(globals_["seed"])
-    except ValueError as exc:
-        raise PlanParseError(f"bad [composition] value: {exc}")
-    if not math.isfinite(total):
-        raise PlanParseError(f"bad [composition] duration {globals_['duration']!r}")
-    if globals_["complexity"] not in COMPLEXITIES:
-        raise PlanParseError(f"unknown complexity {globals_['complexity']!r}")
-
-    if sorted(section_order) != list(range(len(section_order))):
-        raise PlanParseError(
-            f"section ids must run 0..{len(section_order) - 1} with no gaps, "
-            f"got {sorted(section_order)}"
-        )
-    if not section_order:
+    ids = sorted(sections)
+    if ids != list(range(len(ids))):
+        raise PlanParseError(f"section ids must run 0..{len(ids) - 1} with no gaps, got {ids}")
+    if not ids:
         raise PlanParseError("plan has no sections")
-
-    entries = []
-    for sid in sorted(section_rows):
-        row = section_rows[sid]
-        for field in _SECTION_KEYS:
-            if field not in row:
-                raise PlanParseError(
-                    f"[section{sid}] is missing {field!r}", line=row["_line"]
-                )
-        entries.append(
-            SectionEntry(
-                section_id=sid,
-                time_signature=row["time_sig"],
-                tempo=row["tempo"],
-                energy=row["energy"],
-                duration=row["duration"],
-                direction=row["direction"],
-                slope=row["slope"],
-            )
-        )
-    return PlanDocument(
-        total_duration_s=total,
-        mood=globals_["mood"],
-        complexity=globals_["complexity"],
-        rng_seed=seed,
-        entries=tuple(entries),
-    )
+    blocks = [("composition", composition, _COMPOSITION, None)]
+    blocks += [(f"section{sid}", sections[sid], _SECTION, header_line[sid]) for sid in ids]
+    for block, fields, table, line in blocks:
+        for key, (field, _, _) in table.items():
+            if field not in fields:
+                raise PlanParseError(f"[{block}] is missing {key!r}", line=line)
+    entries = tuple(SectionEntry(section_id=sid, **sections[sid]) for sid in ids)
+    return PlanDocument(entries=entries, **composition)
 
 
 def resolve_plan(
@@ -395,8 +365,8 @@ def resolve_plan(
     sections = []
     for entry in doc.entries:
         phrase_s = phrase_seconds(entry.tempo, entry.time_signature, mood.phrase_length_bars)
-        if isinstance(entry.duration, tuple):
-            lo, hi = entry.duration
+        if isinstance(entry.duration_s, tuple):
+            lo, hi = entry.duration_s
             first = max(1, math.ceil((lo - tolerance_s) / phrase_s))
             last = math.floor((hi + tolerance_s) / phrase_s)
             if last < first:
@@ -405,22 +375,11 @@ def resolve_plan(
             phrases = min(range(first, last + 1), key=lambda p: (abs(p * phrase_s - mid), p))
             duration = phrases * phrase_s
         else:
-            duration = entry.duration
+            duration = entry.duration_s
             phrases = _whole_phrases(duration, phrase_s, tolerance_s)
             if phrases is None:
                 raise UnplannableSectionError(entry.section_id, duration)
-        sections.append(
-            SectionSpec(
-                section_id=entry.section_id,
-                time_signature=entry.time_signature,
-                tempo=entry.tempo,
-                energy=entry.energy,
-                duration_s=duration,
-                phrases=phrases,
-                direction=entry.direction,
-                slope=entry.slope,
-            )
-        )
+        sections.append(SectionSpec(**{**vars(entry), "duration_s": duration, "phrases": phrases}))
     total = doc.total_duration_s
     if doc.has_ranges:
         total = sum(s.duration_s for s in sections)

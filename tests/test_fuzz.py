@@ -3,6 +3,7 @@ file may only leave through a VidscoreError, never a bare exception."""
 
 import json
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -101,9 +102,14 @@ CASES = {
 
 
 def mutate(rng, data):
-    """Truncate, flip, splice or insert bytes; returns (description, bytes)."""
-    kind = rng.choice(["truncate", "flip", "splice", "insert"])
+    """Truncate, flip, splice or insert bytes, or widen a run of digits;
+    returns (description, bytes)."""
+    kind = rng.choice(["truncate", "flip", "splice", "insert", "widen"])
     pos = rng.randrange(len(data) + 1)
+    if kind == "widen":  # too big for a float at 400 digits, for int() at 5000
+        start, end = rng.choice([m.span() for m in re.finditer(rb"[0-9]+", data)] or [(pos, pos)])
+        digits = rng.choice([400, 5000])
+        return f"widen {start}:{end} to {digits} digits", data[:start] + b"9" * digits + data[end:]
     if kind == "truncate":
         return f"truncate at {pos}", data[:pos]
     if kind == "flip":

@@ -27,12 +27,12 @@ def test_every_shipped_mood_loads():
 class TestSupportedTempo:
     @pytest.mark.parametrize("bpm, ok", [
         (0, False), (3, False), (4, True), (120, True),
-        (119_999_999, True), (120_000_000, False),
+        (1000, True), (1001, False), (120_000_000, False),
     ])
     def test_bounds(self, bpm, ok):
         assert supported_tempo(bpm) is ok
 
-    @pytest.mark.parametrize("bpm", [4, 119_999_999])
+    @pytest.mark.parametrize("bpm", [4, 1000])
     def test_supported_tempos_fit_the_smf_tempo_field(self, bpm):
         assert 0 < tempo_meta_value(bpm) < 1 << 24
 
@@ -40,7 +40,7 @@ class TestSupportedTempo:
     def test_unsupported_tempos_do_not(self, bpm):
         assert not 0 < tempo_meta_value(bpm) < 1 << 24
 
-    @pytest.mark.parametrize("tempo_range", [[2, 120], [0, 120], [60, 120_000_000]])
+    @pytest.mark.parametrize("tempo_range", [[2, 120], [0, 120], [60, 120_000_000], [60, 1001]])
     def test_mood_tempo_range_outside_is_rejected(self, tmp_path, tempo_range):
         doc = inspire_doc()
         doc["tempo_range"] = tempo_range

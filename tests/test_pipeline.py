@@ -547,6 +547,7 @@ class TestBadContentExitCodes:
         {"per_frame": [{"frame": 0, "count": float("nan")}]},
         {"per_scene": {"0": float("inf"), "1": 1, "2": 1, "3": 1}},
         {"per_frame": [{"frame": float("inf"), "count": 1}]},
+        {"per_scene": {"0": 10 ** 400, "1": 1, "2": 1, "3": 1}},  # too big for a float
     ])
     def test_non_finite_detections_exit_3(self, analyzed, tmp_path, doc):
         _, _, scenes_path = analyzed
@@ -565,6 +566,17 @@ class TestBadContentExitCodes:
         )
         assert cli.main(["compose", "--plan", str(plan), "--output-dir", str(tmp_path)]) == 3
         assert "line 9: unsupported tempo '2'" in capsys.readouterr().err
+        assert not (tmp_path / "soundtrack.mid").exists()
+
+    def test_plan_tempo_over_the_ceiling_exits_3(self, tmp_path, capsys):
+        plan = tmp_path / "plan.ini"
+        plan.write_text(
+            "[composition]\nduration = 12.0\nmood = inspire\ncomplexity = simple\n"
+            "seed = 1\n\n[section0]\ntime_sig = 4/4\ntempo = 100000\nenergy = medium\n"
+            "duration = 12.0\ndirection = up\nslope = stay\n"
+        )
+        assert cli.main(["compose", "--plan", str(plan), "--output-dir", str(tmp_path)]) == 3
+        assert "line 9: unsupported tempo '100000'" in capsys.readouterr().err
         assert not (tmp_path / "soundtrack.mid").exists()
 
     @pytest.mark.parametrize("section, composition", [
@@ -717,6 +729,19 @@ def test_unreadable_files_exit_with_stage_code(valid_inputs, tmp_path, case, kin
     # a case's own --output-dir comes later and wins over this default
     code = cli.main(args[:1] + ["--output-dir", str(tmp_path / "outdir")] + args[1:])
     assert code == codes[BAD_KINDS.index(kind)]
+
+
+@pytest.mark.parametrize("case, code", [
+    ("detections", 3), ("mood file", 6), ("instrument map", 6), ("stem manifest", 6),
+])
+def test_json_integer_too_long_to_convert_exits_with_stage_code(valid_inputs, tmp_path,
+                                                                case, code):
+    """json refuses an integer of more than 4300 digits with a bare ValueError."""
+    argv, bad_name, _ = ERROR_CONTRACT[case]
+    bad = tmp_path / bad_name
+    bad.write_text("[" + "9" * 5000 + "]")
+    args = [arg.format(**valid_inputs, bad=str(bad), case=str(tmp_path)) for arg in argv]
+    assert cli.main(args[:1] + ["--output-dir", str(tmp_path / "outdir")] + args[1:]) == code
 
 
 @pytest.mark.parametrize("stage, patched, artifact", [

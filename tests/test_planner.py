@@ -281,7 +281,7 @@ class TestPlanIni:
             "duration = 8 to 12\ndirection = up\nslope = stay\n"
         )
         doc = parse_ini(text)
-        assert doc.entries[0].duration == (8.0, 12.0)
+        assert doc.entries[0].duration_s == (8.0, 12.0)
         assert doc.has_ranges
 
 
