@@ -7,6 +7,7 @@ renamed over it once complete, so a failed stage leaves no half-written file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from contextlib import contextmanager, suppress
@@ -27,11 +28,21 @@ def read_json(path: str, error: type, what: str, kind: type = dict):
     """Parse a JSON file whose top-level value must be a ``kind``."""
     try:
         doc = json.loads(read_input(path, error, what))
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (RecursionError, ValueError) as exc:
+        # JSONDecodeError, an integer too long to convert, or nesting too deep
         raise error(f"bad {what} {path}: {exc}") from exc
     if not isinstance(doc, kind):
         raise error(f"{what} {path} must hold a JSON {kind.__name__}")
     return doc
+
+
+def artifact_record(path: str) -> dict:
+    """An artifact's path, byte size and sha256, read in 1 MB chunks."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(chunk)
+    return {"path": path, "bytes": os.path.getsize(path), "sha256": sha.hexdigest()}
 
 
 @contextmanager

@@ -7,10 +7,11 @@ Each active stem restarts from its first sample at every scene boundary, so
 a downbeat always lands on the transition, and is truncated at the scene end.
 The summed mix is peak-normalized to -1 dBFS.
 
-The mix is built in one int32 buffer: each stem is added in place, one loop
-period at a time. It is then normalized block by block, and each block's
-int16 result is written into the front of that same buffer, so the only
-track-sized allocation is the int32 mix.
+The mix is never held whole. ``mix_stems`` records the frames over which each
+stem loops and sums the track block by block, in one reused int32 buffer, to
+find the peak. ``write_wav`` then sums each block again, normalizes it into
+a reused int16 buffer and writes it, so memory is the stems (an int16 and an
+int32 copy of each) plus a few block buffers, whatever the track length.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 import os
 import wave
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from operator import itemgetter
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .files import publish, read_json
 from .scenes import Scene
 
 PEAK_CEILING = 10 ** (-1.0 / 20.0)  # -1 dBFS as a fraction of full scale
-_NORMALIZE_BLOCK = 1 << 16  # frames scaled per step of the normalization
+_BLOCK = 1 << 16  # frames summed and normalized per step of the mix
 
 
 @dataclass(frozen=True)
@@ -70,49 +72,89 @@ def _check_compatible(stems: Sequence[Stem]) -> None:
         )
 
 
+Run = Tuple[int, int, np.ndarray]  # a stem looped from frame start up to frame end
+
+
+class Mix:
+    """A normalized int16 track of ``shape`` (frames, channels), produced one
+    block at a time by ``blocks``; ``size`` is frames x channels."""
+
+    def __init__(self, frames: int, channels: int, runs: List[Run]):
+        self.shape = (frames, channels)
+        self.size = frames * channels
+        self._runs = sorted(runs, key=itemgetter(0))
+        peak = 0
+        for block in self._sums():
+            peak = max(peak, int(block.max()), -int(block.min()))
+        self._gain = PEAK_CEILING * 32767.0 / peak if peak else 0.0
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def _sums(self) -> Iterator[np.ndarray]:
+        """Yield the int32 sum of each block of ``_BLOCK`` frames. Every block
+        is the same reused buffer, valid until the next one is yielded."""
+        frames, channels = self.shape
+        buf = np.empty((min(_BLOCK, frames), channels), dtype=np.int32)
+        pending = iter(self._runs)
+        upcoming = next(pending, None)
+        active: List[Run] = []
+        for first in range(0, frames, _BLOCK):
+            last = min(first + _BLOCK, frames)
+            while upcoming is not None and upcoming[0] < last:
+                active.append(upcoming)
+                upcoming = next(pending, None)
+            block = buf[:last - first]
+            block.fill(0)
+            for start, end, samples in active:
+                lo, hi = max(start, first), min(end, last)
+                period = len(samples)
+                # each loop period overlapping [lo, hi), from the one holding lo
+                for pos in range(lo - (lo - start) % period, hi, period):
+                    a, b = max(pos, lo), min(pos + period, hi)
+                    block[a - first:b - first] += samples[a - pos:b - pos]
+            active = [run for run in active if run[1] > last]
+            yield block
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Yield the normalized track as ``<i2`` blocks of ``_BLOCK`` frames
+        (the last may be shorter). Every block is the same reused buffer,
+        valid until the next one is yielded."""
+        frames, channels = self.shape
+        scaled = np.empty((min(_BLOCK, frames), channels), dtype=np.float64)
+        out = np.empty(scaled.shape, dtype="<i2")
+        for block in self._sums():
+            buf, res = scaled[:len(block)], out[:len(block)]
+            np.multiply(block, self._gain, out=buf)
+            # clipping first gives the same values as rounding first: the
+            # bounds are whole numbers
+            np.clip(buf, -32768, 32767, out=buf)
+            np.rint(buf, out=res, casting="unsafe")
+            yield res
+
+
 def mix_stems(
     schedule: LayerSchedule, scenes: Sequence[Scene], stems: Sequence[Stem]
-) -> np.ndarray:
+) -> Mix:
     """Mix the scheduled stems into one int16 track covering the video."""
     if len(schedule) != len(scenes):
         raise EmptyInputError("schedule does not cover every scene")
     _check_compatible(stems)
     by_label: Dict[str, Stem] = {stem.label: stem for stem in stems}
     rate = stems[0].sample_rate
-    channels = stems[0].channels
+    wide: Dict[str, np.ndarray] = {}  # each scheduled stem, widened to int32 once
 
-    total_samples = round(scenes[-1].end_s * rate)
-    mix = np.zeros((total_samples, channels), dtype=np.int32)
-
+    runs: List[Run] = []
     for scene, active in zip(scenes, schedule):
         start = round(scene.start_s * rate)
         end = round(scene.end_s * rate)
+        if end <= start:
+            continue
         for label in active:
-            samples = by_label[label].samples
-            # loop from sample 0, truncate at the boundary
-            for pos in range(start, end, len(samples)):
-                n = min(len(samples), end - pos)
-                mix[pos:pos + n] += samples[:n]
-
-    # The int16 track is the front of the int32 buffer. A block ending at row
-    # e writes its int16 output up to byte 2*e*channels, before the next
-    # block's int32 input starts at byte 4*e*channels, so no block overwrites
-    # input that is still to be read.
-    out = mix.reshape(-1).view(np.int16)[:mix.size].reshape(mix.shape)
-    peak = max(int(mix.max()), -int(mix.min())) if total_samples else 0
-    if peak > 0:
-        target = PEAK_CEILING * 32767.0
-        gain = target / peak
-        scaled = np.empty((min(_NORMALIZE_BLOCK, total_samples), channels), dtype=np.float64)
-        for first in range(0, total_samples, _NORMALIZE_BLOCK):
-            block = mix[first:first + _NORMALIZE_BLOCK]
-            buf = scaled[:len(block)]
-            np.multiply(block, gain, out=buf)
-            np.rint(buf, out=buf)
-            np.clip(buf, -32768, 32767, out=buf)
-            out[first:first + len(block)] = buf
-    # a silent mix is all zeros, which reads as zeros through the view too
-    return out
+            if label not in wide:
+                wide[label] = by_label[label].samples.astype(np.int32)
+            runs.append((start, end, wide[label]))  # looped from sample 0, cut at end
+    return Mix(round(scenes[-1].end_s * rate), stems[0].channels, runs)
 
 
 # -- WAV and manifest plumbing ---------------------------------------------------
@@ -137,16 +179,23 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
     return samples, rate
 
 
-def write_wav(path: str, samples: np.ndarray, sample_rate: int) -> None:
-    """Write 16-bit PCM; a C-contiguous ``<i2`` array is written uncopied."""
-    samples = np.ascontiguousarray(samples, dtype="<i2")
-    if samples.ndim == 1:
-        samples = samples[:, np.newaxis]
+def write_wav(path: str, samples: Union[Mix, np.ndarray], sample_rate: int) -> None:
+    """Write 16-bit PCM, block by block from a ``Mix``, or in one piece from an
+    int16 array (a C-contiguous ``<i2`` array is written uncopied). A failure
+    between blocks leaves ``path`` as it was."""
+    if isinstance(samples, Mix):
+        blocks = samples.blocks()
+    else:
+        samples = np.ascontiguousarray(samples, dtype="<i2")
+        if samples.ndim == 1:
+            samples = samples[:, np.newaxis]
+        blocks = [samples]
     with publish(path, binary=True) as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(samples.shape[1])
         wav.setsampwidth(2)
         wav.setframerate(sample_rate)
-        wav.writeframes(samples)
+        for block in blocks:
+            wav.writeframesraw(block.reshape(-1))  # flat, so an empty block casts too
 
 
 def load_stem_manifest(path: str) -> List[Stem]:

@@ -30,7 +30,7 @@ from .energy import (
 )
 from .errors import (ConfigError, ExternalToolError, MalformedSourceError, PlanParseError,
                      UnplannableSectionError)
-from .files import publish, read_input, staged
+from .files import artifact_record, publish, read_input, staged
 from .frames import fps_fraction, open_frame_source, stream_stats
 from .ini import iter_ini
 from .loops import build_layer_schedule, load_stem_manifest, mix_stems, write_wav
@@ -319,12 +319,14 @@ def cmd_run(config: PipelineConfig) -> dict:
     def timed(name, inputs, fn):
         started = time.perf_counter()
         result = fn()
+        ms = round((time.perf_counter() - started) * 1000.0, 3)
+        outputs = [result] if isinstance(result, str) else list(result)
         stages.append(
             {
                 "name": name,
                 "inputs": inputs,
-                "outputs": [result] if isinstance(result, str) else list(result),
-                "ms": round((time.perf_counter() - started) * 1000.0, 3),
+                "outputs": [artifact_record(path) for path in outputs],
+                "ms": ms,
             }
         )
         return result

@@ -40,6 +40,9 @@ from .scenes import Scene
 
 DEFAULT_TOLERANCE_S = 0.010
 DEFAULT_SEED = 0xC0FFEE
+# bars a plan.ini section may span: 5.5 hours at 120 BPM in 4/4, where the
+# longest benchmark section spans 132
+MAX_SECTION_BARS = 10_000
 
 # reserved stream id for the shared-tempo draw; section streams use their id
 _TEMPO_STREAM = 1 << 32
@@ -104,7 +107,8 @@ def fit_tolerance(frame_period_s: Optional[float] = None) -> float:
 def enumerate_fits(
     duration_s: float, mood: MoodConfig, tolerance_s: float = DEFAULT_TOLERANCE_S
 ) -> List[Fit]:
-    """Every (tempo, signature, phrases) whose duration hits the target."""
+    """Every (tempo, signature, phrases) whose duration hits the target
+    within the bar budget, so that every plan written can be composed."""
     if duration_s <= 0:
         return []
     fits: List[Fit] = []
@@ -113,7 +117,7 @@ def enumerate_fits(
         for signature in sorted(mood.time_signatures):
             phrase_s = phrase_seconds(tempo, signature, mood.phrase_length_bars)
             phrases = _whole_phrases(duration_s, phrase_s, tolerance_s)
-            if phrases is not None:
+            if phrases is not None and phrases * mood.phrase_length_bars <= MAX_SECTION_BARS:
                 fits.append(Fit(tempo, signature, phrases))
     return fits
 
@@ -347,7 +351,20 @@ def parse_ini(text: str) -> PlanDocument:
             if field not in fields:
                 raise PlanParseError(f"[{block}] is missing {key!r}", line=line)
     entries = tuple(SectionEntry(section_id=sid, **sections[sid]) for sid in ids)
+    for entry in entries:
+        bars = _bars(entry)
+        if bars > MAX_SECTION_BARS:
+            raise PlanParseError(
+                f"section {entry.section_id} spans {bars} bars, over the budget of "
+                f"{MAX_SECTION_BARS}", line=header_line[entry.section_id])
     return PlanDocument(entries=entries, **composition)
+
+
+def _bars(entry: SectionEntry) -> int:
+    """Whole bars in a section's duration, or in a range's upper end. Within
+    the fit tolerance of an exact duration, this is its phrases x phrase bars."""
+    duration = entry.duration_s[1] if isinstance(entry.duration_s, tuple) else entry.duration_s
+    return round(duration / phrase_seconds(entry.tempo, entry.time_signature, 1))
 
 
 def resolve_plan(
@@ -372,7 +389,12 @@ def resolve_plan(
             if last < first:
                 raise UnplannableSectionError(entry.section_id, (lo + hi) / 2.0)
             mid = (lo + hi) / 2.0
-            phrases = min(range(first, last + 1), key=lambda p: (abs(p * phrase_s - mid), p))
+            # |p * phrase_s - mid| falls, then rises, as p grows, so the
+            # nearest count is next to mid / phrase_s (one further each way
+            # covers rounding), or the range end nearest to it
+            near = math.floor(mid / phrase_s)
+            phrases = min({min(max(p, first), last) for p in range(near - 1, near + 3)},
+                          key=lambda p: (abs(p * phrase_s - mid), p))
             duration = phrases * phrase_s
         else:
             duration = entry.duration_s

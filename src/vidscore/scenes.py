@@ -220,7 +220,7 @@ def scenes_from_json(text: str) -> Tuple[List[Scene], Tuple[int, int], int]:
                     closes_with=raw["closes_with"],
                 )
             )
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise MalformedSourceError(f"bad scene list document: {exc}") from exc
     _check_tiling(scenes, total)
     return scenes, (num, den), total

@@ -77,8 +77,20 @@ def rgb_to_hsv(pixel):
     return (h6 * (HUE_SCALE / 6.0), s, v)
 
 
+def mixed_track(mix):
+    """The whole int16 track of a ``mix_stems`` result, gathered from its
+    blocks (each is copied out: the mix reuses one buffer for all of them)."""
+    track = np.empty(mix.shape, dtype=np.int16)
+    first = 0
+    for block in mix.blocks():
+        track[first:first + len(block)] = block
+        first += len(block)
+    assert first == len(mix)
+    return track
+
+
 def naive_mix_stems(schedule, scenes, stems):
-    """Oracle for the in-place mixer: tile each stem over its scene, sum the
+    """Oracle for the block mixer: tile each stem over its scene, sum the
     whole track in int32 and normalize it in one float64 pass."""
     by_label = {stem.label: stem for stem in stems}
     rate = stems[0].sample_rate

@@ -48,6 +48,7 @@ from conftest import (
     VideoBuilder,
     doc_duration_s,
     doc_tempos,
+    mixed_track,
     random_valid_plan,
 )
 from test_midi import document_notes, score_notes
@@ -268,10 +269,11 @@ def test_loop_schedule_and_mix(tmp_path):
     ]
     scenes = scene_run([1.25, 0.5, 2.0])
     schedule = build_layer_schedule(scenes, stems)
-    track = mix_stems(schedule, scenes, stems)
+    mix = mix_stems(schedule, scenes, stems)
+    track = mixed_track(mix)
     assert len(track) == round(3.75 * rate)  # video seconds x sample rate
     assert int(np.abs(track.astype(np.int32)).max()) == ceiling
-    write_wav(str(tmp_path / "looped.wav"), track, rate)
+    write_wav(str(tmp_path / "looped.wav"), mix, rate)
 
 
 @criterion(7, "analyze->plan->compose on a 60 s fixture under the time bound")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -7,7 +8,8 @@ import pytest
 
 from vidscore.errors import ConfigError, EmptyInputError, StemMismatchError
 from vidscore.loops import (
-    _NORMALIZE_BLOCK as BLOCK,
+    _BLOCK as BLOCK,
+    Mix,
     Stem,
     build_layer_schedule,
     load_stem_manifest,
@@ -17,7 +19,7 @@ from vidscore.loops import (
 )
 from vidscore.scenes import Scene
 
-from conftest import naive_mix_stems
+from conftest import mixed_track, naive_mix_stems
 
 
 def make_scene(sid, start_s, end_s, fps=30):
@@ -112,7 +114,7 @@ class TestMixStems:
         ramp = np.arange(1, 1001, dtype=np.int16).reshape(-1, 1)
         stem = make_stem("loop", 1, samples=ramp, rate=rate)
         scenes = [make_scene(0, 0.0, 2000 / rate)]  # exactly 2x the stem
-        out = mix_stems([["loop"]], scenes, [stem])
+        out = mixed_track(mix_stems([["loop"]], scenes, [stem]))
         assert len(out) == 2000
         assert np.array_equal(out[:1000], out[1000:])
         assert out.max() == PEAK_TARGET
@@ -125,7 +127,7 @@ class TestMixStems:
             make_stem("b", 2, samples=loud, rate=rate),
         ]
         scenes = [make_scene(0, 0.0, 1.0)]
-        out = mix_stems([["a", "b"]], scenes, stems)
+        out = mixed_track(mix_stems([["a", "b"]], scenes, stems))
         assert int(np.abs(out.astype(np.int32)).max()) == PEAK_TARGET
 
     def test_scene_shorter_than_stem_truncates(self):
@@ -133,7 +135,7 @@ class TestMixStems:
         ramp = np.arange(1, rate + 1, dtype=np.int16).reshape(-1, 1)
         stem = make_stem("loop", 1, samples=ramp, rate=rate)
         scenes = [make_scene(0, 0.0, 0.25)]
-        out = mix_stems([["loop"]], scenes, [stem])
+        out = mixed_track(mix_stems([["loop"]], scenes, [stem]))
         assert len(out) == rate // 4
 
     def test_output_length_covers_video(self):
@@ -141,7 +143,7 @@ class TestMixStems:
         stems = stems_n(3, rate=rate)
         scenes = scene_run([1.5, 2.25, 0.7])
         schedule = build_layer_schedule(scenes, stems)
-        out = mix_stems(schedule, scenes, stems)
+        out = mixed_track(mix_stems(schedule, scenes, stems))
         assert len(out) == round((1.5 + 2.25 + 0.7) * rate)
         assert out.shape[1] == 1
 
@@ -150,7 +152,7 @@ class TestMixStems:
         ramp = np.arange(1, rate + 1, dtype=np.int16).reshape(-1, 1)
         stem = make_stem("loop", 1, samples=ramp, rate=rate)
         scenes = scene_run([0.5, 0.5])
-        out = mix_stems([["loop"], ["loop"]], scenes, [stem])
+        out = mixed_track(mix_stems([["loop"], ["loop"]], scenes, [stem]))
         # both scenes open with the stem's first samples: identical halves
         assert np.array_equal(out[: rate // 2], out[rate // 2 :])
 
@@ -159,7 +161,7 @@ class TestMixStems:
         stereo = np.tile(np.array([[100, -100]], dtype=np.int16), (rate, 1))
         stem = make_stem("wide", 1, samples=stereo, rate=rate, channels=2)
         scenes = [make_scene(0, 0.0, 1.0)]
-        out = mix_stems([["wide"]], scenes, [stem])
+        out = mixed_track(mix_stems([["wide"]], scenes, [stem]))
         assert out.shape == (rate, 2)
 
     def test_incompatible_stems(self):
@@ -171,7 +173,7 @@ class TestMixStems:
         rate = 8000
         quiet = np.zeros((rate, 1), dtype=np.int16)
         stem = make_stem("hush", 1, samples=quiet, rate=rate)
-        out = mix_stems([["hush"]], [make_scene(0, 0.0, 1.0)], [stem])
+        out = mixed_track(mix_stems([["hush"]], [make_scene(0, 0.0, 1.0)], [stem]))
         assert int(np.abs(out.astype(np.int32)).max()) == 0
 
 
@@ -219,7 +221,9 @@ def spike_case(sign, channels):
 class TestMixMatchesOracle:
     def assert_matches(self, schedule, scenes, stems):
         want = naive_mix_stems(schedule, scenes, stems)
-        got = mix_stems(schedule, scenes, stems)
+        mix = mix_stems(schedule, scenes, stems)
+        got = mixed_track(mix)
+        assert mix.shape == want.shape and mix.size == want.size
         assert got.dtype == np.int16 and got.shape == want.shape
         assert np.array_equal(got, want)
         return got
@@ -279,6 +283,102 @@ def test_mix_and_write_memory_stays_near_one_int32_track(tmp_path):
     samples = 60 * rate * 2
     assert peak <= 8 * samples + 8 * 2**20
     assert read_wav(path)[0].shape == (60 * rate, 2)
+
+
+def ramp_stems(rate=48000):
+    """The eight stereo stems of the memory tests, 1 to 3 s long."""
+    gen = np.random.default_rng(3)
+    return [make_stem(f"s{i}", i, rate=rate, channels=2,
+                      samples=gen.integers(-4000, 4000, (rate * (1 + i % 3), 2),
+                                           dtype=np.int16))
+            for i in range(1, 9)]
+
+
+def test_mix_and_write_memory_does_not_grow_with_the_track(tmp_path):
+    """240 s and 30 s of 48 kHz stereo from the same 8 stems trace the same
+    peak within 1 MB: the stems' int32 copies and the block buffers."""
+    rate = 48000
+    stems = ramp_stems(rate)
+
+    def traced_peak(seconds):
+        scenes = scene_run([seconds / 8] * 8)
+        schedule = build_layer_schedule(scenes, stems)
+        path = str(tmp_path / f"mix{seconds}.wav")
+        tracemalloc.start()
+        try:
+            write_wav(path, mix_stems(schedule, scenes, stems), rate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read_wav(path)[0].shape == (seconds * rate, 2)
+        return peak
+
+    long_peak, short_peak = traced_peak(240), traced_peak(30)
+    assert abs(long_peak - short_peak) < 2**20, (long_peak, short_peak)
+
+
+def block_edge_case(frames, channels):
+    """A short stem, a stem longer than a block, and one that, from the
+    second scene's start half a block in, spans three blocks."""
+    rate = 8000
+    gen = np.random.default_rng(frames * channels)
+    lengths = {"short": 1000, "long": BLOCK + 5000, "span": 2 * BLOCK + 10}
+    stems = [make_stem(label, rank, rate=rate,
+                       samples=gen.integers(-9000, 9000, (length, channels), dtype=np.int16))
+             for rank, (label, length) in enumerate(lengths.items(), 1)]
+    cut = BLOCK // 2
+    assert (cut + lengths["span"]) // BLOCK == 2  # on a track long enough
+    scenes = [make_scene(0, 0.0, cut / rate), make_scene(1, cut / rate, frames / rate)]
+    return [["short", "long"], ["short", "long", "span"]], scenes, stems
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("frames", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_block_edges_match_the_oracle(tmp_path, frames, channels):
+    schedule, scenes, stems = block_edge_case(frames, channels)
+    want = naive_mix_stems(schedule, scenes, stems)
+    mix = mix_stems(schedule, scenes, stems)
+    assert mix.shape == want.shape == (frames, channels) and len(mix) == frames
+    assert np.array_equal(mixed_track(mix), want)
+    # the blocks make the same file as the whole track written in one piece
+    write_wav(str(tmp_path / "blocks.wav"), mix, 8000)
+    write_wav(str(tmp_path / "whole.wav"), want, 8000)
+    assert (tmp_path / "blocks.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
+
+
+@pytest.mark.parametrize("channels, sha256", [
+    (1, "4f8734c5e13ac599e168cf247a51c1dd0758537ce00bf16d7fed1a3d14d07041"),
+    (2, "ab502e0759361ed10546c1d7f4cdd606f89f51d2c9a4d5e093c9cc7d6ceb0684"),
+])
+def test_zero_frame_track_writes_an_empty_wav(tmp_path, channels, sha256):
+    stem = make_stem("a", 1, channels=channels,
+                     samples=np.arange(1, 101, dtype=np.int16).reshape(-1, 1).repeat(channels, 1))
+    mix = mix_stems([["a"]], [make_scene(0, 0.0, 0.0)], [stem])
+    assert mix.shape == (0, channels) and mix.size == 0
+    assert mixed_track(mix).shape == naive_mix_stems([["a"]], [make_scene(0, 0.0, 0.0)],
+                                                     [stem]).shape
+    path = tmp_path / "empty.wav"
+    write_wav(str(path), mix, 8000)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256  # a 44-byte header
+
+
+def test_failure_between_blocks_keeps_the_previous_wav(tmp_path, monkeypatch):
+    schedule, scenes, stems = block_edge_case(3 * BLOCK + 7, 2)
+    path = tmp_path / "soundtrack.wav"
+    write_wav(str(path), mix_stems(schedule, scenes, stems), 8000)
+    before = path.read_bytes()
+    whole_blocks = Mix.blocks
+
+    def failing_blocks(self):
+        blocks = whole_blocks(self)
+        yield next(blocks)
+        raise StemMismatchError("failed after the first block")
+
+    monkeypatch.setattr(Mix, "blocks", failing_blocks)
+    with pytest.raises(StemMismatchError, match="after the first block"):
+        write_wav(str(path), mix_stems([["short"], ["span"]], scenes, stems), 8000)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["soundtrack.wav"]
 
 
 class TestWavAndManifest:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import re
@@ -302,6 +303,19 @@ class TestRun:
         assert written["config_hash"] == config.config_hash()
         assert os.path.getsize(manifest["final_output"]) > 0
 
+    def test_manifest_digests_match_the_outputs(self, quad_video, tmp_path):
+        _, source = quad_video
+        config = PipelineConfig(source=source, output_dir=str(tmp_path), rng_seed=3)
+        manifest = cmd_run(config)
+        outputs = [out for stage in manifest["stages"] for out in stage["outputs"]]
+        assert [out["path"] for out in outputs] == [
+            str(tmp_path / name) for name in ("scenes.json", "plan.ini", "soundtrack.mid")]
+        for out in outputs:
+            data = open(out["path"], "rb").read()
+            assert out["bytes"] == len(data) > 0
+            assert out["sha256"] == hashlib.sha256(data).hexdigest()
+        assert json.load(open(tmp_path / "run_manifest.json")) == manifest
+
     def test_rerun_identical_soundtrack(self, quad_video, tmp_path):
         _, source = quad_video
         config = PipelineConfig(source=source, output_dir=str(tmp_path), rng_seed=3)
@@ -357,6 +371,9 @@ class TestRun:
         assert [s["name"] for s in manifest["stages"]] == ["analyze", "mix-loops"]
         assert manifest["final_output"].endswith(".wav")
         assert os.path.getsize(manifest["final_output"]) > 0
+        [wav] = manifest["stages"][1]["outputs"]
+        assert wav["path"] == manifest["final_output"]
+        assert wav["sha256"] == hashlib.sha256(open(wav["path"], "rb").read()).hexdigest()
 
     def test_config_hash_stable_across_reserialization(self, tmp_path):
         config = PipelineConfig(source="x.rgb24", output_dir=str(tmp_path))
@@ -740,6 +757,20 @@ def test_json_integer_too_long_to_convert_exits_with_stage_code(valid_inputs, tm
     argv, bad_name, _ = ERROR_CONTRACT[case]
     bad = tmp_path / bad_name
     bad.write_text("[" + "9" * 5000 + "]")
+    args = [arg.format(**valid_inputs, bad=str(bad), case=str(tmp_path)) for arg in argv]
+    assert cli.main(args[:1] + ["--output-dir", str(tmp_path / "outdir")] + args[1:]) == code
+
+
+@pytest.mark.parametrize("case, code", [
+    ("plan --scenes", 2), ("detections", 3), ("mood file", 6), ("instrument map", 6),
+    ("stem manifest", 6),
+])
+def test_deeply_nested_json_exits_with_stage_code(valid_inputs, tmp_path, case, code):
+    """json gives up on nesting deeper than the interpreter's recursion limit
+    with a RecursionError."""
+    argv, bad_name, _ = ERROR_CONTRACT[case]
+    bad = tmp_path / bad_name
+    bad.write_text("[" * 200000)
     args = [arg.format(**valid_inputs, bad=str(bad), case=str(tmp_path)) for arg in argv]
     assert cli.main(args[:1] + ["--output-dir", str(tmp_path / "outdir")] + args[1:]) == code
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,6 +17,8 @@ from vidscore.errors import (
 )
 from vidscore.moods import list_moods, load_mood
 from vidscore.planner import (
+    DEFAULT_TOLERANCE_S,
+    MAX_SECTION_BARS,
     PLANNER_MODES,
     Fit,
     enumerate_fits,
@@ -84,6 +87,16 @@ class TestEnumerateFits:
     def test_zero_duration(self):
         mood = make_mood((90, 90), [(4, 4)])
         assert enumerate_fits(0.0, mood) == []
+
+    def test_fits_stay_within_the_bar_budget(self):
+        # inspire at 30000 s: 4/4 at 88 BPM is 11000 bars, at 72 BPM 9000,
+        # so the plan stage never writes a section that parse_ini refuses
+        mood = load_mood("inspire")
+        fits = enumerate_fits(30000.0, mood)
+        every = brute_force_fits(30000.0, mood, 0.010)
+        assert fits == [Fit(*fit) for fit in every
+                        if fit[2] * mood.phrase_length_bars <= MAX_SECTION_BARS]
+        assert 0 < len(fits) < len(every)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(500)
@@ -339,3 +352,54 @@ class TestResolvePlan:
         )
         with pytest.raises(PlanParseError, match="section total"):
             resolve_plan(parse_ini(text))
+
+    def section(self, duration, tempo=120, signature="4/4"):
+        total = duration if isinstance(duration, float) else 8.0  # ranges set their own
+        return self.header().replace("duration = 8.0", f"duration = {total}") + (
+            f"[section0]\ntime_sig = {signature}\ntempo = {tempo}\nenergy = medium\n"
+            f"duration = {duration}\ndirection = up\nslope = stay\n"
+        )
+
+    def test_range_matches_a_scan_of_every_phrase_count(self):
+        """Oracle: the nearest count found by scanning the whole range, ties
+        to the lower count, on small ranges of random width and alignment."""
+        rng = random.Random(12)
+        mood = load_mood("inspire")
+        for _ in range(400):
+            tempo = rng.randint(*mood.tempo_range)
+            signature = rng.choice(sorted(mood.time_signatures))
+            phrase_s = phrase_seconds(tempo, signature, mood.phrase_length_bars)
+            lo = rng.choice([rng.uniform(0.01, 6.0), rng.randint(1, 6) * phrase_s])
+            hi = lo + rng.choice([rng.uniform(0.0, 5.0), rng.randint(0, 5) * phrase_s / 2])
+            doc = parse_ini(self.section(f"{lo!r} to {hi!r}", tempo, "%d/%d" % signature))
+            first = max(1, math.ceil((lo - DEFAULT_TOLERANCE_S) / phrase_s))
+            last = math.floor((hi + DEFAULT_TOLERANCE_S) / phrase_s)
+            if last < first:
+                with pytest.raises(UnplannableSectionError):
+                    resolve_plan(doc, mood)
+                continue
+            mid = (lo + hi) / 2.0
+            want = min(range(first, last + 1), key=lambda p: (abs(p * phrase_s - mid), p))
+            assert resolve_plan(doc, mood).sections[0].phrases == want, (lo, hi, tempo)
+
+    def test_widest_range_the_budget_allows(self):
+        # 2 s bars, 8 s phrases: 20000 s is the budget, and the midpoint
+        # 10000.5 s is nearest to 1250 phrases
+        section = resolve_plan(parse_ini(self.section("1 to 20000"))).sections[0]
+        assert section.phrases == 1250 and section.duration_s == 10000.0
+
+    def test_section_at_the_bar_budget_is_kept(self):
+        doc = parse_ini(self.section(2.0 * MAX_SECTION_BARS))
+        assert resolve_plan(doc).sections[0].phrases == MAX_SECTION_BARS // 4
+
+    @pytest.mark.parametrize("duration, tempo, signature", [
+        (2.0 * MAX_SECTION_BARS + 8.0, 120, "4/4"),  # one phrase over
+        ("1 to 1e7", 120, "4/4"),
+        (f"1 to {2.0 * MAX_SECTION_BARS + 2.0}", 120, "4/4"),  # a range's upper end counts
+        (1500.0, 1000, "2/8"),  # 0.06 s bars
+    ])
+    def test_section_over_the_bar_budget_exits_3(self, duration, tempo, signature):
+        with pytest.raises(PlanParseError, match=r"^line 6: section 0 spans \d+ bars, "
+                                                 r"over the budget of 10000$") as err:
+            parse_ini(self.section(duration, tempo, signature))
+        assert err.value.exit_code == 3
