@@ -79,12 +79,8 @@ class Score:
 
     @property
     def layer_labels(self) -> List[str]:
-        labels: List[str] = []
-        for section in self.sections:
-            for label in section.events:
-                if label not in labels:
-                    labels.append(label)
-        return labels
+        """Every layer's label, in order of first appearance."""
+        return list(dict.fromkeys(label for section in self.sections for label in section.events))
 
 
 # -- seed melody ----------------------------------------------------------------
@@ -193,10 +189,8 @@ def _nearest_index(members: Sequence[int], pitch: int) -> int:
 def _pc_in_register(pc: int, register: Tuple[int, int]) -> int:
     lo, hi = register
     center = (lo + hi) // 2
-    candidates = [p for p in range(lo, hi + 1) if p % 12 == pc]
-    if not candidates:
-        return center
-    return min(candidates, key=lambda p: (abs(p - center), p))
+    candidates = range(lo + (pc - lo) % 12, hi + 1, 12)  # pc in each octave
+    return min(candidates, key=lambda p: (abs(p - center), p), default=center)
 
 
 class _SectionContext:
@@ -272,9 +266,7 @@ def _chordal_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
             spans = [(base, ctx.bar)]
         elif layer.rhythm_density == "medium":
             half = (ctx.beats_per_bar // 2) * ctx.beat
-            spans = [(base, half or ctx.bar)]
-            if half and half < ctx.bar:
-                spans.append((base + half, ctx.bar - half))
+            spans = [(base, half), (base + half, ctx.bar - half)]
         else:
             spans = [(base + b * ctx.beat, ctx.beat) for b in range(ctx.beats_per_bar)]
         for start, dur in spans:
@@ -333,9 +325,7 @@ def _percussion_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
     half = ctx.beat // 2
     for bar in range(ctx.bars):
         base = bar * ctx.bar
-        hits: List[Tuple[int, int]] = [(0, KICK)]
-        if ctx.beats_per_bar >= 2:
-            hits.append(((ctx.beats_per_bar // 2) * ctx.beat, SNARE))
+        hits = [(0, KICK), ((ctx.beats_per_bar // 2) * ctx.beat, SNARE)]
         if layer.rhythm_density in ("medium", "dense"):
             mid_kick = (ctx.beats_per_bar // 2 + 1) * ctx.beat
             if ctx.beats_per_bar >= 4:
@@ -347,12 +337,7 @@ def _percussion_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
                 hits.append((b * ctx.beat + half, CLOSED_HAT))
             hits.append((ctx.bar - half, OPEN_HAT))
         for offset, pitch in sorted(set(hits)):
-            if offset >= ctx.bar:
-                continue
-            events.append(
-                NoteEvent(base + offset, min(half or ctx.beat, ctx.bar - offset),
-                          pitch, velocity)
-            )
+            events.append(NoteEvent(base + offset, min(half, ctx.bar - offset), pitch, velocity))
     return events
 
 
@@ -368,25 +353,26 @@ _GENERATORS = {
 
 
 def _gate_to_active_bars(
-    events: List[NoteEvent], position: int, counts: List[int], bar: int, length: int
+    events: List[NoteEvent], position: int, counts: List[int], bar: int
 ) -> List[NoteEvent]:
     """Keep events whose bar has this layer active; clip notes that would
-    ring into the layer's first inactive bar."""
+    ring into the layer's first inactive bar or past the section."""
     bars = len(counts)
-    limit_after = [length] * bars
+    limit = bars * bar
+    limit_after = [limit] * bars  # where a note starting in bar b must end
     for b in range(bars - 1, -1, -1):
         if position >= counts[b]:
-            limit_after[b] = b * bar
-        elif b + 1 < bars:
-            limit_after[b] = limit_after[b + 1]
+            limit = b * bar
+        limit_after[b] = limit
     out = []
     for ev in events:
         b = ev.start_tick // bar
-        if b >= bars or position >= counts[b]:
+        if position >= counts[b]:
             continue
-        end = min(ev.start_tick + ev.duration_ticks, limit_after[b], length)
-        if end > ev.start_tick:
-            out.append(replace(ev, duration_ticks=end - ev.start_tick))
+        duration = min(ev.start_tick + ev.duration_ticks, limit_after[b]) - ev.start_tick
+        if duration > 0:
+            out.append(ev if duration == ev.duration_ticks
+                       else replace(ev, duration_ticks=duration))
     return out
 
 
@@ -399,7 +385,9 @@ def compose_section(
     seed: int,
 ) -> SectionScore:
     """Render one section; a pure function of its arguments. With ``cadence``
-    the final bar's chord is the tonic."""
+    the final bar's chord is the tonic. The section's meter must be one that
+    ``moods.supported_meter`` accepts: at least two beats to the bar, on a
+    beat of a half, quarter or eighth note."""
     section_rng = SeededRng(seed, section.section_id * _STREAM_SPAN)
     progression = section_rng.choice(mood.progressions[complexity])
 
@@ -416,7 +404,7 @@ def compose_section(
         # drawn for every layer: the melody's notes come after these in its stream
         phrase_draws = [rng.randrange(3) for _ in range(section.phrases)]
         raw = _GENERATORS.get(layer.label, _chordal_events)(ctx, layer, rng, phrase_draws)
-        events[layer.label] = _gate_to_active_bars(raw, position, counts, ctx.bar, ctx.length)
+        events[layer.label] = _gate_to_active_bars(raw, position, counts, ctx.bar)
     return SectionScore(section.section_id, 0, ctx.length, events)
 
 

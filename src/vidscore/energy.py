@@ -75,8 +75,8 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
     elif "per_frame" in doc:
         if not isinstance(doc["per_frame"], list):
             raise MalformedDetectionsError("'per_frame' must be a list of records")
-        sums = {scene.id: 0.0 for scene in scenes}
-        hits = {scene.id: 0 for scene in scenes}
+        sums = [0.0] * len(scenes)  # by scene position, which bisect gives
+        hits = [0] * len(scenes)
         starts = [scene.start_frame for scene in scenes]  # the scenes tile the video
         for record in doc["per_frame"]:
             try:
@@ -88,15 +88,14 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
             index = bisect_right(starts, frame) - 1
             if index < 0 or frame >= scenes[-1].end_frame:
                 raise MalformedDetectionsError(f"frame {frame} outside the video")
-            scene = scenes[index]
-            sums[scene.id] += count
-            hits[scene.id] += 1
-        for scene_id in sums:
-            if hits[scene_id]:
-                mean = sums[scene_id] / hits[scene_id]
+            sums[index] += count
+            hits[index] += 1
+        for scene, total, n in zip(scenes, sums, hits):
+            if n:
+                mean = total / n
                 if not math.isfinite(mean):
-                    raise MalformedDetectionsError(f"counts for scene {scene_id} overflow")
-                counts[scene_id] = float(int(mean + 0.5))  # round half-up
+                    raise MalformedDetectionsError(f"counts for scene {scene.id} overflow")
+                counts[scene.id] = float(int(mean + 0.5))  # round half-up
     else:
         raise MalformedDetectionsError("detections need 'per_scene' or 'per_frame'")
 

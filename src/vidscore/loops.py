@@ -30,6 +30,9 @@ from .scenes import Scene
 
 PEAK_CEILING = 10 ** (-1.0 / 20.0)  # -1 dBFS as a fraction of full scale
 _BLOCK = 1 << 16  # frames summed and normalized per step of the mix
+# the WAV header holds the byte rate, the data size and the RIFF size (36 bytes
+# of header plus the data) each in an unsigned 32-bit field
+_WAV_FIELD_MAX = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,10 @@ def mix_stems(
         raise EmptyInputError("schedule does not cover every scene")
     _check_compatible(stems)
     by_label: Dict[str, Stem] = {stem.label: stem for stem in stems}
-    rate = stems[0].sample_rate
+    rate, channels = stems[0].sample_rate, stems[0].channels
+    frames = round(scenes[-1].end_s * rate)
+    if 36 + frames * channels * 2 > _WAV_FIELD_MAX:
+        raise StemMismatchError(f"a {frames}-frame track passes the 4 GiB a WAV holds")
     wide: Dict[str, np.ndarray] = {}  # each scheduled stem, widened to int32 once
 
     runs: List[Run] = []
@@ -154,7 +160,7 @@ def mix_stems(
             if label not in wide:
                 wide[label] = by_label[label].samples.astype(np.int32)
             runs.append((start, end, wide[label]))  # looped from sample 0, cut at end
-    return Mix(round(scenes[-1].end_s * rate), stems[0].channels, runs)
+    return Mix(frames, channels, runs)
 
 
 # -- WAV and manifest plumbing ---------------------------------------------------
@@ -171,6 +177,8 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
     except (OSError, wave.Error, EOFError, RuntimeError) as exc:
         # wave raises a bare RuntimeError for a chunk that runs past the end
         raise StemMismatchError(f"{path}: cannot read a PCM WAV file: {exc}") from exc
+    if rate < 1 or rate * channels * 2 > _WAV_FIELD_MAX:
+        raise StemMismatchError(f"{path}: {rate} Hz with {channels} channels does not fit a WAV")
     if len(raw) % (2 * channels):
         raise StemMismatchError(f"{path}: data ends in a partial frame")
     samples = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)

@@ -40,20 +40,13 @@ class InstrumentMap:
     """Maps layer labels to GM1 programs; percussion routes to channel 9."""
 
     def __init__(self, mapping: Dict[str, Union[int, str]]):
-        self.mapping: Dict[str, Union[int, str]] = {}
+        # a JSON integer, as in mood files: no float, bool or string of digits
         for label, value in mapping.items():
-            if value == "percussion":
-                self.mapping[label] = "percussion"
-            else:
-                try:
-                    program = int(value)
-                except (OverflowError, TypeError, ValueError) as exc:
-                    raise InvalidEventError(
-                        f"program {value!r} for {label!r} is not an integer"
-                    ) from exc
-                if not (0 <= program <= 127):
-                    raise InvalidEventError(f"program {program} for {label!r} out of range")
-                self.mapping[label] = program
+            if value != "percussion" and not (type(value) is int and 0 <= value <= 127):
+                raise InvalidEventError(
+                    f"program {value!r} for {label!r} is not an integer in 0..127"
+                )
+        self.mapping: Dict[str, Union[int, str]] = dict(mapping)
 
     @classmethod
     def from_file(cls, path: str) -> "InstrumentMap":
@@ -71,7 +64,7 @@ class InstrumentMap:
     def program(self, label: str) -> int:
         self._require(label)
         value = self.mapping[label]
-        return 0 if value == "percussion" else int(value)
+        return 0 if value == "percussion" else value
 
     def _require(self, label: str) -> None:
         if label not in self.mapping:
@@ -91,60 +84,60 @@ def _vlq(value: int) -> bytes:
     return bytes(reversed(out))
 
 
-def _meta(delta: int, kind: int, payload: bytes) -> bytes:
-    return _vlq(delta) + bytes([0xFF, kind]) + _vlq(len(payload)) + payload
+def _meta(kind: int, payload: bytes) -> bytes:
+    return bytes([0xFF, kind]) + _vlq(len(payload)) + payload
 
 
 def tempo_meta_value(bpm: int) -> int:
     return round(60_000_000 / bpm)
 
 
-def _track_chunk(body: bytes) -> bytes:
+# the 15 channels melodic layers take in order of first appearance
+_MELODIC_CHANNELS = [channel for channel in range(16) if channel != PERCUSSION_CHANNEL]
+_END_OF_TRACK = _meta(_META_END_OF_TRACK, b"")
+
+
+def _track_chunk(messages: List[Tuple[int, bytes]], total: int) -> bytes:
+    """An MTrk chunk of (tick, message) pairs in tick order, each behind its
+    delta time, closed by an end-of-track at ``total`` or at the last message
+    if that is later."""
+    body = bytearray()
+    cursor = 0
+    for tick, message in messages:
+        body += _vlq(tick - cursor)
+        body += message
+        cursor = tick
+    body += _vlq(max(total - cursor, 0))
+    body += _END_OF_TRACK
     return b"MTrk" + len(body).to_bytes(4, "big") + body
 
 
 def write_smf(score: Score, imap: InstrumentMap) -> bytes:
     """Serialize a Score to SMF type 1 bytes."""
     labels = score.layer_labels
-    channels: Dict[str, int] = {}
-    next_channel = 0
-    for label in labels:
-        if imap.is_percussion(label):
-            channels[label] = PERCUSSION_CHANNEL
-        else:
-            if next_channel == PERCUSSION_CHANNEL:
-                next_channel += 1
-            if next_channel > 15:
-                raise InvalidEventError("more melodic layers than MIDI channels")
-            channels[label] = next_channel
-            next_channel += 1
-
+    melodic = [label for label in labels if not imap.is_percussion(label)]
+    if len(melodic) > len(_MELODIC_CHANNELS):
+        raise InvalidEventError("more melodic layers than MIDI channels")
+    channels = dict.fromkeys(labels, PERCUSSION_CHANNEL)
+    channels.update(zip(melodic, _MELODIC_CHANNELS))
     total = score.total_ticks
 
     # track 0: tempo and meter at each section start
-    metas: List[Tuple[int, int, bytes]] = []  # (tick, kind, payload)
-    for tick, bpm in score.tempo_map:
-        metas.append((tick, _META_TEMPO, tempo_meta_value(bpm).to_bytes(3, "big")))
-    for tick, (n, d) in score.time_signature_map:
-        metas.append((tick, _META_TIME_SIG, bytes([n, {2: 1, 4: 2, 8: 3}[d], 24, 8])))
-    metas.sort(key=lambda m: (m[0], m[1]))
-    body = bytearray()
-    cursor = 0
-    for tick, kind, payload in metas:
-        body += _meta(tick - cursor, kind, payload)
-        cursor = tick
-    body += _meta(total - cursor, _META_END_OF_TRACK, b"")
-    chunks = [_track_chunk(bytes(body))]
+    metas = [(tick, _meta(_META_TEMPO, tempo_meta_value(bpm).to_bytes(3, "big")))
+             for tick, bpm in score.tempo_map]
+    metas += [(tick, _meta(_META_TIME_SIG, bytes([n, {2: 1, 4: 2, 8: 3}[d], 24, 8])))
+              for tick, (n, d) in score.time_signature_map]
+    metas.sort(key=lambda m: m[0])  # stable, so a tempo stays ahead of a meter at its tick
+    chunks = [_track_chunk(metas, total)]
 
     for label in labels:
         channel = channels[label]
-        body = bytearray()
-        body += _meta(0, _META_TRACK_NAME, label.encode("utf-8"))
+        head = [(0, _meta(_META_TRACK_NAME, label.encode("utf-8")))]
         if channel != PERCUSSION_CHANNEL:
-            body += _vlq(0) + bytes([0xC0 | channel, imap.program(label)])
+            head.append((0, bytes([0xC0 | channel, imap.program(label)])))
 
-        # (tick, off_first, pitch, velocity); offs sort before ons at a tick
-        moments: List[Tuple[int, int, int, int]] = []
+        # (tick, message); a note-off's status sorts before a note-on's
+        notes: List[Tuple[int, bytes]] = []
         for section in score.sections:
             for ev in section.events.get(label, ()):
                 start = section.start_tick + ev.start_tick
@@ -154,16 +147,10 @@ def write_smf(score: Score, imap: InstrumentMap) -> bytes:
                     raise InvalidEventError(f"velocity {ev.velocity} out of range")
                 if ev.duration_ticks < 1:
                     raise InvalidEventError(f"non-positive duration at {start}")
-                moments.append((start, 1, ev.pitch, ev.velocity))
-                moments.append((start + ev.duration_ticks, 0, ev.pitch, 0))
-        moments.sort()
-        cursor = 0
-        for tick, is_on, pitch, velocity in moments:
-            status = (0x90 if is_on else 0x80) | channel
-            body += _vlq(tick - cursor) + bytes([status, pitch, velocity])
-            cursor = tick
-        body += _meta(max(total - cursor, 0), _META_END_OF_TRACK, b"")
-        chunks.append(_track_chunk(bytes(body)))
+                notes.append((start, bytes([0x90 | channel, ev.pitch, ev.velocity])))
+                notes.append((start + ev.duration_ticks, bytes([0x80 | channel, ev.pitch, 0])))
+        notes.sort()
+        chunks.append(_track_chunk(head + notes, total))
 
     header = (
         b"MThd"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
@@ -48,7 +49,7 @@ class Scale:
     def root_pc(self) -> int:
         return _NOTE_PC[self.root]
 
-    @property
+    @cached_property
     def pitch_classes(self) -> Tuple[int, ...]:
         """Pitch classes of the seven scale degrees, in degree order."""
         return tuple((self.root_pc + step) % 12 for step in _MODE_STEPS[self.mode])

@@ -96,6 +96,10 @@ class PipelineConfig:
             raise ConfigError(f"cannot create output directory {self.output_dir}: {exc}") from exc
         return os.path.join(self.output_dir, name)
 
+    def mood_file(self) -> Optional[str]:
+        """The absolute path of the mood file, or None for a shipped preset."""
+        return os.path.abspath(self.mood) if self.mood.endswith(".json") else None
+
     def config_hash(self) -> str:
         canonical = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -181,7 +185,7 @@ def stage_plan(
     scenes, fps, _total = scenes_from_json(text)
     # plan.ini records what compose hands to load_mood, so a mood file is
     # kept by its absolute path, not by the name inside it
-    mood_ref = os.path.abspath(config.mood) if config.mood.endswith(".json") else config.mood
+    mood_ref = config.mood_file() or config.mood
     mood = load_mood(mood_ref)
 
     if config.detections:
@@ -318,18 +322,27 @@ def cmd_run(config: PipelineConfig) -> dict:
 
     def timed(name, inputs, fn):
         started = time.perf_counter()
-        result = fn()
+        path = fn()
         ms = round((time.perf_counter() - started) * 1000.0, 3)
-        outputs = [result] if isinstance(result, str) else list(result)
         stages.append(
             {
                 "name": name,
                 "inputs": inputs,
-                "outputs": [artifact_record(path) for path in outputs],
+                "outputs": [artifact_record(path)],
                 "ms": ms,
             }
         )
-        return result
+        return path
+
+    # a run that fails part way must not leave the last run's manifest
+    # describing files it has since replaced
+    manifest_path = os.path.join(config.output_dir, "run_manifest.json")
+    try:
+        os.remove(manifest_path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise ConfigError(f"cannot remove {manifest_path}: {exc}") from exc
 
     scenes_path = timed("analyze", [config.source], lambda: stage_analyze(config)[0])
 
@@ -342,12 +355,12 @@ def cmd_run(config: PipelineConfig) -> dict:
     else:
         plan_path = timed(
             "plan",
-            [scenes_path] + ([config.detections] if config.detections else []),
+            [p for p in (scenes_path, config.detections, config.mood_file()) if p],
             lambda: stage_plan(config, scenes_path),
         )
         midi_path = timed(
             "compose",
-            [plan_path] + ([config.melody] if config.melody else []),
+            [p for p in (plan_path, config.melody, config.instruments) if p],
             lambda: stage_compose(config, plan_path),
         )
         final_path = midi_path
@@ -372,7 +385,7 @@ def cmd_run(config: PipelineConfig) -> dict:
         "stages": stages,
         "final_output": final_path,
     }
-    with publish(config.out_path("run_manifest.json")) as fh:
+    with publish(manifest_path) as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return manifest

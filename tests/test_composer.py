@@ -5,6 +5,7 @@ import pytest
 from vidscore.composer import (
     PPQN,
     SIXTEENTH_TICKS,
+    _pc_in_register,
     active_layer_count,
     compose_plan,
     compose_section,
@@ -185,6 +186,37 @@ class TestComposeSection:
                 bar = ev.start_tick // bar_ticks
                 count = active_layer_count(spec, mood, bar)
                 assert position < count
+
+
+def test_pc_in_register_matches_a_scan_of_the_register():
+    for lo in range(128):
+        for hi in range(lo, 128):
+            center = (lo + hi) // 2
+            for pc in range(12):
+                candidates = [p for p in range(lo, hi + 1) if p % 12 == pc]
+                expected = (min(candidates, key=lambda p: (abs(p - center), p))
+                            if candidates else center)
+                assert _pc_in_register(pc, (lo, hi)) == expected, (pc, lo, hi)
+
+
+def test_no_note_sounds_in_a_bar_its_layer_is_off():
+    rng = random.Random(2024)
+    for _ in range(30):
+        plan = random_valid_plan(rng)
+        mood = load_mood(plan.mood)
+        score = compose_plan(plan, mood)
+        ranked = [layer.label for layer in mood.layers_by_rank()]
+        for spec, placed in zip(plan.sections, score.sections):
+            n, d = spec.time_signature
+            bar = n * PPQN * 4 // d
+            bars = spec.phrases * mood.phrase_length_bars
+            active = [active_layer_count(spec, mood, b) for b in range(bars)]
+            for position, label in enumerate(ranked):
+                for ev in placed.events[label]:
+                    end = ev.start_tick + ev.duration_ticks
+                    assert ev.start_tick < end <= bars * bar
+                    for b in range(ev.start_tick // bar, (end - 1) // bar + 1):
+                        assert position < active[b], (label, ev, b)
 
 
 class TestAssembleScore:

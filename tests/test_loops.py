@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vidscore import cli, loops
 from vidscore.errors import ConfigError, EmptyInputError, StemMismatchError
 from vidscore.loops import (
     _BLOCK as BLOCK,
@@ -17,7 +18,7 @@ from vidscore.loops import (
     read_wav,
     write_wav,
 )
-from vidscore.scenes import Scene
+from vidscore.scenes import Scene, scenes_to_json
 
 from conftest import mixed_track, naive_mix_stems
 
@@ -460,3 +461,45 @@ class TestWavAndManifest:
         ])
         with pytest.raises(StemMismatchError):
             load_stem_manifest(manifest)
+
+
+class TestRatesAWavCannotHold:
+    """A stem rate, or a track length, that the output WAV's 32-bit header
+    fields cannot hold exits 4 before anything is mixed or written."""
+
+    def mix_loops(self, tmp_path, rate, channels, video_s):
+        write_wav(str(tmp_path / "stem.wav"), np.ones((100, channels), dtype=np.int16), 48000)
+        data = bytearray((tmp_path / "stem.wav").read_bytes())
+        assert data[12:16] == b"fmt "
+        data[24:28] = rate.to_bytes(4, "little")  # the fmt chunk's sample rate
+        (tmp_path / "stem.wav").write_bytes(bytes(data))
+        (tmp_path / "stems.json").write_text(
+            json.dumps([{"label": "a", "path": "stem.wav", "activation_rank": 1}]))
+        scenes = tmp_path / "scenes.json"
+        scenes.write_text(scenes_to_json([make_scene(0, 0.0, video_s)], (30, 1), video_s * 30))
+        out = tmp_path / "out"
+        code = cli.main(["mix-loops", "--scenes", str(scenes), "--stems",
+                         str(tmp_path / "stems.json"), "--output-dir", str(out)])
+        assert not (out / "soundtrack.wav").exists()
+        assert not (out / "soundtrack.wav.tmp").exists()
+        return code
+
+    @pytest.mark.parametrize("rate, channels", [(0, 1), (0, 2), (2**31, 1), (2**30, 2)])
+    def test_stem_rate_exits_4(self, tmp_path, capsys, rate, channels):
+        assert self.mix_loops(tmp_path, rate, channels, 60) == 4
+        assert "does not fit a WAV" in capsys.readouterr().err
+
+    def test_track_past_4_gib_exits_4(self, tmp_path, capsys):
+        # 13 h of 48 kHz stereo is about 9 GB of samples
+        assert self.mix_loops(tmp_path, 48000, 2, 13 * 3600) == 4
+        assert "4 GiB" in capsys.readouterr().err
+
+    def test_largest_track_a_wav_holds_passes_the_check(self, monkeypatch):
+        # at 1 Hz mono a frame is two bytes, and the RIFF size is 36 bytes
+        # of header plus the data
+        most = (0xFFFFFFFF - 36) // 2
+        monkeypatch.setattr(loops, "Mix", lambda frames, channels, runs: frames)
+        stems = [make_stem("a", 1, rate=1)]
+        assert mix_stems([["a"]], [make_scene(0, 0.0, float(most))], stems) == most
+        with pytest.raises(StemMismatchError, match="4 GiB"):
+            mix_stems([["a"]], [make_scene(0, 0.0, float(most + 1))], stems)

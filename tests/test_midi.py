@@ -142,6 +142,56 @@ class TestWriteSmf:
         assert len(melodic) == len(set(melodic))
 
 
+def first_come_channels(labels, percussion):
+    """The channel each label gets: 9 for percussion, else the next free one
+    of 0-15 that is not 9, in order of first appearance."""
+    channels, next_channel = {}, 0
+    for label in labels:
+        if label in percussion:
+            channels[label] = 9
+            continue
+        if next_channel == 9:
+            next_channel += 1
+        if next_channel > 15:
+            raise InvalidEventError("more melodic layers than MIDI channels")
+        channels[label] = next_channel
+        next_channel += 1
+    return channels
+
+
+@pytest.mark.parametrize("melodic", range(18))
+def test_channel_map_matches_first_come_order(melodic):
+    for position in range(melodic + 1):
+        labels = [f"m{i}" for i in range(melodic)]
+        labels.insert(position, "drums")
+        imap = InstrumentMap({label: 0 for label in labels} | {"drums": "percussion"})
+        events = {label: [NoteEvent(0, 480, 60, 80)] for label in labels}
+        score = Score(sections=(SectionScore(0, 0, 960, events),), tempo_map=((0, 120),),
+                      time_signature_map=((0, (4, 4)),), mood="inspire", rng_seed=0)
+        if melodic > 15:
+            with pytest.raises(InvalidEventError):
+                first_come_channels(labels, {"drums"})
+            with pytest.raises(InvalidEventError, match="more melodic layers"):
+                write_smf(score, imap)
+            continue
+        doc = read_smf(write_smf(score, imap))
+        written = {track_name(track): doc.track_notes(track)[0].channel
+                   for track in doc.tracks[1:]}
+        assert written == first_come_channels(labels, {"drums"})
+
+
+def test_every_track_ends_at_its_last_message_when_that_is_past_the_score():
+    events = {"bass": [NoteEvent(0, 1440, 40, 80)]}  # rings 480 ticks past the end
+    score = Score(sections=(SectionScore(0, 0, 960, events),),
+                  tempo_map=((0, 120), (1920, 90)),  # a tempo change past the end
+                  time_signature_map=((0, (4, 4)),), mood="inspire", rng_seed=0)
+    doc = read_smf(write_smf(score, InstrumentMap.default()))
+    meta, bass = doc.tracks
+    assert [(ev.tick, ev.kind) for ev in meta.events] == [
+        (0, "tempo"), (0, "time_signature"), (1920, "tempo"), (1920, "end_of_track")]
+    assert bass.events[-1].kind == "end_of_track" and bass.end_tick == 1440
+
+
 class TestRoundTrip:
     def test_read_write_reproduces_notes(self):
         rng = random.Random(77)
@@ -267,6 +317,9 @@ class TestInstrumentMap:
         ('"solo"', ConfigError),
         ('{"solo": "x"}', InvalidEventError),
         ('{"solo": null}', InvalidEventError),
+        ('{"solo": 33.9}', InvalidEventError),
+        ('{"solo": true}', InvalidEventError),
+        ('{"solo": "12"}', InvalidEventError),
     ])
     def test_bad_map_file(self, tmp_path, text, error):
         path = tmp_path / "imap.json"

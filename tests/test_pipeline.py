@@ -316,6 +316,32 @@ class TestRun:
             assert out["sha256"] == hashlib.sha256(data).hexdigest()
         assert json.load(open(tmp_path / "run_manifest.json")) == manifest
 
+    def test_failed_rerun_leaves_no_manifest_of_the_old_files(self, quad_video, tmp_path):
+        _, source = quad_video
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--source", source, "--output-dir", out]) == 0
+        old_scenes = (tmp_path / "out" / "scenes.json").read_bytes()
+        detections = tmp_path / "det.json"
+        detections.write_text(json.dumps({"per_scene": {"0": -1}}))
+        # one merged scene rewrites scenes.json, then plan fails on the count
+        assert cli.main(["run", "--source", source, "--merge-tolerance", "1000",
+                         "--detections", str(detections), "--output-dir", out]) == 3
+        assert (tmp_path / "out" / "scenes.json").read_bytes() != old_scenes
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+    def test_manifest_inputs_name_the_mood_file_and_instrument_map(self, quad_video, tmp_path):
+        _, source = quad_video
+        mood = tmp_path / "custom.json"
+        mood.write_text(json.dumps(inspire_with(tempo_range=[128, 128],
+                                                time_signatures=[[4, 4]])))
+        imap = tmp_path / "imap.json"
+        imap.write_text((Path(SRC) / "vidscore/data/instruments.json").read_text())
+        config = PipelineConfig(source=source, mood=str(mood), instruments=str(imap),
+                                output_dir=str(tmp_path))
+        inputs = {stage["name"]: stage["inputs"] for stage in cmd_run(config)["stages"]}
+        assert inputs["plan"] == [str(tmp_path / "scenes.json"), str(mood)]
+        assert inputs["compose"] == [str(tmp_path / "plan.ini"), str(imap)]
+
     def test_rerun_identical_soundtrack(self, quad_video, tmp_path):
         _, source = quad_video
         config = PipelineConfig(source=source, output_dir=str(tmp_path), rng_seed=3)
