@@ -116,11 +116,8 @@ def load_seed_melody(document) -> Motif:
             prev_start, prev_pitch, prev_dur = mono[-1]
             if start == prev_start or pitch <= prev_pitch:
                 continue  # lower (or stacked) note loses
-            clipped = start - prev_start
-            if clipped > 0:
-                mono[-1] = (prev_start, prev_pitch, clipped)
-            else:
-                mono.pop()
+            # sorted by start, and an equal start was skipped: the clip is positive
+            mono[-1] = (prev_start, prev_pitch, start - prev_start)
         mono.append((start, pitch, duration))
 
     cap = 2 * 4 * 4 * PPQN  # two phrases of four 4/4 bars
@@ -311,7 +308,7 @@ def _melody_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
                 tick += duration
         else:
             index = _nearest_index(members, (layer.register[0] + layer.register[1]) // 2)
-            step = ctx.beat if layer.rhythm_density != "dense" else ctx.beat // 2
+            step = _grid_steps(layer.rhythm_density, ctx.beat) or ctx.beat
             for _, tick, duration in _grid(start, start + phrase_ticks, step):
                 events.append(NoteEvent(tick, duration, members[index], velocity))
                 index += rng.choice([-2, -1, -1, 0, 1, 1, 2])

@@ -23,7 +23,7 @@ from .errors import (
     IncompleteDetectionsError,
     MalformedDetectionsError,
 )
-from .files import read_json
+from .files import NUMBER, read_json
 from .scenes import Scene
 
 
@@ -48,6 +48,13 @@ class DirectionSlope:
 SceneCounts = Dict[int, float]
 
 
+def _count(value) -> float:
+    """A detection count: a JSON number that is finite and not negative."""
+    if type(value) in NUMBER and 0 <= value < math.inf:
+        return float(value)  # OverflowError past the largest float
+    raise ValueError(f"bad count {value!r}")
+
+
 def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
     """Read a detections file and return one count per scene.
 
@@ -56,22 +63,19 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
     attributed to scenes via the scene list, averaged, and rounded half-up.
     """
     doc = read_json(path, MalformedDetectionsError, "detections")
-    scene_ids = {scene.id for scene in scenes}
+    ids = {str(scene.id): scene.id for scene in scenes}
     counts: SceneCounts = {}
 
     if "per_scene" in doc:
         if not isinstance(doc["per_scene"], dict):
             raise MalformedDetectionsError("'per_scene' must map scene ids to counts")
         for key, value in doc["per_scene"].items():
+            if key not in ids:  # a JSON key is a string: a scene id's decimal form
+                raise MalformedDetectionsError(f"unknown scene id {key!r}")
             try:
-                scene_id, count = int(key), float(value)
-            except (OverflowError, TypeError, ValueError) as exc:
-                raise MalformedDetectionsError(f"bad per_scene entry {key!r}") from exc
-            if scene_id not in scene_ids:
-                raise MalformedDetectionsError(f"unknown scene id {scene_id}")
-            if not math.isfinite(count) or count < 0:
-                raise MalformedDetectionsError(f"bad count {value!r} for scene {scene_id}")
-            counts[scene_id] = count
+                counts[ids[key]] = _count(value)
+            except (OverflowError, ValueError) as exc:
+                raise MalformedDetectionsError(f"bad per_scene entry {key!r}: {exc}") from exc
     elif "per_frame" in doc:
         if not isinstance(doc["per_frame"], list):
             raise MalformedDetectionsError("'per_frame' must be a list of records")
@@ -80,14 +84,12 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
         starts = [scene.start_frame for scene in scenes]  # the scenes tile the video
         for record in doc["per_frame"]:
             try:
-                frame, count = int(record["frame"]), float(record["count"])
+                frame, count = record["frame"], _count(record["count"])
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise MalformedDetectionsError(f"bad per_frame record {record!r}") from exc
-            if not math.isfinite(count) or count < 0:
-                raise MalformedDetectionsError(f"bad count {record['count']!r} at frame {frame}")
+                raise MalformedDetectionsError(f"bad per_frame record {record!r}: {exc}") from exc
+            if type(frame) is not int or not starts[0] <= frame < scenes[-1].end_frame:
+                raise MalformedDetectionsError(f"frame {frame!r} outside the video, or no integer")
             index = bisect_right(starts, frame) - 1
-            if index < 0 or frame >= scenes[-1].end_frame:
-                raise MalformedDetectionsError(f"frame {frame} outside the video")
             sums[index] += count
             hits[index] += 1
         for scene, total, n in zip(scenes, sums, hits):
@@ -99,7 +101,7 @@ def load_detections(path: str, scenes: List[Scene]) -> SceneCounts:
     else:
         raise MalformedDetectionsError("detections need 'per_scene' or 'per_frame'")
 
-    missing = sorted(scene_ids - set(counts))
+    missing = sorted(set(ids.values()) - set(counts))
     if missing:
         raise IncompleteDetectionsError(f"no counts for scene ids {missing}")
     return counts

@@ -11,8 +11,11 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager, suppress
+from typing import Optional, Tuple
 
 from .errors import ConfigError
+
+NUMBER = (int, float)  # the kinds of a JSON number: a bool is neither
 
 
 def read_input(path: str, error: type, what: str, binary: bool = False):
@@ -34,6 +37,20 @@ def read_json(path: str, error: type, what: str, kind: type = dict):
     if not isinstance(doc, kind):
         raise error(f"{what} {path} must hold a JSON {kind.__name__}")
     return doc
+
+
+def typed(value, kind: type, length: Optional[int] = None):
+    """``value`` if its type is exactly ``kind`` (so a JSON float or bool is
+    no int) and, when ``length`` is given, it has that many items. The error
+    quotes at most 80 characters of a value, which may be a whole document."""
+    if type(value) is not kind or (length is not None and len(value) != length):
+        size = "" if length is None else f" of {length}"
+        raise TypeError(f"expected a {kind.__name__}{size}, got {value!r:.80}")
+    return value
+
+
+def ints(value, length: Optional[int] = None) -> Tuple[int, ...]:
+    return tuple(typed(item, int) for item in typed(value, list, length))
 
 
 def artifact_record(path: str) -> dict:

@@ -130,6 +130,9 @@ def _open_image_dir(path: str, fps: tuple[int, int]) -> FrameSource:
     if not entries:
         raise SourceNotFoundError(f"no numbered .ppm frames in {path}")
     entries.sort()
+    for (number, name), (following, other) in zip(entries, entries[1:]):
+        if number == following:
+            raise MalformedSourceError(f"{name} and {other} both hold frame {number}")
 
     width, height, first = _read_ppm(os.path.join(path, entries[0][1]))
     spec = FrameSpec(width=width, height=height, fps_num=fps[0], fps_den=fps[1])

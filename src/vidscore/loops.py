@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, StemMismatchError
-from .files import publish, read_json
+from .files import publish, read_json, typed
 from .scenes import Scene
 
 PEAK_CEILING = 10 ** (-1.0 / 20.0)  # -1 dBFS as a fraction of full scale
@@ -90,9 +90,6 @@ class Mix:
         for block in self._sums():
             peak = max(peak, int(block.max()), -int(block.min()))
         self._gain = PEAK_CEILING * 32767.0 / peak if peak else 0.0
-
-    def __len__(self) -> int:
-        return self.shape[0]
 
     def _sums(self) -> Iterator[np.ndarray]:
         """Yield the int32 sum of each block of ``_BLOCK`` frames. Every block
@@ -214,16 +211,16 @@ def load_stem_manifest(path: str) -> List[Stem]:
     stems = []
     try:
         for entry in entries:
-            stem_path = entry["path"]
+            stem_path = typed(entry["path"], str)
             if not os.path.isabs(stem_path):
                 stem_path = os.path.join(base, stem_path)
             samples, rate = read_wav(stem_path)
             stems.append(
                 Stem(
-                    label=entry["label"],
+                    label=typed(entry["label"], str),
                     samples=samples,
                     sample_rate=rate,
-                    activation_rank=int(entry["activation_rank"]),
+                    activation_rank=typed(entry["activation_rank"], int),
                 )
             )
         labels = [stem.label for stem in stems]

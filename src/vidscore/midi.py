@@ -25,7 +25,7 @@ from .errors import (
     MissingInstrumentError,
     UnsupportedFormatError,
 )
-from .files import read_json
+from .files import read_json, typed
 
 PERCUSSION_CHANNEL = 9
 
@@ -40,12 +40,12 @@ class InstrumentMap:
     """Maps layer labels to GM1 programs; percussion routes to channel 9."""
 
     def __init__(self, mapping: Dict[str, Union[int, str]]):
-        # a JSON integer, as in mood files: no float, bool or string of digits
         for label, value in mapping.items():
-            if value != "percussion" and not (type(value) is int and 0 <= value <= 127):
-                raise InvalidEventError(
-                    f"program {value!r} for {label!r} is not an integer in 0..127"
-                )
+            try:
+                if value != "percussion" and not 0 <= typed(value, int) <= 127:
+                    raise ValueError(f"{value} is outside 0..127")
+            except (TypeError, ValueError) as exc:
+                raise InvalidEventError(f"bad program for {label!r}: {exc}") from exc
         self.mapping: Dict[str, Union[int, str]] = dict(mapping)
 
     @classmethod

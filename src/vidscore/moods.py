@@ -11,11 +11,11 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .energy import EnergyLabel
 from .errors import ConfigError
-from .files import read_json
+from .files import ints, read_json, typed
 
 COMPLEXITIES = ("simple", "semi-complex", "complex")
 DENSITIES = ("sparse", "medium", "dense")
@@ -145,43 +145,30 @@ def _validate(mood: MoodConfig) -> MoodConfig:
     return mood
 
 
-def _typed(value, kind: type, length: Optional[int] = None):
-    """``value`` if its type is exactly ``kind`` (so a JSON float or bool is
-    no int) and, when ``length`` is given, it has that many items."""
-    if type(value) is not kind or (length is not None and len(value) != length):
-        size = "" if length is None else f" of {length}"
-        raise TypeError(f"expected a {kind.__name__}{size}, got {value!r}")
-    return value
-
-
-def _ints(value, length: Optional[int] = None) -> Tuple[int, ...]:
-    return tuple(_typed(item, int) for item in _typed(value, list, length))
-
-
 def _from_dict(doc: dict) -> MoodConfig:
     try:
         mood = MoodConfig(
-            name=_typed(doc["name"], str),
-            tempo_range=_ints(doc["tempo_range"], 2),
+            name=typed(doc["name"], str),
+            tempo_range=ints(doc["tempo_range"], 2),
             time_signatures=tuple(
-                _ints(sig, 2) for sig in _typed(doc["time_signatures"], list)
+                ints(sig, 2) for sig in typed(doc["time_signatures"], list)
             ),
-            phrase_length_bars=_typed(doc.get("phrase_length_bars", 4), int),
-            layers_per_energy={k: _ints(v, 2) for k, v in doc["layers_per_energy"].items()},
-            scale=Scale(root=_typed(doc["scale"]["root"], str),
-                        mode=_typed(doc["scale"]["mode"], str)),
+            phrase_length_bars=typed(doc.get("phrase_length_bars", 4), int),
+            layers_per_energy={k: ints(v, 2) for k, v in doc["layers_per_energy"].items()},
+            scale=Scale(root=typed(doc["scale"]["root"], str),
+                        mode=typed(doc["scale"]["mode"], str)),
             progressions={
-                k: [list(_ints(p)) for p in _typed(v, list)]
+                k: [list(ints(p)) for p in typed(v, list)]
                 for k, v in doc["progressions"].items()
             },
             instrument_layers=tuple(
                 LayerDef(
-                    label=_typed(layer["label"], str),
-                    activation_rank=_typed(layer["activation_rank"], int),
-                    register=_ints(layer["register"], 2),
-                    rhythm_density=_typed(layer["rhythm_density"], str),
+                    label=typed(layer["label"], str),
+                    activation_rank=typed(layer["activation_rank"], int),
+                    register=ints(layer["register"], 2),
+                    rhythm_density=typed(layer["rhythm_density"], str),
                 )
-                for layer in _typed(doc["instrument_layers"], list)
+                for layer in typed(doc["instrument_layers"], list)
             ),
         )
     except (AttributeError, KeyError, TypeError) as exc:

@@ -318,6 +318,8 @@ def stage_mix_loops(
 
 def cmd_run(config: PipelineConfig) -> dict:
     """Chain the stages and write the run manifest; returns the manifest."""
+    if config.loop_mode and not config.stems:  # refuse before analyze writes scenes.json
+        raise ConfigError("no stem manifest configured for loop mode")
     stages: List[dict] = []
 
     def timed(name, inputs, fn):

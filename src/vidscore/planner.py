@@ -97,10 +97,8 @@ def _whole_phrases(target_s: float, phrase_s: float, tolerance_s: float) -> Opti
     return None
 
 
-def fit_tolerance(frame_period_s: Optional[float] = None) -> float:
+def fit_tolerance(frame_period_s: float) -> float:
     """Half a frame period, capped at 10 ms."""
-    if frame_period_s is None:
-        return DEFAULT_TOLERANCE_S
     return min(DEFAULT_TOLERANCE_S, frame_period_s / 2.0)
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, asdict
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import ConfigError, EmptyVideoError, MalformedSourceError
+from .files import ints, typed
 
 OPENS = ("start-of-video", "cut", "fade-in")
 CLOSES = ("end-of-video", "cut", "fade-out")
@@ -48,10 +49,6 @@ class FrameSpec:
     @property
     def frame_bytes(self) -> int:
         return 3 * self.width * self.height
-
-    @property
-    def frame_period_s(self) -> float:
-        return self.fps_den / self.fps_num
 
     def timestamp(self, index: int) -> float:
         return index * self.fps_den / self.fps_num
@@ -198,20 +195,20 @@ def scenes_from_json(text: str) -> Tuple[List[Scene], Tuple[int, int], int]:
     """
     try:
         doc = json.loads(text)
-        num, den = (int(x) for x in doc["fps"])
+        num, den = ints(doc["fps"], 2)
         if num < 1 or den < 1:
             raise ValueError(f"bad frame rate {num}/{den}")
-        total = int(doc["total_frames"])
+        total = typed(doc["total_frames"], int)
         scenes = []
-        for raw in doc["scenes"]:
-            start, end = int(raw["start_frame"]), int(raw["end_frame"])
+        for raw in typed(doc["scenes"], list):
+            start, end = typed(raw["start_frame"], int), typed(raw["end_frame"], int)
             if raw["opens_with"] not in OPENS or raw["closes_with"] not in CLOSES:
                 raise MalformedSourceError(
                     f"scene {raw.get('id')}: unknown transition kind"
                 )
             scenes.append(
                 Scene(
-                    id=int(raw["id"]),
+                    id=typed(raw["id"], int),
                     start_frame=start,
                     end_frame=end,
                     start_s=start * den / num,

@@ -85,7 +85,7 @@ def mixed_track(mix):
     for block in mix.blocks():
         track[first:first + len(block)] = block
         first += len(block)
-    assert first == len(mix)
+    assert first == mix.shape[0]
     return track
 
 

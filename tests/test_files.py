@@ -1,7 +1,10 @@
 import ast
 import pathlib
 
+import pytest
+
 import vidscore
+from vidscore.files import typed
 
 SRC = pathlib.Path(vidscore.__file__).parent
 
@@ -63,3 +66,10 @@ def test_guard_sees_a_hand_rolled_read(tmp_path):
         ("stage.py", "load", "open(path)"),
         ("stage.py", "save", "os.replace(tmp, path)"),
     ]
+
+
+def test_a_wrongly_typed_value_is_quoted_short():
+    with pytest.raises(TypeError) as caught:
+        typed({str(i): i for i in range(100000)}, list)
+    assert str(caught.value).startswith("expected a list, got {'0': 0, ")
+    assert len(str(caught.value)) < 120

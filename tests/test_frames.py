@@ -149,7 +149,6 @@ class TestFrameSource:
 
         source = open_frame_source(str(path))
         assert source.total_frames == 10
-        assert source.spec.frame_period_s == pytest.approx(1 / 30)
         out = list(source)
         assert [f.index for f in out] == list(range(10))
         assert out[3].pixels == frames[3]
@@ -206,6 +205,12 @@ class TestFrameSource:
         frames = list(source)
         assert source.total_frames == 3
         assert [compute_intensity(f) for f in frames] == [10.0, 20.0, 30.0]
+
+    def test_two_files_numbering_one_frame(self, tmp_path):
+        for name in ("frame1.ppm", "frame001.ppm", "frame2.ppm"):
+            write_ppm(str(tmp_path / name), 4, 3, solid_frame(4, 3, (10, 20, 30)))
+        with pytest.raises(MalformedSourceError, match="frame001.ppm and frame1.ppm"):
+            open_frame_source(str(tmp_path), fps=(25, 1))
 
 
 class TestStreamStats:

@@ -102,14 +102,18 @@ CASES = {
 
 
 def mutate(rng, data):
-    """Truncate, flip, splice or insert bytes, widen a run of digits or nest
-    a value in brackets; returns (description, bytes)."""
-    kind = rng.choice(["truncate", "flip", "splice", "insert", "widen", "nest"])
+    """Truncate, flip, splice or insert bytes, widen or retype a run of digits
+    or nest a value in brackets; returns (description, bytes)."""
+    kind = rng.choice(["truncate", "flip", "splice", "insert", "widen", "retype", "nest"])
     pos = rng.randrange(len(data) + 1)
-    if kind == "widen":  # too big for a float at 400 digits, for int() at 5000
+    if kind in ("widen", "retype"):
         start, end = rng.choice([m.span() for m in re.finditer(rb"[0-9]+", data)] or [(pos, pos)])
-        digits = rng.choice([400, 5000])
-        return f"widen {start}:{end} to {digits} digits", data[:start] + b"9" * digits + data[end:]
+        if kind == "widen":  # too big for a float at 400 digits, for int() at 5000
+            value = b"9" * rng.choice([400, 5000])
+        else:  # a JSON value of another type where a number was
+            value = rng.choice([b"1.5", b"true", b'"7"', b"null"])
+        what = f"{len(value)} digits" if kind == "widen" else value.decode()
+        return f"{kind} {start}:{end} to {what}", data[:start] + value + data[end:]
     if kind == "nest":  # deeper than the recursion limit, where a JSON value may start
         pos = rng.choice([0] + [m.end() for m in re.finditer(rb"[\[:,]\s*", data)])
         return f"nest at {pos}", data[:pos] + b"[" * 200000 + data[pos:]

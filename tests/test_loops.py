@@ -339,7 +339,7 @@ def test_block_edges_match_the_oracle(tmp_path, frames, channels):
     schedule, scenes, stems = block_edge_case(frames, channels)
     want = naive_mix_stems(schedule, scenes, stems)
     mix = mix_stems(schedule, scenes, stems)
-    assert mix.shape == want.shape == (frames, channels) and len(mix) == frames
+    assert mix.shape == want.shape == (frames, channels)
     assert np.array_equal(mixed_track(mix), want)
     # the blocks make the same file as the whole track written in one piece
     write_wav(str(tmp_path / "blocks.wav"), mix, 8000)

@@ -401,6 +401,12 @@ class TestRun:
         assert wav["path"] == manifest["final_output"]
         assert wav["sha256"] == hashlib.sha256(open(wav["path"], "rb").read()).hexdigest()
 
+    def test_loop_run_without_stems_exits_6_before_analyze(self, quad_video, tmp_path):
+        _, source = quad_video
+        assert cli.main(["run", "--loop", "--source", source,
+                         "--output-dir", str(tmp_path)]) == 6
+        assert not (tmp_path / "scenes.json").exists()
+
     def test_config_hash_stable_across_reserialization(self, tmp_path):
         config = PipelineConfig(source="x.rgb24", output_dir=str(tmp_path))
         clone = PipelineConfig(**json.loads(json.dumps(config.__dict__)))
@@ -643,7 +649,7 @@ class TestBadContentExitCodes:
 
     @pytest.mark.parametrize("field", ["fps", "total_frames", "id", "start_frame"])
     def test_scene_number_too_big_for_an_int_exits_2(self, valid_inputs, tmp_path, field):
-        # json reads 1e400 as inf, which int() cannot hold
+        # json reads 1e400 as the float inf, which is no integer
         text = Path(valid_inputs["scenes"]).read_text()
         bad = tmp_path / "scenes.json"
         bad.write_text(re.sub(rf'("{field}": \[?\s*)\d+', r"\g<1>1e400", text, count=1))
@@ -799,6 +805,62 @@ def test_deeply_nested_json_exits_with_stage_code(valid_inputs, tmp_path, case, 
     bad.write_text("[" * 200000)
     args = [arg.format(**valid_inputs, bad=str(bad), case=str(tmp_path)) for arg in argv]
     assert cli.main(args[:1] + ["--output-dir", str(tmp_path / "outdir")] + args[1:]) == code
+
+
+def one_scene(fps):
+    """A 240-frame, one-scene list, which has fits at 29/1 and at 30000/1001."""
+    scene = {"id": 0, "start_frame": 0, "end_frame": 240,
+             "opens_with": "start-of-video", "closes_with": "end-of-video"}
+    return {"fps": fps, "total_frames": 240, "scenes": [scene]}
+
+
+def per_frame(first):
+    """Per-frame detections for the four 450-frame scenes, ``first`` in scene 0."""
+    return {"per_frame": [first] + [{"frame": f, "count": 1} for f in (450, 900, 1350)]}
+
+
+def per_scene(counts):
+    return {"per_scene": dict(counts, **{"2": 1, "3": 1})}
+
+
+STEM = {"label": "a", "path": "tone.wav", "activation_rank": 1}
+
+# case -> (ERROR_CONTRACT case, the file's JSON value, exit code). A refused
+# value is one that int() or float() would make fit; a twin, a value of the
+# exact JSON type, passes and writes its stage's artifact.
+JSON_VALUES = {
+    "fps 29.97/1": ("plan --scenes", one_scene([29.97, 1]), 2),
+    "fps 30000/1001": ("plan --scenes", one_scene([30000, 1001]), 0),
+    "frame 10.7, count '3'": ("detections", per_frame({"frame": 10.7, "count": "3"}), 3),
+    "frame 10.7": ("detections", per_frame({"frame": 10.7, "count": 3}), 3),
+    "frame true, count true": ("detections", per_frame({"frame": True, "count": True}), 3),
+    "frame true": ("detections", per_frame({"frame": True, "count": 3}), 3),
+    "count 2.0": ("detections", per_frame({"frame": 10, "count": 2.0}), 0),
+    "scene key 0_0": ("detections", per_scene({"0_0": 2, "1": 4}), 3),
+    "scene key 01": ("detections", per_scene({"0": 2, "01": 4}), 3),
+    "scene key ' 1'": ("detections", per_scene({"0": 2, " 1": 4}), 3),
+    "scene count '4'": ("detections", per_scene({"0": 2, "1": "4"}), 3),
+    "scene count 2.0": ("detections", per_scene({"0": 2.0, "1": 4}), 0),
+    "activation_rank 2.9": ("stem manifest", [dict(STEM, activation_rank=2.9)], 6),
+    "activation_rank '1'": ("stem manifest", [dict(STEM, activation_rank="1")], 6),
+    "activation_rank 2": ("stem manifest", [dict(STEM, activation_rank=2)], 0),
+    "label null": ("stem manifest", [dict(STEM, label=None)], 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_VALUES))
+def test_json_values_are_read_at_their_exact_type(valid_inputs, tmp_path, case):
+    contract, value, code = JSON_VALUES[case]
+    argv, bad_name, _ = ERROR_CONTRACT[contract]
+    bad = tmp_path / bad_name
+    bad.write_text(json.dumps(value))
+    write_wav(str(tmp_path / "tone.wav"), np.ones(800, dtype=np.int16), 8000)
+    out = tmp_path / "out"
+    args = [arg.format(**valid_inputs, bad=str(bad), case=str(tmp_path)) for arg in argv]
+    assert cli.main(args + ["--output-dir", str(out)]) == code
+    artifact = {"plan": "plan.ini", "mix-loops": "soundtrack.wav"}[argv[0]]
+    written = sorted(os.listdir(out)) if out.exists() else []
+    assert written == ([] if code else [artifact])
 
 
 @pytest.mark.parametrize("stage, patched, artifact", [

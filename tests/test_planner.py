@@ -116,9 +116,6 @@ class TestFitTolerance:
     def test_half_frame_for_fast_video(self):
         assert fit_tolerance(1 / 240) == pytest.approx(1 / 480)
 
-    def test_default(self):
-        assert fit_tolerance() == 0.010
-
 
 class TestHarmonizeTempo:
     def test_global_intersection(self):
