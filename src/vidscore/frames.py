@@ -189,14 +189,29 @@ def _read_ppm(path: str) -> tuple[int, int, bytes]:
 
 # -- per-frame statistics ------------------------------------------------------
 
+_SUM_BLOCK = 1 << 16  # uint8 values per uint32 partial sum: 255 * 2**16 < 2**32
+
+
+def _exact_sum(values: np.ndarray) -> int:
+    """The exact sum of a flat uint8 array: uint32 sums over blocks of
+    ``_SUM_BLOCK`` values, added in uint64. A plain uint32 sum wraps past
+    about 16.8 M values of 255, and a uint64 one takes about twice as long."""
+    whole = values.size - values.size % _SUM_BLOCK
+    total = int(values[whole:].sum(dtype=np.uint32))
+    if whole:
+        blocks = values[:whole].reshape(-1, _SUM_BLOCK).sum(axis=1, dtype=np.uint32)
+        total += int(blocks.sum(dtype=np.uint64))
+    return total
+
+
 def compute_intensity(frame: Frame) -> float:
     """Mean over pixels of (R+G+B)/3, in [0, 255].
 
-    The channel sum is an integer below 2**53, so summing in uint64 and
+    The channel sum is an integer below 2**53, so summing it exactly and
     dividing once gives the same double as a float64 mean.
     """
     pixels = np.frombuffer(frame.pixels, dtype=np.uint8)
-    return int(pixels.sum(dtype=np.uint64)) / pixels.size
+    return _exact_sum(pixels) / pixels.size
 
 
 @functools.cache
@@ -291,12 +306,12 @@ def _hsv_delta(prev, curr) -> float:
     np.minimum(dh, np.float32(HUE_SCALE) - dh, out=dh)
     ds = np.subtract(curr[1], prev[1])
     np.abs(ds, out=ds)
-    dv = np.subtract(curr[2], prev[2], dtype=np.int16)
-    np.abs(dv, out=dv)
+    dv = np.maximum(curr[2], prev[2])  # |curr - prev| in uint8
+    dv -= np.minimum(curr[2], prev[2])
     score = (
         dh.mean(dtype=np.float64)
         + ds.mean(dtype=np.float64)
-        + int(dv.sum()) / dv.size
+        + _exact_sum(dv) / dv.size
     ) / 3.0
     return float(score)
 

@@ -8,14 +8,19 @@ a downbeat always lands on the transition, and is truncated at the scene end.
 The summed mix is peak-normalized to -1 dBFS.
 
 The mix is never held whole. ``mix_stems`` records the frames over which each
-stem loops and sums the track block by block, in one reused int32 buffer, to
-find the peak. ``write_wav`` then sums each block again, normalizes it into
-a reused int16 buffer and writes it, so memory is the stems (an int16 and an
+stem loops. Inside a scene every stem restarts at the scene's first frame, so
+the scene's sum repeats every lcm of its stems' lengths, and a stem set over
+a shorter scene is a prefix of the same set over a longer one. ``Mix`` finds
+the exact peak by summing each distinct stem set once, over the longest of
+its scenes cut to one period, in blocks through one reused int32 buffer.
+``write_wav`` then sums each block of the track once, normalizes it into a
+reused int16 buffer and writes it, so memory is the stems (an int16 and an
 int32 copy of each) plus a few block buffers, whatever the track length.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import wave
 from dataclasses import dataclass
@@ -24,7 +29,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, StemMismatchError
+from .errors import ConfigError, EmptyInputError, MalformedSourceError, StemMismatchError
 from .files import publish, read_json, typed
 from .scenes import Scene
 
@@ -78,43 +83,75 @@ def _check_compatible(stems: Sequence[Stem]) -> None:
 Run = Tuple[int, int, np.ndarray]  # a stem looped from frame start up to frame end
 
 
+def _block_sums(frames: int, channels: int, runs: List[Run]) -> Iterator[np.ndarray]:
+    """Yield the int32 sum of ``runs`` (sorted by start) over each block of
+    ``_BLOCK`` frames of a ``frames``-frame track. Every block is the same
+    reused buffer, valid until the next one is yielded."""
+    buf = np.empty((min(_BLOCK, frames), channels), dtype=np.int32)
+    pending = iter(runs)
+    upcoming = next(pending, None)
+    active: List[Run] = []
+    for first in range(0, frames, _BLOCK):
+        last = min(first + _BLOCK, frames)
+        while upcoming is not None and upcoming[0] < last:
+            active.append(upcoming)
+            upcoming = next(pending, None)
+        block = buf[:last - first]
+        block.fill(0)
+        for start, end, samples in active:
+            lo, hi = max(start, first), min(end, last)
+            period = len(samples)
+            # each loop period overlapping [lo, hi), from the one holding lo
+            for pos in range(lo - (lo - start) % period, hi, period):
+                a, b = max(pos, lo), min(pos + period, hi)
+                block[a - first:b - first] += samples[a - pos:b - pos]
+        active = [run for run in active if run[1] > last]
+        yield block
+
+
+def _distinct_sums(runs: List[Run]) -> Tuple[int, List[Run]]:
+    """A shorter track, as (frames, runs), whose sum takes every nonzero value
+    the sum of ``runs`` takes and no other, given that runs with different
+    (start, end) do not overlap.
+
+    The runs sharing one (start, end) all restart at start, so their sum
+    repeats every lcm of their lengths. Each distinct multiset of stems is
+    laid down once, over the longest ``min(end - start, lcm)`` among the
+    bounds it plays between: the others are prefixes of that one."""
+    by_bounds: Dict[Tuple[int, int], List[np.ndarray]] = {}
+    for start, end, samples in runs:
+        by_bounds.setdefault((start, end), []).append(samples)
+    spans: Dict[Tuple[int, ...], Tuple[int, List[np.ndarray]]] = {}
+    for (start, end), stems in by_bounds.items():
+        key = tuple(sorted(map(id, stems)))  # the same stem arrays, repeats included
+        span = min(end - start, math.lcm(*map(len, stems)))
+        if span > spans.get(key, (0,))[0]:
+            spans[key] = span, stems
+    laid: List[Run] = []
+    first = 0
+    for span, stems in spans.values():
+        laid += [(first, first + span, samples) for samples in stems]
+        first += span
+    return first, laid
+
+
 class Mix:
     """A normalized int16 track of ``shape`` (frames, channels), produced one
-    block at a time by ``blocks``; ``size`` is frames x channels."""
+    block at a time by ``blocks``; ``size`` is frames x channels. Runs with
+    different (start, end) must not overlap, as the runs of tiling scenes do.
+
+    The gain maps the int32 sum's exact peak, taken over ``_distinct_sums``
+    rather than the whole track, to -1 dBFS, so no sample needs clipping."""
 
     def __init__(self, frames: int, channels: int, runs: List[Run]):
         self.shape = (frames, channels)
         self.size = frames * channels
         self._runs = sorted(runs, key=itemgetter(0))
+        span, laid = _distinct_sums(self._runs)
         peak = 0
-        for block in self._sums():
+        for block in _block_sums(span, channels, laid):
             peak = max(peak, int(block.max()), -int(block.min()))
         self._gain = PEAK_CEILING * 32767.0 / peak if peak else 0.0
-
-    def _sums(self) -> Iterator[np.ndarray]:
-        """Yield the int32 sum of each block of ``_BLOCK`` frames. Every block
-        is the same reused buffer, valid until the next one is yielded."""
-        frames, channels = self.shape
-        buf = np.empty((min(_BLOCK, frames), channels), dtype=np.int32)
-        pending = iter(self._runs)
-        upcoming = next(pending, None)
-        active: List[Run] = []
-        for first in range(0, frames, _BLOCK):
-            last = min(first + _BLOCK, frames)
-            while upcoming is not None and upcoming[0] < last:
-                active.append(upcoming)
-                upcoming = next(pending, None)
-            block = buf[:last - first]
-            block.fill(0)
-            for start, end, samples in active:
-                lo, hi = max(start, first), min(end, last)
-                period = len(samples)
-                # each loop period overlapping [lo, hi), from the one holding lo
-                for pos in range(lo - (lo - start) % period, hi, period):
-                    a, b = max(pos, lo), min(pos + period, hi)
-                    block[a - first:b - first] += samples[a - pos:b - pos]
-            active = [run for run in active if run[1] > last]
-            yield block
 
     def blocks(self) -> Iterator[np.ndarray]:
         """Yield the normalized track as ``<i2`` blocks of ``_BLOCK`` frames
@@ -123,12 +160,9 @@ class Mix:
         frames, channels = self.shape
         scaled = np.empty((min(_BLOCK, frames), channels), dtype=np.float64)
         out = np.empty(scaled.shape, dtype="<i2")
-        for block in self._sums():
+        for block in _block_sums(frames, channels, self._runs):
             buf, res = scaled[:len(block)], out[:len(block)]
             np.multiply(block, self._gain, out=buf)
-            # clipping first gives the same values as rounding first: the
-            # bounds are whole numbers
-            np.clip(buf, -32768, 32767, out=buf)
             np.rint(buf, out=res, casting="unsafe")
             yield res
 
@@ -148,11 +182,15 @@ def mix_stems(
     wide: Dict[str, np.ndarray] = {}  # each scheduled stem, widened to int32 once
 
     runs: List[Run] = []
+    last = 0  # the frame the scenes so far reach
     for scene, active in zip(scenes, schedule):
         start = round(scene.start_s * rate)
         end = round(scene.end_s * rate)
+        if start < last:
+            raise MalformedSourceError(f"scene {scene.id} starts before the scene ahead of it ends")
         if end <= start:
             continue
+        last = end
         for label in active:
             if label not in wide:
                 wide[label] = by_label[label].samples.astype(np.int32)

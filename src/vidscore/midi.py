@@ -104,7 +104,11 @@ def _track_chunk(messages: List[Tuple[int, bytes]], total: int) -> bytes:
     body = bytearray()
     cursor = 0
     for tick, message in messages:
-        body += _vlq(tick - cursor)
+        delta = tick - cursor
+        if 0 <= delta < 0x80:  # one byte, as _vlq would encode it
+            body.append(delta)
+        else:
+            body += _vlq(delta)
         body += message
         cursor = tick
     body += _vlq(max(total - cursor, 0))

@@ -49,6 +49,22 @@ class TestIntensity:
         shuffled = Frame(index=0, pixels=b"".join(triples))
         assert compute_intensity(frame) == pytest.approx(compute_intensity(shuffled))
 
+    def test_all_white_past_where_a_uint32_sum_wraps(self):
+        side = 2400  # 5.76 M pixels, whose channel sum passes 2**32
+        assert 3 * 255 * side * side >= 2**32
+        assert compute_intensity(Frame(index=0, pixels=b"\xff" * (3 * side * side))) == 255.0
+
+    @pytest.mark.parametrize("size", [0, 1, 2**16 - 1, 2**16, 2**24 + 2**18 + 3])
+    def test_exact_sum_of_full_scale_values(self, size):
+        values = np.full(size, 255, dtype=np.uint8)
+        assert frames_module._exact_sum(values) == 255 * size
+
+    def test_value_term_over_several_sum_blocks(self):
+        # 300 x 300 pixels span one whole block of the value sum and a tail;
+        # black to white changes only value, by 255 at every pixel
+        black, white = frame_of((0, 0, 0), 300, 300), frame_of((255, 255, 255), 300, 300)
+        assert content_delta(black, white) == content_delta(white, black) == 85.0
+
 
 class TestRgbToHsv:
     def test_black(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vidscore import cli, loops
-from vidscore.errors import ConfigError, EmptyInputError, StemMismatchError
+from vidscore.errors import ConfigError, EmptyInputError, MalformedSourceError, StemMismatchError
 from vidscore.loops import (
     _BLOCK as BLOCK,
     Mix,
@@ -170,6 +170,12 @@ class TestMixStems:
         with pytest.raises(StemMismatchError):
             mix_stems([["a", "b"]], [make_scene(0, 0.0, 1.0)], stems)
 
+    def test_overlapping_scenes_are_refused(self):
+        # the peak is found per scene, which holds only while scenes tile
+        scenes = [make_scene(0, 0.0, 1.0), make_scene(1, 0.5, 1.5)]
+        with pytest.raises(MalformedSourceError, match="scene 1 starts before"):
+            mix_stems([["stem0"], ["stem0"]], scenes, stems_n(1))
+
     def test_silent_input_stays_silent(self):
         rate = 8000
         quiet = np.zeros((rate, 1), dtype=np.int16)
@@ -219,6 +225,15 @@ def spike_case(sign, channels):
     return [["quiet"], ["quiet"], ["quiet", "spike"]], scenes, stems
 
 
+def spiky_stem(label, rank, length, spikes):
+    """A quiet mono stem of ``length`` frames with a value at each frame of
+    ``spikes``."""
+    samples = np.full((length, 1), 7, dtype=np.int16)
+    for frame, value in spikes.items():
+        samples[frame] = value
+    return make_stem(label, rank, samples=samples, rate=8000)
+
+
 class TestMixMatchesOracle:
     def assert_matches(self, schedule, scenes, stems):
         want = naive_mix_stems(schedule, scenes, stems)
@@ -227,6 +242,8 @@ class TestMixMatchesOracle:
         assert mix.shape == want.shape and mix.size == want.size
         assert got.dtype == np.int16 and got.shape == want.shape
         assert np.array_equal(got, want)
+        # the gain comes from the exact peak, so no sample needs clipping
+        assert int(np.abs(got.astype(np.int32)).max(initial=0)) <= PEAK_TARGET
         return got
 
     @pytest.mark.parametrize("channels", [1, 2])
@@ -252,6 +269,38 @@ class TestMixMatchesOracle:
         stems = [make_stem("ramp", 1, samples=ramp, rate=rate)]
         scenes = scene_run([0.3, 0.0, 0.0, 0.05, 1.7, 0.0])  # the stem is 1 s
         self.assert_matches([["ramp"]] * len(scenes), scenes, stems)
+
+    def test_coprime_stems_peak_past_the_longest_inside_their_lcm(self):
+        # 7 and 11 frames: their spikes meet only at frame 38 of every 77
+        stems = [spiky_stem("a", 1, 7, {3: 10000}), spiky_stem("b", 2, 11, {5: 10000})]
+        out = self.assert_matches([["a", "b"]], [make_scene(0, 0.0, 200 / 8000)], stems)
+        assert out[38, 0] == out[115, 0] == out[192, 0] == PEAK_TARGET
+        assert np.count_nonzero(out == PEAK_TARGET) == 3
+
+    def test_stem_set_peaks_only_in_a_longer_scenes_tail(self):
+        # lcm(13, 17) = 221 frames; the spikes meet at frame 152, which the
+        # 100-frame first scene never reaches and the 300-frame last one does
+        stems = [spiky_stem("a", 1, 13, {9: 12000}), spiky_stem("b", 2, 17, {16: 12000}),
+                 spiky_stem("c", 3, 5, {0: 3000})]
+        bounds = [0, 100, 160, 460]
+        scenes = [make_scene(i, a / 8000, b / 8000) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+        out = self.assert_matches([["a", "b"], ["c"], ["a", "b"]], scenes, stems)
+        assert out[160 + 152, 0] == PEAK_TARGET
+        assert np.abs(out[:160].astype(np.int32)).max() < PEAK_TARGET
+
+    def test_scene_shorter_than_its_lcm(self):
+        # lcm(7, 11) = 77, but the scene is 50 frames: the spikes meeting at
+        # frame 69 (-30000) never play, so the peak is the pair at frame 38
+        stems = [spiky_stem("a", 1, 7, {3: 10000, 6: -15000}),
+                 spiky_stem("b", 2, 11, {5: 10000, 3: -15000})]
+        out = self.assert_matches([["a", "b"]], [make_scene(0, 0.0, 50 / 8000)], stems)
+        assert out[38, 0] == PEAK_TARGET
+
+    def test_label_listed_twice_plays_twice(self):
+        stems = [spiky_stem("a", 1, 10, {4: 9000}), spiky_stem("b", 2, 3, {1: 500})]
+        scenes = scene_run([40 / 8000, 40 / 8000])
+        out = self.assert_matches([["a", "b"], ["a", "b", "a"]], scenes, stems)
+        assert np.abs(out.astype(np.int32)).argmax() >= 40  # in the doubled scene
 
     @pytest.mark.parametrize("channels", [1, 2])
     def test_all_silent_stems(self, channels):

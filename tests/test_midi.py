@@ -12,6 +12,7 @@ from vidscore.errors import (
 )
 from vidscore.midi import (
     InstrumentMap,
+    _track_chunk,
     read_smf,
     tempo_meta_value,
     write_smf,
@@ -190,6 +191,21 @@ def test_every_track_ends_at_its_last_message_when_that_is_past_the_score():
     assert [(ev.tick, ev.kind) for ev in meta.events] == [
         (0, "tempo"), (0, "time_signature"), (1920, "tempo"), (1920, "end_of_track")]
     assert bass.events[-1].kind == "end_of_track" and bass.end_tick == 1440
+
+
+@pytest.mark.parametrize("delta, vlq", [
+    (0, b"\x00"), (1, b"\x01"), (127, b"\x7f"), (128, b"\x81\x00"),
+    (16383, b"\xff\x7f"), (16384, b"\x81\x80\x00"),
+])
+def test_track_chunk_writes_each_delta_as_its_vlq(delta, vlq):
+    note_on = bytes([0x90, 60, 64])
+    body = vlq + note_on + b"\x00\xff\x2f\x00"  # then end of track, 0 ticks later
+    assert _track_chunk([(delta, note_on)], 0) == b"MTrk" + len(body).to_bytes(4, "big") + body
+
+
+def test_track_chunk_refuses_messages_out_of_tick_order():
+    with pytest.raises(InvalidEventError, match="negative delta"):
+        _track_chunk([(5, b"\x90\x3c\x40"), (4, b"\x80\x3c\x00")], 0)
 
 
 class TestRoundTrip:
