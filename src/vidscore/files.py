@@ -79,7 +79,8 @@ def staged(path: str, tmp: str):
 
 @contextmanager
 def publish(path: str, binary: bool = False):
-    """Yield a file open on ``<path>.tmp``, staged over ``path``."""
+    """Yield a file open on ``<path>.tmp``, staged over ``path``. A binary
+    file is open for reading too, so a writer can read back what it wrote."""
     with staged(path, path + ".tmp") as tmp:
-        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+        with open(tmp, "w+b" if binary else "w", encoding=None if binary else "utf-8") as fh:
             yield fh

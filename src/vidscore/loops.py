@@ -10,12 +10,15 @@ The summed mix is peak-normalized to -1 dBFS.
 The mix is never held whole. ``mix_stems`` records the frames over which each
 stem loops. Inside a scene every stem restarts at the scene's first frame, so
 the scene's sum repeats every lcm of its stems' lengths, and a stem set over
-a shorter scene is a prefix of the same set over a longer one. ``Mix`` finds
-the exact peak by summing each distinct stem set once, over the longest of
-its scenes cut to one period, in blocks through one reused int32 buffer.
-``write_wav`` then sums each block of the track once, normalizes it into a
-reused int16 buffer and writes it, so memory is the stems (an int16 and an
-int32 copy of each) plus a few block buffers, whatever the track length.
+a shorter scene is a prefix of the same set over a longer one. ``Mix`` plans
+the track once as ordered pieces: a sum piece is a stretch no earlier frame
+holds, and a copy piece repeats frames the track already has. The exact peak
+is found by summing the sum pieces, in blocks through one reused int32
+buffer. ``write_wav`` then sums them again, normalizes each block into a
+reused int16 buffer and writes it, and reads each copy piece back out of the
+file being written through that same buffer. Memory is the stems (an int16
+and an int32 copy of each) plus a few block buffers, whatever the track
+length.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 import wave
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,87 +84,114 @@ def _check_compatible(stems: Sequence[Stem]) -> None:
 
 
 Run = Tuple[int, int, np.ndarray]  # a stem looped from frame start up to frame end
+Sum = Tuple[int, int, List[Run]]  # frames [lo, hi) summed from runs that all cover them
 
 
-def _block_sums(frames: int, channels: int, runs: List[Run]) -> Iterator[np.ndarray]:
-    """Yield the int32 sum of ``runs`` (sorted by start) over each block of
-    ``_BLOCK`` frames of a ``frames``-frame track. Every block is the same
-    reused buffer, valid until the next one is yielded."""
-    buf = np.empty((min(_BLOCK, frames), channels), dtype=np.int32)
-    pending = iter(runs)
-    upcoming = next(pending, None)
-    active: List[Run] = []
-    for first in range(0, frames, _BLOCK):
-        last = min(first + _BLOCK, frames)
-        while upcoming is not None and upcoming[0] < last:
-            active.append(upcoming)
-            upcoming = next(pending, None)
-        block = buf[:last - first]
-        block.fill(0)
-        for start, end, samples in active:
-            lo, hi = max(start, first), min(end, last)
-            period = len(samples)
-            # each loop period overlapping [lo, hi), from the one holding lo
-            for pos in range(lo - (lo - start) % period, hi, period):
-                a, b = max(pos, lo), min(pos + period, hi)
-                block[a - first:b - first] += samples[a - pos:b - pos]
-        active = [run for run in active if run[1] > last]
-        yield block
+class Copy(NamedTuple):
+    """Frames [lo, hi) of the track repeat earlier ones: frame f holds frame
+    ``src + (f - lo) % (lo - src)``, which lies before lo."""
+
+    src: int
+    lo: int
+    hi: int
 
 
-def _distinct_sums(runs: List[Run]) -> Tuple[int, List[Run]]:
-    """A shorter track, as (frames, runs), whose sum takes every nonzero value
-    the sum of ``runs`` takes and no other, given that runs with different
-    (start, end) do not overlap.
+Piece = Union[Sum, Copy]
+
+
+def _plan(frames: int, runs: List[Run]) -> List[Piece]:
+    """The track in order as sum and copy pieces, given that runs with
+    different (start, end) do not overlap.
 
     The runs sharing one (start, end) all restart at start, so their sum
-    repeats every lcm of their lengths. Each distinct multiset of stems is
-    laid down once, over the longest ``min(end - start, lcm)`` among the
-    bounds it plays between: the others are prefixes of that one."""
+    repeats every lcm of their lengths: past its first period a scene is a
+    copy of itself. A stem multiset over a shorter scene is a prefix of the
+    same multiset over a longer one, so a scene copies what an earlier scene
+    of its multiset wrote and sums only the part of its period that reaches
+    past the longest such scene. The frames no scene covers sum to zero."""
     by_bounds: Dict[Tuple[int, int], List[np.ndarray]] = {}
     for start, end, samples in runs:
         by_bounds.setdefault((start, end), []).append(samples)
-    spans: Dict[Tuple[int, ...], Tuple[int, List[np.ndarray]]] = {}
-    for (start, end), stems in by_bounds.items():
+    written: Dict[Tuple[int, ...], Tuple[int, int]] = {}  # multiset -> (scene start, frames)
+    plan: List[Piece] = []
+    reached = 0
+    for (start, end), stems in sorted(by_bounds.items(), key=itemgetter(0)):
+        if start > reached:
+            plan.append((reached, start, []))
         key = tuple(sorted(map(id, stems)))  # the same stem arrays, repeats included
         span = min(end - start, math.lcm(*map(len, stems)))
-        if span > spans.get(key, (0,))[0]:
-            spans[key] = span, stems
-    laid: List[Run] = []
-    first = 0
-    for span, stems in spans.values():
-        laid += [(first, first + span, samples) for samples in stems]
-        first += span
-    return first, laid
+        src, have = written.get(key, (start, 0))
+        if have:
+            plan.append(Copy(src, start, start + min(have, span)))
+        if span > have:
+            plan.append((start + have, start + span, [(start, end, samples) for samples in stems]))
+            written[key] = start, span
+        if end > start + span:
+            plan.append(Copy(start, start + span, end))
+        reached = end
+    if frames > reached:
+        plan.append((reached, frames, []))
+    return plan
+
+
+def _block_sums(channels: int, plan: List[Piece]) -> Iterator[Union[np.ndarray, Copy]]:
+    """Yield, in order, the int32 sum of each sum piece of ``plan`` over
+    blocks of at most ``_BLOCK`` frames, and each copy piece as it is. Every
+    block is the same reused buffer, valid until the next one is yielded."""
+    widest = max((piece[1] - piece[0] for piece in plan if not isinstance(piece, Copy)), default=0)
+    buf = np.empty((min(_BLOCK, widest), channels), dtype=np.int32)
+    for piece in plan:
+        if isinstance(piece, Copy):
+            yield piece
+            continue
+        lo, hi, runs = piece
+        for first in range(lo, hi, _BLOCK):
+            last = min(first + _BLOCK, hi)
+            block = buf[:last - first]
+            block.fill(0)
+            for start, _, samples in runs:
+                period = len(samples)
+                # each loop period overlapping [first, last), from the one holding first
+                for pos in range(first - (first - start) % period, last, period):
+                    a, b = max(pos, first), min(pos + period, last)
+                    block[a - first:b - first] += samples[a - pos:b - pos]
+            yield block
 
 
 class Mix:
-    """A normalized int16 track of ``shape`` (frames, channels), produced one
-    block at a time by ``blocks``; ``size`` is frames x channels. Runs with
-    different (start, end) must not overlap, as the runs of tiling scenes do.
+    """A normalized int16 track of ``shape`` (frames, channels), produced in
+    order by ``blocks``; ``size`` is frames x channels. Runs with different
+    (start, end) must not overlap, as the runs of tiling scenes do.
 
-    The gain maps the int32 sum's exact peak, taken over ``_distinct_sums``
-    rather than the whole track, to -1 dBFS, so no sample needs clipping."""
+    The track is planned once, as ``_plan`` lays it out: only the sum pieces
+    are ever summed. Their union holds every value the track takes, so the
+    gain maps the int32 sum's exact peak over them to -1 dBFS and no sample
+    needs clipping. ``buffer`` is the int16 block buffer that every
+    normalized block is written into, and that a copy piece is read back
+    into by ``write_wav``."""
 
     def __init__(self, frames: int, channels: int, runs: List[Run]):
         self.shape = (frames, channels)
         self.size = frames * channels
-        self._runs = sorted(runs, key=itemgetter(0))
-        span, laid = _distinct_sums(self._runs)
+        self.buffer = np.empty((min(_BLOCK, frames), channels), dtype="<i2")
+        self._plan = _plan(frames, runs)
         peak = 0
-        for block in _block_sums(span, channels, laid):
-            peak = max(peak, int(block.max()), -int(block.min()))
+        for block in _block_sums(channels, self._plan):
+            if not isinstance(block, Copy):
+                peak = max(peak, int(block.max()), -int(block.min()))
         self._gain = PEAK_CEILING * 32767.0 / peak if peak else 0.0
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """Yield the normalized track as ``<i2`` blocks of ``_BLOCK`` frames
-        (the last may be shorter). Every block is the same reused buffer,
-        valid until the next one is yielded."""
-        frames, channels = self.shape
-        scaled = np.empty((min(_BLOCK, frames), channels), dtype=np.float64)
-        out = np.empty(scaled.shape, dtype="<i2")
-        for block in _block_sums(frames, channels, self._runs):
-            buf, res = scaled[:len(block)], out[:len(block)]
+    def blocks(self) -> Iterator[Union[np.ndarray, Copy]]:
+        """Yield the track in order: each sum piece as normalized ``<i2``
+        blocks of at most ``_BLOCK`` frames, views of ``buffer`` valid until
+        the next one is yielded, and each copy piece as it is. A copy needs
+        frames before it, so a track's first piece is a block."""
+        scaled = np.empty(self.buffer.shape, dtype=np.float64)
+        for block in _block_sums(self.shape[1], self._plan):
+            if isinstance(block, Copy):
+                yield block
+                continue
+            buf, res = scaled[:len(block)], self.buffer[:len(block)]
             np.multiply(block, self._gain, out=buf)
             np.rint(buf, out=res, casting="unsafe")
             yield res
@@ -223,9 +253,11 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
 
 
 def write_wav(path: str, samples: Union[Mix, np.ndarray], sample_rate: int) -> None:
-    """Write 16-bit PCM, block by block from a ``Mix``, or in one piece from an
-    int16 array (a C-contiguous ``<i2`` array is written uncopied). A failure
-    between blocks leaves ``path`` as it was."""
+    """Write 16-bit PCM, piece by piece from a ``Mix``, or in one piece from an
+    int16 array (a C-contiguous ``<i2`` array is written uncopied). A mix's
+    blocks are written as they come, and each of its copy pieces is read back
+    out of the file being written. A failure between blocks leaves ``path`` as
+    it was."""
     if isinstance(samples, Mix):
         blocks = samples.blocks()
     else:
@@ -238,7 +270,33 @@ def write_wav(path: str, samples: Union[Mix, np.ndarray], sample_rate: int) -> N
         wav.setsampwidth(2)
         wav.setframerate(sample_rate)
         for block in blocks:
-            wav.writeframesraw(block.reshape(-1))  # flat, so an empty block casts too
+            if isinstance(block, Copy):
+                _copy_back(path, fh, wav, block, samples.buffer)
+            else:
+                wav.writeframesraw(block.reshape(-1))  # flat, so an empty block casts too
+
+
+def _copy_back(path: str, fh, wav: wave.Wave_write, piece: Copy, buf: np.ndarray) -> None:
+    """Write ``piece``'s frames by reading earlier frames of ``fh``, which has
+    written every frame before ``piece.lo``, back into ``buf``.
+
+    A chunk never reads past the frames written so far. A frame of a scene's
+    periodic tail is read from the scene's first period, so the distance back
+    grows by whole periods and the chunks grow to the whole buffer. Writing
+    through ``wav`` keeps the data size it patches into the header right."""
+    src, lo, hi = piece
+    frame_bytes = buf.itemsize * buf.shape[1]
+    data = fh.tell() - lo * frame_bytes  # where frame 0 lies in the file
+    f = lo
+    while f < hi:
+        at = src + (f - lo) % (lo - src)
+        chunk = buf[:min(len(buf), hi - f, f - at)]
+        fh.flush()  # the frames to read back may still be in the file's buffer
+        got = os.preadv(fh.fileno(), [chunk], data + at * frame_bytes)
+        if got != chunk.nbytes:
+            raise ConfigError(f"cannot write {path}: read back {got} of {chunk.nbytes} bytes")
+        wav.writeframesraw(chunk.reshape(-1))
+        f += len(chunk)
 
 
 def load_stem_manifest(path: str) -> List[Stem]:

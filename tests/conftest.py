@@ -8,7 +8,7 @@ import pytest
 from vidscore.composer import PPQN
 from vidscore.energy import EnergyLabel
 from vidscore.frames import HUE_SCALE
-from vidscore.loops import PEAK_CEILING
+from vidscore.loops import PEAK_CEILING, Copy
 from vidscore.moods import LayerDef, MoodConfig, Scale, load_mood
 from vidscore.planner import CompositionPlan, SectionSpec, phrase_seconds
 from vidscore.scenes import FrameSpec, FrameStats
@@ -79,10 +79,17 @@ def rgb_to_hsv(pixel):
 
 def mixed_track(mix):
     """The whole int16 track of a ``mix_stems`` result, gathered from its
-    blocks (each is copied out: the mix reuses one buffer for all of them)."""
+    blocks (each is copied out: the mix reuses one buffer for all of them),
+    with each copy piece filled from the track gathered so far."""
     track = np.empty(mix.shape, dtype=np.int16)
     first = 0
     for block in mix.blocks():
+        if isinstance(block, Copy):
+            assert block.src < block.lo == first
+            span = np.arange(block.hi - block.lo)
+            track[block.lo:block.hi] = track[block.src + span % (block.lo - block.src)]
+            first = block.hi
+            continue
         track[first:first + len(block)] = block
         first += len(block)
     assert first == mix.shape[0]

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from vidscore import cli, loops
 from vidscore.errors import ConfigError, EmptyInputError, MalformedSourceError, StemMismatchError
 from vidscore.loops import (
     _BLOCK as BLOCK,
+    Copy,
     Mix,
     Stem,
     build_layer_schedule,
@@ -429,6 +432,109 @@ def test_failure_between_blocks_keeps_the_previous_wav(tmp_path, monkeypatch):
         write_wav(str(path), mix_stems([["short"], ["span"]], scenes, stems), 8000)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["soundtrack.wav"]
+
+
+def noise_stems(lengths, channels, seed=0):
+    """Stems of random content, one per (label, length) of ``lengths``, ranked
+    in order."""
+    gen = np.random.default_rng(seed)
+    return [make_stem(label, rank, rate=8000,
+                      samples=gen.integers(-9000, 9000, (length, channels), dtype=np.int16))
+            for rank, (label, length) in enumerate(lengths.items(), 1)]
+
+
+def frame_scenes(bounds):
+    """Scenes between consecutive frames of ``bounds`` at 8 kHz."""
+    return [make_scene(i, a / 8000, b / 8000) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+
+def assert_writes_the_oracle(tmp_path, schedule, scenes, stems):
+    """The mix gathered from its pieces and the WAV written from them both
+    equal the oracle track; returns the pieces ``blocks`` yields, blocks as
+    their lengths."""
+    want = naive_mix_stems(schedule, scenes, stems)
+    mix = mix_stems(schedule, scenes, stems)
+    pieces = [piece if isinstance(piece, Copy) else len(piece) for piece in mix.blocks()]
+    assert not isinstance(pieces[0], Copy)  # a copy needs frames written before it
+    assert np.array_equal(mixed_track(mix), want)
+    write_wav(str(tmp_path / "pieces.wav"), mix, 8000)
+    write_wav(str(tmp_path / "whole.wav"), want, 8000)
+    assert (tmp_path / "pieces.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
+    return pieces
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_chunks_smaller_than_the_file_buffer_are_read_back_whole(tmp_path, channels):
+    """800- and 1000-frame stems repeat every 800, 1000 or 4000 frames, so the
+    first chunks read back are smaller than the file object's write buffer
+    and still sit in it unless it is flushed before every read."""
+    stems = noise_stems({"a": 800, "b": 1000}, channels, seed=channels)
+    scenes = frame_scenes([0, 24000, 64000, 84000, 90000])
+    pieces = assert_writes_the_oracle(tmp_path, [["a"], ["a", "b"], ["b"], ["a", "b"]],
+                                      scenes, stems)
+    assert Copy(0, 800, 24000) in pieces and Copy(24000, 84000, 88000) in pieces
+
+
+class TestCopyPlan:
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_prefix_copy_new_extension_and_periodic_tail(self, tmp_path, channels):
+        # lcm(300, 500) = 1500: the first scene holds 1000 frames of the period,
+        # the second copies them, sums the other 500 and repeats all 1500
+        stems = noise_stems({"a": 300, "b": 500}, channels)
+        pieces = assert_writes_the_oracle(tmp_path, [["a", "b"], ["a", "b"]],
+                                          frame_scenes([0, 1000, 6000]), stems)
+        assert pieces == [1000, Copy(0, 1000, 2000), 500, Copy(1000, 2500, 6000)]
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_stem_set_comes_back_after_another(self, tmp_path, channels):
+        stems = noise_stems({"a": 300, "b": 500, "c": 70}, channels)
+        pieces = assert_writes_the_oracle(tmp_path, [["a", "b"], ["c"], ["b", "a"]],
+                                          frame_scenes([0, 2000, 2100, 3000]), stems)
+        assert pieces == [1500, Copy(0, 1500, 2000), 70, Copy(2000, 2070, 2100),
+                          Copy(0, 2100, 3000)]
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_first_scene_starts_after_frame_0(self, tmp_path, channels):
+        stems = noise_stems({"a": 300}, channels)
+        scenes = frame_scenes([0, 450, 2000, 2500])[1:]
+        pieces = assert_writes_the_oracle(tmp_path, [["a"], ["a"]], scenes, stems)
+        assert pieces == [450, 300, Copy(450, 750, 2000), Copy(450, 2000, 2300),
+                          Copy(2000, 2300, 2500)]
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_repeat_longer_than_the_block_buffer(self, tmp_path, channels):
+        # a 6300-frame period repeated over more than three blocks is read
+        # back in chunks that grow by whole periods up to the block buffer
+        stems = noise_stems({"a": 700, "b": 900}, channels)
+        frames = 3 * BLOCK + 123
+        pieces = assert_writes_the_oracle(tmp_path, [["a", "b"]], frame_scenes([0, frames]),
+                                          stems)
+        assert pieces == [6300, Copy(0, 6300, frames)]
+
+
+def test_failure_during_a_copy_keeps_the_previous_wav(tmp_path, monkeypatch):
+    stems = noise_stems({"a": 700, "b": 900}, 2)
+    scenes = frame_scenes([0, 20000, 3 * BLOCK])
+    path = tmp_path / "soundtrack.wav"
+    write_wav(str(path), mix_stems([["a"], ["b"]], scenes, stems), 8000)
+    before = path.read_bytes()
+    descriptors = len(os.listdir("/proc/self/fd"))
+    reads = []
+    whole_preadv = os.preadv
+
+    def failing_preadv(*args):
+        reads.append(args)
+        if len(reads) == 2:
+            raise OSError(errno.EIO, "failed on the second read")
+        return whole_preadv(*args)
+
+    monkeypatch.setattr(os, "preadv", failing_preadv)
+    with pytest.raises(ConfigError, match="second read"):
+        write_wav(str(path), mix_stems([["a", "b"], ["a", "b"]], scenes, stems), 8000)
+    assert len(reads) == 2
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["soundtrack.wav"]
+    assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
 class TestWavAndManifest:
