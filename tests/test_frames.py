@@ -434,3 +434,42 @@ def test_stats_over_every_colour_are_pinned_bit_for_bit():
             if entry.hsv_delta is not None:
                 digest.update(struct.pack("<d", entry.hsv_delta))
     assert digest.hexdigest() == EVERY_COLOUR_DIGEST
+
+
+
+def half_turn_frames():
+    """Three seeded random frames of 1100x1000 pixels.
+
+    Between neighbours every pixel but those of a 30-row bottom strip turns
+    half the hue circle, so each frame's float64 sum of hue terms passes
+    2**27, where a float64 holds no multiple of 2**-26 that is not one of
+    2**-25. The strip holds reds (r, 1, 0), whose hues lie below 0.25 and
+    whose deltas carry that last bit, so the rounding of the sum depends on
+    the order it is taken in. These seeds round it differently from an
+    exact sum in both deltas.
+    """
+    rng = np.random.default_rng(3)
+    first = rng.integers(0, 256, (1000, 1100, 3), dtype=np.uint8)
+    turned, back = 255 - first, first.copy()
+    for pixels in (turned, back):
+        pixels[-30:] = (0, 1, 0)
+        pixels[-30:, :, 0] = rng.integers(171, 256, (30, 1100))
+    return [Frame(index=i, pixels=pixels.tobytes())
+            for i, pixels in enumerate((first, turned, back))]
+
+
+# sha256 of every avg_intensity and hsv_delta of half_turn_frames, packed as
+# little-endian doubles.
+LARGE_FRAME_DIGEST = "8ca50b74957597f1188e57696a98ba5c524e01680a0de6d3b89fbd46f43d5415"
+
+
+def test_stats_over_large_frames_are_pinned_bit_for_bit():
+    # The every-colour pin's frames hold 2**16 pixels, and their float64
+    # sums of float32 hue and saturation terms are exact in any order. These
+    # are not, so this pin also sees a change in the order of the sums.
+    digest = hashlib.sha256()
+    for entry in stream_stats(half_turn_frames()):
+        digest.update(struct.pack("<d", entry.avg_intensity))
+        if entry.hsv_delta is not None:
+            digest.update(struct.pack("<d", entry.hsv_delta))
+    assert digest.hexdigest() == LARGE_FRAME_DIGEST
