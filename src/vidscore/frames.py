@@ -256,8 +256,36 @@ def _hsv_tables() -> tuple[np.ndarray, np.ndarray]:
     return h6.ravel(), sat.ravel()
 
 
-def _frame_hsv(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel HSV of a whole frame, every channel in [0, 255].
+class _WorkArea:
+    """Every frame-sized array the per-frame loop writes, for frames of
+    ``pixels`` pixels: the three channel planes, chroma, the hue and
+    saturation table indices, two HSV sets that take turns as the current
+    and the previous frame's, and the scratch of ``_hsv_delta``.
+
+    A fresh frame-sized array is a new mapping whose pages fault again on
+    every frame, so one stream's loop allocates these once and every step
+    writes through ``out=``.
+    """
+
+    def __init__(self, pixels: int):
+        self.planes = np.empty((3, pixels), dtype=np.uint8)
+        self.chroma = np.empty(pixels, dtype=np.uint8)
+        self.hue_idx = np.empty(pixels, dtype=np.int32)
+        self.sat_idx = np.empty(pixels, dtype=np.uint16)
+        self.hsv = [
+            (np.empty(pixels, dtype=np.float32), np.empty(pixels, dtype=np.float32),
+             np.empty(pixels, dtype=np.uint8))
+            for _ in range(2)
+        ]
+        self.dh = np.empty(pixels, dtype=np.float32)
+        self.ds = np.empty(pixels, dtype=np.float32)
+        self.dv = np.empty(pixels, dtype=np.uint8)
+        self.dv_lo = np.empty(pixels, dtype=np.uint8)
+
+
+def _frame_hsv(frame: Frame, work: _WorkArea, out):
+    """Per-pixel HSV of a whole frame, every channel in [0, 255], written
+    into the HSV set ``out`` of ``work`` and returned.
 
     Hue comes from the standard hexagonal model rescaled so the full circle is
     256 units; achromatic pixels get hue 0. Hue and saturation are float32
@@ -265,53 +293,67 @@ def _frame_hsv(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     differences ``r - g`` and ``g - b``, which fix it because hue does not
     change when one constant is added to every channel, and saturation by
     value and chroma. Results are identical for all 2**24 colours to
-    float32 arithmetic on every pixel. Value is returned as uint8 so that
+    float32 arithmetic on every pixel. Value is uint8 so that
     ``_hsv_delta`` can take its term in integers.
 
-    The index dtypes are spelled out (int32 hue, uint16 saturation) and
-    built in place: numpy 1.x promotes a scalar by its value, so
-    ``uint8_array * 511`` there would be int16 and overflow.
+    Every step writes into ``work``, whose index arrays are int32 (hue) and
+    uint16 (saturation): numpy 1.x promotes a scalar by its value, so
+    ``uint8_array * 511`` there would be int16 and overflow. The lookups
+    take ``mode="wrap"``, which writes straight into ``out``, where the
+    default mode fills a temporary first; every index is in range, so none
+    wraps.
     """
     hue_table, sat_table = _hsv_tables()
-    arr = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
-    r, g, b = np.ascontiguousarray(arr.T)
-    # a fresh frame-sized temporary costs about as much as a pass
-    v = np.maximum(r, g)
+    np.copyto(work.planes, np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3).T)
+    r, g, b = work.planes
+    hue, sat, v = out
+    c = work.chroma
+    np.maximum(r, g, out=v)
     np.maximum(v, b, out=v)
-    c = np.minimum(r, g)
+    np.minimum(r, g, out=c)
     np.minimum(c, b, out=c)
     np.subtract(v, c, out=c)
     # (r - g + 255) * 511 + (g - b + 255), accumulated in int32
-    hue_idx = r.astype(np.int32)
+    hue_idx = work.hue_idx
+    np.copyto(hue_idx, r)
     hue_idx -= g
     hue_idx *= np.int32(511)
     hue_idx += g
     hue_idx -= b
     hue_idx += np.int32(255 * 511 + 255)
-    sat_idx = v.astype(np.uint16)
+    sat_idx = work.sat_idx
+    np.copyto(sat_idx, v)
     sat_idx <<= np.uint16(8)
     sat_idx |= c
-    return hue_table.take(hue_idx), sat_table.take(sat_idx), v
+    hue_table.take(hue_idx, mode="wrap", out=hue)
+    sat_table.take(sat_idx, mode="wrap", out=sat)
+    return out
 
 
-def _hsv_delta(prev, curr) -> float:
-    """Mean absolute HSV change, averaged over the three channels.
+def _hsv_delta(prev, curr, work: _WorkArea) -> float:
+    """Mean absolute HSV change, averaged over the three channels, taken in
+    the scratch arrays of ``work``.
 
-    Hue and saturation are float32, so their means sum in float64. The value
-    term is a sum of integers below 2**53, so it is summed exactly in
-    integers and divided once, giving the same double as a float64 mean.
+    Hue and saturation are float32, so their means sum in float64, through
+    the same ``np.add.reduce`` that ``np.mean`` runs. The value term is a
+    sum of integers below 2**53, so it is summed exactly in integers and
+    divided once, giving the same double as a float64 mean.
     """
-    dh = np.subtract(curr[0], prev[0])
+    dh, ds, dv = work.dh, work.ds, work.dv
+    np.subtract(curr[0], prev[0], out=dh)
     np.abs(dh, out=dh)
-    np.minimum(dh, np.float32(HUE_SCALE) - dh, out=dh)
-    ds = np.subtract(curr[1], prev[1])
+    np.subtract(np.float32(HUE_SCALE), dh, out=ds)
+    np.minimum(dh, ds, out=dh)
+    np.subtract(curr[1], prev[1], out=ds)
     np.abs(ds, out=ds)
-    dv = np.maximum(curr[2], prev[2])  # |curr - prev| in uint8
-    dv -= np.minimum(curr[2], prev[2])
+    np.maximum(curr[2], prev[2], out=dv)  # |curr - prev| in uint8
+    np.minimum(curr[2], prev[2], out=work.dv_lo)
+    dv -= work.dv_lo
+    n = dv.size
     score = (
-        dh.mean(dtype=np.float64)
-        + ds.mean(dtype=np.float64)
-        + _exact_sum(dv) / dv.size
+        np.add.reduce(dh, dtype=np.float64) / n
+        + np.add.reduce(ds, dtype=np.float64) / n
+        + _exact_sum(dv) / n
     ) / 3.0
     return float(score)
 
@@ -334,10 +376,19 @@ def stream_stats(frames) -> Iterator[FrameStats]:
 
 
 def _per_frame(frames, prev_hsv=None):
-    """The per-frame loop; returns the HSV of the last frame it computed."""
+    """The per-frame loop; returns the HSV of the last frame it computed.
+
+    Its work area is sized on the first frame, and on any frame of another
+    size. The HSV it returns lives in that area, which no later loop
+    writes, so it stays valid as the ``prev_hsv`` of another loop.
+    """
+    work = None
     for frame in frames:
-        hsv = _frame_hsv(frame)
-        delta = None if prev_hsv is None else _hsv_delta(prev_hsv, hsv)
+        if work is None or 3 * work.dv.size != len(frame.pixels):
+            work = _WorkArea(len(frame.pixels) // 3)
+        # the HSV set that does not hold the previous frame's
+        hsv = _frame_hsv(frame, work, work.hsv[work.hsv[0] is prev_hsv])
+        delta = None if prev_hsv is None else _hsv_delta(prev_hsv, hsv, work)
         yield FrameStats(
             index=frame.index,
             avg_intensity=compute_intensity(frame),
@@ -396,8 +447,9 @@ def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
 def _fork_range(source: FrameSource, start: int, stop: int):
     """Fork a child that computes frames ``start:stop`` of ``source``.
 
-    The child pulls the earlier frames without computing them, seeds its
-    first delta with the HSV of frame ``start - 1``, and writes each frame's
+    The child pulls the earlier frames without computing them, runs the
+    per-frame loop from frame ``start - 1``, whose HSV seeds the first delta
+    and whose stats it drops, and writes each later frame's
     ``(avg_intensity, hsv_delta)`` as two float64 to a pipe. It leaves
     through ``os._exit``, so it runs no exit handler, flushes no buffer it
     inherited and raises nothing into the caller's code; any failure shows
@@ -418,7 +470,7 @@ def _fork_range(source: FrameSource, start: int, stop: int):
             os.close(read_fd)
             frames = iter(source)
             collections.deque(itertools.islice(frames, start - 1), maxlen=0)
-            stats = _per_frame(itertools.islice(frames, stop - start), _frame_hsv(next(frames)))
+            stats = itertools.islice(_per_frame(itertools.islice(frames, stop - start + 1)), 1, None)
             values = np.array([(s.avg_intensity, s.hsv_delta) for s in stats], dtype=np.float64)
             unwritten = memoryview(values.tobytes())
             while unwritten:

@@ -366,14 +366,48 @@ class TestSplitStats:
         clip = noisy_clip(9, "fade")
         parent, frame_hsv = os.getpid(), frames_module._frame_hsv
 
-        def dying(frame):
+        def dying(frame, work, out):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return frame_hsv(frame)
+            return frame_hsv(frame, work, out)
 
         monkeypatch.setattr(frames_module, "_frame_hsv", dying)
         assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == list(stream_stats(clip))
         assert len(forked) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("path", ["split", "bare iterable", "killed child"])
+    def test_reused_buffers_give_the_deltas_of_fresh_ones(self, tmp_path, cpus, monkeypatch,
+                                                          path):
+        clip = noisy_clip(9, "cut")
+        assert len({frame.pixels for frame in clip}) == len(clip)
+        pixels = len(clip[0].pixels) // 3
+
+        def fresh_hsv(frame):
+            work = frames_module._WorkArea(pixels)
+            return frames_module._frame_hsv(frame, work, work.hsv[0])
+
+        expected = [None] + [
+            frames_module._hsv_delta(fresh_hsv(prev), fresh_hsv(curr),
+                                     frames_module._WorkArea(pixels))
+            for prev, curr in zip(clip, clip[1:])
+        ]
+        forked = cpus(3)
+        if path == "bare iterable":
+            stats = stream_stats(iter(clip))
+        else:
+            if path == "killed child":
+                parent, frame_hsv = os.getpid(), frames_module._frame_hsv
+
+                def dying(frame, work, out):
+                    if os.getpid() != parent:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    return frame_hsv(frame, work, out)
+
+                monkeypatch.setattr(frames_module, "_frame_hsv", dying)
+            stats = stream_stats(write_source(tmp_path, clip, "raw"))
+        assert [entry.hsv_delta for entry in stats] == expected
+        assert len(forked) == (0 if path == "bare iterable" else 2)
         assert_no_child_left()
 
     def test_a_failed_fork_leaves_its_range_to_the_parent(self, tmp_path, monkeypatch):
