@@ -49,7 +49,13 @@ from .planner import (
     sections_from_scenes,
 )
 from .composer import load_seed_melody
-from .scenes import DetectorConfig, detect_scenes, scenes_from_json, scenes_to_json
+from .scenes import (
+    DetectorConfig,
+    check_frame_rate,
+    detect_scenes,
+    scenes_from_json,
+    scenes_to_json,
+)
 
 
 @dataclass
@@ -83,10 +89,9 @@ class PipelineConfig:
             return None
         try:
             num, den = fps_fraction(self.fps)
+            check_frame_rate(num, den)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad fps {self.fps!r}") from exc
-        if num <= 0:
-            raise ConfigError(f"bad fps {self.fps!r}: the frame rate must be positive")
+            raise ConfigError(f"bad fps {self.fps!r}: {exc}") from exc
         return num, den
 
     def out_path(self, name: str) -> str:

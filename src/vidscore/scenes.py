@@ -31,6 +31,20 @@ OPENS = ("start-of-video", "cut", "fade-in")
 CLOSES = ("end-of-video", "cut", "fade-out")
 
 
+def check_frame_rate(num: int, den: int) -> None:
+    """Raise ValueError unless ``num/den`` frames per second is a rate every
+    stage can compute with: both terms at least 1 and each held by a float.
+    Then the rate and its inverse are finite, non-zero floats too. The
+    detector's merge tolerance multiplies a float by ``num``, so a term past
+    float range fails there even when the quotient fits."""
+    if num < 1 or den < 1:
+        raise ValueError(f"frame rate {num}/{den} is not positive")
+    try:
+        float(num), float(den)
+    except OverflowError:
+        raise ValueError(f"frame rate {num}/{den} has a term past float range") from None
+
+
 # The frame geometry and per-frame statistics the detectors read live here,
 # not in ``frames``, so scenes and everything downstream import without numpy.
 @dataclass(frozen=True)
@@ -43,8 +57,10 @@ class FrameSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise MalformedSourceError(f"bad frame size {self.width}x{self.height}")
-        if self.fps_num < 1 or self.fps_den < 1:
-            raise MalformedSourceError(f"bad frame rate {self.fps_num}/{self.fps_den}")
+        try:
+            check_frame_rate(self.fps_num, self.fps_den)
+        except ValueError as exc:
+            raise MalformedSourceError(str(exc)) from None
 
     @property
     def frame_bytes(self) -> int:
@@ -196,8 +212,7 @@ def scenes_from_json(text: str) -> Tuple[List[Scene], Tuple[int, int], int]:
     try:
         doc = json.loads(text)
         num, den = ints(doc["fps"], 2)
-        if num < 1 or den < 1:
-            raise ValueError(f"bad frame rate {num}/{den}")
+        check_frame_rate(num, den)
         total = typed(doc["total_frames"], int)
         scenes = []
         for raw in typed(doc["scenes"], list):

@@ -492,6 +492,32 @@ class TestConfigResolution:
         assert "bad fps" in capsys.readouterr().err
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize("case, code", [
+        ("header fps_num", 2), ("header fps_den", 2), ("--fps num", 6), ("--fps den", 6),
+        ("scenes.json num", 2), ("scenes.json den", 2),
+    ])
+    def test_frame_rate_past_float_range_exits_with_stage_code(self, tmp_path, capsys,
+                                                              case, code):
+        huge = str(10 ** 400)
+        num, den = (huge, "1") if case.endswith("num") else ("1", huge)
+        (tmp_path / "frames").mkdir()
+        (tmp_path / "frames" / "0000.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(48))
+        (tmp_path / "clip.rgb24").write_bytes(bytes(3 * 4 * 4 * 2))
+        (tmp_path / "clip.hdr").write_text(f"width=4 height=4 fps_num={num} fps_den={den}\n")
+        scene = {"id": 0, "start_frame": 0, "end_frame": 240,
+                 "opens_with": "start-of-video", "closes_with": "end-of-video"}
+        (tmp_path / "scenes.json").write_text(
+            f'{{"fps": [{num}, {den}], "total_frames": 240, "scenes": [{json.dumps(scene)}]}}')
+        out = tmp_path / "out"
+        argv = {
+            "header": ["analyze", "--source", str(tmp_path / "clip.rgb24")],
+            "--fps": ["analyze", "--source", str(tmp_path / "frames"), "--fps", f"{num}/{den}"],
+            "scenes.json": ["plan", "--scenes", str(tmp_path / "scenes.json")],
+        }[case.split()[0]]
+        assert cli.main(argv + ["--output-dir", str(out)]) == code
+        assert "past float range" in capsys.readouterr().err
+        assert not out.exists() or os.listdir(out) == []
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--fps", "-30000/1001"],  # argparse reads the value as a flag
         ["analyze", "--no-such-flag"],

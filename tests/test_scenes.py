@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,6 +7,7 @@ from vidscore.errors import EmptyVideoError, MalformedSourceError
 from vidscore.scenes import (
     DetectorConfig,
     FrameSpec,
+    check_frame_rate,
     detect_transitions,
     merge_scene_lists,
     scenes_from_json,
@@ -182,6 +184,22 @@ class TestMergeSceneLists:
     def test_determinism(self):
         args = ([40, 200], [(90, 110)], 300, SPEC, DetectorConfig())
         assert merge_scene_lists(*args) == merge_scene_lists(*args)
+
+
+class TestFrameRate:
+    def test_every_term_a_float_holds_is_a_rate(self):
+        largest = int(sys.float_info.max)
+        for num, den in ((largest, 1), (1, largest), (largest, largest)):
+            check_frame_rate(num, den)
+            FrameSpec(width=4, height=4, fps_num=num, fps_den=den)
+
+    @pytest.mark.parametrize("num, den", [(0, 1), (1, 0), (-30, 1), (2 ** 1024, 1), (1, 2 ** 1024),
+                                          (10 ** 400, 10 ** 400)])
+    def test_the_rule_refuses_what_frame_spec_refuses(self, num, den):
+        with pytest.raises(ValueError, match=f"frame rate {num}/{den}"):
+            check_frame_rate(num, den)
+        with pytest.raises(MalformedSourceError, match=f"frame rate {num}/{den}"):
+            FrameSpec(width=4, height=4, fps_num=num, fps_den=den)
 
 
 class TestSceneJson:
