@@ -22,6 +22,10 @@ affinity mask (``os.sched_getaffinity``): one contiguous frame range per CPU,
 each range after the first computed by a forked child that reads the source
 itself. There is no setting for it; to use fewer CPUs, narrow the mask (for
 example with ``taskset``). The statistics do not depend on the split.
+
+Each per-frame loop, in this process or in a child, sizes one work area on
+its first frame and writes every frame-sized array into it, so no frame
+after the first allocates one. A child builds its area after the fork.
 """
 
 from __future__ import annotations
@@ -264,7 +268,10 @@ class _WorkArea:
 
     A fresh frame-sized array is a new mapping whose pages fault again on
     every frame, so one stream's loop allocates these once and every step
-    writes through ``out=``.
+    writes through ``out=``. The delta runs after the current frame's
+    lookups, so its hue scratch is the hue index's memory and its second
+    value array is chroma's; that keeps the area at 33 bytes a pixel, which
+    is about what the per-frame temporaries it replaces peaked at.
     """
 
     def __init__(self, pixels: int):
@@ -277,10 +284,10 @@ class _WorkArea:
              np.empty(pixels, dtype=np.uint8))
             for _ in range(2)
         ]
-        self.dh = np.empty(pixels, dtype=np.float32)
+        self.dh = self.hue_idx.view(np.float32)
         self.ds = np.empty(pixels, dtype=np.float32)
         self.dv = np.empty(pixels, dtype=np.uint8)
-        self.dv_lo = np.empty(pixels, dtype=np.uint8)
+        self.dv_lo = self.chroma
 
 
 def _frame_hsv(frame: Frame, work: _WorkArea, out):
@@ -335,7 +342,8 @@ def _hsv_delta(prev, curr, work: _WorkArea) -> float:
     the scratch arrays of ``work``.
 
     Hue and saturation are float32, so their means sum in float64, through
-    the same ``np.add.reduce`` that ``np.mean`` runs. The value term is a
+    the ``np.add.reduce`` that ``np.mean`` runs, called without its Python
+    wrapper, so the result is the same double. The value term is a
     sum of integers below 2**53, so it is summed exactly in integers and
     divided once, giving the same double as a float64 mean.
     """
@@ -384,7 +392,7 @@ def _per_frame(frames, prev_hsv=None):
     """
     work = None
     for frame in frames:
-        if work is None or 3 * work.dv.size != len(frame.pixels):
+        if work is None or work.planes.size != len(frame.pixels):
             work = _WorkArea(len(frame.pixels) // 3)
         # the HSV set that does not hold the previous frame's
         hsv = _frame_hsv(frame, work, work.hsv[work.hsv[0] is prev_hsv])
