@@ -300,8 +300,8 @@ def _frame_hsv(frame: Frame, work: _WorkArea, out):
     differences ``r - g`` and ``g - b``, which fix it because hue does not
     change when one constant is added to every channel, and saturation by
     value and chroma. Results are identical for all 2**24 colours to
-    float32 arithmetic on every pixel. Value is uint8 so that
-    ``_hsv_delta`` can take its term in integers.
+    float32 arithmetic on every pixel. Value is uint8 so that ``_hsv_delta``
+    can take its term in integers.
 
     Every step writes into ``work``, whose index arrays are int32 (hue) and
     uint16 (saturation): numpy 1.x promotes a scalar by its value, so
@@ -343,9 +343,9 @@ def _hsv_delta(prev, curr, work: _WorkArea) -> float:
 
     Hue and saturation are float32, so their means sum in float64, through
     the ``np.add.reduce`` that ``np.mean`` runs, called without its Python
-    wrapper, so the result is the same double. The value term is a
-    sum of integers below 2**53, so it is summed exactly in integers and
-    divided once, giving the same double as a float64 mean.
+    wrapper, so the result is the same double. The value term is a sum of
+    integers below 2**53, so it is summed exactly in integers and divided
+    once, giving the same double as a float64 mean.
     """
     dh, ds, dv = work.dh, work.ds, work.dv
     np.subtract(curr[0], prev[0], out=dh)

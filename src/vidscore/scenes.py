@@ -67,7 +67,12 @@ class FrameSpec:
         return 3 * self.width * self.height
 
     def timestamp(self, index: int) -> float:
-        return index * self.fps_den / self.fps_num
+        try:
+            return index * self.fps_den / self.fps_num
+        except OverflowError:
+            raise MalformedSourceError(
+                f"frame {index} at {self.fps_num}/{self.fps_den} fps is past float range"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -518,6 +518,16 @@ class TestConfigResolution:
         assert "past float range" in capsys.readouterr().err
         assert not out.exists() or os.listdir(out) == []
 
+    def test_video_whose_length_is_past_float_range_exits_2(self, tmp_path, capsys):
+        # each term of 1/10**308 fits a float, but two frames last 2e308 s
+        (tmp_path / "clip.rgb24").write_bytes(bytes(3 * 4 * 4 * 2))
+        (tmp_path / "clip.hdr").write_text(f"width=4 height=4 fps_num=1 fps_den={10 ** 308}\n")
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--source", str(tmp_path / "clip.rgb24"),
+                         "--output-dir", str(out)]) == 2
+        assert "past float range" in capsys.readouterr().err
+        assert not out.exists() or os.listdir(out) == []
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--fps", "-30000/1001"],  # argparse reads the value as a flag
         ["analyze", "--no-such-flag"],
