@@ -470,7 +470,6 @@ def test_stats_over_every_colour_are_pinned_bit_for_bit():
     assert digest.hexdigest() == EVERY_COLOUR_DIGEST
 
 
-
 def half_turn_frames():
     """Three seeded random frames of 1100x1000 pixels.
 
