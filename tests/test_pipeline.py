@@ -303,6 +303,24 @@ class TestRun:
         assert written["config_hash"] == config.config_hash()
         assert os.path.getsize(manifest["final_output"]) > 0
 
+    def test_render_and_mux_chain_after_compose(self, quad_video, tmp_path):
+        _, source = quad_video
+        copy = f'{PY} -c "import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2])"'
+        config = PipelineConfig(source=source, output_dir=str(tmp_path), rng_seed=3,
+                                render_template=copy + " {in} {out}",
+                                mux_template=copy + " {audio} {out}")
+        manifest = cmd_run(config)
+        stages = {s["name"]: s for s in manifest["stages"]}
+        assert list(stages) == ["analyze", "plan", "compose", "render", "mux"]
+        midi, wav, final = (str(tmp_path / name) for name in
+                            ("soundtrack.mid", "soundtrack.wav", "final.rgb24"))
+        assert stages["render"]["inputs"] == [midi]
+        assert [out["path"] for out in stages["render"]["outputs"]] == [wav]
+        assert stages["mux"]["inputs"] == [source, wav]
+        assert [out["path"] for out in stages["mux"]["outputs"]] == [final]
+        assert manifest["final_output"] == final
+        assert open(final, "rb").read() == open(midi, "rb").read()
+
     def test_manifest_digests_match_the_outputs(self, quad_video, tmp_path):
         _, source = quad_video
         config = PipelineConfig(source=source, output_dir=str(tmp_path), rng_seed=3)
