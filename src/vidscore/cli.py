@@ -1,6 +1,8 @@
 """Command line entry point.
 
-Subcommands mirror the pipeline stages; ``run`` chains them. Settings come
+One subcommand per pipeline stage, built from ``pipeline.STAGES``: its file
+flags, its ``-o`` default and the line it prints come from the stage's
+entry there. ``run`` chains the stages. Settings come
 from built-in defaults, then a config file ([pipeline] block, same INI
 dialect as plans), then the VIDSCORE_OUTPUT_DIR environment variable, then
 command line flags, later sources winning. Each ``PipelineConfig`` field is
@@ -23,19 +25,8 @@ from dataclasses import fields
 from typing import Optional
 
 from .errors import ConfigError, VidscoreError
-from .pipeline import (
-    SHORT_NAMES,
-    PipelineConfig,
-    apply_settings,
-    cmd_run,
-    load_config_file,
-    stage_analyze,
-    stage_compose,
-    stage_mix_loops,
-    stage_mux,
-    stage_plan,
-    stage_render,
-)
+from .pipeline import (SHORT_NAMES, STAGES, PipelineConfig, apply_settings, cmd_run,
+                       load_config_file)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,37 +54,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="detect scenes and write scenes.json")
-    p.add_argument("-o", "--out", help="output path (default: <outdir>/scenes.json)")
-    p.set_defaults(run=lambda c, a: "{1} scenes -> {0}".format(*stage_analyze(c, a.out)))
-
-    p = sub.add_parser("plan", help="solve the section plan and write plan.ini")
-    p.add_argument("--scenes", required=True, help="scenes.json from analyze")
-    p.add_argument("-o", "--out", help="output path (default: <outdir>/plan.ini)")
-    p.set_defaults(run=lambda c, a: f"plan -> {stage_plan(c, a.scenes, a.out)}")
-
-    p = sub.add_parser("compose", help="realize plan.ini as soundtrack.mid")
-    p.add_argument("--plan", required=True, help="plan.ini from plan")
-    p.add_argument("-o", "--out", help="output path (default: <outdir>/soundtrack.mid)")
-    p.add_argument("--dump-events", help="also write a JSON event dump here")
-    p.set_defaults(run=lambda c, a: "soundtrack -> "
-                   + stage_compose(c, a.plan, a.out, a.dump_events))
-
-    p = sub.add_parser("render", help="synthesize audio via the render template")
-    p.add_argument("--midi", required=True)
-    p.add_argument("-o", "--out", help="output path (default: <outdir>/soundtrack.wav)")
-    p.set_defaults(run=lambda c, a: f"audio -> {stage_render(c, a.midi, a.out)}")
-
-    p = sub.add_parser("mux", help="attach audio to the video via the mux template")
-    p.add_argument("--video", required=True)
-    p.add_argument("--audio", required=True)
-    p.add_argument("-o", "--out")
-    p.set_defaults(run=lambda c, a: f"video -> {stage_mux(c, a.video, a.audio, a.out)}")
-
-    p = sub.add_parser("mix-loops", help="mix WAV stems over the scene list")
-    p.add_argument("--scenes", required=True)
-    p.add_argument("-o", "--out", help="output path (default: <outdir>/soundtrack.wav)")
-    p.set_defaults(run=lambda c, a: f"audio -> {stage_mix_loops(c, a.scenes, a.out)}")
+    # a file flag's help names the stage whose output run hands it
+    made_by = {stage.feeds: f"{stage.output} from {name}"
+               for name, stage in STAGES.items() if stage.feeds}
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help)
+        dests = [p.add_argument("--" + flag, required=True, help=made_by.get(flag)).dest
+                 for flag in stage.files]
+        default = stage.output.format(ext="<video extension>")
+        p.add_argument("-o", "--out", help=f"output path (default: <outdir>/{default})")
+        dests.append("out")
+        dests += [p.add_argument("--" + flag, help=text).dest for flag, text in stage.options]
+        p.set_defaults(run=lambda c, a, stage=stage, dests=dests:
+                       stage(c, *(getattr(a, dest) for dest in dests))[1])
 
     p = sub.add_parser("run", help="run the full pipeline and write a manifest")
     p.set_defaults(run=lambda c, a: f"done -> {cmd_run(c)['final_output']}")

@@ -1,9 +1,12 @@
-"""Pipeline stages behind the CLI: analyze, plan, compose, render, mux, run.
+"""Pipeline stages behind the CLI: analyze, plan, compose, render, mux, mix-loops.
 
 Each stage reads the previous stage's interchange file, so stages can be run
 separately or chained by ``run``, which also writes a manifest recording the
-per-stage timings, tool versions and a hash of the effective configuration.
-External synthesis and muxing are plain command templates; the core stays
+per-stage timings, the files each stage read and wrote, tool versions and a
+hash of the effective configuration. Each stage is declared once, in
+``STAGES``: the CLI builds its subcommands from that table, and ``run``
+chains the stages and takes each manifest entry's inputs from it. External
+synthesis and muxing are plain command templates; the core stays
 dependency-free.
 """
 
@@ -165,17 +168,69 @@ def apply_settings(config: PipelineConfig, settings: dict) -> PipelineConfig:
     return config
 
 
+# -- the stage table -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Stage:
+    """One stage, as its subcommand and ``run`` see it."""
+
+    help: str
+    function: str  # a stage_* name, looked up at each call so a wrapper set on it applies
+    files: Tuple[str, ...]  # file flags without "--", in the function's argument order
+    reads: Tuple[str, ...]  # config fields, or methods, naming other files it reads
+    output: str  # default output name; "{ext}" is the first file's extension
+    says: str  # what the CLI prints before " -> <path>"; "{}" takes analyze's count
+    feeds: Optional[str] = None  # the file flag that takes its output later in ``run``
+    requires: Tuple[str, ...] = ()  # a setting it cannot run without, and the error
+    options: Tuple[Tuple[str, str], ...] = ()  # optional flags after -o, with their help
+
+    def __call__(self, config: PipelineConfig, *args) -> Tuple[str, str]:
+        """Run the stage; returns its output path and the line the CLI prints."""
+        result = globals()[self.function](config, *args)
+        path, *counts = result if isinstance(result, tuple) else (result,)
+        return path, f"{self.says.format(*counts)} -> {path}"
+
+    def check(self, config: PipelineConfig) -> None:
+        if self.requires and not getattr(config, self.requires[0]):
+            raise ConfigError(self.requires[1])
+
+    def inputs(self, config: PipelineConfig, files: list) -> list:
+        """The files a run of the stage reads: its file arguments, then its settings."""
+        read = [getattr(config, name) for name in self.reads]
+        return [p for p in files + [r() if callable(r) else r for r in read] if p]
+
+
+STAGES = {
+    "analyze": Stage("detect scenes and write scenes.json", "stage_analyze", (), ("source",),
+                     "scenes.json", "{} scenes", feeds="scenes",
+                     requires=("source", "no source configured")),
+    "plan": Stage("solve the section plan and write plan.ini", "stage_plan", ("scenes",),
+                  ("detections", "mood_file"), "plan.ini", "plan", feeds="plan"),
+    "compose": Stage("realize plan.ini as soundtrack.mid", "stage_compose", ("plan",),
+                     ("melody", "instruments"), "soundtrack.mid", "soundtrack", feeds="midi",
+                     options=(("dump-events", "also write a JSON event dump here"),)),
+    "render": Stage("synthesize audio via the render template", "stage_render", ("midi",),
+                    ("soundfont",), "soundtrack.wav", "audio", feeds="audio",
+                    requires=("render_template", "no render command template configured")),
+    "mux": Stage("attach audio to the video via the mux template", "stage_mux",
+                 ("video", "audio"), (), "final{ext}", "video",
+                 requires=("mux_template", "no mux command template configured")),
+    "mix-loops": Stage("mix WAV stems over the scene list", "stage_mix_loops", ("scenes",),
+                       ("stems",), "soundtrack.wav", "audio",
+                       requires=("stems", "no stem manifest configured for loop mode")),
+}
+
+
 # -- stages ----------------------------------------------------------------------
 
 def stage_analyze(config: PipelineConfig, out_path: Optional[str] = None) -> Tuple[str, int]:
     """Detect scenes and write the scene-list JSON; returns (path, count)."""
-    if not config.source:
-        raise ConfigError("no source configured")
+    STAGES["analyze"].check(config)
     source = open_frame_source(config.source, config.fps_pair())
     scenes = detect_scenes(
         stream_stats(source), source.total_frames, source.spec, config.detector_config()
     )
-    path = out_path or config.out_path("scenes.json")
+    path = out_path or config.out_path(STAGES["analyze"].output)
     fps = (source.spec.fps_num, source.spec.fps_den)
     with publish(path) as fh:
         fh.write(scenes_to_json(scenes, fps, source.total_frames))
@@ -215,7 +270,7 @@ def stage_plan(
 
     plan = finalize_plan(durations, fits, labels, slopes, mood_ref, config.complexity,
                          config.rng_seed)
-    path = out_path or config.out_path("plan.ini")
+    path = out_path or config.out_path(STAGES["plan"].output)
     with publish(path) as fh:
         fh.write(plan_to_ini(plan))
     return path
@@ -237,13 +292,10 @@ def stage_compose(
         melody = read_input(config.melody, ConfigError, "melody", binary=True)
         motif = load_seed_melody(read_smf(melody))
 
-    imap = (
-        InstrumentMap.from_file(config.instruments)
-        if config.instruments
-        else InstrumentMap.default()
-    )
+    imap = (InstrumentMap.from_file(config.instruments) if config.instruments
+            else InstrumentMap.default())
     score = compose_plan(plan, mood, motif)
-    path = out_path or config.out_path("soundtrack.mid")
+    path = out_path or config.out_path(STAGES["compose"].output)
     with publish(path, binary=True) as fh:
         fh.write(write_smf(score, imap))
     if dump_events:
@@ -252,16 +304,21 @@ def stage_compose(
     return path
 
 
+def _fill(token: str, values: dict) -> str:
+    """``token`` with each ``{name}`` replaced by its value, in one pass: a
+    value that holds a placeholder is not replaced again."""
+    if not values:
+        return token
+    (name, value), *rest = values.items()
+    return value.join(_fill(part, dict(rest)) for part in token.split("{%s}" % name))
+
+
 def _run_template(template: str, substitutions: dict, out_path: str, what: str) -> None:
     """Run the tool with ``{out}`` set to a temp path beside ``out_path`` that
     keeps its extension (tools pick the file type from it), then publish it."""
     root, ext = os.path.splitext(out_path)
     tmp = root + ".tmp" + ext
-    tokens = []
-    for token in shlex.split(template):
-        for placeholder, value in dict(substitutions, out=tmp).items():
-            token = token.replace("{%s}" % placeholder, value)
-        tokens.append(token)
+    tokens = [_fill(token, dict(substitutions, out=tmp)) for token in shlex.split(template)]
     with staged(out_path, tmp):
         try:
             proc = subprocess.run(tokens, capture_output=True, text=True)
@@ -279,9 +336,8 @@ def _run_template(template: str, substitutions: dict, out_path: str, what: str) 
 def stage_render(
     config: PipelineConfig, midi_path: str, out_path: Optional[str] = None
 ) -> str:
-    if not config.render_template:
-        raise ConfigError("no render command template configured")
-    path = out_path or config.out_path("soundtrack.wav")
+    STAGES["render"].check(config)
+    path = out_path or config.out_path(STAGES["render"].output)
     _run_template(
         config.render_template,
         {"in": midi_path, "soundfont": config.soundfont or ""},
@@ -294,9 +350,9 @@ def stage_render(
 def stage_mux(
     config: PipelineConfig, video_path: str, audio_path: str, out_path: Optional[str] = None
 ) -> str:
-    if not config.mux_template:
-        raise ConfigError("no mux command template configured")
-    path = out_path or config.out_path("final" + os.path.splitext(video_path)[1])
+    STAGES["mux"].check(config)
+    ext = os.path.splitext(video_path)[1]
+    path = out_path or config.out_path(STAGES["mux"].output.format(ext=ext))
     _run_template(
         config.mux_template,
         {"in": video_path, "audio": audio_path, "soundfont": config.soundfont or ""},
@@ -309,37 +365,27 @@ def stage_mux(
 def stage_mix_loops(
     config: PipelineConfig, scenes_path: str, out_path: Optional[str] = None
 ) -> str:
-    if not config.stems:
-        raise ConfigError("no stem manifest configured for loop mode")
+    STAGES["mix-loops"].check(config)
     text = read_input(scenes_path, MalformedSourceError, "scene list")
     scenes, _fps, _total = scenes_from_json(text)
     stems = load_stem_manifest(config.stems)
     schedule = build_layer_schedule(scenes, stems)
     track = mix_stems(schedule, scenes, stems)
-    path = out_path or config.out_path("soundtrack.wav")
+    path = out_path or config.out_path(STAGES["mix-loops"].output)
     write_wav(path, track, stems[0].sample_rate)
     return path
 
 
 def cmd_run(config: PipelineConfig) -> dict:
     """Chain the stages and write the run manifest; returns the manifest."""
-    if config.loop_mode and not config.stems:  # refuse before analyze writes scenes.json
-        raise ConfigError("no stem manifest configured for loop mode")
-    stages: List[dict] = []
-
-    def timed(name, inputs, fn):
-        started = time.perf_counter()
-        path = fn()
-        ms = round((time.perf_counter() - started) * 1000.0, 3)
-        stages.append(
-            {
-                "name": name,
-                "inputs": inputs,
-                "outputs": [artifact_record(path)],
-                "ms": ms,
-            }
-        )
-        return path
+    if config.loop_mode:
+        chain = ["analyze", "mix-loops"]
+    else:
+        chain = ["analyze", "plan", "compose"]
+        if config.render_template:
+            chain += ["render", "mux"] if config.mux_template else ["render"]
+    for name in chain:  # refuse before analyze writes scenes.json
+        STAGES[name].check(config)
 
     # a run that fails part way must not leave the last run's manifest
     # describing files it has since replaced
@@ -351,47 +397,21 @@ def cmd_run(config: PipelineConfig) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot remove {manifest_path}: {exc}") from exc
 
-    scenes_path = timed("analyze", [config.source], lambda: stage_analyze(config)[0])
+    stages: List[dict] = []
+    files = {"video": config.source}  # file flag -> the path run hands it
+    for name in chain:
+        stage = STAGES[name]
+        args = [files[flag] for flag in stage.files]
+        started = time.perf_counter()
+        final_path = stage(config, *args)[0]
+        ms = round((time.perf_counter() - started) * 1000.0, 3)
+        stages.append({"name": name, "inputs": stage.inputs(config, args),
+                       "outputs": [artifact_record(final_path)], "ms": ms})
+        files[stage.feeds] = final_path
 
-    if config.loop_mode:
-        audio_path = timed(
-            "mix-loops", [scenes_path, config.stems],
-            lambda: stage_mix_loops(config, scenes_path),
-        )
-        final_path = audio_path
-    else:
-        plan_path = timed(
-            "plan",
-            [p for p in (scenes_path, config.detections, config.mood_file()) if p],
-            lambda: stage_plan(config, scenes_path),
-        )
-        midi_path = timed(
-            "compose",
-            [p for p in (plan_path, config.melody, config.instruments) if p],
-            lambda: stage_compose(config, plan_path),
-        )
-        final_path = midi_path
-        if config.render_template:
-            audio_path = timed(
-                "render", [midi_path], lambda: stage_render(config, midi_path)
-            )
-            final_path = audio_path
-            if config.mux_template:
-                final_path = timed(
-                    "mux",
-                    [config.source, audio_path],
-                    lambda: stage_mux(config, config.source, audio_path),
-                )
-
-    manifest = {
-        "config_hash": config.config_hash(),
-        "tool_versions": {
-            "python": sys.version.split()[0],
-            "vidscore": __version__,
-        },
-        "stages": stages,
-        "final_output": final_path,
-    }
+    manifest = {"config_hash": config.config_hash(),
+                "tool_versions": {"python": sys.version.split()[0], "vidscore": __version__},
+                "stages": stages, "final_output": final_path}
     with publish(manifest_path) as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

@@ -28,6 +28,15 @@ REQUIRED = {
     "run": [],
 }
 
+OUT_HELP = {
+    "analyze": "output path (default: <outdir>/scenes.json)",
+    "plan": "output path (default: <outdir>/plan.ini)",
+    "compose": "output path (default: <outdir>/soundtrack.mid)",
+    "render": "output path (default: <outdir>/soundtrack.wav)",
+    "mux": "output path (default: <outdir>/final<video extension>)",
+    "mix-loops": "output path (default: <outdir>/soundtrack.wav)",
+}
+
 
 @pytest.fixture(scope="module")
 def clip(tmp_path_factory):
@@ -91,14 +100,24 @@ def test_each_stage_prints_the_output_it_was_given(clip, tmp_path, capsys):
     assert not (tmp_path / "unused").exists()
 
 
-def required_options(parser):
+def subparsers(parser):
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def required_options(parser):
     return {name: sorted(s for a in p._actions if a.required for s in a.option_strings)
-            for name, p in sub.choices.items()}
+            for name, p in subparsers(parser).items()}
 
 
 def test_every_subcommand_keeps_its_required_flags():
     assert required_options(cli.build_parser()) == REQUIRED
+
+
+def test_every_output_flag_names_its_default():
+    helps = {name: [a.help for a in p._actions if "-o" in a.option_strings]
+             for name, p in subparsers(cli.build_parser()).items()}
+    assert helps == {name: [OUT_HELP[name]] if name in OUT_HELP else [] for name in REQUIRED}
 
 
 @pytest.mark.parametrize("command, flag", [

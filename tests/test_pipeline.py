@@ -292,6 +292,35 @@ class TestExternalTools:
         assert out.read_bytes() == b"vvaa"
 
 
+    def test_render_paths_holding_placeholders_are_passed_as_given(self, tmp_path):
+        (tmp_path / "{soundfont}").mkdir()
+        midi = tmp_path / "{soundfont}" / "in{out}.mid"
+        midi.write_bytes(b"midi")
+        template = f'{PY} -c "import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2])" {{in}} {{out}}'
+        code = cli.main(["render", "--midi", str(midi), "-o", str(tmp_path / "s.wav"),
+                         "--soundfont", "gm.sf2", "--render-template", template,
+                         "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "s.wav").read_bytes() == b"midi"
+
+    def test_mux_paths_holding_placeholders_are_passed_as_given(self, tmp_path):
+        video = tmp_path / "{audio}v{out}.bin"
+        audio = tmp_path / "{in}a{soundfont}.bin"
+        video.write_bytes(b"vv")
+        audio.write_bytes(b"aa")
+        template = (
+            f'{PY} -c "import sys,pathlib; '
+            f"pathlib.Path(sys.argv[3]).write_bytes(pathlib.Path(sys.argv[1]).read_bytes() + "
+            f'pathlib.Path(sys.argv[2]).read_bytes())" {{in}} {{audio}} {{out}}'
+        )
+        out = tmp_path / "final{in}.bin"
+        code = cli.main(["mux", "--video", str(video), "--audio", str(audio), "-o", str(out),
+                         "--soundfont", "gm.sf2", "--mux-template", template,
+                         "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert out.read_bytes() == b"vvaa"
+
+
 class TestRun:
     def test_full_chain_with_manifest(self, quad_video, tmp_path):
         _, source = quad_video
@@ -359,6 +388,16 @@ class TestRun:
         inputs = {stage["name"]: stage["inputs"] for stage in cmd_run(config)["stages"]}
         assert inputs["plan"] == [str(tmp_path / "scenes.json"), str(mood)]
         assert inputs["compose"] == [str(tmp_path / "plan.ini"), str(imap)]
+
+    def test_manifest_inputs_name_the_soundfont(self, quad_video, tmp_path):
+        _, source = quad_video
+        soundfont = tmp_path / "gm.sf2"
+        soundfont.write_bytes(b"sf")
+        copy = f'{PY} -c "import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2])"'
+        config = PipelineConfig(source=source, output_dir=str(tmp_path), soundfont=str(soundfont),
+                                render_template=copy + " {in} {out}")
+        inputs = {stage["name"]: stage["inputs"] for stage in cmd_run(config)["stages"]}
+        assert inputs["render"] == [str(tmp_path / "soundtrack.mid"), str(soundfont)]
 
     def test_rerun_identical_soundtrack(self, quad_video, tmp_path):
         _, source = quad_video
@@ -956,19 +995,23 @@ def test_plan_and_compose_modules_import_without_numpy():
 
 
 def layer_of_names():
-    """The pipeline names perfbench/spans.py wraps, read from its source."""
+    """The pipeline names perfbench/spans.py wraps, each with its layer, read
+    from its source."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     for node in tree.body:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYER_OF"]:
-            return list(ast.literal_eval(node.value))
+            return ast.literal_eval(node.value)
     raise AssertionError("spans.py has no LAYER_OF")
 
 
 def test_traced_names_exist():
     missing = [name for name in layer_of_names() if not callable(getattr(pipeline, name, None))]
     assert missing == []
+    untraced = [stage.function for stage in pipeline.STAGES.values()
+                if layer_of_names().get(stage.function) != "pipeline.self"]
+    assert untraced == []
     assert callable(pipeline.InstrumentMap.default)
     assert callable(pipeline.InstrumentMap.from_file)
     assert callable(planner.phrase_seconds)
