@@ -194,11 +194,6 @@ class Stage:
         if self.requires and not getattr(config, self.requires[0]):
             raise ConfigError(self.requires[1])
 
-    def inputs(self, config: PipelineConfig, files: list) -> list:
-        """The files a run of the stage reads: its file arguments, then its settings."""
-        read = [getattr(config, name) for name in self.reads]
-        return [p for p in files + [r() if callable(r) else r for r in read] if p]
-
 
 STAGES = {
     "analyze": Stage("detect scenes and write scenes.json", "stage_analyze", (), ("source",),
@@ -292,8 +287,11 @@ def stage_compose(
         melody = read_input(config.melody, ConfigError, "melody", binary=True)
         motif = load_seed_melody(read_smf(melody))
 
-    imap = (InstrumentMap.from_file(config.instruments) if config.instruments
-            else InstrumentMap.default())
+    imap = (
+        InstrumentMap.from_file(config.instruments)
+        if config.instruments
+        else InstrumentMap.default()
+    )
     score = compose_plan(plan, mood, motif)
     path = out_path or config.out_path(STAGES["compose"].output)
     with publish(path, binary=True) as fh:
@@ -405,13 +403,21 @@ def cmd_run(config: PipelineConfig) -> dict:
         started = time.perf_counter()
         final_path = stage(config, *args)[0]
         ms = round((time.perf_counter() - started) * 1000.0, 3)
-        stages.append({"name": name, "inputs": stage.inputs(config, args),
+        read = [getattr(config, setting) for setting in stage.reads]
+        inputs = [p for p in args + [r() if callable(r) else r for r in read] if p]
+        stages.append({"name": name, "inputs": inputs,
                        "outputs": [artifact_record(final_path)], "ms": ms})
         files[stage.feeds] = final_path
 
-    manifest = {"config_hash": config.config_hash(),
-                "tool_versions": {"python": sys.version.split()[0], "vidscore": __version__},
-                "stages": stages, "final_output": final_path}
+    manifest = {
+        "config_hash": config.config_hash(),
+        "tool_versions": {
+            "python": sys.version.split()[0],
+            "vidscore": __version__,
+        },
+        "stages": stages,
+        "final_output": final_path,
+    }
     with publish(manifest_path) as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
