@@ -84,3 +84,14 @@ def publish(path: str, binary: bool = False):
     with staged(path, path + ".tmp") as tmp:
         with open(tmp, "w+b" if binary else "w", encoding=None if binary else "utf-8") as fh:
             yield fh
+
+
+@contextmanager
+def publish_after(path: str, text: str):
+    """Write ``text`` to ``<path>.tmp`` before the block and rename it over
+    ``path`` once the block completes, so a file the block publishes and
+    this one are both written before either is renamed."""
+    with staged(path, path + ".tmp") as tmp:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        yield

@@ -16,9 +16,9 @@ holds, and a copy piece repeats frames the track already has. The exact peak
 is found by summing the sum pieces, in blocks through one reused int32
 buffer. ``write_wav`` then sums them again, normalizes each block into a
 reused int16 buffer and writes it, and reads each copy piece back out of the
-file being written through that same buffer. Memory is the stems (an int16
-and an int32 copy of each) plus a few block buffers, whatever the track
-length.
+file being written through that same buffer. The int16 stems are summed
+straight into the int32 block, so memory is the int16 stems plus a few block
+buffers, whatever the track length.
 """
 
 from __future__ import annotations
@@ -148,13 +148,18 @@ def _block_sums(channels: int, plan: List[Piece]) -> Iterator[Union[np.ndarray, 
         for first in range(lo, hi, _BLOCK):
             last = min(first + _BLOCK, hi)
             block = buf[:last - first]
-            block.fill(0)
-            for start, _, samples in runs:
+            if not runs:
+                block.fill(0)  # silence, which no run covers
+            for i, (start, _, samples) in enumerate(runs):
                 period = len(samples)
-                # each loop period overlapping [first, last), from the one holding first
+                # each loop period overlapping [first, last), from the one holding first;
+                # the first run's periods tile the block, since every run covers the piece
                 for pos in range(first - (first - start) % period, last, period):
                     a, b = max(pos, first), min(pos + period, last)
-                    block[a - first:b - first] += samples[a - pos:b - pos]
+                    if i:
+                        block[a - first:b - first] += samples[a - pos:b - pos]
+                    else:
+                        block[a - first:b - first] = samples[a - pos:b - pos]
             yield block
 
 
@@ -209,8 +214,6 @@ def mix_stems(
     frames = round(scenes[-1].end_s * rate)
     if 36 + frames * channels * 2 > _WAV_FIELD_MAX:
         raise StemMismatchError(f"a {frames}-frame track passes the 4 GiB a WAV holds")
-    wide: Dict[str, np.ndarray] = {}  # each scheduled stem, widened to int32 once
-
     runs: List[Run] = []
     last = 0  # the frame the scenes so far reach
     for scene, active in zip(scenes, schedule):
@@ -221,10 +224,8 @@ def mix_stems(
         if end <= start:
             continue
         last = end
-        for label in active:
-            if label not in wide:
-                wide[label] = by_label[label].samples.astype(np.int32)
-            runs.append((start, end, wide[label]))  # looped from sample 0, cut at end
+        for label in active:  # each looped from sample 0, cut at end
+            runs.append((start, end, by_label[label].samples))
     return Mix(frames, channels, runs)
 
 

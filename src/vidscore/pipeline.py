@@ -19,6 +19,7 @@ import shlex
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, asdict, fields
 from typing import List, Optional, Tuple
 
@@ -33,7 +34,7 @@ from .energy import (
 )
 from .errors import (ConfigError, ExternalToolError, MalformedSourceError, PlanParseError,
                      UnplannableSectionError)
-from .files import artifact_record, publish, read_input, staged
+from .files import artifact_record, publish, publish_after, read_input, staged
 from .frames import fps_fraction, open_frame_source, stream_stats
 from .ini import iter_ini
 from .loops import build_layer_schedule, load_stem_manifest, mix_stems, write_wav
@@ -208,7 +209,7 @@ STAGES = {
                     ("soundfont",), "soundtrack.wav", "audio", feeds="audio",
                     requires=("render_template", "no render command template configured")),
     "mux": Stage("attach audio to the video via the mux template", "stage_mux",
-                 ("video", "audio"), (), "final{ext}", "video",
+                 ("video", "audio"), ("soundfont",), "final{ext}", "video",
                  requires=("mux_template", "no mux command template configured")),
     "mix-loops": Stage("mix WAV stems over the scene list", "stage_mix_loops", ("scenes",),
                        ("stems",), "soundtrack.wav", "audio",
@@ -294,11 +295,11 @@ def stage_compose(
     )
     score = compose_plan(plan, mood, motif)
     path = out_path or config.out_path(STAGES["compose"].output)
-    with publish(path, binary=True) as fh:
-        fh.write(write_smf(score, imap))
-    if dump_events:
-        with publish(dump_events) as fh:
-            fh.write(score_debug_dump(score))
+    # a dump is written first and renamed after the MIDI file, so a failure
+    # while writing either file replaces neither
+    with publish_after(dump_events, score_debug_dump(score)) if dump_events else nullcontext():
+        with publish(path, binary=True) as fh:
+            fh.write(write_smf(score, imap))
     return path
 
 

@@ -349,7 +349,7 @@ def ramp_stems(rate=48000):
 
 def test_mix_and_write_memory_does_not_grow_with_the_track(tmp_path):
     """240 s and 30 s of 48 kHz stereo from the same 8 stems trace the same
-    peak within 1 MB: the stems' int32 copies and the block buffers."""
+    peak within 1 MB: the block buffers."""
     rate = 48000
     stems = ramp_stems(rate)
 
@@ -368,6 +368,28 @@ def test_mix_and_write_memory_does_not_grow_with_the_track(tmp_path):
 
     long_peak, short_peak = traced_peak(240), traced_peak(30)
     assert abs(long_peak - short_peak) < 2**20, (long_peak, short_peak)
+
+
+def test_mix_holds_no_widened_copy_of_the_stems(tmp_path):
+    """Three 20 s stereo stems at 48 kHz over six 25 s scenes: an int32 copy
+    of each would trace 23 MB, while the stems are summed straight into the
+    block buffers, which trace under 2 MB."""
+    rate = 48000
+    gen = np.random.default_rng(5)
+    stems = [make_stem(f"s{i}", i, rate=rate, channels=2,
+                       samples=gen.integers(-4000, 4000, (20 * rate, 2), dtype=np.int16))
+             for i in (1, 2, 3)]
+    scenes = scene_run([25.0] * 6)
+    schedule = build_layer_schedule(scenes, stems)
+    path = str(tmp_path / "mix.wav")
+    tracemalloc.start()
+    try:
+        write_wav(path, mix_stems(schedule, scenes, stems), rate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert read_wav(path)[0].shape == (150 * rate, 2)
 
 
 def block_edge_case(frames, channels):

@@ -211,6 +211,28 @@ class TestCompose:
         assert len(doc["sections"]) == 4
         assert any(events for events in doc["sections"][0]["events"].values())
 
+    def test_dump_that_cannot_be_written_keeps_the_previous_midi(self, analyzed, tmp_path):
+        _, _, scenes_path = analyzed
+        midi = tmp_path / "soundtrack.mid"
+        assert cli.main(["plan", "--scenes", scenes_path, "-o", str(tmp_path / "plan.ini"),
+                         "--output-dir", str(tmp_path)]) == 0
+        assert cli.main(["compose", "--plan", str(tmp_path / "plan.ini"), "-o", str(midi),
+                         "--output-dir", str(tmp_path)]) == 0
+        assert cli.main(["plan", "--scenes", scenes_path, "--mood", "noir",
+                         "-o", str(tmp_path / "plan2.ini"), "--output-dir", str(tmp_path)]) == 0
+        before = midi.read_bytes()
+        assert cli.main(["compose", "--plan", str(tmp_path / "plan2.ini"), "-o", str(midi),
+                         "--dump-events", str(tmp_path / "missing" / "ev.json"),
+                         "--output-dir", str(tmp_path)]) == 6
+        assert midi.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+        # the same compose with a dump it can write does replace the MIDI file
+        assert cli.main(["compose", "--plan", str(tmp_path / "plan2.ini"), "-o", str(midi),
+                         "--dump-events", str(tmp_path / "ev.json"),
+                         "--output-dir", str(tmp_path)]) == 0
+        assert midi.read_bytes() != before
+        assert json.loads((tmp_path / "ev.json").read_text())["sections"]
+
 
 class TestExternalTools:
     def test_render_template_substitution(self, analyzed, tmp_path):
@@ -398,6 +420,17 @@ class TestRun:
                                 render_template=copy + " {in} {out}")
         inputs = {stage["name"]: stage["inputs"] for stage in cmd_run(config)["stages"]}
         assert inputs["render"] == [str(tmp_path / "soundtrack.mid"), str(soundfont)]
+
+    def test_mux_manifest_inputs_name_the_soundfont(self, quad_video, tmp_path):
+        _, source = quad_video
+        soundfont = tmp_path / "gm.sf2"
+        soundfont.write_bytes(b"sf")
+        copy = f'{PY} -c "import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2])"'
+        config = PipelineConfig(source=source, output_dir=str(tmp_path), soundfont=str(soundfont),
+                                render_template=copy + " {in} {out}",
+                                mux_template=copy + " {audio} {out}")
+        inputs = {stage["name"]: stage["inputs"] for stage in cmd_run(config)["stages"]}
+        assert inputs["mux"] == [source, str(tmp_path / "soundtrack.wav"), str(soundfont)]
 
     def test_rerun_identical_soundtrack(self, quad_video, tmp_path):
         _, source = quad_video
