@@ -33,6 +33,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import mmap
 import os
 import re
 import signal
@@ -411,90 +412,75 @@ def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
     by forked child k for k >= 1, and the first range by this process.
 
     The children are forked before any frame is read, so each one opens and
-    reads the source itself; no pixel data crosses a process boundary. This
-    process yields its own range, then reads every child's results before
-    it yields them in order. Every child is waited for, also on early close
-    or error, so its CPU counts in ``RUSAGE_CHILDREN``. When a child fails or
+    reads the source itself; no pixel data crosses a process boundary. Each
+    child writes its range's rows into its own slice of one shared anonymous
+    mapping, made before the forks. This process yields its own range,
+    waits for every child in order, and yields the mapping's rows once all
+    of them exited 0. Every child is waited for, also on early close or
+    error, so its CPU counts in ``RUSAGE_CHILDREN``. When a child fails or
     dies, or cannot be forked, this process computes every frame after its
     own range from its own iterator, which already stands there, so bad input
     raises the same error after the same stats as the single-process loop.
     """
     _hsv_tables()  # built once, before the children copy this process
-    children = []  # (pid, read end of its pipe), not yet reaped
+    # two float64 a frame; the array keeps the mapping open, so it is not closed here
+    rows = np.frombuffer(mmap.mmap(-1, 16 * (bounds[-1] - bounds[1]))).reshape(-1, 2)
+    children = []  # pids not yet reaped
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
             try:
-                children.append(_fork_range(source, start, stop))
+                children.append(
+                    _fork_range(source, start, rows[start - bounds[1]:stop - bounds[1]]))
             except OSError:
                 break  # the ranges left are computed below
         frames = iter(source)
         prev_hsv = yield from _per_frame(itertools.islice(frames, bounds[1]))
-        results = []
-        while children:
-            pid, read_fd = children[0]
-            result = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
-            _, status = os.waitpid(pid, 0)
+        failed = len(children) < len(bounds) - 2  # a fork failed
+        while children and not failed:
+            failed = os.waitpid(children[0], 0)[1] != 0
             del children[0]
-            os.close(read_fd)
-            if status != 0:
-                break
-            results.append(result)
-        # a child writes at most its own range, so only whole results add up
-        data = b"".join(results)
-        if len(data) != 16 * (bounds[-1] - bounds[1]):  # two float64 a frame
+        if failed:
             _reap(children)
             yield from _per_frame(frames, prev_hsv)
             return
-        for index, (avg, delta) in enumerate(np.frombuffer(data).reshape(-1, 2).tolist(),
-                                             start=bounds[1]):
+        for index, (avg, delta) in enumerate(rows.tolist(), start=bounds[1]):
             yield FrameStats(index=index, avg_intensity=avg, hsv_delta=delta)
     finally:
         _reap(children)
 
 
-def _fork_range(source: FrameSource, start: int, stop: int):
-    """Fork a child that computes frames ``start:stop`` of ``source``.
+def _fork_range(source: FrameSource, start: int, out: np.ndarray) -> int:
+    """Fork a child that computes frames ``start:start + len(out)`` of
+    ``source`` into ``out``, a slice of a shared mapping, and return its pid.
 
     The child pulls the earlier frames without computing them, runs the
     per-frame loop from frame ``start - 1``, whose HSV seeds the first delta
     and whose stats it drops, and writes each later frame's
-    ``(avg_intensity, hsv_delta)`` as two float64 to a pipe. It leaves
-    through ``os._exit``, so it runs no exit handler, flushes no buffer it
-    inherited and raises nothing into the caller's code; any failure shows
-    only as a non-zero status. The child calls no BLAS routine, so it never
-    needs the idle BLAS threads that fork does not copy. Returns the child's
-    pid and the pipe's read end.
+    ``(avg_intensity, hsv_delta)`` as a row of ``out``; a range that comes
+    out shorter fails the reshape. It leaves through ``os._exit``, so it
+    runs no exit handler, flushes no buffer it inherited and raises nothing
+    into the caller's code; any failure shows only as a non-zero status.
+    The child calls no BLAS routine, so it never needs the idle BLAS threads
+    that fork does not copy.
     """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+    pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            os.close(read_fd)
             frames = iter(source)
             collections.deque(itertools.islice(frames, start - 1), maxlen=0)
-            stats = itertools.islice(_per_frame(itertools.islice(frames, stop - start + 1)), 1, None)
-            values = np.array([(s.avg_intensity, s.hsv_delta) for s in stats], dtype=np.float64)
-            unwritten = memoryview(values.tobytes())
-            while unwritten:
-                unwritten = unwritten[os.write(write_fd, unwritten):]
+            stats = itertools.islice(_per_frame(itertools.islice(frames, len(out) + 1)), 1, None)
+            out[:] = np.reshape([(s.avg_intensity, s.hsv_delta) for s in stats], out.shape)
             status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
+    return pid
 
 
 def _reap(children: list) -> None:
     """Kill and wait for every child still in ``children``, then empty it."""
     while children:
-        pid, read_fd = children.pop()
-        os.close(read_fd)
+        pid = children.pop()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 

@@ -18,7 +18,10 @@ IniItem = Tuple[int, Optional[str], Optional[str], Optional[str]]
 
 
 def iter_ini(text: str) -> Iterator[IniItem]:
+    """Scan ``text`` into IniItems. A key given twice in one block, counting
+    every header with that block's name, raises at its second line."""
     section = None
+    seen = set()  # (section, key) pairs already given
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -39,4 +42,7 @@ def iter_ini(text: str) -> Iterator[IniItem]:
             raise PlanParseError(
                 f"key {key!r} appears before any [section] header", line=lineno
             )
+        if (section, key) in seen:
+            raise PlanParseError(f"key {key!r} given twice in [{section}]", line=lineno)
+        seen.add((section, key))
         yield (lineno, section, key, value)

@@ -129,6 +129,9 @@ def _validate(mood: MoodConfig) -> MoodConfig:
     for level in COMPLEXITIES:
         if not mood.progressions.get(level) or not all(mood.progressions[level]):
             raise ConfigError(f"mood {mood.name}: no {level} progressions, or an empty one")
+    labels = [layer.label for layer in mood.instrument_layers]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"mood {mood.name}: repeats a layer label: {labels}")
     ranks = [layer.activation_rank for layer in mood.instrument_layers]
     if len(set(ranks)) != len(ranks):
         raise ConfigError(f"mood {mood.name}: duplicate activation ranks")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -305,11 +306,9 @@ def stage_compose(
 
 def _fill(token: str, values: dict) -> str:
     """``token`` with each ``{name}`` replaced by its value, in one pass: a
-    value that holds a placeholder is not replaced again."""
-    if not values:
-        return token
-    (name, value), *rest = values.items()
-    return value.join(_fill(part, dict(rest)) for part in token.split("{%s}" % name))
+    value that holds a placeholder is not replaced again, and a name with no
+    value is left as written."""
+    return re.sub(r"\{(\w+)\}", lambda m: values.get(m.group(1), m.group(0)), token)
 
 
 def _run_template(template: str, substitutions: dict, out_path: str, what: str) -> None:

@@ -428,6 +428,15 @@ class TestSplitStats:
         assert len(forked) == 2
         assert_no_child_left()
 
+    def test_a_child_range_larger_than_a_pipe_buffer(self, tmp_path, cpus):
+        # 5001 frames in the child, 16 bytes each: more than a 64 KiB pipe holds
+        forked = cpus(2)
+        clip = noisy_clip(10001, "cut", width=1, height=1)
+        split = list(stream_stats(write_source(tmp_path, clip, "raw", width=1, height=1)))
+        assert split == list(stream_stats(clip))
+        assert len(forked) == 1
+        assert_no_child_left()
+
     def test_one_cpu_never_forks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))

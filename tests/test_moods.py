@@ -80,3 +80,11 @@ def test_empty_progression_is_rejected(tmp_path):
     doc["progressions"]["simple"].append([])
     with pytest.raises(ConfigError, match="progressions"):
         load_mood(write_mood(tmp_path, doc))
+
+
+def test_repeated_layer_label_is_rejected(tmp_path):
+    # composing keys each layer's events by label, so the later one would replace the earlier
+    doc = inspire_doc()
+    doc["instrument_layers"][1]["label"] = doc["instrument_layers"][0]["label"]
+    with pytest.raises(ConfigError, match="repeats a layer label"):
+        load_mood(write_mood(tmp_path, doc))

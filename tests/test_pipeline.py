@@ -682,6 +682,17 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert str(cfg) in err and f"line {line}" in err
 
+    @pytest.mark.parametrize("text, line", [
+        ("[pipeline]\nmood = ember\nmood = noir\n", 3),
+        ("[pipeline]\nseed = 1\n[pipeline]\nseed = 2\n", 4),
+    ], ids=["same block", "block reopened"])
+    def test_repeated_config_key_exits_6(self, tmp_path, capsys, text, line):
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text(text)
+        assert cli.main(["run", "--config", str(cfg)]) == 6
+        err = capsys.readouterr().err
+        assert f"line {line}" in err and "twice" in err
+
     def test_unknown_mood_exits_6(self, quad_video, tmp_path):
         _, source = quad_video
         assert cli.main(["analyze", "--source", source,

@@ -279,6 +279,20 @@ class TestPlanIni:
         with pytest.raises(PlanParseError, match="swing"):
             parse_ini(text)
 
+    @pytest.mark.parametrize("repeat, line", [
+        ("tempo = 120\n", 13),  # a key repeated in the same block
+        ("[composition]\nseed = 7\n", 14),  # the block's name opened again
+    ], ids=["same block", "block reopened"])
+    def test_repeated_key_rejected_with_line(self, repeat, line):
+        text = (
+            "[composition]\nduration = 10.0\nmood = inspire\n"
+            "complexity = simple\nseed = 1\n"
+            "[section0]\ntime_sig = 4/4\ntempo = 90\nenergy = medium\n"
+            "duration = 10.0\ndirection = up\nslope = stay\n"
+        ) + repeat
+        with pytest.raises(PlanParseError, match=f"line {line}: .*twice"):
+            parse_ini(text)
+
     def test_malformed_line_reports_number(self):
         with pytest.raises(PlanParseError, match="line 2"):
             parse_ini("[composition]\nduration 10\n")
