@@ -7,6 +7,9 @@ number of active instrument layers (the floor of the midpoint of the mood's
 range for that label); direction and slope then add or remove one layer per
 phrase (gradual) or per bar (steep), clamped to the energy range extended by
 the adjacent range in the direction of travel, and always to [1, layer count].
+The count thus moves one way through a section, so each layer plays over one
+run of consecutive bars (or none); a note that would ring past the end of its
+layer's run is clipped there.
 
 Layers activate in activation_rank order. What a layer plays is decided by
 its label (bass, pad, chords, arpeggio, melody, percussion and friends) and
@@ -44,6 +47,7 @@ KICK, SNARE, CLOSED_HAT, OPEN_HAT = 36, 38, 42, 46
 PERCUSSION_LABEL = "percussion"
 
 Motif = List[Tuple[int, int]]  # (pitch, duration_ticks) at PPQN resolution
+Note = Tuple[int, int, int]  # (tick, duration_ticks, pitch), as a generator plays it
 
 
 @dataclass(frozen=True)
@@ -222,10 +226,10 @@ def _grid_steps(density: str, beat: int) -> int:
 
 # Generators share the signature (ctx, layer, rng, phrase_draws): rng is the
 # layer's stream, and phrase_draws the one draw in [0, 3) per phrase taken
-# from it first.
+# from it first. Each plays every bar and returns Notes; compose_section keeps
+# the layer's active bars and sets the velocity.
 
-def _bass_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
-    velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
+def _bass_events(ctx, layer, rng, phrase_draws) -> List[Note]:
     step = _grid_steps(layer.rhythm_density, ctx.beat) or ctx.bar  # sparse: whole bar
     events = []
     for bar in range(ctx.bars):
@@ -233,7 +237,7 @@ def _bass_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
         root = _pc_in_register(ctx.mood.scale.degree_pc(degree), layer.register)
         fifth = _pc_in_register(ctx.mood.scale.degree_pc(degree + 4), layer.register)
         base = bar * ctx.bar
-        events += [NoteEvent(tick, duration, fifth if i % 4 == 3 else root, velocity)
+        events += [(tick, duration, fifth if i % 4 == 3 else root)
                    for i, tick, duration in _grid(base, base + ctx.bar, step)]
     return events
 
@@ -251,9 +255,8 @@ def _chord_pitches(ctx, degree: int, register, inversion: int) -> List[int]:
     return sorted(set(pitches))
 
 
-def _chordal_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
+def _chordal_events(ctx, layer, rng, phrase_draws) -> List[Note]:
     """Block chords; pad and strings hold each chord for the whole bar."""
-    velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
     events = []
     for bar in range(ctx.bars):
         inversion = phrase_draws[bar // ctx.phrase_bars]
@@ -268,12 +271,11 @@ def _chordal_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
             spans = [(base + b * ctx.beat, ctx.beat) for b in range(ctx.beats_per_bar)]
         for start, dur in spans:
             for pitch in pitches:
-                events.append(NoteEvent(start, dur, pitch, velocity))
+                events.append((start, dur, pitch))
     return events
 
 
-def _arpeggio_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
-    velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
+def _arpeggio_events(ctx, layer, rng, phrase_draws) -> List[Note]:
     step = _grid_steps(layer.rhythm_density, ctx.beat) or ctx.beat
     events = []
     for bar in range(ctx.bars):
@@ -281,13 +283,12 @@ def _arpeggio_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
         if phrase_draws[bar // ctx.phrase_bars] % 2:  # odd draw: downward
             pitches = pitches[::-1]
         base = bar * ctx.bar
-        events += [NoteEvent(tick, duration, pitches[i % len(pitches)], velocity)
+        events += [(tick, duration, pitches[i % len(pitches)])
                    for i, tick, duration in _grid(base, base + ctx.bar, step)]
     return events
 
 
-def _melody_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
-    velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
+def _melody_events(ctx, layer, rng, phrase_draws) -> List[Note]:
     members = _scale_members(ctx.mood.scale, layer.register[0], layer.register[1])
     if not members:
         return []
@@ -304,20 +305,19 @@ def _melody_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
                 index = _nearest_index(members, pitch)
                 target = members[max(0, min(len(members) - 1, index + shift))]
                 duration = min(duration, start + phrase_ticks - tick)
-                events.append(NoteEvent(tick, duration, target, velocity))
+                events.append((tick, duration, target))
                 tick += duration
         else:
             index = _nearest_index(members, (layer.register[0] + layer.register[1]) // 2)
             step = _grid_steps(layer.rhythm_density, ctx.beat) or ctx.beat
             for _, tick, duration in _grid(start, start + phrase_ticks, step):
-                events.append(NoteEvent(tick, duration, members[index], velocity))
+                events.append((tick, duration, members[index]))
                 index += rng.choice([-2, -1, -1, 0, 1, 1, 2])
                 index = max(0, min(len(members) - 1, index))
     return events
 
 
-def _percussion_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
-    velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
+def _percussion_events(ctx, layer, rng, phrase_draws) -> List[Note]:
     events = []
     half = ctx.beat // 2
     for bar in range(ctx.bars):
@@ -334,7 +334,7 @@ def _percussion_events(ctx, layer, rng, phrase_draws) -> List[NoteEvent]:
                 hits.append((b * ctx.beat + half, CLOSED_HAT))
             hits.append((ctx.bar - half, OPEN_HAT))
         for offset, pitch in sorted(set(hits)):
-            events.append(NoteEvent(base + offset, min(half, ctx.bar - offset), pitch, velocity))
+            events.append((base + offset, min(half, ctx.bar - offset), pitch))
     return events
 
 
@@ -347,30 +347,6 @@ _GENERATORS = {
     "melody": _melody_events,
     "lead": _melody_events,
 }
-
-
-def _gate_to_active_bars(
-    events: List[NoteEvent], position: int, counts: List[int], bar: int
-) -> List[NoteEvent]:
-    """Keep events whose bar has this layer active; clip notes that would
-    ring into the layer's first inactive bar or past the section."""
-    bars = len(counts)
-    limit = bars * bar
-    limit_after = [limit] * bars  # where a note starting in bar b must end
-    for b in range(bars - 1, -1, -1):
-        if position >= counts[b]:
-            limit = b * bar
-        limit_after[b] = limit
-    out = []
-    for ev in events:
-        b = ev.start_tick // bar
-        if position >= counts[b]:
-            continue
-        duration = min(ev.start_tick + ev.duration_ticks, limit_after[b]) - ev.start_tick
-        if duration > 0:
-            out.append(ev if duration == ev.duration_ticks
-                       else replace(ev, duration_ticks=duration))
-    return out
 
 
 def compose_section(
@@ -397,11 +373,19 @@ def compose_section(
 
     events: Dict[str, List[NoteEvent]] = {}
     for position, layer in enumerate(mood.layers_by_rank()):
+        active = [b for b, count in enumerate(counts) if position < count]
+        if not active:  # its stream goes undrawn; the label still gets its track
+            events[layer.label] = []
+            continue
         rng = SeededRng(seed, section.section_id * _STREAM_SPAN + layer.activation_rank)
-        # drawn for every layer: the melody's notes come after these in its stream
+        # drawn whatever the layer plays: the melody's notes come after these
         phrase_draws = [rng.randrange(3) for _ in range(section.phrases)]
-        raw = _GENERATORS.get(layer.label, _chordal_events)(ctx, layer, rng, phrase_draws)
-        events[layer.label] = _gate_to_active_bars(raw, position, counts, ctx.bar)
+        notes = _GENERATORS.get(layer.label, _chordal_events)(ctx, layer, rng, phrase_draws)
+        # one run of active bars; a note ringing past its end is clipped there
+        lo, hi = active[0] * ctx.bar, (active[-1] + 1) * ctx.bar
+        velocity = VELOCITY_BY_DENSITY[layer.rhythm_density]
+        events[layer.label] = [NoteEvent(tick, min(duration, hi - tick), pitch, velocity)
+                               for tick, duration, pitch in notes if lo <= tick < hi]
     return SectionScore(section.section_id, 0, ctx.length, events)
 
 

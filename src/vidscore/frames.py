@@ -87,7 +87,9 @@ def _parse_header(path: str) -> FrameSpec:
     for token in read_input(path, MalformedSourceError, "stream header").split():
         if "=" in token:
             key, _, value = token.partition("=")
-            fields[key.strip()] = value.strip()
+            if key in fields:
+                raise MalformedSourceError(f"bad stream header {path}: {key} given twice")
+            fields[key] = value
     try:
         return FrameSpec(
             width=int(fields["width"]),

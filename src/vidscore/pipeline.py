@@ -25,7 +25,7 @@ from dataclasses import dataclass, asdict, fields
 from typing import List, Optional, Tuple
 
 from . import __version__
-from .composer import compose_plan, score_debug_dump
+from .composer import PERCUSSION_LABEL, compose_plan, score_debug_dump
 from .energy import (
     EnergyLabel,
     assign_tempo_band,
@@ -33,8 +33,8 @@ from .energy import (
     classify_energy,
     load_detections,
 )
-from .errors import (ConfigError, ExternalToolError, MalformedSourceError, PlanParseError,
-                     UnplannableSectionError)
+from .errors import (ConfigError, ExternalToolError, InvalidEventError, MalformedSourceError,
+                     PlanParseError, UnplannableSectionError)
 from .files import artifact_record, publish, publish_after, read_input, staged
 from .frames import fps_fraction, open_frame_source, stream_stats
 from .ini import iter_ini
@@ -141,6 +141,8 @@ def load_config_file(path: str) -> dict:
         field = field_of.get(key, key)
         if field not in PipelineConfig.__dataclass_fields__:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+        if field in settings:  # the other of its two names came first
+            raise ConfigError(f"{path}:{lineno}: {key!r} sets {field}, which is already set")
         settings[field] = value
     return settings
 
@@ -294,6 +296,11 @@ def stage_compose(
         if config.instruments
         else InstrumentMap.default()
     )
+    for layer in mood.instrument_layers:  # drum keys go to channel 9, and only they do
+        drums = layer.label == PERCUSSION_LABEL
+        if imap.is_percussion(layer.label) != drums:
+            raise InvalidEventError(f"instrument map: {layer.label!r} must "
+                                    f"{'' if drums else 'not '}map to \"percussion\"")
     score = compose_plan(plan, mood, motif)
     path = out_path or config.out_path(STAGES["compose"].output)
     # a dump is written first and renamed after the MIDI file, so a failure

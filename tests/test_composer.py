@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 
 import pytest
 
@@ -13,7 +14,8 @@ from vidscore.composer import (
 )
 from vidscore.energy import EnergyLabel
 from vidscore.errors import EmptyMelodyError
-from vidscore.midi import MidiDocument, MidiEvent, MidiTrack
+from vidscore.midi import (InstrumentMap, MidiDocument, MidiEvent, MidiTrack, read_smf,
+                           write_smf)
 from vidscore.moods import load_mood
 from vidscore.planner import CompositionPlan, SectionSpec
 
@@ -217,6 +219,46 @@ def test_no_note_sounds_in_a_bar_its_layer_is_off():
                     assert ev.start_tick < end <= bars * bar
                     for b in range(ev.start_tick // bar, (end - 1) // bar + 1):
                         assert position < active[b], (label, ev, b)
+
+
+SHIPPED_MOODS = sorted(entry.name[:-len(".json")]
+                       for entry in resources.files("vidscore").joinpath("data/moods").iterdir()
+                       if entry.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED_MOODS)
+def test_each_layer_plays_over_one_run_of_bars(name):
+    """compose_section keeps one span of bars per layer, from the first bar
+    the layer plays to its last; that is only right if no layer pauses and
+    comes back within a section."""
+    mood = load_mood(name)
+    for energy in EnergyLabel:
+        for direction in ("up", "down"):
+            for slope in ("stay", "gradual", "steep"):
+                for phrases in (1, 2, 3):
+                    spec = section(energy=energy, direction=direction, slope=slope,
+                                   phrases=phrases, phrase_bars=mood.phrase_length_bars)
+                    bars = phrases * mood.phrase_length_bars
+                    counts = [active_layer_count(spec, mood, b) for b in range(bars)]
+                    for position in range(mood.total_layers):
+                        active = [b for b in range(bars) if position < counts[b]]
+                        if active:
+                            assert active == list(range(active[0], active[-1] + 1)), \
+                                (energy, direction, slope, phrases, position, counts)
+
+
+def test_a_layer_that_never_plays_keeps_its_track():
+    mood = load_mood("drive")  # low energy holds 2 of its 6 layers
+    spec = section(energy=EnergyLabel.LOW, slope="stay", phrases=1,
+                   phrase_bars=mood.phrase_length_bars)
+    plan = CompositionPlan(total_duration_s=spec.duration_s, mood="drive",
+                           complexity="simple", rng_seed=9, sections=(spec,))
+    score = compose_plan(plan, mood)
+    ranked = [layer.label for layer in mood.layers_by_rank()]
+    assert score.layer_labels == ranked
+    assert [label for label in ranked if not score.sections[0].events[label]] == ranked[2:]
+    doc = read_smf(write_smf(score, InstrumentMap.default()))
+    assert len(doc.tracks) == 1 + mood.total_layers
 
 
 class TestAssembleScore:

@@ -184,6 +184,13 @@ class TestFrameSource:
         with pytest.raises(MalformedSourceError):
             open_frame_source(str(path))
 
+    def test_key_repeated_in_the_header(self, tmp_path):
+        path = tmp_path / "clip.rgb24"
+        path.write_bytes(b"\x00" * 72)  # 3 frames of 4x2, or 6 of 2x2
+        (tmp_path / "clip.hdr").write_text("width=4 height=2 fps_num=30 fps_den=1 width=2\n")
+        with pytest.raises(MalformedSourceError, match="width given twice"):
+            open_frame_source(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SourceNotFoundError):
             open_frame_source(str(tmp_path / "nope.rgb24"))

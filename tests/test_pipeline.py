@@ -190,6 +190,30 @@ class TestCompose:
                          "--output-dir", str(tmp_path)])
         assert code == 4
 
+    @pytest.mark.parametrize("mood, relabel, entries", [
+        ("drive", None, {"percussion": 0}),  # drum keys on a piano channel
+        (None, "drums", {"drums": "percussion"}),  # chords on the drum channel
+    ], ids=["percussion mapped to a program", "a pitched layer mapped to percussion"])
+    def test_percussion_map_that_disagrees_with_the_composer_exits_4(
+        self, analyzed, tmp_path, capsys, mood, relabel, entries
+    ):
+        _, _, scenes_path = analyzed
+        if relabel:
+            layers = inspire_with()["instrument_layers"]
+            layers[0]["label"] = relabel
+            mood = str(tmp_path / "custom.json")
+            Path(mood).write_text(json.dumps(inspire_with(instrument_layers=layers)))
+        plan_path = stage_plan(PipelineConfig(output_dir=str(tmp_path), mood=mood, rng_seed=1),
+                               scenes_path)
+        imap = tmp_path / "imap.json"
+        default = json.loads((Path(SRC) / "vidscore/data/instruments.json").read_text())
+        imap.write_text(json.dumps(default | entries))
+        code = cli.main(["compose", "--plan", plan_path, "--instruments", str(imap),
+                         "--output-dir", str(tmp_path)])
+        assert code == 4
+        assert "percussion" in capsys.readouterr().err
+        assert not (tmp_path / "soundtrack.mid").exists()
+
     def test_missing_instrument_map_exits_6(self, analyzed, tmp_path):
         directory, _, scenes_path = analyzed
         config = PipelineConfig(output_dir=str(tmp_path), rng_seed=1)
@@ -692,6 +716,16 @@ class TestConfigResolution:
         assert cli.main(["run", "--config", str(cfg)]) == 6
         err = capsys.readouterr().err
         assert f"line {line}" in err and "twice" in err
+
+    @pytest.mark.parametrize("text", [
+        "[pipeline]\nmerge_tolerance = 0.5\nmerge_tolerance_s = 2\n",
+        "[pipeline]\nseed = 3\n[pipeline]\nrng_seed = 9\n",
+    ], ids=["flag name then field name", "across two blocks"])
+    def test_setting_given_under_both_its_names_exits_6(self, tmp_path, capsys, text):
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text(text)
+        assert cli.main(["run", "--config", str(cfg)]) == 6
+        assert f"{cfg}:{text.count(chr(10))}:" in capsys.readouterr().err
 
     def test_unknown_mood_exits_6(self, quad_video, tmp_path):
         _, source = quad_video
