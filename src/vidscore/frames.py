@@ -85,11 +85,12 @@ def open_frame_source(path: str, fps: Optional[tuple[int, int]] = None) -> Frame
 def _parse_header(path: str) -> FrameSpec:
     fields = {}
     for token in read_input(path, MalformedSourceError, "stream header").split():
-        if "=" in token:
-            key, _, value = token.partition("=")
-            if key in fields:
-                raise MalformedSourceError(f"bad stream header {path}: {key} given twice")
-            fields[key] = value
+        key, eq, value = token.partition("=")
+        if not eq or key not in ("width", "height", "fps_num", "fps_den"):
+            raise MalformedSourceError(f"bad stream header {path}: unknown token {token!r}")
+        if key in fields:
+            raise MalformedSourceError(f"bad stream header {path}: {key} given twice")
+        fields[key] = value
     try:
         return FrameSpec(
             width=int(fields["width"]),
@@ -222,8 +223,8 @@ def compute_intensity(frame: Frame) -> float:
 
 
 @functools.cache
-def _hsv_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Float32 lookup tables for hue and saturation, built on first use.
+def _hue_table() -> np.ndarray:
+    """Float32 lookup table for hue, built on first use.
 
     Hue is indexed by ``(r - g + 255) * 511 + (g - b + 255)`` (511 x 511
     entries, 1 MB). Adding one constant to all three channels changes
@@ -236,8 +237,6 @@ def _hsv_tables() -> tuple[np.ndarray, np.ndarray]:
     operations as the per-pixel formula, so lookups match it bit for bit for
     all 2**24 colours. Pairs whose channels would span more than 255 belong
     to no colour and are never read. The grid is built in int16 and float32.
-
-    Saturation is indexed by ``(value << 8) | chroma``.
     """
     diff = np.arange(-255, 256, dtype=np.int16)
     red = diff[:, None]  # r - g
@@ -257,31 +256,27 @@ def _hsv_tables() -> tuple[np.ndarray, np.ndarray]:
     h6[green_max] += np.float32(2.0)
     h6[~(red_max | green_max)] += np.float32(4.0)
     h6 *= np.float32(HUE_SCALE / 6.0)
-    value = np.arange(256, dtype=np.float32)[:, None]
-    chroma = np.arange(256, dtype=np.float32)[None, :]
-    sat = (chroma / np.maximum(value, np.float32(1.0))) * np.float32(255.0)
-    return h6.ravel(), sat.ravel()
+    return h6.ravel()
 
 
 class _WorkArea:
     """Every frame-sized array the per-frame loop writes, for frames of
-    ``pixels`` pixels: the three channel planes, chroma, the hue and
-    saturation table indices, two HSV sets that take turns as the current
-    and the previous frame's, and the scratch of ``_hsv_delta``.
+    ``pixels`` pixels: the three channel planes, chroma, the hue table
+    index, two HSV sets that take turns as the current and the previous
+    frame's, and the scratch of ``_hsv_delta``.
 
     A fresh frame-sized array is a new mapping whose pages fault again on
     every frame, so one stream's loop allocates these once and every step
-    writes through ``out=``. The delta runs after the current frame's
-    lookups, so its hue scratch is the hue index's memory and its second
-    value array is chroma's; that keeps the area at 33 bytes a pixel, which
-    is about what the per-frame temporaries it replaces peaked at.
+    writes through ``out=``. The hue index is spent once the hue is looked
+    up, so its memory, as float32, then holds saturation's divisor and the
+    delta's hue scratch; the delta's second value array is chroma's. That
+    keeps the area at 31 bytes a pixel.
     """
 
     def __init__(self, pixels: int):
         self.planes = np.empty((3, pixels), dtype=np.uint8)
         self.chroma = np.empty(pixels, dtype=np.uint8)
         self.hue_idx = np.empty(pixels, dtype=np.int32)
-        self.sat_idx = np.empty(pixels, dtype=np.uint16)
         self.hsv = [
             (np.empty(pixels, dtype=np.float32), np.empty(pixels, dtype=np.float32),
              np.empty(pixels, dtype=np.uint8))
@@ -298,22 +293,21 @@ def _frame_hsv(frame: Frame, work: _WorkArea, out):
     into the HSV set ``out`` of ``work`` and returned.
 
     Hue comes from the standard hexagonal model rescaled so the full circle is
-    256 units; achromatic pixels get hue 0. Hue and saturation are float32
-    lookups in the tables of ``_hsv_tables``: hue by the two channel
-    differences ``r - g`` and ``g - b``, which fix it because hue does not
-    change when one constant is added to every channel, and saturation by
-    value and chroma. Results are identical for all 2**24 colours to
-    float32 arithmetic on every pixel. Value is uint8 so that ``_hsv_delta``
-    can take its term in integers.
+    256 units; achromatic pixels get hue 0. Hue is a float32 lookup in the
+    table of ``_hue_table`` by the two channel differences ``r - g`` and
+    ``g - b``, which fix it because hue does not change when one constant is
+    added to every channel; results are identical for all 2**24 colours to
+    float32 arithmetic on every pixel. Saturation is that arithmetic,
+    ``chroma / max(value, 1) * 255`` in float32. Value is uint8 so that
+    ``_hsv_delta`` can take its term in integers.
 
-    Every step writes into ``work``, whose index arrays are int32 (hue) and
-    uint16 (saturation): numpy 1.x promotes a scalar by its value, so
-    ``uint8_array * 511`` there would be int16 and overflow. The lookups
-    take ``mode="wrap"``, which writes straight into ``out``, where the
-    default mode fills a temporary first; every index is in range, so none
-    wraps.
+    Every step writes into ``work``, whose hue index is int32: numpy 1.x
+    promotes a scalar by its value, so ``uint8_array * 511`` there would be
+    int16 and overflow, and the float32 scalars keep saturation in float32
+    there too. The lookup takes ``mode="wrap"``, which writes straight into
+    ``out``, where the default mode fills a temporary first; every index is
+    in range, so none wraps.
     """
-    hue_table, sat_table = _hsv_tables()
     np.copyto(work.planes, np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3).T)
     r, g, b = work.planes
     hue, sat, v = out
@@ -331,12 +325,11 @@ def _frame_hsv(frame: Frame, work: _WorkArea, out):
     hue_idx += g
     hue_idx -= b
     hue_idx += np.int32(255 * 511 + 255)
-    sat_idx = work.sat_idx
-    np.copyto(sat_idx, v)
-    sat_idx <<= np.uint16(8)
-    sat_idx |= c
-    hue_table.take(hue_idx, mode="wrap", out=hue)
-    sat_table.take(sat_idx, mode="wrap", out=sat)
+    _hue_table().take(hue_idx, mode="wrap", out=hue)
+    divisor = work.dh  # the spent hue index, as float32
+    np.maximum(v, np.float32(1.0), out=divisor)
+    np.divide(c, divisor, out=sat)
+    sat *= np.float32(255.0)
     return out
 
 
@@ -389,14 +382,19 @@ def stream_stats(frames) -> Iterator[FrameStats]:
 def _per_frame(frames, prev_hsv=None):
     """The per-frame loop; returns the HSV of the last frame it computed.
 
-    Its work area is sized on the first frame, and on any frame of another
-    size. The HSV it returns lives in that area, which no later loop
-    writes, so it stays valid as the ``prev_hsv`` of another loop.
+    Its work area is sized on the first frame; a later frame of another
+    size raises ``MalformedSourceError``. The HSV it returns lives in that
+    area, which no later loop writes, so it stays valid as the ``prev_hsv``
+    of another loop.
     """
     work = None
     for frame in frames:
-        if work is None or work.planes.size != len(frame.pixels):
+        if work is None:
             work = _WorkArea(len(frame.pixels) // 3)
+        elif len(frame.pixels) != work.planes.size:
+            raise MalformedSourceError(
+                f"frame {frame.index}: {len(frame.pixels)} bytes, not the first frame's "
+                f"{work.planes.size}")
         # the HSV set that does not hold the previous frame's
         hsv = _frame_hsv(frame, work, work.hsv[work.hsv[0] is prev_hsv])
         delta = None if prev_hsv is None else _hsv_delta(prev_hsv, hsv, work)
@@ -424,7 +422,7 @@ def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
     own range from its own iterator, which already stands there, so bad input
     raises the same error after the same stats as the single-process loop.
     """
-    _hsv_tables()  # built once, before the children copy this process
+    _hue_table()  # built once, before the children copy this process
     # two float64 a frame; the array keeps the mapping open, so it is not closed here
     rows = np.frombuffer(mmap.mmap(-1, 16 * (bounds[-1] - bounds[1]))).reshape(-1, 2)
     children = []  # pids not yet reaped

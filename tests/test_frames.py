@@ -191,6 +191,17 @@ class TestFrameSource:
         with pytest.raises(MalformedSourceError, match="width given twice"):
             open_frame_source(str(path))
 
+    @pytest.mark.parametrize("header, token", [
+        ("width=2 height=2 fps_num=30 fps_den=1 pix_fmt=yuv420p", "pix_fmt=yuv420p"),
+        ("width=2 height=2 fps_num=30 fps_den=1 interlaced", "interlaced"),
+    ], ids=["unknown key", "token without a value"])
+    def test_header_token_that_is_not_a_known_key(self, tmp_path, header, token):
+        path = tmp_path / "clip.rgb24"
+        path.write_bytes(b"\x00" * 24)  # 2 frames of 2x2 RGB24
+        (tmp_path / "clip.hdr").write_text(header + "\n")
+        with pytest.raises(MalformedSourceError, match=f"unknown token '{token}'"):
+            open_frame_source(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SourceNotFoundError):
             open_frame_source(str(tmp_path / "nope.rgb24"))
@@ -257,6 +268,11 @@ class TestStreamStats:
             assert stats[i].hsv_delta == pytest.approx(
                 content_delta(frames[i - 1], frames[i])
             )
+
+    def test_a_later_frame_of_another_size_is_malformed(self):
+        frames = iter([Frame(index=0, pixels=bytes(12)), Frame(index=1, pixels=bytes(27))])
+        with pytest.raises(MalformedSourceError, match="frame 1: 27 bytes"):
+            list(stream_stats(frames))
 
     def test_stats_in_range(self):
         rng = random.Random(34)
