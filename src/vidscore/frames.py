@@ -23,14 +23,13 @@ each range after the first computed by a forked child that reads the source
 itself. There is no setting for it; to use fewer CPUs, narrow the mask (for
 example with ``taskset``). The statistics do not depend on the split.
 
-Each per-frame loop, in this process or in a child, sizes one work area on
-its first frame and writes every frame-sized array into it, so no frame
-after the first allocates one. A child builds its area after the fork.
+Each process runs one per-frame loop, which sizes one work area on its
+first frame and writes every frame-sized array into it, so no frame after
+the first allocates one. A child builds its area after the fork.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import mmap
@@ -379,32 +378,30 @@ def stream_stats(frames) -> Iterator[FrameStats]:
     return _per_frame(frames)
 
 
-def _per_frame(frames, prev_hsv=None):
-    """The per-frame loop; returns the HSV of the last frame it computed.
+def _per_frame(frames):
+    """The per-frame loop.
 
-    Its work area is sized on the first frame; a later frame of another
-    size raises ``MalformedSourceError``. The HSV it returns lives in that
-    area, which no later loop writes, so it stays valid as the ``prev_hsv``
-    of another loop.
+    Its work area is sized on the first frame. A frame that is not one or
+    more whole RGB24 pixels, or not the first frame's size, raises
+    ``MalformedSourceError``.
     """
-    work = None
+    work = prev = None
     for frame in frames:
-        if work is None:
+        if work is None and frame.pixels and len(frame.pixels) % 3 == 0:
             work = _WorkArea(len(frame.pixels) // 3)
-        elif len(frame.pixels) != work.planes.size:
+        if work is None or len(frame.pixels) != work.planes.size:
+            want = f"the first frame's {work.planes.size}" if work else "whole RGB24 pixels"
             raise MalformedSourceError(
-                f"frame {frame.index}: {len(frame.pixels)} bytes, not the first frame's "
-                f"{work.planes.size}")
+                f"frame {frame.index}: {len(frame.pixels)} bytes, not {want}")
         # the HSV set that does not hold the previous frame's
-        hsv = _frame_hsv(frame, work, work.hsv[work.hsv[0] is prev_hsv])
-        delta = None if prev_hsv is None else _hsv_delta(prev_hsv, hsv, work)
+        hsv = _frame_hsv(frame, work, work.hsv[work.hsv[0] is prev])
+        delta = None if prev is None else _hsv_delta(prev, hsv, work)
         yield FrameStats(
             index=frame.index,
             avg_intensity=compute_intensity(frame),
             hsv_delta=delta,
         )
-        prev_hsv = hsv
-    return prev_hsv
+        prev = hsv
 
 
 def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
@@ -414,13 +411,13 @@ def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
     The children are forked before any frame is read, so each one opens and
     reads the source itself; no pixel data crosses a process boundary. Each
     child writes its range's rows into its own slice of one shared anonymous
-    mapping, made before the forks. This process yields its own range,
-    waits for every child in order, and yields the mapping's rows once all
-    of them exited 0. Every child is waited for, also on early close or
-    error, so its CPU counts in ``RUSAGE_CHILDREN``. When a child fails or
-    dies, or cannot be forked, this process computes every frame after its
-    own range from its own iterator, which already stands there, so bad input
-    raises the same error after the same stats as the single-process loop.
+    mapping, made before the forks. This process yields its own range from
+    its one per-frame loop, waits for every child in order, and yields the
+    mapping's rows once all of them exited 0. Every child is waited for,
+    also on early close or error, so its CPU counts in ``RUSAGE_CHILDREN``.
+    When a child fails or dies, or cannot be forked, that same loop goes on
+    over every frame after this process's range, so bad input raises the
+    same error after the same stats as the single-process loop.
     """
     _hue_table()  # built once, before the children copy this process
     # two float64 a frame; the array keeps the mapping open, so it is not closed here
@@ -433,15 +430,15 @@ def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
                     _fork_range(source, start, rows[start - bounds[1]:stop - bounds[1]]))
             except OSError:
                 break  # the ranges left are computed below
-        frames = iter(source)
-        prev_hsv = yield from _per_frame(itertools.islice(frames, bounds[1]))
+        stats = _per_frame(source)
+        yield from itertools.islice(stats, bounds[1])
         failed = len(children) < len(bounds) - 2  # a fork failed
         while children and not failed:
             failed = os.waitpid(children[0], 0)[1] != 0
             del children[0]
         if failed:
             _reap(children)
-            yield from _per_frame(frames, prev_hsv)
+            yield from stats
             return
         for index, (avg, delta) in enumerate(rows.tolist(), start=bounds[1]):
             yield FrameStats(index=index, avg_intensity=avg, hsv_delta=delta)
@@ -453,7 +450,7 @@ def _fork_range(source: FrameSource, start: int, out: np.ndarray) -> int:
     """Fork a child that computes frames ``start:start + len(out)`` of
     ``source`` into ``out``, a slice of a shared mapping, and return its pid.
 
-    The child pulls the earlier frames without computing them, runs the
+    The child reads the earlier frames without computing them, runs the
     per-frame loop from frame ``start - 1``, whose HSV seeds the first delta
     and whose stats it drops, and writes each later frame's
     ``(avg_intensity, hsv_delta)`` as a row of ``out``; a range that comes
@@ -467,9 +464,8 @@ def _fork_range(source: FrameSource, start: int, out: np.ndarray) -> int:
     if pid == 0:
         status = 1
         try:
-            frames = iter(source)
-            collections.deque(itertools.islice(frames, start - 1), maxlen=0)
-            stats = itertools.islice(_per_frame(itertools.islice(frames, len(out) + 1)), 1, None)
+            frames = itertools.islice(source, start - 1, start + len(out))
+            stats = itertools.islice(_per_frame(frames), 1, None)
             out[:] = np.reshape([(s.avg_intensity, s.hsv_delta) for s in stats], out.shape)
             status = 0
         finally:

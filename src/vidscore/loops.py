@@ -7,18 +7,19 @@ Each active stem restarts from its first sample at every scene boundary, so
 a downbeat always lands on the transition, and is truncated at the scene end.
 The summed mix is peak-normalized to -1 dBFS.
 
-The mix is never held whole. ``mix_stems`` records the frames over which each
-stem loops. Inside a scene every stem restarts at the scene's first frame, so
-the scene's sum repeats every lcm of its stems' lengths, and a stem set over
-a shorter scene is a prefix of the same set over a longer one. ``Mix`` plans
-the track once as ordered pieces: a sum piece is a stretch no earlier frame
-holds, and a copy piece repeats frames the track already has. The exact peak
-is found by summing the sum pieces, in blocks through one reused int32
-buffer. ``write_wav`` then sums them again, normalizes each block into a
-reused int16 buffer and writes it, and reads each copy piece back out of the
-file being written through that same buffer. The int16 stems are summed
-straight into the int32 block, so memory is the int16 stems plus a few block
-buffers, whatever the track length.
+The mix is never held whole. ``mix_stems`` records, scene by scene, the
+frames a scene covers and the stems that loop over them. Inside a scene every
+stem restarts at the scene's first frame, so the scene's sum repeats every
+lcm of its stems' lengths, and a stem set over a shorter scene is a prefix of
+the same set over a longer one. ``Mix`` plans the track once as ordered
+pieces: a sum piece is a stretch no earlier frame holds, and a copy piece
+repeats frames the track already has. The exact peak is found by summing the
+sum pieces, in blocks through one reused int32 buffer. ``write_wav`` then
+sums them again, normalizes each block into a reused int16 buffer and writes
+it, and reads each copy piece back out of the file being written through
+that same buffer. The int16 stems are summed straight into the int32 block,
+so memory is the int16 stems plus a few block buffers, whatever the track
+length.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 import os
 import wave
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -68,8 +68,7 @@ def build_layer_schedule(scenes: Sequence[Scene], stems: Sequence[Stem]) -> Laye
     n = len(scenes)
     schedule: LayerSchedule = []
     for i in range(n):
-        count = 1 + min(i, n - 1 - i)
-        count = max(1, min(count, len(ordered)))
+        count = min(1 + min(i, n - 1 - i), len(ordered))
         schedule.append([stem.label for stem in ordered[:count]])
     return schedule
 
@@ -83,8 +82,8 @@ def _check_compatible(stems: Sequence[Stem]) -> None:
         )
 
 
-Run = Tuple[int, int, np.ndarray]  # a stem looped from frame start up to frame end
-Sum = Tuple[int, int, List[Run]]  # frames [lo, hi) summed from runs that all cover them
+Run = Tuple[int, int, List[np.ndarray]]  # one scene's stems, looped from frame start to end
+Sum = Tuple[int, int, int, List[np.ndarray]]  # frames [lo, hi) of stems looped from start
 
 
 class Copy(NamedTuple):
@@ -100,37 +99,34 @@ Piece = Union[Sum, Copy]
 
 
 def _plan(frames: int, runs: List[Run]) -> List[Piece]:
-    """The track in order as sum and copy pieces, given that runs with
-    different (start, end) do not overlap.
+    """The track in order as sum and copy pieces, given runs in frame order
+    that do not overlap.
 
-    The runs sharing one (start, end) all restart at start, so their sum
-    repeats every lcm of their lengths: past its first period a scene is a
-    copy of itself. A stem multiset over a shorter scene is a prefix of the
-    same multiset over a longer one, so a scene copies what an earlier scene
-    of its multiset wrote and sums only the part of its period that reaches
-    past the longest such scene. The frames no scene covers sum to zero."""
-    by_bounds: Dict[Tuple[int, int], List[np.ndarray]] = {}
-    for start, end, samples in runs:
-        by_bounds.setdefault((start, end), []).append(samples)
+    A run's stems all restart at its start, so their sum repeats every lcm
+    of their lengths: past its first period a scene is a copy of itself. A
+    stem multiset over a shorter scene is a prefix of the same multiset over
+    a longer one, so a scene copies what an earlier scene of its multiset
+    wrote and sums only the part of its period that reaches past the longest
+    such scene. The frames no scene covers sum to zero."""
     written: Dict[Tuple[int, ...], Tuple[int, int]] = {}  # multiset -> (scene start, frames)
     plan: List[Piece] = []
     reached = 0
-    for (start, end), stems in sorted(by_bounds.items(), key=itemgetter(0)):
+    for start, end, stems in runs:
         if start > reached:
-            plan.append((reached, start, []))
+            plan.append((reached, start, reached, []))
         key = tuple(sorted(map(id, stems)))  # the same stem arrays, repeats included
         span = min(end - start, math.lcm(*map(len, stems)))
         src, have = written.get(key, (start, 0))
         if have:
             plan.append(Copy(src, start, start + min(have, span)))
         if span > have:
-            plan.append((start + have, start + span, [(start, end, samples) for samples in stems]))
+            plan.append((start + have, start + span, start, stems))
             written[key] = start, span
         if end > start + span:
             plan.append(Copy(start, start + span, end))
         reached = end
     if frames > reached:
-        plan.append((reached, frames, []))
+        plan.append((reached, frames, reached, []))
     return plan
 
 
@@ -144,16 +140,16 @@ def _block_sums(channels: int, plan: List[Piece]) -> Iterator[Union[np.ndarray, 
         if isinstance(piece, Copy):
             yield piece
             continue
-        lo, hi, runs = piece
+        lo, hi, start, stems = piece
         for first in range(lo, hi, _BLOCK):
             last = min(first + _BLOCK, hi)
             block = buf[:last - first]
-            if not runs:
-                block.fill(0)  # silence, which no run covers
-            for i, (start, _, samples) in enumerate(runs):
+            if not stems:
+                block.fill(0)  # silence, which no scene covers
+            for i, samples in enumerate(stems):
                 period = len(samples)
                 # each loop period overlapping [first, last), from the one holding first;
-                # the first run's periods tile the block, since every run covers the piece
+                # the first stem's periods tile the block, since every stem covers the piece
                 for pos in range(first - (first - start) % period, last, period):
                     a, b = max(pos, first), min(pos + period, last)
                     if i:
@@ -165,8 +161,8 @@ def _block_sums(channels: int, plan: List[Piece]) -> Iterator[Union[np.ndarray, 
 
 class Mix:
     """A normalized int16 track of ``shape`` (frames, channels), produced in
-    order by ``blocks``; ``size`` is frames x channels. Runs with different
-    (start, end) must not overlap, as the runs of tiling scenes do.
+    order by ``blocks``; ``size`` is frames x channels. The runs must be
+    in frame order and must not overlap, as the runs of tiling scenes do.
 
     The track is planned once, as ``_plan`` lays it out: only the sum pieces
     are ever summed. Their union holds every value the track takes, so the
@@ -224,8 +220,8 @@ def mix_stems(
         if end <= start:
             continue
         last = end
-        for label in active:  # each looped from sample 0, cut at end
-            runs.append((start, end, by_label[label].samples))
+        if active:  # each stem looped from sample 0, cut at end
+            runs.append((start, end, [by_label[label].samples for label in active]))
     return Mix(frames, channels, runs)
 
 

@@ -274,6 +274,11 @@ class TestStreamStats:
         with pytest.raises(MalformedSourceError, match="frame 1: 27 bytes"):
             list(stream_stats(frames))
 
+    @pytest.mark.parametrize("size", [13, 0], ids=["partial pixel", "empty"])
+    def test_a_first_frame_that_is_not_whole_pixels_is_malformed(self, size):
+        with pytest.raises(MalformedSourceError, match=f"frame 0: {size} bytes"):
+            list(stream_stats([Frame(index=0, pixels=bytes(size))]))
+
     def test_stats_in_range(self):
         rng = random.Random(34)
         frames = [random_frame(rng, index=i) for i in range(8)]
@@ -397,6 +402,30 @@ class TestSplitStats:
         monkeypatch.setattr(frames_module, "_frame_hsv", dying)
         assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == list(stream_stats(clip))
         assert len(forked) == 2
+        assert_no_child_left()
+
+    def test_the_parent_continues_its_one_loop_after_a_killed_child(self, tmp_path, cpus,
+                                                                    monkeypatch):
+        cpus(3)
+        clip = noisy_clip(9, "cut")
+        serial = list(stream_stats(clip))
+        parent, frame_hsv = os.getpid(), frames_module._frame_hsv
+        work_area = frames_module._WorkArea
+        built = []
+
+        def dying(frame, work, out):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return frame_hsv(frame, work, out)
+
+        def counted(pixels):
+            built.append(pixels)  # a child appends to its own copy of the list
+            return work_area(pixels)
+
+        monkeypatch.setattr(frames_module, "_frame_hsv", dying)
+        monkeypatch.setattr(frames_module, "_WorkArea", counted)
+        assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == serial
+        assert built == [len(clip[0].pixels) // 3]
         assert_no_child_left()
 
     @pytest.mark.parametrize("path", ["split", "bare iterable", "killed child"])

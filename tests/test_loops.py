@@ -305,6 +305,16 @@ class TestMixMatchesOracle:
         out = self.assert_matches([["a", "b"], ["a", "b", "a"]], scenes, stems)
         assert np.abs(out.astype(np.int32)).argmax() >= 40  # in the doubled scene
 
+    def test_an_empty_active_list_is_silence_and_still_bounds_the_next_scene(self):
+        stems = [spiky_stem("a", 1, 30, {4: 9000})]
+        scenes = [make_scene(0, 0.0, 100 / 8000), make_scene(1, 100 / 8000, 250 / 8000),
+                  make_scene(2, 250 / 8000, 400 / 8000)]
+        out = self.assert_matches([["a"], [], ["a"]], scenes, stems)
+        assert not out[100:250].any() and out[250:].all()
+        scenes[2] = make_scene(2, 200 / 8000, 400 / 8000)
+        with pytest.raises(MalformedSourceError, match="scene 2 starts before"):
+            mix_stems([["a"], [], ["a"]], scenes, stems)
+
     @pytest.mark.parametrize("channels", [1, 2])
     def test_all_silent_stems(self, channels):
         stems = [make_stem(f"s{i}", i, rate=8000, channels=channels,
