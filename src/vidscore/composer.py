@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .energy import EnergyLabel
 from .errors import EmptyMelodyError
@@ -50,8 +50,7 @@ Motif = List[Tuple[int, int]]  # (pitch, duration_ticks) at PPQN resolution
 Note = Tuple[int, int, int]  # (tick, duration_ticks, pitch), as a generator plays it
 
 
-@dataclass(frozen=True)
-class NoteEvent:
+class NoteEvent(NamedTuple):
     start_tick: int
     duration_ticks: int
     pitch: int

@@ -15,18 +15,23 @@ the same set over a longer one. ``Mix`` plans the track once as ordered
 pieces: a sum piece is a stretch no earlier frame holds, and a copy piece
 repeats frames the track already has. The exact peak is found by summing the
 sum pieces, in blocks through one reused int32 buffer. ``write_wav`` then
-sums them again, normalizes each block into a reused int16 buffer and writes
-it, and reads each copy piece back out of the file being written through
-that same buffer. The int16 stems are summed straight into the int32 block,
-so memory is the int16 stems plus a few block buffers, whatever the track
-length.
+writes the WAV header once, with its final sizes, sums the pieces again,
+normalizes each block into a reused int16 buffer and writes it, and writes
+each copy piece straight from a read-only mapping of the frames it repeats
+in the file being written, many repeats to a ``writev`` call. The int16
+stems are summed straight into the int32 block, so memory is the int16
+stems plus a few block buffers and a mapping of at most ``_WINDOW`` frames,
+whatever the track length.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import struct
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
@@ -38,6 +43,17 @@ from .scenes import Scene
 
 PEAK_CEILING = 10 ** (-1.0 / 20.0)  # -1 dBFS as a fraction of full scale
 _BLOCK = 1 << 16  # frames summed and normalized per step of the mix
+# most frames one mapping of a copy piece's source spans, 6.8 s at 48 kHz: a
+# longer repeat is mapped a window at a time. A whole number of blocks, so
+# each window after the first starts on a page boundary.
+_WINDOW = 5 * _BLOCK
+# a mapping is read whole at once, so its pages are faulted in as it is made
+# where the platform can
+_MAP_FLAGS = mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0)
+# each repeat of a copy piece is one buffer of a writev call: the fewer the
+# calls, the fewer the writes that end mid-page
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+_HEADER = struct.Struct("<4sL4s4sLHHLLHH4sL")  # the 44-byte WAV header wave writes
 # the WAV header holds the byte rate, the data size and the RIFF size (36 bytes
 # of header plus the data) each in an unsigned 32-bit field
 _WAV_FIELD_MAX = 0xFFFFFFFF
@@ -168,8 +184,8 @@ class Mix:
     are ever summed. Their union holds every value the track takes, so the
     gain maps the int32 sum's exact peak over them to -1 dBFS and no sample
     needs clipping. ``buffer`` is the int16 block buffer that every
-    normalized block is written into, and that a copy piece is read back
-    into by ``write_wav``."""
+    normalized block is written into, and that ``write_wav`` tiles a copy
+    piece's short repeat into."""
 
     def __init__(self, frames: int, channels: int, runs: List[Run]):
         self.shape = (frames, channels)
@@ -239,8 +255,7 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
     except (OSError, wave.Error, EOFError, RuntimeError) as exc:
         # wave raises a bare RuntimeError for a chunk that runs past the end
         raise StemMismatchError(f"{path}: cannot read a PCM WAV file: {exc}") from exc
-    if rate < 1 or rate * channels * 2 > _WAV_FIELD_MAX:
-        raise StemMismatchError(f"{path}: {rate} Hz with {channels} channels does not fit a WAV")
+    _wav_header(path, 0, channels, rate)  # refuses a rate the output WAV cannot hold
     if len(raw) % (2 * channels):
         raise StemMismatchError(f"{path}: data ends in a partial frame")
     samples = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)
@@ -251,10 +266,12 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
 
 def write_wav(path: str, samples: Union[Mix, np.ndarray], sample_rate: int) -> None:
     """Write 16-bit PCM, piece by piece from a ``Mix``, or in one piece from an
-    int16 array (a C-contiguous ``<i2`` array is written uncopied). A mix's
-    blocks are written as they come, and each of its copy pieces is read back
-    out of the file being written. A failure between blocks leaves ``path`` as
-    it was."""
+    int16 array (a C-contiguous ``<i2`` array is written uncopied). The header
+    goes first, with the sizes of the whole track. A mix's blocks are written
+    as they come, and each of its copy pieces from the frames it repeats (see
+    ``_copy_back``). Every byte goes straight to the file's descriptor, with
+    no buffer in between, so a mapping of the file holds every frame written
+    before it. A failure between blocks leaves ``path`` as it was."""
     if isinstance(samples, Mix):
         blocks = samples.blocks()
     else:
@@ -262,38 +279,99 @@ def write_wav(path: str, samples: Union[Mix, np.ndarray], sample_rate: int) -> N
         if samples.ndim == 1:
             samples = samples[:, np.newaxis]
         blocks = [samples]
-    with publish(path, binary=True) as fh, wave.open(fh, "wb") as wav:
-        wav.setnchannels(samples.shape[1])
-        wav.setsampwidth(2)
-        wav.setframerate(sample_rate)
+    header = _wav_header(path, *samples.shape, sample_rate)
+    with publish(path, binary=True) as fh:
+        fd = fh.fileno()
+        _write_repeating(fd, header, len(header))
         for block in blocks:
             if isinstance(block, Copy):
-                _copy_back(path, fh, wav, block, samples.buffer)
+                _copy_back(path, fd, block, samples.buffer)
             else:
-                wav.writeframesraw(block.reshape(-1))  # flat, so an empty block casts too
+                _write_repeating(fd, block.reshape(-1).view(np.uint8), block.nbytes)
 
 
-def _copy_back(path: str, fh, wav: wave.Wave_write, piece: Copy, buf: np.ndarray) -> None:
-    """Write ``piece``'s frames by reading earlier frames of ``fh``, which has
-    written every frame before ``piece.lo``, back into ``buf``.
+def _wav_header(path: str, frames: int, channels: int, rate: int) -> bytes:
+    """The header of a 16-bit PCM WAV of ``frames`` frames, with the fields
+    ``wave`` writes; a value one of them cannot hold is refused."""
+    align = 2 * channels  # bytes per frame
+    if not 0 < align <= 0xFFFF:
+        raise StemMismatchError(f"{path}: {channels} channels do not fit a WAV")
+    if rate < 1 or rate * align > _WAV_FIELD_MAX:
+        raise StemMismatchError(f"{path}: {rate} Hz with {channels} channels does not fit a WAV")
+    data = frames * align
+    if 36 + data > _WAV_FIELD_MAX:
+        raise StemMismatchError(f"{path}: a {frames}-frame track passes the 4 GiB a WAV holds")
+    return _HEADER.pack(b"RIFF", 36 + data, b"WAVE", b"fmt ", 16, 1,
+                        channels, rate, rate * align, align, 16, b"data", data)
 
-    A chunk never reads past the frames written so far. A frame of a scene's
-    periodic tail is read from the scene's first period, so the distance back
-    grows by whole periods and the chunks grow to the whole buffer. Writing
-    through ``wav`` keeps the data size it patches into the header right."""
+
+def _copy_back(path: str, fd: int, piece: Copy, buf: np.ndarray) -> None:
+    """Write ``piece``'s frames to ``fd`` by repeating the earlier frames it
+    copies, which the file already holds.
+
+    The frames it repeats, one period or the part of it the piece uses, are
+    read through a read-only mapping of the file. Only bytes this process has
+    written to its own temp file are ever mapped, never a stem or any other
+    input, which another process could shrink under the mapping. A repeat
+    shorter than ``buf`` is tiled into it as whole periods, so even a
+    one-frame period is written a block or more at a time. A longer one is
+    written straight from its mapping, mapped once for the piece, or a window
+    of at most ``_WINDOW`` frames at a time when it is longer."""
     src, lo, hi = piece
     frame_bytes = buf.itemsize * buf.shape[1]
-    data = fh.tell() - lo * frame_bytes  # where frame 0 lies in the file
-    f = lo
-    while f < hi:
-        at = src + (f - lo) % (lo - src)
-        chunk = buf[:min(len(buf), hi - f, f - at)]
-        fh.flush()  # the frames to read back may still be in the file's buffer
-        got = os.preadv(fh.fileno(), [chunk], data + at * frame_bytes)
-        if got != chunk.nbytes:
-            raise ConfigError(f"cannot write {path}: read back {got} of {chunk.nbytes} bytes")
-        wav.writeframesraw(chunk.reshape(-1))
-        f += len(chunk)
+    first = _HEADER.size + src * frame_bytes  # where frame src lies in the file
+    end = first + min(lo - src, hi - lo) * frame_bytes
+    left = (hi - lo) * frame_bytes
+    period = end - first
+    if period < buf.nbytes:
+        tiles = min(buf.nbytes // period, -(-left // period))  # as many as the piece uses
+        unit = buf.reshape(-1).view(np.uint8)[:tiles * period]
+        with _mapped(path, fd, first, end) as view:
+            unit[:period] = view
+        unit.reshape(tiles, period)[1:] = unit[:period]
+        _write_repeating(fd, unit, left)
+        return
+    step = _WINDOW * frame_bytes
+    windows = [(max(at, first), min(at + step, end))
+               for at in range(first - first % mmap.ALLOCATIONGRANULARITY, end, step)]
+    # a repeat in one window is mapped once and written over and over; a
+    # longer one is mapped a window at a time, each time it comes round
+    while left:
+        for a, b in windows:
+            size = left if len(windows) == 1 else min(left, b - a)
+            with _mapped(path, fd, a, b) as view:
+                _write_repeating(fd, view, size)
+            left -= size
+            if not left:
+                break
+
+
+@contextmanager
+def _mapped(path: str, fd: int, first: int, end: int) -> Iterator[memoryview]:
+    """A read-only view of bytes [first, end) of ``fd``'s file, mapped from
+    the page that holds ``first``. The view and the mapping are released
+    when the block exits, however it exits."""
+    at = first - first % mmap.ALLOCATIONGRANULARITY
+    try:
+        mapping = mmap.mmap(fd, end - at, flags=_MAP_FLAGS, prot=mmap.PROT_READ, offset=at)
+    except (OSError, ValueError) as exc:  # ValueError: the file is shorter than asked
+        raise ConfigError(f"cannot write {path}: cannot map the frames to repeat: {exc}") from exc
+    with mapping, memoryview(mapping) as whole, whole[first - at:] as view:
+        yield view
+
+
+def _write_repeating(fd: int, unit, size: int) -> None:
+    """Write ``size`` bytes to ``fd`` that repeat the bytes of ``unit`` from
+    its start, as many repeats a call as ``writev`` takes. A short write
+    goes on from the byte it stopped at, so a failing one raises its error."""
+    with memoryview(unit) as whole:
+        at = 0  # where in the unit the next byte comes from
+        while size:
+            with whole[at:at + size] as head:
+                repeats = min(_IOV_MAX - 1, (size - len(head)) // len(whole))
+                written = os.writev(fd, [head] + [whole] * repeats)
+            size -= written
+            at = (at + written) % len(whole)
 
 
 def load_stem_manifest(path: str) -> List[Stem]:

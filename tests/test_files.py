@@ -9,11 +9,10 @@ from vidscore.files import typed
 SRC = pathlib.Path(vidscore.__file__).parent
 
 # the only direct file access outside files.py: the streaming raw-frame
-# reader, the stem WAV reader, and the WAV writer on publish()'s open file
+# reader and the stem WAV reader
 ALLOWED = {
     ("frames.py", "_open_raw_stream.gen", "open(path, 'rb')"),
     ("loops.py", "read_wav", "wave.open(path, 'rb')"),
-    ("loops.py", "write_wav", "wave.open(fh, 'wb')"),
 }
 
 

@@ -1,9 +1,11 @@
 import errno
 import hashlib
+import io
 import json
 import math
 import os
 import tracemalloc
+import wave
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from vidscore import cli, loops
 from vidscore.errors import ConfigError, EmptyInputError, MalformedSourceError, StemMismatchError
 from vidscore.loops import (
     _BLOCK as BLOCK,
+    _WINDOW as WINDOW,
     Copy,
     Mix,
     Stem,
@@ -535,8 +538,8 @@ class TestCopyPlan:
 
     @pytest.mark.parametrize("channels", [1, 2])
     def test_repeat_longer_than_the_block_buffer(self, tmp_path, channels):
-        # a 6300-frame period repeated over more than three blocks is read
-        # back in chunks that grow by whole periods up to the block buffer
+        # a 6300-frame period repeated over more than three blocks is tiled
+        # into the block buffer as ten whole periods, written over and over
         stems = noise_stems({"a": 700, "b": 900}, channels)
         frames = 3 * BLOCK + 123
         pieces = assert_writes_the_oracle(tmp_path, [["a", "b"]], frame_scenes([0, frames]),
@@ -551,22 +554,191 @@ def test_failure_during_a_copy_keeps_the_previous_wav(tmp_path, monkeypatch):
     write_wav(str(path), mix_stems([["a"], ["b"]], scenes, stems), 8000)
     before = path.read_bytes()
     descriptors = len(os.listdir("/proc/self/fd"))
-    reads = []
-    whole_preadv = os.preadv
+    maps = []
+    whole_mmap = loops.mmap.mmap
 
-    def failing_preadv(*args):
-        reads.append(args)
-        if len(reads) == 2:
-            raise OSError(errno.EIO, "failed on the second read")
-        return whole_preadv(*args)
+    def failing_mmap(*args, **kwargs):
+        maps.append(args)
+        if len(maps) == 2:
+            raise OSError(errno.EIO, "failed on the second mapping")
+        return whole_mmap(*args, **kwargs)
 
-    monkeypatch.setattr(os, "preadv", failing_preadv)
-    with pytest.raises(ConfigError, match="second read"):
+    monkeypatch.setattr(loops.mmap, "mmap", failing_mmap)
+    with pytest.raises(ConfigError, match="second mapping"):
         write_wav(str(path), mix_stems([["a", "b"], ["a", "b"]], scenes, stems), 8000)
-    assert len(reads) == 2
+    assert len(maps) == 2
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["soundtrack.wav"]
     assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+def test_frames_to_repeat_missing_from_the_file_is_a_config_error(tmp_path, monkeypatch):
+    whole_mmap = loops.mmap.mmap
+
+    def mmap_after_truncating(fileno, length, **kwargs):
+        os.ftruncate(fileno, 44)  # the frames to repeat are gone
+        return whole_mmap(fileno, length, **kwargs)
+
+    monkeypatch.setattr(loops.mmap, "mmap", mmap_after_truncating)
+    stems = noise_stems({"a": 700}, 1)
+    with pytest.raises(ConfigError, match="cannot map the frames to repeat"):
+        write_wav(str(tmp_path / "mix.wav"), mix_stems([["a"]], frame_scenes([0, 3000]), stems),
+                  8000)
+    assert not any(tmp_path.iterdir())
+
+
+class TestRepeatMappings:
+    """Each copy piece is written from one read-only mapping of the frames
+    it repeats, or from one per window of at most ``WINDOW`` frames, many
+    repeats to a ``writev`` call."""
+
+    def write(self, tmp_path, monkeypatch, schedule, scenes, stems):
+        """Write the mix, check it against the oracle, and return its copy
+        pieces, the length of each mapping made and the number of buffers
+        each write was given."""
+        want = naive_mix_stems(schedule, scenes, stems)
+        mix = mix_stems(schedule, scenes, stems)
+        lengths, writes = [], []
+        whole_mmap, whole_writev = loops.mmap.mmap, loops.os.writev
+
+        def recording_mmap(fileno, length, **kwargs):
+            lengths.append(length)
+            return whole_mmap(fileno, length, **kwargs)
+
+        def recording_writev(fd, buffers):
+            writes.append(len(buffers))
+            return whole_writev(fd, buffers)
+
+        monkeypatch.setattr(loops.mmap, "mmap", recording_mmap)
+        monkeypatch.setattr(loops.os, "writev", recording_writev)
+        path = str(tmp_path / "mix.wav")
+        write_wav(path, mix, 8000)
+        assert np.array_equal(read_wav(path)[0], want)
+        return [piece for piece in mix.blocks() if isinstance(piece, Copy)], lengths, writes
+
+    def test_a_short_write_goes_on_from_the_byte_it_stopped_at(self, tmp_path, monkeypatch):
+        whole_writev = loops.os.writev
+
+        def short_writev(fd, buffers):
+            data = b""  # the first 1001 bytes of the buffers: never a whole frame
+            for buffer in buffers:
+                with memoryview(buffer) as view:
+                    data += view[:1001 - len(data)].tobytes()
+            return whole_writev(fd, [data])
+
+        monkeypatch.setattr(loops.os, "writev", short_writev)
+        stems = noise_stems({"a": 700, "b": 900}, 2)
+        assert_writes_the_oracle(tmp_path, [["a", "b"], ["a"], ["a", "b"]],
+                                 frame_scenes([0, 20000, 30000, 3 * BLOCK]), stems)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_one_frame_period_is_written_a_block_at_a_time(self, tmp_path, monkeypatch, channels):
+        frames = 3 * BLOCK + 7
+        stems = noise_stems({"a": 1}, channels)
+        copies, lengths, writes = self.write(tmp_path, monkeypatch, [["a"]],
+                                             frame_scenes([0, frames]), stems)
+        assert copies == [Copy(0, 1, frames)]
+        assert len(lengths) == 1
+        # the header, the one summed frame, then one buffer per block of
+        # repeats, the whole blocks in one call
+        assert writes == [1, 1, 3, 1]
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_period_between_a_block_and_a_window_is_mapped_once_per_piece(
+            self, tmp_path, monkeypatch, channels):
+        # the second scene's first period copies the first scene's, which lies
+        # more than a window back: only the frames it uses are mapped
+        period = BLOCK + 5000
+        stems = noise_stems({"a": period}, channels)
+        cut = WINDOW + 3000
+        copies, lengths, _ = self.write(tmp_path, monkeypatch, [["a"], ["a"]],
+                                        frame_scenes([0, cut, cut + 5 * period // 2]), stems)
+        assert copies == [Copy(0, period, cut), Copy(0, cut, cut + period),
+                          Copy(cut, cut + period, cut + 5 * period // 2)]
+        assert len(lengths) == len(copies)
+        # a mapping starts on the page holding the first frame it repeats
+        assert max(lengths) <= period * 2 * channels + loops.mmap.ALLOCATIONGRANULARITY
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_period_longer_than_a_window_is_mapped_a_window_at_a_time(
+            self, tmp_path, monkeypatch, channels):
+        period = WINDOW + 1000
+        stems = noise_stems({"a": period}, channels)
+        copies, lengths, _ = self.write(tmp_path, monkeypatch, [["a"]],
+                                        frame_scenes([0, 5 * period // 2]), stems)
+        assert copies == [Copy(0, period, 5 * period // 2)]
+        # two windows for the first repeat, the first again for the half
+        assert len(lengths) == 3
+        assert max(lengths) <= WINDOW * 2 * channels
+
+
+def wave_bytes(track, rate):
+    """What ``wave`` writes for an int16 (frames, channels) track."""
+    out = io.BytesIO()
+    with wave.open(out, "wb") as wav:
+        wav.setnchannels(track.shape[1])
+        wav.setsampwidth(2)
+        wav.setframerate(rate)
+        wav.writeframes(track.tobytes())
+    return out.getvalue()
+
+
+class TestWavHeader:
+    """``write_wav`` packs the header that ``wave`` writes, and refuses a
+    value that one of its fields cannot hold."""
+
+    @pytest.mark.parametrize("channels", range(1, 9))
+    def test_header_is_the_one_wave_writes(self, tmp_path, channels):
+        gen = np.random.default_rng(channels)
+        path = tmp_path / "out.wav"
+        for frames in (0, 1, 7, BLOCK + 1):
+            # a three-frame stem repeated over the track: past three frames
+            # the mix is written from copy pieces
+            stem = gen.integers(-9000, 9000, (3, channels), dtype=np.int16)
+            mix = Mix(frames, channels, [(0, frames, [stem])])
+            track = mixed_track(mix)
+            for rate in (8000, 22050, 44100, 48000, 192000):
+                want = wave_bytes(track, rate)
+                for samples in (track, mix):
+                    write_wav(str(path), samples, rate)
+                    got = path.read_bytes()
+                    assert got[:44] == want[:44], (frames, rate, type(samples))
+                    assert got == want
+
+    def test_largest_data_size_a_wav_holds(self):
+        most = (0xFFFFFFFF - 36) // 2  # mono frames
+        out = io.BytesIO()
+        wav = wave.open(out, "wb")
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(1)
+        wav.setnframes(most)
+        wav.writeframesraw(b"")  # writes the header for `most` frames
+        assert loops._wav_header("x.wav", most, 1, 1) == out.getvalue()
+        wav.close()
+
+    @pytest.mark.parametrize("channels, rate, match", [
+        (0, 8000, "0 channels"),
+        (2**15, 8000, "32768 channels"),  # the block align field is 16 bits
+        (1, 0, "0 Hz"),
+        (2, -8000, "-8000 Hz"),
+        (1, 2**31, "2147483648 Hz"),  # a byte rate of 2**32
+        (2, 2**30, "1073741824 Hz"),
+    ])
+    def test_field_a_wav_cannot_hold_is_refused(self, tmp_path, channels, rate, match):
+        with pytest.raises(StemMismatchError, match=match):
+            write_wav(str(tmp_path / "out.wav"), np.zeros((5, channels), dtype=np.int16), rate)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_track_past_4_gib_is_refused(self, tmp_path, channels):
+        # a one-frame stem over the track: the mix sums one frame and
+        # copies the rest, so it is cheap to build and nothing is written
+        frames = (0xFFFFFFFF - 36) // (2 * channels) + 1
+        mix = Mix(frames, channels, [(0, frames, [np.ones((1, channels), dtype=np.int16)])])
+        with pytest.raises(StemMismatchError, match="4 GiB"):
+            write_wav(str(tmp_path / "out.wav"), mix, 8000)
+        assert not any(tmp_path.iterdir())
 
 
 class TestWavAndManifest:
