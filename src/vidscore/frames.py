@@ -26,24 +26,41 @@ example with ``taskset``). The statistics do not depend on the split.
 Each process runs one per-frame loop, which sizes one work area on its
 first frame and writes every frame-sized array into it, so no frame after
 the first allocates one. A child builds its area after the fork.
+
+The loop makes one compiled pass over each frame's pixels
+(``_framestats.c``, called through ``ctypes``). The library is built on
+first use with the C compiler Python was built with, and cached in the
+``__pycache__`` folder beside this module (or, where that cannot be
+written, in a private temporary folder for the process). Where no library
+can be built, the loop runs the numpy functions ``_frame_hsv``,
+``_hsv_delta`` and ``compute_intensity`` instead, which give the same
+statistics bit for bit and remain the oracle for the compiled pass.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import hashlib
 import itertools
 import mmap
 import os
 import re
+import shlex
+import shutil
 import signal
+import subprocess
+import sys
+import sysconfig
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import MalformedSourceError, SourceNotFoundError
-from .files import read_input
+from .errors import ConfigError, MalformedSourceError, SourceNotFoundError
+from .files import read_input, staged
 from .scenes import FrameSpec, FrameStats
 
 HUE_SCALE = 256.0  # full hue circle after rescaling; max circular delta is 128
@@ -269,7 +286,9 @@ class _WorkArea:
     writes through ``out=``. The hue index is spent once the hue is looked
     up, so its memory, as float32, then holds saturation's divisor and the
     delta's hue scratch; the delta's second value array is chroma's. That
-    keeps the area at 31 bytes a pixel.
+    keeps the area at 31 bytes a pixel. The compiled pass writes only the
+    two HSV sets and the hue and saturation changes, so the other arrays'
+    pages are never touched there.
     """
 
     def __init__(self, pixels: int):
@@ -285,6 +304,12 @@ class _WorkArea:
         self.ds = np.empty(pixels, dtype=np.float32)
         self.dv = np.empty(pixels, dtype=np.uint8)
         self.dv_lo = self.chroma
+        # the compiled pass's arguments: each HSV set's addresses, and its
+        # last four, the hue table, dh, ds and where the value changes' sum goes
+        self.addresses = [tuple(a.ctypes.data for a in hsv) for hsv in self.hsv]
+        self.dv_sum = ctypes.c_uint64()
+        self.kernel_tail = (_hue_table().ctypes.data, self.dh.ctypes.data,
+                            self.ds.ctypes.data, ctypes.byref(self.dv_sum))
 
 
 def _frame_hsv(frame: Frame, work: _WorkArea, out):
@@ -336,11 +361,8 @@ def _hsv_delta(prev, curr, work: _WorkArea) -> float:
     """Mean absolute HSV change, averaged over the three channels, taken in
     the scratch arrays of ``work``.
 
-    Hue and saturation are float32, so their means sum in float64, through
-    the ``np.add.reduce`` that ``np.mean`` runs, called without its Python
-    wrapper, so the result is the same double. The value term is a sum of
-    integers below 2**53, so it is summed exactly in integers and divided
-    once, giving the same double as a float64 mean.
+    The value term is a sum of integers below 2**53, so it is summed
+    exactly in integers; ``_delta_score`` takes the mean from there.
     """
     dh, ds, dv = work.dh, work.ds, work.dv
     np.subtract(curr[0], prev[0], out=dh)
@@ -352,13 +374,114 @@ def _hsv_delta(prev, curr, work: _WorkArea) -> float:
     np.maximum(curr[2], prev[2], out=dv)  # |curr - prev| in uint8
     np.minimum(curr[2], prev[2], out=work.dv_lo)
     dv -= work.dv_lo
-    n = dv.size
+    return _delta_score(work, _exact_sum(dv))
+
+
+def _delta_score(work: _WorkArea, dv_sum: int) -> float:
+    """The HSV delta from the per-pixel hue and saturation changes in
+    ``work`` and the exact sum ``dv_sum`` of the value changes.
+
+    Hue and saturation are float32, so their means sum in float64, through
+    the ``np.add.reduce`` that ``np.mean`` runs, called without its Python
+    wrapper, so the result is the same double. The value term is divided
+    once, giving the same double as a float64 mean.
+    """
+    n = work.ds.size
     score = (
-        np.add.reduce(dh, dtype=np.float64) / n
-        + np.add.reduce(ds, dtype=np.float64) / n
-        + _exact_sum(dv) / n
+        np.add.reduce(work.dh, dtype=np.float64) / n
+        + np.add.reduce(work.ds, dtype=np.float64) / n
+        + dv_sum / n
     ) / 3.0
     return float(score)
+
+
+# -- the compiled pass ---------------------------------------------------------
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_framestats.c")
+# -O3 because GCC 12 vectorises none of the pass's loops at -O2; no
+# -ffast-math, which reorders float operations, and no -march=native, since a
+# cached library can outlive the machine it was built on
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+@functools.cache
+def _kernel():
+    """The compiled frame pass of ``_framestats.c``, built on first use into
+    the ``__pycache__`` folder beside this module, or None where it cannot
+    be built. Nothing is built at import."""
+    return _build(_SOURCE, os.path.join(os.path.dirname(_SOURCE), "__pycache__"))
+
+
+def stats_path() -> str:
+    """Which per-frame loop computes the statistics: "compiled" or "numpy"."""
+    return "numpy" if _kernel() is None else "compiled"
+
+
+def _build(source: str, cache: str):
+    """Load the C file ``source`` compiled to ``<cache>/_framestats.<key>.so``,
+    compiling it first when that file is missing; None when there is no C
+    compiler, the compile fails or ``source`` cannot be read.
+
+    The key hashes the source, the compile command and the interpreter's
+    cache tag, so a library is built once per source and flag set. It is
+    compiled to a temporary name and renamed into place, so processes that
+    build at once each load a whole library. ``cache`` is trusted as the
+    module's bytecode beside it is. Where it cannot be written, or its
+    library not loaded, the library is built in a private folder that
+    ``mkdtemp`` makes for this process alone, and removed once loaded.
+    """
+    command = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not command or shutil.which(command[0]) is None:
+        return None
+    try:
+        code = read_input(source, OSError, "C source", binary=True)
+    except OSError:
+        return None
+    command += [*_CFLAGS, "-x", "c", "-"]
+    key = hashlib.sha256(
+        "\0".join([*command, str(sys.implementation.cache_tag)]).encode() + b"\0" + code)
+    name = f"_framestats.{key.hexdigest()[:16]}.so"
+    for folder in (cache, None):
+        private = folder is None
+        try:
+            folder = tempfile.mkdtemp(prefix="vidscore-") if private else folder
+            os.makedirs(folder, exist_ok=True)
+            path = os.path.join(folder, name)
+            if not os.path.exists(path):
+                handle, tmp = tempfile.mkstemp(prefix=name, dir=folder)
+                os.close(handle)
+                with staged(path, tmp):
+                    subprocess.run(command + ["-o", tmp], input=code, capture_output=True,
+                                   check=True)
+            return _load(path)
+        except subprocess.CalledProcessError:
+            return None
+        except (OSError, ConfigError):
+            continue  # the folder cannot be written, or its library not loaded
+        finally:
+            if private and folder:
+                shutil.rmtree(folder, ignore_errors=True)
+    return None
+
+
+def _load(path: str):
+    """The pass's entry point in the shared library ``path``."""
+    kernel = ctypes.CDLL(path).vidscore_frame_stats
+    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 10
+    kernel.restype = ctypes.c_uint64
+    return kernel
+
+
+def _compiled_stats(kernel, pixels, work: _WorkArea, curr: bool, prev: bool):
+    """``(avg_intensity, hsv_delta)`` of a frame's ``pixels`` from one call
+    of ``kernel``, which writes the frame's HSV into set ``curr`` of
+    ``work``; with ``prev``, the other set holds the previous frame's.
+    ``pixels`` is any bytes-like object, passed without a copy."""
+    if type(pixels) is not bytes:  # ctypes takes only bytes without a copy
+        pixels = np.frombuffer(pixels, dtype=np.uint8).ctypes.data
+    previous = work.addresses[not curr] if prev else (None, None, None)
+    total = kernel(pixels, work.ds.size, *work.addresses[curr], *previous, *work.kernel_tail)
+    return total / (3 * work.ds.size), _delta_score(work, work.dv_sum.value) if prev else None
 
 
 def stream_stats(frames) -> Iterator[FrameStats]:
@@ -379,12 +502,14 @@ def stream_stats(frames) -> Iterator[FrameStats]:
 
 
 def _per_frame(frames):
-    """The per-frame loop.
+    """The per-frame loop: one call of the compiled pass a frame, or, where
+    ``_kernel`` gives none, the numpy functions, with the same results.
 
     Its work area is sized on the first frame. A frame that is not one or
     more whole RGB24 pixels, or not the first frame's size, raises
-    ``MalformedSourceError``.
+    ``MalformedSourceError`` on either path.
     """
+    kernel = _kernel()
     work = prev = None
     for frame in frames:
         if work is None and frame.pixels and len(frame.pixels) % 3 == 0:
@@ -393,15 +518,15 @@ def _per_frame(frames):
             want = f"the first frame's {work.planes.size}" if work else "whole RGB24 pixels"
             raise MalformedSourceError(
                 f"frame {frame.index}: {len(frame.pixels)} bytes, not {want}")
-        # the HSV set that does not hold the previous frame's
-        hsv = _frame_hsv(frame, work, work.hsv[work.hsv[0] is prev])
-        delta = None if prev is None else _hsv_delta(prev, hsv, work)
-        yield FrameStats(
-            index=frame.index,
-            avg_intensity=compute_intensity(frame),
-            hsv_delta=delta,
-        )
-        prev = hsv
+        curr = work.hsv[0] is prev  # the HSV set that does not hold the previous frame's
+        if kernel is None:
+            hsv = _frame_hsv(frame, work, work.hsv[curr])
+            avg = compute_intensity(frame)
+            delta = None if prev is None else _hsv_delta(prev, hsv, work)
+        else:
+            avg, delta = _compiled_stats(kernel, frame.pixels, work, curr, prev is not None)
+        yield FrameStats(index=frame.index, avg_intensity=avg, hsv_delta=delta)
+        prev = work.hsv[curr]
 
 
 def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
@@ -418,8 +543,12 @@ def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
     When a child fails or dies, or cannot be forked, that same loop goes on
     over every frame after this process's range, so bad input raises the
     same error after the same stats as the single-process loop.
+
+    The hue table and the compiled pass are built, or the library loaded,
+    before the forks, so each child inherits them and none builds its own.
     """
-    _hue_table()  # built once, before the children copy this process
+    _hue_table()
+    _kernel()
     # two float64 a frame; the array keeps the mapping open, so it is not closed here
     rows = np.frombuffer(mmap.mmap(-1, 16 * (bounds[-1] - bounds[1]))).reshape(-1, 2)
     children = []  # pids not yet reaped

@@ -266,7 +266,9 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
 
 def write_wav(path: str, samples: Union[Mix, np.ndarray], sample_rate: int) -> None:
     """Write 16-bit PCM, piece by piece from a ``Mix``, or in one piece from an
-    int16 array (a C-contiguous ``<i2`` array is written uncopied). The header
+    integer array (a C-contiguous ``<i2`` array is written uncopied). An array
+    of another kind, or with a value outside int16, raises
+    ``StemMismatchError``, since a cast would wrap or truncate it. The header
     goes first, with the sizes of the whole track. A mix's blocks are written
     as they come, and each of its copy pieces from the frames it repeats (see
     ``_copy_back``). Every byte goes straight to the file's descriptor, with
@@ -275,6 +277,12 @@ def write_wav(path: str, samples: Union[Mix, np.ndarray], sample_rate: int) -> N
     if isinstance(samples, Mix):
         blocks = samples.blocks()
     else:
+        samples = np.asarray(samples)
+        if samples.dtype.kind not in "iu":
+            raise StemMismatchError(f"{path}: samples of dtype {samples.dtype} are not integers")
+        if samples.dtype != np.int16 and samples.size and not (
+                -0x8000 <= samples.min() and samples.max() <= 0x7FFF):
+            raise StemMismatchError(f"{path}: a sample lies outside the 16-bit range")
         samples = np.ascontiguousarray(samples, dtype="<i2")
         if samples.ndim == 1:
             samples = samples[:, np.newaxis]

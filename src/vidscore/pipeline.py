@@ -36,7 +36,7 @@ from .energy import (
 from .errors import (ConfigError, ExternalToolError, InvalidEventError, MalformedSourceError,
                      PlanParseError, UnplannableSectionError)
 from .files import artifact_record, publish, publish_after, read_input, staged
-from .frames import fps_fraction, open_frame_source, stream_stats
+from .frames import fps_fraction, open_frame_source, stats_path, stream_stats
 from .ini import iter_ini
 from .loops import build_layer_schedule, load_stem_manifest, mix_stems, write_wav
 from .midi import InstrumentMap, read_smf, write_smf
@@ -421,6 +421,7 @@ def cmd_run(config: PipelineConfig) -> dict:
         "tool_versions": {
             "python": sys.version.split()[0],
             "vidscore": __version__,
+            "frame_stats": stats_path(),  # which per-frame loop analyze ran
         },
         "stages": stages,
         "final_output": final_path,

@@ -279,6 +279,16 @@ class TestStreamStats:
         with pytest.raises(MalformedSourceError, match=f"frame 0: {size} bytes"):
             list(stream_stats([Frame(index=0, pixels=bytes(size))]))
 
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_pixels_in_any_bytes_like_object(self, monkeypatch, kind, path):
+        clip = noisy_clip(4, "cut")
+        expected = list(stream_stats(clip))
+        if path == "numpy":
+            monkeypatch.setattr(frames_module, "_kernel", lambda: None)
+        held = [Frame(frame.index, kind(frame.pixels)) for frame in clip]
+        assert list(stream_stats(held)) == expected
+
     def test_stats_in_range(self):
         rng = random.Random(34)
         frames = [random_frame(rng, index=i) for i in range(8)]
@@ -353,14 +363,29 @@ def stats_until_error(stats):
     return seen, type(info.value), str(info.value)
 
 
+@pytest.fixture
+def numpy_path(monkeypatch):
+    """Run the per-frame loop on the numpy functions, as where no compiled
+    pass can be built. Tests without this fixture take the compiled pass
+    wherever a C compiler is on the path."""
+    monkeypatch.setattr(frames_module, "_kernel", lambda: None)
+
+
+def split_cases(test):
+    """The cases of the split pin, which runs on both paths."""
+    for mark in (pytest.mark.parametrize("count", [2, 3]),
+                 pytest.mark.parametrize("total", [1, 2, 3, 4, 5]),
+                 pytest.mark.parametrize("transition", ["cut", "fade"]),
+                 pytest.mark.parametrize("kind", ["raw", "ppm"])):
+        test = mark(test)
+    return test
+
+
 class TestSplitStats:
     """A FrameSource's stats are split across forked children, one frame
     range per CPU, and must match the single-process loop bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["raw", "ppm"])
-    @pytest.mark.parametrize("transition", ["cut", "fade"])
-    @pytest.mark.parametrize("total", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("count", [2, 3])
+    @split_cases
     def test_split_matches_serial_bit_for_bit(self, tmp_path, cpus, kind, transition,
                                               total, count):
         forked = cpus(count)
@@ -369,6 +394,11 @@ class TestSplitStats:
         assert split == list(stream_stats(clip))
         assert len(forked) == min(count, total) - 1
         assert_no_child_left()
+
+    @split_cases
+    def test_split_matches_serial_bit_for_bit_on_the_numpy_path(
+            self, tmp_path, cpus, numpy_path, kind, transition, total, count):
+        self.test_split_matches_serial_bit_for_bit(tmp_path, cpus, kind, transition, total, count)
 
     @pytest.mark.parametrize("bad_index", [1, 4, 7],
                              ids=["parent range", "first child range", "second child range"])
@@ -489,6 +519,26 @@ class TestSplitStats:
         assert len(forked) == 1
         assert_no_child_left()
 
+    def test_a_killed_child_on_the_compiled_path_leaves_its_range_to_the_parent(
+            self, tmp_path, cpus, monkeypatch):
+        kernel = frames_module._kernel()
+        if kernel is None:
+            pytest.skip("no compiled pass could be built here")
+        forked = cpus(3)
+        clip = noisy_clip(9, "fade")
+        serial = list(stream_stats(clip))
+        parent = os.getpid()
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return kernel(*args)
+
+        monkeypatch.setattr(frames_module, "_kernel", lambda: dying)
+        assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == serial
+        assert len(forked) == 2
+        assert_no_child_left()
+
     def test_one_cpu_never_forks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
@@ -531,6 +581,10 @@ def test_stats_over_every_colour_are_pinned_bit_for_bit():
     assert digest.hexdigest() == EVERY_COLOUR_DIGEST
 
 
+def test_stats_over_every_colour_are_pinned_bit_for_bit_on_the_numpy_path(numpy_path):
+    test_stats_over_every_colour_are_pinned_bit_for_bit()
+
+
 def half_turn_frames():
     """Three seeded random frames of 1100x1000 pixels.
 
@@ -567,3 +621,7 @@ def test_stats_over_large_frames_are_pinned_bit_for_bit():
         if entry.hsv_delta is not None:
             digest.update(struct.pack("<d", entry.hsv_delta))
     assert digest.hexdigest() == LARGE_FRAME_DIGEST
+
+
+def test_stats_over_large_frames_are_pinned_bit_for_bit_on_the_numpy_path(numpy_path):
+    test_stats_over_large_frames_are_pinned_bit_for_bit()

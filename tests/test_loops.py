@@ -730,6 +730,38 @@ class TestWavHeader:
             write_wav(str(tmp_path / "out.wav"), np.zeros((5, channels), dtype=np.int16), rate)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("samples, match", [
+        (np.array([40000, -40000, 1.7]), "dtype float64 are not integers"),
+        (np.array([3.0, -2.0, 0.0]), "dtype float64 are not integers"),
+        (np.array([40000, -40000, 1]), "outside the 16-bit range"),
+        (np.array([-32769], dtype=np.int32), "outside the 16-bit range"),
+        (np.array([32768], dtype=np.uint16), "outside the 16-bit range"),
+    ], ids=["wrapping floats", "whole floats", "past int16", "below int16", "uint16 past int16"])
+    def test_samples_a_cast_would_change_are_refused(self, tmp_path, samples, match):
+        with pytest.raises(StemMismatchError, match=match):
+            write_wav(str(tmp_path / "out.wav"), samples, 8000)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint8])
+    def test_integer_samples_within_int16_are_written(self, tmp_path, dtype):
+        info = np.iinfo(dtype)
+        samples = np.array([max(info.min, -32768), 0, min(info.max, 32767)], dtype=dtype)
+        write_wav(str(tmp_path / "out.wav"), samples, 8000)
+        assert read_wav(str(tmp_path / "out.wav"))[0][:, 0].tolist() == samples.tolist()
+
+    def test_an_int16_array_is_written_uncopied(self, tmp_path, monkeypatch):
+        samples = np.array([-32768, 7, 32767], dtype="<i2")
+        written = []
+        write_repeating = loops._write_repeating
+
+        def recording(fd, data, size):
+            written.append(data)
+            return write_repeating(fd, data, size)
+
+        monkeypatch.setattr(loops, "_write_repeating", recording)
+        write_wav(str(tmp_path / "out.wav"), samples, 8000)
+        assert np.shares_memory(written[-1], samples)
+
     @pytest.mark.parametrize("channels", [1, 2])
     def test_track_past_4_gib_is_refused(self, tmp_path, channels):
         # a one-frame stem over the track: the mix sums one frame and

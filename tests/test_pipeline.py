@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import vidscore
-from vidscore import cli, pipeline, planner
+from vidscore import cli, frames, pipeline, planner
 from vidscore.composer import compose_plan
 from vidscore.energy import classify_energy
 from vidscore.errors import InvalidEventError
@@ -377,6 +377,19 @@ class TestRun:
         written = json.load(open(tmp_path / "run_manifest.json"))
         assert written["config_hash"] == config.config_hash()
         assert os.path.getsize(manifest["final_output"]) > 0
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_manifest_names_the_frame_statistics_path(self, quad_video, tmp_path,
+                                                      monkeypatch, path):
+        if path == "numpy":
+            monkeypatch.setattr(frames, "_kernel", lambda: None)
+        elif frames._kernel() is None:
+            pytest.skip("no compiled pass could be built here")
+        _, source = quad_video
+        manifest = cmd_run(PipelineConfig(source=source, output_dir=str(tmp_path), rng_seed=3))
+        assert manifest["tool_versions"]["frame_stats"] == path
+        written = json.load(open(tmp_path / "run_manifest.json"))
+        assert written["tool_versions"]["frame_stats"] == path
 
     def test_render_and_mux_chain_after_compose(self, quad_video, tmp_path):
         _, source = quad_video
