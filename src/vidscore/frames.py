@@ -30,9 +30,8 @@ the first allocates one. A child builds its area after the fork.
 The loop makes one compiled pass over each frame's pixels
 (``_framestats.c``, called through ``ctypes``). The library is built on
 first use with the C compiler Python was built with, and cached in the
-``__pycache__`` folder beside this module (or, where that cannot be
-written, in a private temporary folder for the process). Where no library
-can be built, the loop runs the numpy functions ``_frame_hsv``,
+``__pycache__`` folder beside this module. Where no library can be
+built or loaded there, the loop runs the numpy functions ``_frame_hsv``,
 ``_hsv_delta`` and ``compute_intensity`` instead, which give the same
 statistics bit for bit and remain the oracle for the compiled pass.
 """
@@ -41,18 +40,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import itertools
 import mmap
 import os
 import re
-import shlex
-import shutil
 import signal
-import subprocess
 import sys
-import sysconfig
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -427,9 +420,19 @@ def _build(source: str, cache: str):
     compiled to a temporary name and renamed into place, so processes that
     build at once each load a whole library. ``cache`` is trusted as the
     module's bytecode beside it is. Where it cannot be written, or its
-    library not loaded, the library is built in a private folder that
-    ``mkdtemp`` makes for this process alone, and removed once loaded.
+    library not loaded, this is None too: a library in a folder that only
+    one process keeps would cost every process the compile.
+
+    The modules only a build needs are imported here, so a process that
+    computes no frame statistics never loads them.
     """
+    import hashlib
+    import shlex
+    import shutil
+    import subprocess
+    import sysconfig
+    import tempfile
+
     command = shlex.split(sysconfig.get_config_var("CC") or "")
     if not command or shutil.which(command[0]) is None:
         return None
@@ -441,27 +444,18 @@ def _build(source: str, cache: str):
     key = hashlib.sha256(
         "\0".join([*command, str(sys.implementation.cache_tag)]).encode() + b"\0" + code)
     name = f"_framestats.{key.hexdigest()[:16]}.so"
-    for folder in (cache, None):
-        private = folder is None
-        try:
-            folder = tempfile.mkdtemp(prefix="vidscore-") if private else folder
-            os.makedirs(folder, exist_ok=True)
-            path = os.path.join(folder, name)
-            if not os.path.exists(path):
-                handle, tmp = tempfile.mkstemp(prefix=name, dir=folder)
-                os.close(handle)
-                with staged(path, tmp):
-                    subprocess.run(command + ["-o", tmp], input=code, capture_output=True,
-                                   check=True)
-            return _load(path)
-        except subprocess.CalledProcessError:
-            return None
-        except (OSError, ConfigError):
-            continue  # the folder cannot be written, or its library not loaded
-        finally:
-            if private and folder:
-                shutil.rmtree(folder, ignore_errors=True)
-    return None
+    path = os.path.join(cache, name)
+    try:
+        os.makedirs(cache, exist_ok=True)
+        if not os.path.exists(path):
+            handle, tmp = tempfile.mkstemp(prefix=name, dir=cache)
+            os.close(handle)
+            with staged(path, tmp):
+                subprocess.run(command + ["-o", tmp], input=code, capture_output=True,
+                               check=True)
+        return _load(path)
+    except (OSError, ConfigError, subprocess.CalledProcessError):
+        return None
 
 
 def _load(path: str):
@@ -505,19 +499,20 @@ def _per_frame(frames):
     """The per-frame loop: one call of the compiled pass a frame, or, where
     ``_kernel`` gives none, the numpy functions, with the same results.
 
-    Its work area is sized on the first frame. A frame that is not one or
+    Its work area is sized on the first frame, in bytes, whatever the item
+    size of a frame's bytes-like pixels. A frame that is not one or
     more whole RGB24 pixels, or not the first frame's size, raises
     ``MalformedSourceError`` on either path.
     """
     kernel = _kernel()
     work = prev = None
     for frame in frames:
-        if work is None and frame.pixels and len(frame.pixels) % 3 == 0:
-            work = _WorkArea(len(frame.pixels) // 3)
-        if work is None or len(frame.pixels) != work.planes.size:
+        size = memoryview(frame.pixels).nbytes  # len() counts items, not bytes
+        if work is None and size and size % 3 == 0:
+            work = _WorkArea(size // 3)
+        if work is None or size != work.planes.size:
             want = f"the first frame's {work.planes.size}" if work else "whole RGB24 pixels"
-            raise MalformedSourceError(
-                f"frame {frame.index}: {len(frame.pixels)} bytes, not {want}")
+            raise MalformedSourceError(f"frame {frame.index}: {size} bytes, not {want}")
         curr = work.hsv[0] is prev  # the HSV set that does not hold the previous frame's
         if kernel is None:
             hsv = _frame_hsv(frame, work, work.hsv[curr])

@@ -41,7 +41,7 @@ def compiles(monkeypatch):
         outputs.append(command[command.index("-o") + 1])
         return run(command, **kwargs)
 
-    monkeypatch.setattr(frames.subprocess, "run", counting_run)
+    monkeypatch.setattr(subprocess, "run", counting_run)
     return outputs
 
 
@@ -60,7 +60,7 @@ def test_the_compiled_pass_is_taken_where_a_c_compiler_is_on_the_path(monkeypatc
 
 def test_no_compiler_falls_back_to_numpy(monkeypatch, tmp_path):
     clip = noisy_clip(4, "fade")
-    monkeypatch.setattr(frames.sysconfig, "get_config_var",
+    monkeypatch.setattr(sysconfig, "get_config_var",
                         lambda name: str(tmp_path / "no-such-cc") if name == "CC" else None)
     kernel = frames._build(frames._SOURCE, str(tmp_path / "cache"))
     assert kernel is None
@@ -113,7 +113,7 @@ def test_a_library_is_built_once_per_source_and_flags(monkeypatch, tmp_path, com
 
 @needs_cc
 @pytest.mark.parametrize("how", ["read-only", "a file in the way"])
-def test_an_unwritable_cache_builds_in_a_private_folder(monkeypatch, tmp_path, how):
+def test_an_unwritable_cache_falls_back_to_numpy(monkeypatch, tmp_path, compiles, how):
     cache = tmp_path / "cache"
     if how == "read-only":
         if os.geteuid() == 0:
@@ -121,18 +121,9 @@ def test_an_unwritable_cache_builds_in_a_private_folder(monkeypatch, tmp_path, h
         cache.mkdir(mode=0o555)
     else:
         cache.write_text("")
-    private = []
-    mkdtemp = frames.tempfile.mkdtemp
-
-    def recording_mkdtemp(**kwargs):
-        private.append(mkdtemp(dir=tmp_path, **kwargs))
-        return private[-1]
-
-    monkeypatch.setattr(frames.tempfile, "mkdtemp", recording_mkdtemp)
     kernel = frames._build(frames._SOURCE, str(cache))
-    assert kernel is not None
-    assert len(private) == 1
-    assert not os.path.exists(private[0])  # removed once the library is loaded
+    assert kernel is None
+    assert compiles == []  # nothing is compiled where it cannot be kept
     clip = noisy_clip(5, "fade")
     assert stats_with(monkeypatch, kernel, clip) == numpy_stats(monkeypatch, clip)
 

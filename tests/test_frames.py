@@ -1,3 +1,4 @@
+import array
 import hashlib
 import os
 import random
@@ -21,6 +22,11 @@ def frame_of(rgb, width=8, height=6, index=0):
 def content_delta(prev, curr):
     """The HSV delta stream_stats reports for curr following prev."""
     return list(stream_stats([prev, curr]))[1].hsv_delta
+
+
+def uint16_view(pixels):
+    """``pixels`` as a memoryview of two-byte items, half as many as its bytes."""
+    return memoryview(array.array("H", pixels))
 
 
 def random_frame(rng, width=8, height=6, index=0):
@@ -279,7 +285,8 @@ class TestStreamStats:
         with pytest.raises(MalformedSourceError, match=f"frame 0: {size} bytes"):
             list(stream_stats([Frame(index=0, pixels=bytes(size))]))
 
-    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    @pytest.mark.parametrize("kind", [bytearray, memoryview, uint16_view],
+                             ids=["bytearray", "memoryview", "memoryview of uint16"])
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     def test_pixels_in_any_bytes_like_object(self, monkeypatch, kind, path):
         clip = noisy_clip(4, "cut")
@@ -288,6 +295,16 @@ class TestStreamStats:
             monkeypatch.setattr(frames_module, "_kernel", lambda: None)
         held = [Frame(frame.index, kind(frame.pixels)) for frame in clip]
         assert list(stream_stats(held)) == expected
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_a_later_frame_of_as_many_wider_items_is_malformed(self, monkeypatch, path):
+        # 12 bytes, then 12 items of two bytes each
+        frames = iter([Frame(index=0, pixels=bytes(12)),
+                       Frame(index=1, pixels=uint16_view(bytes(24)))])
+        if path == "numpy":
+            monkeypatch.setattr(frames_module, "_kernel", lambda: None)
+        with pytest.raises(MalformedSourceError, match="frame 1: 24 bytes"):
+            list(stream_stats(frames))
 
     def test_stats_in_range(self):
         rng = random.Random(34)
@@ -363,6 +380,31 @@ def stats_until_error(stats):
     return seen, type(info.value), str(info.value)
 
 
+def kill_children(monkeypatch):
+    """Make every forked child kill itself on its first frame, on whichever
+    path the per-frame loop takes: the compiled pass is wrapped where
+    ``_kernel`` gives one, else ``_frame_hsv``. Returns a list that gains
+    one item per frame this process computes, so a test can tell that the
+    children's ranges were computed here."""
+    parent, computed = os.getpid(), []
+
+    def dying(step):
+        def run(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            computed.append(None)
+            return step(*args)
+        return run
+
+    kernel = frames_module._kernel()
+    if kernel is None:
+        monkeypatch.setattr(frames_module, "_frame_hsv", dying(frames_module._frame_hsv))
+    else:
+        hooked = dying(kernel)
+        monkeypatch.setattr(frames_module, "_kernel", lambda: hooked)
+    return computed
+
+
 @pytest.fixture
 def numpy_path(monkeypatch):
     """Run the per-frame loop on the numpy functions, as where no compiled
@@ -422,43 +464,43 @@ class TestSplitStats:
     def test_a_killed_child_leaves_its_range_to_the_parent(self, tmp_path, cpus, monkeypatch):
         forked = cpus(3)
         clip = noisy_clip(9, "fade")
-        parent, frame_hsv = os.getpid(), frames_module._frame_hsv
-
-        def dying(frame, work, out):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return frame_hsv(frame, work, out)
-
-        monkeypatch.setattr(frames_module, "_frame_hsv", dying)
-        assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == list(stream_stats(clip))
+        serial = list(stream_stats(clip))
+        computed = kill_children(monkeypatch)
+        assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == serial
+        assert len(computed) == len(clip)  # the children's ranges too
         assert len(forked) == 2
         assert_no_child_left()
+
+    def test_a_killed_child_leaves_its_range_to_the_parent_on_the_numpy_path(
+            self, tmp_path, cpus, monkeypatch, numpy_path):
+        self.test_a_killed_child_leaves_its_range_to_the_parent(tmp_path, cpus, monkeypatch)
 
     def test_the_parent_continues_its_one_loop_after_a_killed_child(self, tmp_path, cpus,
                                                                     monkeypatch):
         cpus(3)
         clip = noisy_clip(9, "cut")
         serial = list(stream_stats(clip))
-        parent, frame_hsv = os.getpid(), frames_module._frame_hsv
         work_area = frames_module._WorkArea
         built = []
-
-        def dying(frame, work, out):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return frame_hsv(frame, work, out)
 
         def counted(pixels):
             built.append(pixels)  # a child appends to its own copy of the list
             return work_area(pixels)
 
-        monkeypatch.setattr(frames_module, "_frame_hsv", dying)
+        computed = kill_children(monkeypatch)
         monkeypatch.setattr(frames_module, "_WorkArea", counted)
         assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == serial
+        assert len(computed) == len(clip)
         assert built == [len(clip[0].pixels) // 3]
         assert_no_child_left()
 
-    @pytest.mark.parametrize("path", ["split", "bare iterable", "killed child"])
+    def test_the_parent_continues_its_one_loop_after_a_killed_child_on_the_numpy_path(
+            self, tmp_path, cpus, monkeypatch, numpy_path):
+        self.test_the_parent_continues_its_one_loop_after_a_killed_child(tmp_path, cpus,
+                                                                         monkeypatch)
+
+    @pytest.mark.parametrize("path", ["split", "bare iterable", "killed child",
+                                      "killed child on the numpy path"])
     def test_reused_buffers_give_the_deltas_of_fresh_ones(self, tmp_path, cpus, monkeypatch,
                                                           path):
         clip = noisy_clip(9, "cut")
@@ -475,20 +517,17 @@ class TestSplitStats:
             for prev, curr in zip(clip, clip[1:])
         ]
         forked = cpus(3)
+        computed = []
         if path == "bare iterable":
             stats = stream_stats(iter(clip))
         else:
-            if path == "killed child":
-                parent, frame_hsv = os.getpid(), frames_module._frame_hsv
-
-                def dying(frame, work, out):
-                    if os.getpid() != parent:
-                        os.kill(os.getpid(), signal.SIGKILL)
-                    return frame_hsv(frame, work, out)
-
-                monkeypatch.setattr(frames_module, "_frame_hsv", dying)
+            if path == "killed child on the numpy path":
+                monkeypatch.setattr(frames_module, "_kernel", lambda: None)
+            if path.startswith("killed child"):
+                computed = kill_children(monkeypatch)
             stats = stream_stats(write_source(tmp_path, clip, "raw"))
         assert [entry.hsv_delta for entry in stats] == expected
+        assert len(computed) == (len(clip) if path.startswith("killed child") else 0)
         assert len(forked) == (0 if path == "bare iterable" else 2)
         assert_no_child_left()
 
@@ -517,26 +556,6 @@ class TestSplitStats:
         split = list(stream_stats(write_source(tmp_path, clip, "raw", width=1, height=1)))
         assert split == list(stream_stats(clip))
         assert len(forked) == 1
-        assert_no_child_left()
-
-    def test_a_killed_child_on_the_compiled_path_leaves_its_range_to_the_parent(
-            self, tmp_path, cpus, monkeypatch):
-        kernel = frames_module._kernel()
-        if kernel is None:
-            pytest.skip("no compiled pass could be built here")
-        forked = cpus(3)
-        clip = noisy_clip(9, "fade")
-        serial = list(stream_stats(clip))
-        parent = os.getpid()
-
-        def dying(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return kernel(*args)
-
-        monkeypatch.setattr(frames_module, "_kernel", lambda: dying)
-        assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == serial
-        assert len(forked) == 2
         assert_no_child_left()
 
     def test_one_cpu_never_forks(self, tmp_path, monkeypatch):
