@@ -2,32 +2,58 @@
 
    vidscore_frame_stats writes the HSV set of a frame of n pixels: hue
    looked up in the table of frames._hue_table, saturation as
-   chroma / max(value, 1) * 255 in float32, and value in uint8. Given the
-   previous frame's set, it also writes the per-pixel hue change, taken on
-   the shorter arc of the 256-unit circle, and the absolute saturation
-   change to dh and ds, both float32, and stores the exact sum of the
-   absolute value changes in *dv_sum. It returns the exact sum of every
-   channel of every pixel.
+   chroma / max(value, 1) * 255 in float32, and value in uint8. It returns
+   the exact sum of every channel of every pixel. Given the previous
+   frame's set, it also stores the sum of the per-pixel hue changes, taken
+   on the shorter arc of the 256-unit circle, in sums[0], the sum of the
+   absolute saturation changes in sums[1], both in float64, and the exact
+   sum of the absolute value changes in *dv_sum.
 
-   Every float operation is the one the numpy path takes, in float32 and
-   in the same order, so built without contraction (-ffp-contract=off) and
-   without -ffast-math it gives the same bits. The pixels go in chunks
-   small enough for stack buffers, and each step is its own loop over a
-   chunk, on pointers declared not to alias, which the compiler can
-   vectorise. */
+   Every float32 operation is the one the numpy path takes, in the same
+   order, so built without contraction (-ffp-contract=off) and without
+   -ffast-math it gives the same bits. The two float64 sums are exact, so
+   any order gives numpy's pairwise sum, while they stay below 2**27 (hue)
+   and 2**29 (saturation): every table entry is a multiple of 2**-26 in
+   [0, 256), so every hue change is one in [0, 128]; a non-zero saturation
+   is at least 0.5, so every saturation change is a multiple of 2**-24 in
+   [0, 255]; and no term is negative. frames._compiled_stats takes a frame
+   whose sums reach either bound through the numpy path instead.
+
+   The pixels go in chunks small enough for stack buffers, and each step
+   is its own loop over a chunk, on pointers declared not to alias, which
+   the compiler can vectorise; the float64 sums run in LANES independent
+   lanes for the same reason. On x86-64, where the compiler has
+   target_clones and glibc the ifunc that picks a clone at load time, the
+   pass also has an AVX2 body, which holds the same operations; defining
+   FRAMESTATS_PLAIN builds the plain body alone. */
 
 #include <math.h>
 #include <stdint.h>
 
 #define CHUNK 512 /* uint32 sums of a chunk: 512 * 3 * 255 < 2**32 */
+#define LANES 8
+
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(FRAMESTATS_PLAIN) && \
+    defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define DISPATCH __attribute__((target_clones("avx2", "default")))
+/* so that each clone compiles the chunk for its own CPU */
+#define INLINE static inline __attribute__((always_inline))
+#endif
+#endif
+#ifndef DISPATCH
+#define DISPATCH
+#define INLINE static inline
+#endif
 
 /* Pixels start to start + m of the frame; returns their channel sum and,
-   given a previous set, adds their value changes to *dv_sum. */
-static uint32_t chunk(int64_t start, int m, const uint8_t *restrict rgb,
+   given a previous set, adds their changes to the lanes and *dv_sum. */
+INLINE uint32_t chunk(int64_t start, int m, const uint8_t *restrict rgb,
                       float *restrict hue, float *restrict sat, uint8_t *restrict val,
                       const float *restrict prev_hue, const float *restrict prev_sat,
                       const uint8_t *restrict prev_val, const float *restrict table,
-                      float *restrict dh, float *restrict ds, uint64_t *restrict dv_sum)
+                      double *restrict hue_lanes, double *restrict sat_lanes,
+                      uint64_t *restrict dv_sum)
 {
     const uint8_t *restrict p = rgb + 3 * start;
     float *restrict h = hue + start, *restrict s = sat + start;
@@ -47,22 +73,29 @@ static uint32_t chunk(int64_t start, int m, const uint8_t *restrict rgb,
     }
     for (int i = 0; i < m; i++)
         h[i] = table[idx[i]];
-    for (int i = 0; i < m; i++) {
-        float d = (float)v[i];
-        s[i] = (float)chroma[i] / (d > 1.0f ? d : 1.0f) * 255.0f;
-    }
+    for (int i = 0; i < m; i++) /* v | (v == 0) is max(v, 1) in a form that vectorises */
+        s[i] = (float)chroma[i] / (float)(v[i] | (v[i] == 0)) * 255.0f;
     if (!prev_hue)
         return sum;
     const float *restrict ph = prev_hue + start, *restrict ps = prev_sat + start;
     const uint8_t *restrict pv = prev_val + start;
-    float *restrict oh = dh + start, *restrict os = ds + start;
+    float dh[CHUNK], ds[CHUNK];
     uint32_t dv = 0;
     for (int i = 0; i < m; i++) {
         float d = fabsf(h[i] - ph[i]), w = 256.0f - d;
-        oh[i] = d < w ? d : w;
+        dh[i] = d < w ? d : w;
     }
     for (int i = 0; i < m; i++)
-        os[i] = fabsf(s[i] - ps[i]);
+        ds[i] = fabsf(s[i] - ps[i]);
+    for (int i = m; i % LANES; i++) /* zeros up to a whole lane row; CHUNK is one */
+        dh[i] = ds[i] = 0.0f;
+    /* one loop per sum: GCC 12 vectorises these, and not one loop for both */
+    for (int i = 0; i < m; i += LANES)
+        for (int j = 0; j < LANES; j++)
+            hue_lanes[j] += (double)dh[i + j];
+    for (int i = 0; i < m; i += LANES)
+        for (int j = 0; j < LANES; j++)
+            sat_lanes[j] += (double)ds[i + j];
     for (int i = 0; i < m; i++) {
         int d = v[i] - pv[i];
         dv += (uint32_t)(d < 0 ? -d : d);
@@ -71,16 +104,23 @@ static uint32_t chunk(int64_t start, int m, const uint8_t *restrict rgb,
     return sum;
 }
 
-uint64_t vidscore_frame_stats(const uint8_t *rgb, int64_t n,
-                              float *hue, float *sat, uint8_t *val,
-                              const float *prev_hue, const float *prev_sat,
-                              const uint8_t *prev_val, const float *table,
-                              float *dh, float *ds, uint64_t *dv_sum)
+DISPATCH uint64_t vidscore_frame_stats(const uint8_t *rgb, int64_t n,
+                                       float *hue, float *sat, uint8_t *val,
+                                       const float *prev_hue, const float *prev_sat,
+                                       const uint8_t *prev_val, const float *table,
+                                       double *sums, uint64_t *dv_sum)
 {
+    double hue_lanes[LANES] = {0}, sat_lanes[LANES] = {0};
     uint64_t total = 0;
     *dv_sum = 0;
     for (int64_t start = 0; start < n; start += CHUNK)
         total += chunk(start, n - start < CHUNK ? (int)(n - start) : CHUNK, rgb, hue, sat,
-                       val, prev_hue, prev_sat, prev_val, table, dh, ds, dv_sum);
+                       val, prev_hue, prev_sat, prev_val, table, hue_lanes, sat_lanes,
+                       dv_sum);
+    sums[0] = sums[1] = 0.0;
+    for (int j = 0; j < LANES; j++) {
+        sums[0] += hue_lanes[j];
+        sums[1] += sat_lanes[j];
+    }
     return total;
 }

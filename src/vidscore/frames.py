@@ -28,9 +28,10 @@ first frame and writes every frame-sized array into it, so no frame after
 the first allocates one. A child builds its area after the fork.
 
 The loop makes one compiled pass over each frame's pixels
-(``_framestats.c``, called through ``ctypes``). The library is built on
-first use with the C compiler Python was built with, and cached in the
-``__pycache__`` folder beside this module. Where no library can be
+(``_framestats.c``, called through ``ctypes``), which also sums the
+frame's changes, and which on x86-64 runs an AVX2 body where the CPU has
+one. The library is built on first use with the C compiler Python was
+built with, and cached in the ``__pycache__`` folder beside this module. Where no library can be
 built or loaded there, the loop runs the numpy functions ``_frame_hsv``,
 ``_hsv_delta`` and ``compute_intensity`` instead, which give the same
 statistics bit for bit and remain the oracle for the compiled pass.
@@ -280,8 +281,10 @@ class _WorkArea:
     up, so its memory, as float32, then holds saturation's divisor and the
     delta's hue scratch; the delta's second value array is chroma's. That
     keeps the area at 31 bytes a pixel. The compiled pass writes only the
-    two HSV sets and the hue and saturation changes, so the other arrays'
-    pages are never touched there.
+    two HSV sets and sums the changes itself, so the other arrays' pages
+    are touched only on a frame whose sums reach the bounds past which
+    they may not be exact (see ``_compiled_stats``), which runs
+    ``_hsv_delta`` on those two sets.
     """
 
     def __init__(self, pixels: int):
@@ -298,11 +301,11 @@ class _WorkArea:
         self.dv = np.empty(pixels, dtype=np.uint8)
         self.dv_lo = self.chroma
         # the compiled pass's arguments: each HSV set's addresses, and its
-        # last four, the hue table, dh, ds and where the value changes' sum goes
+        # last three, the hue table and where the sums of the changes go
         self.addresses = [tuple(a.ctypes.data for a in hsv) for hsv in self.hsv]
+        self.sums = (ctypes.c_double * 2)()
         self.dv_sum = ctypes.c_uint64()
-        self.kernel_tail = (_hue_table().ctypes.data, self.dh.ctypes.data,
-                            self.ds.ctypes.data, ctypes.byref(self.dv_sum))
+        self.kernel_tail = (_hue_table().ctypes.data, self.sums, ctypes.byref(self.dv_sum))
 
 
 def _frame_hsv(frame: Frame, work: _WorkArea, out):
@@ -354,8 +357,10 @@ def _hsv_delta(prev, curr, work: _WorkArea) -> float:
     """Mean absolute HSV change, averaged over the three channels, taken in
     the scratch arrays of ``work``.
 
-    The value term is a sum of integers below 2**53, so it is summed
-    exactly in integers; ``_delta_score`` takes the mean from there.
+    Hue and saturation changes are float32, so their means sum in float64,
+    through the ``np.add.reduce`` that ``np.mean`` runs, called without its
+    Python wrapper, so the result is the same double. The value term is a
+    sum of integers below 2**53, so it is summed exactly in integers.
     """
     dh, ds, dv = work.dh, work.ds, work.dv
     np.subtract(curr[0], prev[0], out=dh)
@@ -367,25 +372,18 @@ def _hsv_delta(prev, curr, work: _WorkArea) -> float:
     np.maximum(curr[2], prev[2], out=dv)  # |curr - prev| in uint8
     np.minimum(curr[2], prev[2], out=work.dv_lo)
     dv -= work.dv_lo
-    return _delta_score(work, _exact_sum(dv))
+    return _delta_score(np.add.reduce(dh, dtype=np.float64),
+                        np.add.reduce(ds, dtype=np.float64), _exact_sum(dv), dh.size)
 
 
-def _delta_score(work: _WorkArea, dv_sum: int) -> float:
-    """The HSV delta from the per-pixel hue and saturation changes in
-    ``work`` and the exact sum ``dv_sum`` of the value changes.
+def _delta_score(hue_sum, sat_sum, dv_sum: int, n: int) -> float:
+    """The HSV delta of ``n`` pixels from the float64 sums of their hue and
+    saturation changes and the exact sum ``dv_sum`` of their value changes.
 
-    Hue and saturation are float32, so their means sum in float64, through
-    the ``np.add.reduce`` that ``np.mean`` runs, called without its Python
-    wrapper, so the result is the same double. The value term is divided
-    once, giving the same double as a float64 mean.
+    Each term is divided once, so given the same sums both paths give the
+    same double; the value term gives the same double as a float64 mean.
     """
-    n = work.ds.size
-    score = (
-        np.add.reduce(work.dh, dtype=np.float64) / n
-        + np.add.reduce(work.ds, dtype=np.float64) / n
-        + dv_sum / n
-    ) / 3.0
-    return float(score)
+    return float((hue_sum / n + sat_sum / n + dv_sum / n) / 3.0)
 
 
 # -- the compiled pass ---------------------------------------------------------
@@ -393,7 +391,8 @@ def _delta_score(work: _WorkArea, dv_sum: int) -> float:
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_framestats.c")
 # -O3 because GCC 12 vectorises none of the pass's loops at -O2; no
 # -ffast-math, which reorders float operations, and no -march=native, since a
-# cached library can outlive the machine it was built on
+# cached library can outlive the machine it was built on: the pass picks its
+# AVX2 body at run time instead
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
@@ -461,21 +460,48 @@ def _build(source: str, cache: str):
 def _load(path: str):
     """The pass's entry point in the shared library ``path``."""
     kernel = ctypes.CDLL(path).vidscore_frame_stats
-    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 10
+    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 9
     kernel.restype = ctypes.c_uint64
     return kernel
+
+
+# The float64 sums of a frame's hue and saturation changes are exact below
+# these, whatever order they are taken in (see _compiled_stats).
+_HUE_SUM_BOUND = 2.0**27
+_SAT_SUM_BOUND = 2.0**29
 
 
 def _compiled_stats(kernel, pixels, work: _WorkArea, curr: bool, prev: bool):
     """``(avg_intensity, hsv_delta)`` of a frame's ``pixels`` from one call
     of ``kernel``, which writes the frame's HSV into set ``curr`` of
     ``work``; with ``prev``, the other set holds the previous frame's.
-    ``pixels`` is any bytes-like object, passed without a copy."""
+    ``pixels`` is any C-contiguous bytes-like object, passed without a copy.
+
+    The kernel sums the hue and saturation changes itself, in its own
+    order. Every hue table entry is a multiple of 2**-26 in [0, 256), and
+    every non-zero saturation is at least 0.5, so every hue change is a
+    multiple of 2**-26 in [0, 128] and every saturation change one of
+    2**-24 in [0, 255]. No term is negative, so while the hue sum stays
+    below ``_HUE_SUM_BOUND`` and the saturation sum below ``_SAT_SUM_BOUND``
+    every partial sum is exact, in the kernel's order and in numpy's
+    pairwise one alike, and a computed sum reaches its bound only when the
+    exact one does. A frame whose sums reach either bound takes its delta
+    from ``_hsv_delta`` on the two HSV sets, as the numpy path does, so the
+    result is the same double either way.
+    """
     if type(pixels) is not bytes:  # ctypes takes only bytes without a copy
         pixels = np.frombuffer(pixels, dtype=np.uint8).ctypes.data
+    n = work.ds.size
     previous = work.addresses[not curr] if prev else (None, None, None)
-    total = kernel(pixels, work.ds.size, *work.addresses[curr], *previous, *work.kernel_tail)
-    return total / (3 * work.ds.size), _delta_score(work, work.dv_sum.value) if prev else None
+    total = kernel(pixels, n, *work.addresses[curr], *previous, *work.kernel_tail)
+    if not prev:
+        return total / (3 * n), None
+    hue_sum, sat_sum = work.sums
+    if hue_sum < _HUE_SUM_BOUND and sat_sum < _SAT_SUM_BOUND:
+        delta = _delta_score(hue_sum, sat_sum, work.dv_sum.value, n)
+    else:
+        delta = _hsv_delta(work.hsv[not curr], work.hsv[curr], work)
+    return total / (3 * n), delta
 
 
 def stream_stats(frames) -> Iterator[FrameStats]:
@@ -501,13 +527,17 @@ def _per_frame(frames):
 
     Its work area is sized on the first frame, in bytes, whatever the item
     size of a frame's bytes-like pixels. A frame that is not one or
-    more whole RGB24 pixels, or not the first frame's size, raises
-    ``MalformedSourceError`` on either path.
+    more whole RGB24 pixels in one C-contiguous buffer, or not the first
+    frame's size, raises ``MalformedSourceError`` on either path.
     """
     kernel = _kernel()
     work = prev = None
     for frame in frames:
-        size = memoryview(frame.pixels).nbytes  # len() counts items, not bytes
+        view = memoryview(frame.pixels)
+        if not view.c_contiguous:  # np.frombuffer reads only one contiguous buffer
+            raise MalformedSourceError(
+                f"frame {frame.index}: pixels not in one contiguous buffer")
+        size = view.nbytes  # len() counts items, not bytes
         if work is None and size and size % 3 == 0:
             work = _WorkArea(size // 3)
         if work is None or size != work.planes.size:

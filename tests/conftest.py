@@ -1,10 +1,14 @@
 """Shared fixture builders for synthetic videos, stats streams and plans."""
 
 import random
+import shlex
+import shutil
+import sysconfig
 
 import numpy as np
 import pytest
 
+from vidscore import frames
 from vidscore.composer import PPQN
 from vidscore.energy import EnergyLabel
 from vidscore.frames import HUE_SCALE
@@ -12,6 +16,22 @@ from vidscore.loops import PEAK_CEILING, Copy
 from vidscore.moods import LayerDef, MoodConfig, Scale, load_mood
 from vidscore.planner import CompositionPlan, SectionSpec, phrase_seconds
 from vidscore.scenes import FrameSpec, FrameStats
+
+CC = shlex.split(sysconfig.get_config_var("CC") or "")
+needs_cc = pytest.mark.skipif(not CC or shutil.which(CC[0]) is None,
+                              reason="no C compiler on the path")
+
+
+@pytest.fixture(scope="session")
+def plain_kernel(tmp_path_factory):
+    """The compiled frame pass built with its run-time choice of an AVX2
+    body compiled out, so that a CPU with AVX2 runs the plain body too.
+    Tests that take it are marked ``needs_cc``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames, "_CFLAGS", frames._CFLAGS + ("-DFRAMESTATS_PLAIN",))
+        kernel = frames._build(frames._SOURCE, str(tmp_path_factory.mktemp("plain")))
+    assert kernel is not None
+    return kernel
 
 
 def make_mood(

@@ -2,21 +2,20 @@
 and cached, and the numpy fallback wherever it cannot be built."""
 
 import os
-import shlex
+import platform
 import shutil
 import subprocess
 import sys
 import sysconfig
 
+import numpy as np
 import pytest
 
 from vidscore import frames
+from vidscore.frames import Frame
 
-from test_frames import noisy_clip
-
-CC = shlex.split(sysconfig.get_config_var("CC") or "")
-needs_cc = pytest.mark.skipif(not CC or shutil.which(CC[0]) is None,
-                              reason="no C compiler on the path")
+from conftest import needs_cc
+from test_frames import every_colour_frames, half_turn_frames, noisy_clip
 
 
 def numpy_stats(monkeypatch, clip):
@@ -135,3 +134,102 @@ def test_nothing_is_built_at_import():
     out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "0"
+
+
+@needs_cc
+@pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
+                    reason="the AVX2 body is built on x86-64 glibc only")
+def test_an_avx2_body_is_built_beside_the_plain_one_unless_compiled_out(monkeypatch, tmp_path):
+    dispatched, plain = tmp_path / "dispatched", tmp_path / "plain"
+    assert frames._build(frames._SOURCE, str(dispatched)) is not None
+    monkeypatch.setattr(frames, "_CFLAGS", frames._CFLAGS + ("-DFRAMESTATS_PLAIN",))
+    assert frames._build(frames._SOURCE, str(plain)) is not None
+
+    def library(folder):
+        (path,) = folder.glob("*.so")
+        return path.read_bytes()
+
+    assert b"avx2" in library(dispatched)  # the clone's symbol
+    assert b"avx2" not in library(plain)
+
+
+# -- the sums of the changes, which the compiled pass takes itself ------------
+
+
+def test_every_hue_table_entry_is_a_multiple_of_2_to_the_minus_26():
+    # so every hue change, a float32 difference of two entries, or 256 less
+    # one, taken on the shorter arc, is a multiple of 2**-26 in [0, 128]
+    scaled = frames._hue_table().astype(np.float64) * 2.0**26
+    assert np.array_equal(scaled, np.floor(scaled))
+    assert scaled.min() >= 0 and scaled.max() < 256 * 2**26
+
+
+def test_every_non_zero_saturation_is_at_least_one_half():
+    # chroma / value * 255 in float32, for 1 <= chroma <= value <= 255; a
+    # float32 in [0.5, 255] is a multiple of 2**-24, and so is every
+    # saturation change
+    chroma, value = np.meshgrid(np.arange(1, 256, dtype=np.float32),
+                                np.arange(1, 256, dtype=np.float32), indexing="ij")
+    sat = (chroma / value * np.float32(255.0))[chroma <= value]
+    assert sat.dtype == np.float32
+    assert sat.min() >= 0.5 and sat.max() <= 255.0
+
+
+@pytest.fixture(params=["dispatched", "plain"])
+def compiled_body(request, monkeypatch):
+    """Run the compiled pass in the body this CPU picks, then in the plain one."""
+    if request.param == "plain":
+        kernel = request.getfixturevalue("plain_kernel")
+    else:
+        kernel = frames._kernel()
+    monkeypatch.setattr(frames, "_kernel", lambda: kernel)
+
+
+@pytest.fixture
+def numpy_deltas(monkeypatch):
+    """A list that gains one item per delta ``_hsv_delta`` computes."""
+    calls = []
+    delta = frames._hsv_delta
+
+    def counted(*args):
+        calls.append(None)
+        return delta(*args)
+
+    monkeypatch.setattr(frames, "_hsv_delta", counted)
+    return calls
+
+
+@needs_cc
+@pytest.mark.parametrize("clip, fallbacks", [
+    (every_colour_frames, 0),
+    (lambda: noisy_clip(9, "cut"), 0),
+    (lambda: noisy_clip(9, "fade"), 0),
+    (half_turn_frames, 2),  # each delta's hue sum is past 2**27
+], ids=["every colour", "noisy cut", "noisy fade", "half turns"])
+def test_only_a_frame_whose_sums_reach_a_bound_takes_the_numpy_delta(compiled_body,
+                                                                      numpy_deltas, clip,
+                                                                      fallbacks):
+    # a pass that always fell back would be right but slow
+    for _ in frames.stream_stats(clip()):
+        pass
+    assert len(numpy_deltas) == fallbacks
+
+
+RED, CYAN, GREY = (255, 0, 0), (0, 255, 255), (128, 128, 128)
+
+
+@needs_cc
+@pytest.mark.parametrize("pixels, first, second, fallbacks", [
+    (2**20, RED, CYAN, 1),  # every hue turns by 128: the hue sum is 2**27
+    (2**20 - 1, RED, CYAN, 0),
+    (2**29 // 255 + 1, GREY, RED, 1),  # every saturation rises by 255: past 2**29
+    (2**29 // 255, GREY, RED, 0),
+], ids=["hue sum at its bound", "hue sum below it", "saturation sum past its bound",
+        "saturation sum below it"])
+def test_a_sum_at_its_bound_takes_the_numpy_delta(monkeypatch, compiled_body, numpy_deltas,
+                                                  pixels, first, second, fallbacks):
+    clip = [Frame(0, bytes(first) * pixels), Frame(1, bytes(second) * pixels)]
+    expected = numpy_stats(monkeypatch, clip)
+    numpy_deltas.clear()
+    assert list(frames.stream_stats(clip)) == expected
+    assert len(numpy_deltas) == fallbacks

@@ -12,7 +12,7 @@ from vidscore import frames as frames_module
 from vidscore.errors import MalformedSourceError, SourceNotFoundError, VidscoreError
 from vidscore.frames import Frame, compute_intensity, open_frame_source, stream_stats
 
-from conftest import rgb_to_hsv, solid_frame, write_ppm
+from conftest import needs_cc, rgb_to_hsv, solid_frame, write_ppm
 
 
 def frame_of(rgb, width=8, height=6, index=0):
@@ -306,6 +306,14 @@ class TestStreamStats:
         with pytest.raises(MalformedSourceError, match="frame 1: 24 bytes"):
             list(stream_stats(frames))
 
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_pixels_not_in_one_contiguous_buffer_are_malformed(self, monkeypatch, path):
+        if path == "numpy":
+            monkeypatch.setattr(frames_module, "_kernel", lambda: None)
+        frames = [Frame(index=0, pixels=memoryview(bytes(range(48)))[::2])]
+        with pytest.raises(MalformedSourceError, match="frame 0: pixels not in one contiguous"):
+            list(stream_stats(frames))
+
     def test_stats_in_range(self):
         rng = random.Random(34)
         frames = [random_frame(rng, index=i) for i in range(8)]
@@ -411,6 +419,13 @@ def numpy_path(monkeypatch):
     pass can be built. Tests without this fixture take the compiled pass
     wherever a C compiler is on the path."""
     monkeypatch.setattr(frames_module, "_kernel", lambda: None)
+
+
+@pytest.fixture
+def plain_body(monkeypatch, plain_kernel):
+    """Run the compiled pass's plain body, which a CPU without AVX2 takes,
+    wherever this CPU picks another."""
+    monkeypatch.setattr(frames_module, "_kernel", lambda: plain_kernel)
 
 
 def split_cases(test):
@@ -604,6 +619,11 @@ def test_stats_over_every_colour_are_pinned_bit_for_bit_on_the_numpy_path(numpy_
     test_stats_over_every_colour_are_pinned_bit_for_bit()
 
 
+@needs_cc
+def test_stats_over_every_colour_are_pinned_bit_for_bit_on_the_plain_body(plain_body):
+    test_stats_over_every_colour_are_pinned_bit_for_bit()
+
+
 def half_turn_frames():
     """Three seeded random frames of 1100x1000 pixels.
 
@@ -643,4 +663,9 @@ def test_stats_over_large_frames_are_pinned_bit_for_bit():
 
 
 def test_stats_over_large_frames_are_pinned_bit_for_bit_on_the_numpy_path(numpy_path):
+    test_stats_over_large_frames_are_pinned_bit_for_bit()
+
+
+@needs_cc
+def test_stats_over_large_frames_are_pinned_bit_for_bit_on_the_plain_body(plain_body):
     test_stats_over_large_frames_are_pinned_bit_for_bit()
