@@ -46,7 +46,6 @@ import mmap
 import os
 import re
 import signal
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -151,6 +150,8 @@ def _open_image_dir(path: str, fps: tuple[int, int]) -> FrameSource:
     for (number, name), (following, other) in zip(entries, entries[1:]):
         if number == following:
             raise MalformedSourceError(f"{name} and {other} both hold frame {number}")
+        if following != number + 1:
+            raise MalformedSourceError(f"no frame {number + 1} between {name} and {other}")
 
     width, height, first = _read_ppm(os.path.join(path, entries[0][1]))
     spec = FrameSpec(width=width, height=height, fps_num=fps[0], fps_den=fps[1])
@@ -415,7 +416,8 @@ def _build(source: str, cache: str):
     compiler, the compile fails or ``source`` cannot be read.
 
     The key hashes the source, the compile command and the interpreter's
-    cache tag, so a library is built once per source and flag set. It is
+    extension suffix, which names the machine and C ABI a library is built
+    for, so a library is built once per source, flag set and machine. It is
     compiled to a temporary name and renamed into place, so processes that
     build at once each load a whole library. ``cache`` is trusted as the
     module's bytecode beside it is. Where it cannot be written, or its
@@ -441,7 +443,8 @@ def _build(source: str, cache: str):
         return None
     command += [*_CFLAGS, "-x", "c", "-"]
     key = hashlib.sha256(
-        "\0".join([*command, str(sys.implementation.cache_tag)]).encode() + b"\0" + code)
+        "\0".join([*command, sysconfig.get_config_var("EXT_SUFFIX") or ""]).encode()
+        + b"\0" + code)
     name = f"_framestats.{key.hexdigest()[:16]}.so"
     path = os.path.join(cache, name)
     try:

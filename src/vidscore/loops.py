@@ -7,16 +7,17 @@ Each active stem restarts from its first sample at every scene boundary, so
 a downbeat always lands on the transition, and is truncated at the scene end.
 The summed mix is peak-normalized to -1 dBFS.
 
-The mix is never held whole. ``mix_stems`` records, scene by scene, the
-frames a scene covers and the stems that loop over them. Inside a scene every
-stem restarts at the scene's first frame, so the scene's sum repeats every
-lcm of its stems' lengths, and a stem set over a shorter scene is a prefix of
-the same set over a longer one. ``Mix`` plans the track once as ordered
-pieces: a sum piece is a stretch no earlier frame holds, and a copy piece
-repeats frames the track already has. The exact peak is found by summing the
-sum pieces, in blocks through one reused int32 buffer. ``write_wav`` then
-writes the WAV header once, with its final sizes, sums the pieces again,
-normalizes each block into a reused int16 buffer and writes it, and writes
+The mix is never held whole. ``mix_stems`` refuses a track a WAV cannot
+hold, then records, scene by scene, the frames a scene covers and the stems
+that loop over them. Inside a scene every stem restarts at the scene's first
+frame, so the scene's sum repeats every lcm of its stems' lengths, and a stem
+set over a shorter scene is a prefix of the same set over a longer one.
+``Mix`` plans the track once as ordered pieces: a sum piece is a stretch no
+earlier frame holds, and a copy piece repeats frames the track already has.
+The exact peak is found by summing the sum pieces, in blocks through one
+int32 buffer the mix keeps. ``write_wav`` writes a ``Mix`` and nothing else:
+the WAV header once, with its final sizes, then each sum piece summed again,
+normalized a block at a time into a reused int16 buffer and written, and
 each copy piece straight from a read-only mapping of the frames it repeats
 in the file being written, many repeats to a ``writev`` call. The int16
 stems are summed straight into the int32 block, so memory is the int16
@@ -146,33 +147,27 @@ def _plan(frames: int, runs: List[Run]) -> List[Piece]:
     return plan
 
 
-def _block_sums(channels: int, plan: List[Piece]) -> Iterator[Union[np.ndarray, Copy]]:
-    """Yield, in order, the int32 sum of each sum piece of ``plan`` over
-    blocks of at most ``_BLOCK`` frames, and each copy piece as it is. Every
-    block is the same reused buffer, valid until the next one is yielded."""
-    widest = max((piece[1] - piece[0] for piece in plan if not isinstance(piece, Copy)), default=0)
-    buf = np.empty((min(_BLOCK, widest), channels), dtype=np.int32)
-    for piece in plan:
-        if isinstance(piece, Copy):
-            yield piece
-            continue
-        lo, hi, start, stems = piece
-        for first in range(lo, hi, _BLOCK):
-            last = min(first + _BLOCK, hi)
-            block = buf[:last - first]
-            if not stems:
-                block.fill(0)  # silence, which no scene covers
-            for i, samples in enumerate(stems):
-                period = len(samples)
-                # each loop period overlapping [first, last), from the one holding first;
-                # the first stem's periods tile the block, since every stem covers the piece
-                for pos in range(first - (first - start) % period, last, period):
-                    a, b = max(pos, first), min(pos + period, last)
-                    if i:
-                        block[a - first:b - first] += samples[a - pos:b - pos]
-                    else:
-                        block[a - first:b - first] = samples[a - pos:b - pos]
-            yield block
+def _block_sums(piece: Sum, buf: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield, in order, the int32 sum of the sum piece ``piece`` over blocks
+    of at most ``_BLOCK`` frames, each a view of ``buf`` valid until the next
+    one is yielded. ``buf`` holds at least as many frames as a block."""
+    lo, hi, start, stems = piece
+    for first in range(lo, hi, _BLOCK):
+        last = min(first + _BLOCK, hi)
+        block = buf[:last - first]
+        if not stems:
+            block.fill(0)  # silence, which no scene covers
+        for i, samples in enumerate(stems):
+            period = len(samples)
+            # each loop period overlapping [first, last), from the one holding first;
+            # the first stem's periods tile the block, since every stem covers the piece
+            for pos in range(first - (first - start) % period, last, period):
+                a, b = max(pos, first), min(pos + period, last)
+                if i:
+                    block[a - first:b - first] += samples[a - pos:b - pos]
+                else:
+                    block[a - first:b - first] = samples[a - pos:b - pos]
+        yield block
 
 
 class Mix:
@@ -181,21 +176,25 @@ class Mix:
     in frame order and must not overlap, as the runs of tiling scenes do.
 
     The track is planned once, as ``_plan`` lays it out: only the sum pieces
-    are ever summed. Their union holds every value the track takes, so the
-    gain maps the int32 sum's exact peak over them to -1 dBFS and no sample
-    needs clipping. ``buffer`` is the int16 block buffer that every
-    normalized block is written into, and that ``write_wav`` tiles a copy
-    piece's short repeat into."""
+    are ever summed, through ``_block_sums`` into one int32 buffer as wide
+    as the widest of them, at most ``_BLOCK`` frames. Their union holds
+    every value the track takes, so the gain maps the int32 sum's exact peak
+    over them to -1 dBFS and no sample needs clipping. ``buffer`` is the
+    int16 block buffer that every normalized block is written into, and
+    that ``write_wav`` tiles a copy piece's short repeat into."""
 
     def __init__(self, frames: int, channels: int, runs: List[Run]):
         self.shape = (frames, channels)
         self.size = frames * channels
         self.buffer = np.empty((min(_BLOCK, frames), channels), dtype="<i2")
         self._plan = _plan(frames, runs)
+        widest = max((p[1] - p[0] for p in self._plan if not isinstance(p, Copy)), default=0)
+        self._sums = np.empty((min(_BLOCK, widest), channels), dtype=np.int32)
         peak = 0
-        for block in _block_sums(channels, self._plan):
-            if not isinstance(block, Copy):
-                peak = max(peak, int(block.max()), -int(block.min()))
+        for piece in self._plan:
+            if not isinstance(piece, Copy):
+                for block in _block_sums(piece, self._sums):
+                    peak = max(peak, int(block.max()), -int(block.min()))
         self._gain = PEAK_CEILING * 32767.0 / peak if peak else 0.0
 
     def blocks(self) -> Iterator[Union[np.ndarray, Copy]]:
@@ -204,14 +203,15 @@ class Mix:
         the next one is yielded, and each copy piece as it is. A copy needs
         frames before it, so a track's first piece is a block."""
         scaled = np.empty(self.buffer.shape, dtype=np.float64)
-        for block in _block_sums(self.shape[1], self._plan):
-            if isinstance(block, Copy):
-                yield block
+        for piece in self._plan:
+            if isinstance(piece, Copy):
+                yield piece
                 continue
-            buf, res = scaled[:len(block)], self.buffer[:len(block)]
-            np.multiply(block, self._gain, out=buf)
-            np.rint(buf, out=res, casting="unsafe")
-            yield res
+            for block in _block_sums(piece, self._sums):
+                buf, res = scaled[:len(block)], self.buffer[:len(block)]
+                np.multiply(block, self._gain, out=buf)
+                np.rint(buf, out=res, casting="unsafe")
+                yield res
 
 
 def mix_stems(
@@ -224,8 +224,7 @@ def mix_stems(
     by_label: Dict[str, Stem] = {stem.label: stem for stem in stems}
     rate, channels = stems[0].sample_rate, stems[0].channels
     frames = round(scenes[-1].end_s * rate)
-    if 36 + frames * channels * 2 > _WAV_FIELD_MAX:
-        raise StemMismatchError(f"a {frames}-frame track passes the 4 GiB a WAV holds")
+    _wav_header("the mix", frames, channels, rate)  # refuses a track a WAV cannot hold
     runs: List[Run] = []
     last = 0  # the frame the scenes so far reach
     for scene, active in zip(scenes, schedule):
@@ -264,51 +263,35 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
     return samples, rate
 
 
-def write_wav(path: str, samples: Union[Mix, np.ndarray], sample_rate: int) -> None:
-    """Write 16-bit PCM, piece by piece from a ``Mix``, or in one piece from an
-    integer array (a C-contiguous ``<i2`` array is written uncopied). An array
-    of another kind, or with a value outside int16, raises
-    ``StemMismatchError``, since a cast would wrap or truncate it. The header
-    goes first, with the sizes of the whole track. A mix's blocks are written
-    as they come, and each of its copy pieces from the frames it repeats (see
-    ``_copy_back``). Every byte goes straight to the file's descriptor, with
-    no buffer in between, so a mapping of the file holds every frame written
-    before it. A failure between blocks leaves ``path`` as it was."""
-    if isinstance(samples, Mix):
-        blocks = samples.blocks()
-    else:
-        samples = np.asarray(samples)
-        if samples.dtype.kind not in "iu":
-            raise StemMismatchError(f"{path}: samples of dtype {samples.dtype} are not integers")
-        if samples.dtype != np.int16 and samples.size and not (
-                -0x8000 <= samples.min() and samples.max() <= 0x7FFF):
-            raise StemMismatchError(f"{path}: a sample lies outside the 16-bit range")
-        samples = np.ascontiguousarray(samples, dtype="<i2")
-        if samples.ndim == 1:
-            samples = samples[:, np.newaxis]
-        blocks = [samples]
-    header = _wav_header(path, *samples.shape, sample_rate)
+def write_wav(path: str, mix: Mix, sample_rate: int) -> None:
+    """Write ``mix`` as a 16-bit PCM WAV. The header goes first, with the
+    sizes of the whole track. The mix's blocks are written as they come, and
+    each of its copy pieces from the frames it repeats (see ``_copy_back``).
+    Every byte goes straight to the file's descriptor, with no buffer in
+    between, so a mapping of the file holds every frame written before it.
+    A failure between blocks leaves ``path`` as it was."""
+    header = _wav_header(path, *mix.shape, sample_rate)
     with publish(path, binary=True) as fh:
         fd = fh.fileno()
         _write_repeating(fd, header, len(header))
-        for block in blocks:
+        for block in mix.blocks():
             if isinstance(block, Copy):
-                _copy_back(path, fd, block, samples.buffer)
+                _copy_back(path, fd, block, mix.buffer)
             else:
                 _write_repeating(fd, block.reshape(-1).view(np.uint8), block.nbytes)
 
 
-def _wav_header(path: str, frames: int, channels: int, rate: int) -> bytes:
-    """The header of a 16-bit PCM WAV of ``frames`` frames, with the fields
-    ``wave`` writes; a value one of them cannot hold is refused."""
+def _wav_header(name: str, frames: int, channels: int, rate: int) -> bytes:
+    """The header ``wave`` writes for a 16-bit PCM WAV of ``frames`` frames;
+    a value one of its fields cannot hold is refused, naming ``name``."""
     align = 2 * channels  # bytes per frame
     if not 0 < align <= 0xFFFF:
-        raise StemMismatchError(f"{path}: {channels} channels do not fit a WAV")
+        raise StemMismatchError(f"{name}: {channels} channels do not fit a WAV")
     if rate < 1 or rate * align > _WAV_FIELD_MAX:
-        raise StemMismatchError(f"{path}: {rate} Hz with {channels} channels does not fit a WAV")
+        raise StemMismatchError(f"{name}: {rate} Hz with {channels} channels does not fit a WAV")
     data = frames * align
     if 36 + data > _WAV_FIELD_MAX:
-        raise StemMismatchError(f"{path}: a {frames}-frame track passes the 4 GiB a WAV holds")
+        raise StemMismatchError(f"{name}: a {frames}-frame track passes the 4 GiB a WAV holds")
     return _HEADER.pack(b"RIFF", 36 + data, b"WAVE", b"fmt ", 16, 1,
                         channels, rate, rate * align, align, 16, b"data", data)
 

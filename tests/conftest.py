@@ -1,9 +1,11 @@
 """Shared fixture builders for synthetic videos, stats streams and plans."""
 
+import io
 import random
 import shlex
 import shutil
 import sysconfig
+import wave
 
 import numpy as np
 import pytest
@@ -95,6 +97,26 @@ def rgb_to_hsv(pixel):
     else:
         h6 = (r - g) / c + 4.0
     return (h6 * (HUE_SCALE / 6.0), s, v)
+
+
+def wave_bytes(track, rate):
+    """What ``wave`` writes for an int16 track of (frames, channels), or of
+    frames alone for mono: the reference every written WAV is checked
+    against."""
+    assert track.dtype == np.int16
+    out = io.BytesIO()
+    with wave.open(out, "wb") as wav:
+        wav.setnchannels(1 if track.ndim == 1 else track.shape[1])
+        wav.setsampwidth(2)
+        wav.setframerate(rate)
+        wav.writeframes(track.tobytes())
+    return out.getvalue()
+
+
+def write_wave(path, track, rate):
+    """Write ``track`` to ``path`` as ``wave`` writes it: how tests make stems."""
+    with open(path, "wb") as fh:
+        fh.write(wave_bytes(track, rate))
 
 
 def mixed_track(mix):

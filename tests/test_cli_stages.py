@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from vidscore import cli
-from vidscore.loops import write_wav
 
-from conftest import CUT_SAFE_COLORS, VideoBuilder
+from conftest import CUT_SAFE_COLORS, VideoBuilder, write_wave
 
 PY = sys.executable
 COPY = f'{PY} -c "import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2])"'
@@ -46,7 +45,7 @@ def clip(tmp_path_factory):
     for color in CUT_SAFE_COLORS[:2]:
         builder.add_run(color, 450)
     rate = 8000
-    write_wav(str(directory / "tone.wav"), (np.ones(rate) * 3000).astype(np.int16), rate)
+    write_wave(str(directory / "tone.wav"), (np.ones(rate) * 3000).astype(np.int16), rate)
     stems = directory / "stems.json"
     stems.write_text(json.dumps([{"label": "a", "path": "tone.wav", "activation_rank": 1}]))
     return builder.write(directory), str(stems)

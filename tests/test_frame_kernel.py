@@ -111,6 +111,21 @@ def test_a_library_is_built_once_per_source_and_flags(monkeypatch, tmp_path, com
 
 
 @needs_cc
+def test_a_library_is_built_per_machine(monkeypatch, tmp_path, compiles):
+    # interpreters of one Python version on two machines can share a checkout,
+    # and neither can load the other's library
+    source, cache = tmp_path / "pass.c", tmp_path / "cache"
+    shutil.copy(frames._SOURCE, source)
+    assert frames._build(str(source), str(cache)) is not None
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: (
+        ".cpython-311-riscv64-linux-gnu.so" if name == "EXT_SUFFIX" else config_var(name)))
+    assert frames._build(str(source), str(cache)) is not None
+    assert len(compiles) == 2
+    assert len(libraries(cache)) == 2  # a second library beside the first
+
+
+@needs_cc
 @pytest.mark.parametrize("how", ["read-only", "a file in the way"])
 def test_an_unwritable_cache_falls_back_to_numpy(monkeypatch, tmp_path, compiles, how):
     cache = tmp_path / "cache"

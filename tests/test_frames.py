@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from vidscore import cli
 from vidscore import frames as frames_module
 from vidscore.errors import MalformedSourceError, SourceNotFoundError, VidscoreError
 from vidscore.frames import Frame, compute_intensity, open_frame_source, stream_stats
@@ -251,6 +252,27 @@ class TestFrameSource:
             write_ppm(str(tmp_path / name), 4, 3, solid_frame(4, 3, (10, 20, 30)))
         with pytest.raises(MalformedSourceError, match="frame001.ppm and frame1.ppm"):
             open_frame_source(str(tmp_path), fps=(25, 1))
+
+    def holed_frames(self, directory):
+        """Frames 0000-0029 and 0031-0059: frame 30 is missing."""
+        directory.mkdir()
+        for i in [*range(30), *range(31, 60)]:
+            write_ppm(str(directory / f"{i:04d}.ppm"), 4, 3, solid_frame(4, 3, (i, i, i)))
+        return str(directory)
+
+    def test_a_missing_frame_number_is_malformed(self, tmp_path):
+        # every frame after the hole would be timed one frame period early
+        hole = "no frame 30 between 0029.ppm and 0031.ppm"
+        with pytest.raises(MalformedSourceError, match=hole):
+            open_frame_source(self.holed_frames(tmp_path / "frames"), fps=(25, 1))
+
+    def test_a_missing_frame_number_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["analyze", "--source", self.holed_frames(tmp_path / "frames"), "--fps", "25",
+                "--output-dir", str(out)]
+        assert cli.main(argv) == 2
+        assert "no frame 30" in capsys.readouterr().err
+        assert not (out / "scenes.json").exists()
 
 
 class TestStreamStats:

@@ -15,7 +15,7 @@ from vidscore.energy import load_detections
 from vidscore.errors import MalformedSourceError, PlanParseError, VidscoreError
 from vidscore.files import read_input
 from vidscore.frames import _read_ppm, open_frame_source
-from vidscore.loops import load_stem_manifest, read_wav, write_wav
+from vidscore.loops import load_stem_manifest, read_wav
 from vidscore.midi import InstrumentMap, read_smf, write_smf
 from vidscore.moods import load_mood
 from vidscore.pipeline import PipelineConfig, stage_plan
@@ -23,7 +23,7 @@ from vidscore.planner import parse_ini, resolve_plan
 from vidscore.scenes import DetectorConfig, FrameSpec, merge_scene_lists, scenes_from_json
 from vidscore.scenes import scenes_to_json
 
-from conftest import solid_frame, write_ppm
+from conftest import solid_frame, write_ppm, write_wave
 
 MUTATIONS = 300
 DATA = Path(vidscore.__file__).parent / "data"
@@ -46,7 +46,7 @@ def valid(tmp_path_factory):
     write_ppm(root / "frame.ppm", 4, 4, solid_frame(4, 4, (200, 30, 60)))
     (root / "clip.rgb24").write_bytes(solid_frame(4, 4, (10, 20, 30)) * 2)
     (root / "clip.hdr").write_text("width=4 height=4 fps_num=30 fps_den=1\n")
-    write_wav(str(root / "tone.wav"), (np.arange(64) * 300).astype(np.int16), 8000)
+    write_wave(str(root / "tone.wav"), (np.arange(64) * 300).astype(np.int16), 8000)
     (root / "stems.json").write_text(json.dumps([
         {"label": "low", "path": "tone.wav", "activation_rank": 1},
         {"label": "high", "path": "tone.wav", "activation_rank": 2},

@@ -13,7 +13,6 @@ import json
 import numpy as np
 import pytest
 
-from vidscore.loops import write_wav
 from vidscore.moods import COMPLEXITIES, list_moods
 from vidscore.pipeline import (
     PipelineConfig,
@@ -24,7 +23,7 @@ from vidscore.pipeline import (
 )
 from vidscore.planner import PLANNER_MODES
 
-from conftest import CUT_SAFE_COLORS, VideoBuilder
+from conftest import CUT_SAFE_COLORS, VideoBuilder, write_wave
 
 GOLDEN = {
     "scenes.json": "ebddda77cde2502788f50ac331708c698eb01e2e77280cb2c6e5cace05d0d974",
@@ -98,7 +97,7 @@ def write_stems(directory):
     entries = []
     for rank, (label, seconds) in enumerate([("beat", 1.5), ("bass", 4.0), ("keys", 6.25)], 1):
         samples = rng.integers(-9000, 9000, size=(int(seconds * rate), 2), dtype=np.int16)
-        write_wav(str(directory / f"{label}.wav"), samples, rate)
+        write_wave(str(directory / f"{label}.wav"), samples, rate)
         entries.append({"label": label, "path": f"{label}.wav", "activation_rank": 4 - rank})
     manifest = directory / "stems.json"
     manifest.write_text(json.dumps(entries))

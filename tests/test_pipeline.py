@@ -16,7 +16,6 @@ from vidscore import cli, frames, pipeline, planner
 from vidscore.composer import compose_plan
 from vidscore.energy import classify_energy
 from vidscore.errors import InvalidEventError
-from vidscore.loops import write_wav
 from vidscore.midi import InstrumentMap, read_smf, write_smf
 from vidscore.moods import load_mood
 from vidscore.pipeline import (
@@ -29,7 +28,7 @@ from vidscore.pipeline import (
 from vidscore.planner import parse_ini, resolve_plan
 from vidscore.scenes import scenes_from_json
 
-from conftest import CUT_SAFE_COLORS, VideoBuilder, doc_tempos
+from conftest import CUT_SAFE_COLORS, VideoBuilder, doc_tempos, write_wave
 
 PY = sys.executable
 SRC = os.path.dirname(os.path.dirname(vidscore.__file__))
@@ -509,8 +508,8 @@ class TestRun:
         _, source = quad_video
         rate = 8000
         for name in ("low", "high"):
-            write_wav(str(tmp_path / f"{name}.wav"),
-                      (np.ones(rate) * 3000).astype(np.int16), rate)
+            write_wave(str(tmp_path / f"{name}.wav"),
+                       (np.ones(rate) * 3000).astype(np.int16), rate)
         manifest_path = tmp_path / "stems.json"
         manifest_path.write_text(json.dumps([
             {"label": "low", "path": "low.wav", "activation_rank": 1},
@@ -848,14 +847,14 @@ class TestBadContentExitCodes:
     def test_setting_too_big_for_an_int_exits_with_stage_code(
         self, valid_inputs, tmp_path, argv, text, code
     ):
-        write_wav(str(tmp_path / "tone.wav"), np.ones(800, dtype=np.int16), 8000)
+        write_wave(str(tmp_path / "tone.wav"), np.ones(800, dtype=np.int16), 8000)
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         args = [arg.format(bad=bad, **valid_inputs) for arg in argv]
         assert cli.main(args + ["--output-dir", str(tmp_path / "out")]) == code
 
     def test_stem_chunk_past_the_end_exits_4(self, valid_inputs, tmp_path, capsys):
-        write_wav(str(tmp_path / "tone.wav"), np.ones(800, dtype=np.int16), 8000)
+        write_wave(str(tmp_path / "tone.wav"), np.ones(800, dtype=np.int16), 8000)
         data = bytearray((tmp_path / "tone.wav").read_bytes())
         assert data[12:16] == b"fmt "
         data[17] = 0xFF  # the fmt chunk now claims 65296 bytes
@@ -890,7 +889,7 @@ def valid_inputs(analyzed, tmp_path_factory):
     _, video, scenes = analyzed
     plan = stage_plan(PipelineConfig(output_dir=str(directory), rng_seed=1), scenes)
     rate = 8000
-    write_wav(str(directory / "tone.wav"), (np.ones(rate) * 3000).astype(np.int16), rate)
+    write_wave(str(directory / "tone.wav"), (np.ones(rate) * 3000).astype(np.int16), rate)
     stems = directory / "stems.json"
     stems.write_text(json.dumps([{"label": "a", "path": "tone.wav", "activation_rank": 1}]))
     return {"video": video, "scenes": scenes, "plan": plan, "stems": str(stems)}
@@ -1038,7 +1037,7 @@ def test_json_values_are_read_at_their_exact_type(valid_inputs, tmp_path, case):
     argv, bad_name, _ = ERROR_CONTRACT[contract]
     bad = tmp_path / bad_name
     bad.write_text(json.dumps(value))
-    write_wav(str(tmp_path / "tone.wav"), np.ones(800, dtype=np.int16), 8000)
+    write_wave(str(tmp_path / "tone.wav"), np.ones(800, dtype=np.int16), 8000)
     out = tmp_path / "out"
     args = [arg.format(**valid_inputs, bad=str(bad), case=str(tmp_path)) for arg in argv]
     assert cli.main(args + ["--output-dir", str(out)]) == code

@@ -19,9 +19,8 @@ import pytest
 
 import vidscore
 from vidscore import cli
-from vidscore.loops import write_wav
 
-from conftest import CUT_SAFE_COLORS, VideoBuilder
+from conftest import CUT_SAFE_COLORS, VideoBuilder, write_wave
 
 SRC = os.path.dirname(os.path.dirname(vidscore.__file__))
 
@@ -75,8 +74,8 @@ def inputs(tmp_path_factory):
                          "-o", str(folder / f"{mood}.ini")]) == 0
     gen = np.random.default_rng(7)
     for label, frames in (("low", 8000), ("high", 5000)):
-        write_wav(str(folder / f"{label}.wav"),
-                  gen.integers(-3000, 3000, frames, dtype=np.int16), 8000)
+        write_wave(str(folder / f"{label}.wav"),
+                   gen.integers(-3000, 3000, frames, dtype=np.int16), 8000)
     (folder / "stems.json").write_text(json.dumps([
         {"label": "low", "path": "low.wav", "activation_rank": 1},
         {"label": "high", "path": "high.wav", "activation_rank": 2},
