@@ -23,18 +23,16 @@ each range after the first computed by a forked child that reads the source
 itself. There is no setting for it; to use fewer CPUs, narrow the mask (for
 example with ``taskset``). The statistics do not depend on the split.
 
-Each process runs one per-frame loop, which sizes one work area on its
-first frame and writes every frame-sized array into it, so no frame after
-the first allocates one. A child builds its area after the fork.
-
-The loop makes one compiled pass over each frame's pixels
-(``_framestats.c``, called through ``ctypes``), which also sums the
-frame's changes, and which on x86-64 runs an AVX2 body where the CPU has
-one. The library is built on first use with the C compiler Python was
-built with, and cached in the ``__pycache__`` folder beside this module. Where no library can be
-built or loaded there, the loop runs the numpy functions ``_frame_hsv``,
-``_hsv_delta`` and ``compute_intensity`` instead, which give the same
-statistics bit for bit and remain the oracle for the compiled pass.
+Each process runs one per-frame loop, which makes one compiled pass over
+each frame's pixels (``_framestats.c``, called through ``ctypes``). The pass
+also sums the frame's changes, runs an AVX2 body on x86-64 where the CPU has
+one, and writes each frame's HSV into one of two sets the loop sizes on its
+first frame (a child sizes its own after the fork). The library is built on
+first use with the C compiler Python was built with, and cached in the
+``__pycache__`` folder beside this module. Where no library can be built or
+loaded there, the loop runs the plain numpy functions ``_frame_hsv``,
+``_hsv_delta`` and ``compute_intensity``, which give the same statistics bit
+for bit and remain the oracle for the compiled pass.
 """
 
 from __future__ import annotations
@@ -271,36 +269,17 @@ def _hue_table() -> np.ndarray:
 
 
 class _WorkArea:
-    """Every frame-sized array the per-frame loop writes, for frames of
-    ``pixels`` pixels: the three channel planes, chroma, the hue table
-    index, two HSV sets that take turns as the current and the previous
-    frame's, and the scratch of ``_hsv_delta``.
-
-    A fresh frame-sized array is a new mapping whose pages fault again on
-    every frame, so one stream's loop allocates these once and every step
-    writes through ``out=``. The hue index is spent once the hue is looked
-    up, so its memory, as float32, then holds saturation's divisor and the
-    delta's hue scratch; the delta's second value array is chroma's. That
-    keeps the area at 31 bytes a pixel. The compiled pass writes only the
-    two HSV sets and sums the changes itself, so the other arrays' pages
-    are touched only on a frame whose sums reach the bounds past which
-    they may not be exact (see ``_compiled_stats``), which runs
-    ``_hsv_delta`` on those two sets.
-    """
+    """The two HSV sets the compiled pass writes in turn, as the current and
+    the previous frame's, for frames of ``pixels`` pixels, and its other
+    arguments. One stream's loop builds this once: a fresh frame-sized array
+    is a new mapping whose pages fault again on every frame."""
 
     def __init__(self, pixels: int):
-        self.planes = np.empty((3, pixels), dtype=np.uint8)
-        self.chroma = np.empty(pixels, dtype=np.uint8)
-        self.hue_idx = np.empty(pixels, dtype=np.int32)
         self.hsv = [
             (np.empty(pixels, dtype=np.float32), np.empty(pixels, dtype=np.float32),
              np.empty(pixels, dtype=np.uint8))
             for _ in range(2)
         ]
-        self.dh = self.hue_idx.view(np.float32)
-        self.ds = np.empty(pixels, dtype=np.float32)
-        self.dv = np.empty(pixels, dtype=np.uint8)
-        self.dv_lo = self.chroma
         # the compiled pass's arguments: each HSV set's addresses, and its
         # last three, the hue table and where the sums of the changes go
         self.addresses = [tuple(a.ctypes.data for a in hsv) for hsv in self.hsv]
@@ -309,9 +288,10 @@ class _WorkArea:
         self.kernel_tail = (_hue_table().ctypes.data, self.sums, ctypes.byref(self.dv_sum))
 
 
-def _frame_hsv(frame: Frame, work: _WorkArea, out):
-    """Per-pixel HSV of a whole frame, every channel in [0, 255], written
-    into the HSV set ``out`` of ``work`` and returned.
+def _frame_hsv(pixels):
+    """Per-pixel ``(hue, saturation, value)`` of a frame's RGB24 ``pixels``,
+    every channel in [0, 255]: hue and saturation float32, value uint8, so
+    that ``_hsv_delta`` can take its term in integers.
 
     Hue comes from the standard hexagonal model rescaled so the full circle is
     256 units; achromatic pixels get hue 0. Hue is a float32 lookup in the
@@ -319,60 +299,33 @@ def _frame_hsv(frame: Frame, work: _WorkArea, out):
     ``g - b``, which fix it because hue does not change when one constant is
     added to every channel; results are identical for all 2**24 colours to
     float32 arithmetic on every pixel. Saturation is that arithmetic,
-    ``chroma / max(value, 1) * 255`` in float32. Value is uint8 so that
-    ``_hsv_delta`` can take its term in integers.
+    ``chroma / max(value, 1) * 255`` in float32.
 
-    Every step writes into ``work``, whose hue index is int32: numpy 1.x
-    promotes a scalar by its value, so ``uint8_array * 511`` there would be
-    int16 and overflow, and the float32 scalars keep saturation in float32
-    there too. The lookup takes ``mode="wrap"``, which writes straight into
-    ``out``, where the default mode fills a temporary first; every index is
-    in range, so none wraps.
+    Numpy 1.x types a scalar by its value, so each mixed-type step has two
+    array operands or a scalar of the array's kind: the hue index is int32,
+    as ``uint8_array * 511`` would be int16 and overflow.
     """
-    np.copyto(work.planes, np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3).T)
-    r, g, b = work.planes
-    hue, sat, v = out
-    c = work.chroma
-    np.maximum(r, g, out=v)
-    np.maximum(v, b, out=v)
-    np.minimum(r, g, out=c)
-    np.minimum(c, b, out=c)
-    np.subtract(v, c, out=c)
-    # (r - g + 255) * 511 + (g - b + 255), accumulated in int32
-    hue_idx = work.hue_idx
-    np.copyto(hue_idx, r)
-    hue_idx -= g
-    hue_idx *= np.int32(511)
-    hue_idx += g
-    hue_idx -= b
-    hue_idx += np.int32(255 * 511 + 255)
-    _hue_table().take(hue_idx, mode="wrap", out=hue)
-    divisor = work.dh  # the spent hue index, as float32
-    np.maximum(v, np.float32(1.0), out=divisor)
-    np.divide(c, divisor, out=sat)
-    sat *= np.float32(255.0)
-    return out
+    r, g, b = np.frombuffer(pixels, dtype=np.uint8).reshape(-1, 3).T.copy()
+    v = np.maximum(np.maximum(r, g), b)
+    chroma = v - np.minimum(np.minimum(r, g), b)
+    hue = _hue_table().take((r.astype(np.int32) - g) * 511 + g - b + (255 * 511 + 255))
+    sat = chroma / np.maximum(v, 1).astype(np.float32) * np.float32(255.0)
+    return hue, sat, v
 
 
-def _hsv_delta(prev, curr, work: _WorkArea) -> float:
-    """Mean absolute HSV change, averaged over the three channels, taken in
-    the scratch arrays of ``work``.
+def _hsv_delta(prev, curr) -> float:
+    """Mean absolute HSV change between two ``_frame_hsv`` results, averaged
+    over the three channels.
 
     Hue and saturation changes are float32, so their means sum in float64,
     through the ``np.add.reduce`` that ``np.mean`` runs, called without its
     Python wrapper, so the result is the same double. The value term is a
     sum of integers below 2**53, so it is summed exactly in integers.
     """
-    dh, ds, dv = work.dh, work.ds, work.dv
-    np.subtract(curr[0], prev[0], out=dh)
-    np.abs(dh, out=dh)
-    np.subtract(np.float32(HUE_SCALE), dh, out=ds)
-    np.minimum(dh, ds, out=dh)
-    np.subtract(curr[1], prev[1], out=ds)
-    np.abs(ds, out=ds)
-    np.maximum(curr[2], prev[2], out=dv)  # |curr - prev| in uint8
-    np.minimum(curr[2], prev[2], out=work.dv_lo)
-    dv -= work.dv_lo
+    dh = np.abs(curr[0] - prev[0])
+    dh = np.minimum(dh, np.float32(HUE_SCALE) - dh)
+    ds = np.abs(curr[1] - prev[1])
+    dv = np.maximum(curr[2], prev[2]) - np.minimum(curr[2], prev[2])  # |curr - prev| in uint8
     return _delta_score(np.add.reduce(dh, dtype=np.float64),
                         np.add.reduce(ds, dtype=np.float64), _exact_sum(dv), dh.size)
 
@@ -494,7 +447,7 @@ def _compiled_stats(kernel, pixels, work: _WorkArea, curr: bool, prev: bool):
     """
     if type(pixels) is not bytes:  # ctypes takes only bytes without a copy
         pixels = np.frombuffer(pixels, dtype=np.uint8).ctypes.data
-    n = work.ds.size
+    n = work.hsv[0][2].size
     previous = work.addresses[not curr] if prev else (None, None, None)
     total = kernel(pixels, n, *work.addresses[curr], *previous, *work.kernel_tail)
     if not prev:
@@ -503,7 +456,7 @@ def _compiled_stats(kernel, pixels, work: _WorkArea, curr: bool, prev: bool):
     if hue_sum < _HUE_SUM_BOUND and sat_sum < _SAT_SUM_BOUND:
         delta = _delta_score(hue_sum, sat_sum, work.dv_sum.value, n)
     else:
-        delta = _hsv_delta(work.hsv[not curr], work.hsv[curr], work)
+        delta = _hsv_delta(work.hsv[not curr], work.hsv[curr])
     return total / (3 * n), delta
 
 
@@ -528,33 +481,35 @@ def _per_frame(frames):
     """The per-frame loop: one call of the compiled pass a frame, or, where
     ``_kernel`` gives none, the numpy functions, with the same results.
 
-    Its work area is sized on the first frame, in bytes, whatever the item
-    size of a frame's bytes-like pixels. A frame that is not one or
-    more whole RGB24 pixels in one C-contiguous buffer, or not the first
-    frame's size, raises ``MalformedSourceError`` on either path.
+    The first frame's size, in bytes whatever the item size of a frame's
+    bytes-like pixels, sizes the compiled pass's work area. A frame that is
+    not one or more whole RGB24 pixels in one C-contiguous buffer, or not
+    the first frame's size, raises ``MalformedSourceError`` on either path.
     """
     kernel = _kernel()
-    work = prev = None
+    first = work = prev = None
     for frame in frames:
         view = memoryview(frame.pixels)
         if not view.c_contiguous:  # np.frombuffer reads only one contiguous buffer
             raise MalformedSourceError(
                 f"frame {frame.index}: pixels not in one contiguous buffer")
         size = view.nbytes  # len() counts items, not bytes
-        if work is None and size and size % 3 == 0:
-            work = _WorkArea(size // 3)
-        if work is None or size != work.planes.size:
-            want = f"the first frame's {work.planes.size}" if work else "whole RGB24 pixels"
+        if first is None and size and size % 3 == 0:
+            first = size
+            work = None if kernel is None else _WorkArea(size // 3)
+        if first is None or size != first:
+            want = f"the first frame's {first}" if first else "whole RGB24 pixels"
             raise MalformedSourceError(f"frame {frame.index}: {size} bytes, not {want}")
-        curr = work.hsv[0] is prev  # the HSV set that does not hold the previous frame's
         if kernel is None:
-            hsv = _frame_hsv(frame, work, work.hsv[curr])
+            hsv = _frame_hsv(frame.pixels)
             avg = compute_intensity(frame)
-            delta = None if prev is None else _hsv_delta(prev, hsv, work)
+            delta = None if prev is None else _hsv_delta(prev, hsv)
         else:
+            curr = work.hsv[0] is prev  # the HSV set that does not hold the previous frame's
             avg, delta = _compiled_stats(kernel, frame.pixels, work, curr, prev is not None)
+            hsv = work.hsv[curr]
         yield FrameStats(index=frame.index, avg_intensity=avg, hsv_delta=delta)
-        prev = work.hsv[curr]
+        prev = hsv
 
 
 def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:

@@ -223,7 +223,8 @@ def mix_stems(
     _check_compatible(stems)
     by_label: Dict[str, Stem] = {stem.label: stem for stem in stems}
     rate, channels = stems[0].sample_rate, stems[0].channels
-    frames = round(scenes[-1].end_s * rate)
+    length = scenes[-1].end_s * rate  # inf where a finite end overflows
+    frames = length if math.isinf(length) else round(length)
     _wav_header("the mix", frames, channels, rate)  # refuses a track a WAV cannot hold
     runs: List[Run] = []
     last = 0  # the frame the scenes so far reach
@@ -291,7 +292,7 @@ def _wav_header(name: str, frames: int, channels: int, rate: int) -> bytes:
         raise StemMismatchError(f"{name}: {rate} Hz with {channels} channels does not fit a WAV")
     data = frames * align
     if 36 + data > _WAV_FIELD_MAX:
-        raise StemMismatchError(f"{name}: a {frames}-frame track passes the 4 GiB a WAV holds")
+        raise StemMismatchError(f"{name}: a track of {frames} frames passes the 4 GiB a WAV holds")
     return _HEADER.pack(b"RIFF", 36 + data, b"WAVE", b"fmt ", 16, 1,
                         channels, rate, rate * align, align, 16, b"data", data)
 

@@ -195,8 +195,19 @@ class Stage:
         return path, f"{self.says.format(*counts)} -> {path}"
 
     def check(self, config: PipelineConfig) -> None:
-        if self.requires and not getattr(config, self.requires[0]):
-            raise ConfigError(self.requires[1])
+        """Refuse a config without the setting the stage requires, or whose
+        command template does not split into words."""
+        if not self.requires:
+            return
+        name, missing = self.requires
+        value = getattr(config, name)
+        if not value:
+            raise ConfigError(missing)
+        if name.endswith("_template"):
+            try:
+                shlex.split(value)
+            except ValueError as exc:
+                raise ConfigError(f"bad {name} {value!r}: {exc}") from exc
 
 
 STAGES = {

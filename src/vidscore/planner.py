@@ -91,7 +91,10 @@ def phrase_seconds(tempo: int, signature: Tuple[int, int], phrase_bars: int) -> 
 
 def _whole_phrases(target_s: float, phrase_s: float, tolerance_s: float) -> Optional[int]:
     """The whole phrase count landing on the target within tolerance, if any."""
-    phrases = round(target_s / phrase_s)
+    quotient = target_s / phrase_s
+    if math.isinf(quotient):  # a finite duration over a short phrase can overflow
+        return None
+    phrases = round(quotient)
     if phrases >= 1 and abs(phrases * phrase_s - target_s) <= tolerance_s:
         return phrases
     return None
@@ -358,11 +361,13 @@ def parse_ini(text: str) -> PlanDocument:
     return PlanDocument(entries=entries, **composition)
 
 
-def _bars(entry: SectionEntry) -> int:
-    """Whole bars in a section's duration, or in a range's upper end. Within
-    the fit tolerance of an exact duration, this is its phrases x phrase bars."""
+def _bars(entry: SectionEntry) -> float:
+    """Whole bars in a section's duration, or in a range's upper end, or inf
+    where the quotient overflows. Within the fit tolerance of an exact
+    duration, this is its phrases x phrase bars."""
     duration = entry.duration_s[1] if isinstance(entry.duration_s, tuple) else entry.duration_s
-    return round(duration / phrase_seconds(entry.tempo, entry.time_signature, 1))
+    bars = duration / phrase_seconds(entry.tempo, entry.time_signature, 1)
+    return bars if math.isinf(bars) else round(bars)
 
 
 def resolve_plan(

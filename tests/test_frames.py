@@ -517,18 +517,25 @@ class TestSplitStats:
         cpus(3)
         clip = noisy_clip(9, "cut")
         serial = list(stream_stats(clip))
-        work_area = frames_module._WorkArea
-        built = []
 
-        def counted(pixels):
-            built.append(pixels)  # a child appends to its own copy of the list
-            return work_area(pixels)
+        def counted(name):
+            """Calls of ``name`` in this process; a child appends to its own copy."""
+            calls, step = [], getattr(frames_module, name)
+
+            def run(*args):
+                calls.append(args)
+                return step(*args)
+
+            monkeypatch.setattr(frames_module, name, run)
+            return calls
 
         computed = kill_children(monkeypatch)
-        monkeypatch.setattr(frames_module, "_WorkArea", counted)
+        loops, built = counted("_per_frame"), counted("_WorkArea")
         assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == serial
         assert len(computed) == len(clip)
-        assert built == [len(clip[0].pixels) // 3]
+        assert len(loops) == 1
+        # the numpy path builds no work area
+        assert built == ([] if frames_module._kernel() is None else [(len(clip[0].pixels) // 3,)])
         assert_no_child_left()
 
     def test_the_parent_continues_its_one_loop_after_a_killed_child_on_the_numpy_path(
@@ -542,17 +549,8 @@ class TestSplitStats:
                                                           path):
         clip = noisy_clip(9, "cut")
         assert len({frame.pixels for frame in clip}) == len(clip)
-        pixels = len(clip[0].pixels) // 3
-
-        def fresh_hsv(frame):
-            work = frames_module._WorkArea(pixels)
-            return frames_module._frame_hsv(frame, work, work.hsv[0])
-
-        expected = [None] + [
-            frames_module._hsv_delta(fresh_hsv(prev), fresh_hsv(curr),
-                                     frames_module._WorkArea(pixels))
-            for prev, curr in zip(clip, clip[1:])
-        ]
+        fresh = [frames_module._frame_hsv(frame.pixels) for frame in clip]
+        expected = [None] + [frames_module._hsv_delta(a, b) for a, b in zip(fresh, fresh[1:])]
         forked = cpus(3)
         computed = []
         if path == "bare iterable":

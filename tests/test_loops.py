@@ -810,7 +810,7 @@ class TestRatesAWavCannotHold:
     """A stem rate, or a track length, that the output WAV's 32-bit header
     fields cannot hold exits 4 before anything is mixed or written."""
 
-    def mix_loops(self, tmp_path, rate, channels, video_s):
+    def mix_loops(self, tmp_path, rate, channels, video_s, fps=(30, 1)):
         write_wave(str(tmp_path / "stem.wav"), np.ones((100, channels), dtype=np.int16), 48000)
         data = bytearray((tmp_path / "stem.wav").read_bytes())
         assert data[12:16] == b"fmt "
@@ -819,7 +819,8 @@ class TestRatesAWavCannotHold:
         (tmp_path / "stems.json").write_text(
             json.dumps([{"label": "a", "path": "stem.wav", "activation_rank": 1}]))
         scenes = tmp_path / "scenes.json"
-        scenes.write_text(scenes_to_json([make_scene(0, 0.0, video_s)], (30, 1), video_s * 30))
+        scene = make_scene(0, 0.0, video_s, fps=fps[0] / fps[1])
+        scenes.write_text(scenes_to_json([scene], fps, scene.end_frame))
         out = tmp_path / "out"
         code = cli.main(["mix-loops", "--scenes", str(scenes), "--stems",
                          str(tmp_path / "stems.json"), "--output-dir", str(out)])
@@ -836,6 +837,11 @@ class TestRatesAWavCannotHold:
         # 13 h of 48 kHz stereo is about 9 GB of samples
         assert self.mix_loops(tmp_path, 48000, 2, 13 * 3600) == 4
         assert "4 GiB" in capsys.readouterr().err
+
+    def test_track_whose_length_in_samples_overflows_exits_4(self, tmp_path, capsys):
+        # one frame at 10**-308 fps ends at 1e308 s, which times the rate is inf
+        assert self.mix_loops(tmp_path, 8000, 1, 1e308, fps=(1, 10 ** 308)) == 4
+        assert "a track of inf frames passes the 4 GiB" in capsys.readouterr().err
 
     def test_largest_track_a_wav_holds_passes_the_check(self, monkeypatch):
         # at 1 Hz mono a frame is two bytes, and the RIFF size is 36 bytes

@@ -15,7 +15,7 @@ import vidscore
 from vidscore import cli, frames, pipeline, planner
 from vidscore.composer import compose_plan
 from vidscore.energy import classify_energy
-from vidscore.errors import InvalidEventError
+from vidscore.errors import ConfigError, InvalidEventError
 from vidscore.midi import InstrumentMap, read_smf, write_smf
 from vidscore.moods import load_mood
 from vidscore.pipeline import (
@@ -23,7 +23,9 @@ from vidscore.pipeline import (
     cmd_run,
     stage_analyze,
     stage_compose,
+    stage_mux,
     stage_plan,
+    stage_render,
 )
 from vidscore.planner import parse_ini, resolve_plan
 from vidscore.scenes import scenes_from_json
@@ -318,6 +320,35 @@ class TestExternalTools:
         code = cli.main(["render", "--midi", str(tmp_path / "in.mid"),
                          "--output-dir", str(tmp_path)])
         assert code == 6
+
+    @pytest.mark.parametrize("stage", ["render", "mux", "run"])
+    def test_template_that_does_not_split_exits_6_before_any_stage(self, quad_video, tmp_path,
+                                                                  capsys, stage):
+        _, source = quad_video
+        (tmp_path / "in.mid").write_bytes(b"x")
+        (tmp_path / "a.wav").write_bytes(b"x")
+        argv = {
+            "render": ["render", "--midi", str(tmp_path / "in.mid"), "--render-template"],
+            "mux": ["mux", "--video", source, "--audio", str(tmp_path / "a.wav"),
+                    "--mux-template"],
+            "run": ["run", "--source", source, "--render-template"],
+        }[stage]
+        out = tmp_path / "out"
+        assert cli.main(argv + ["cp '{in} {out}", "--output-dir", str(out)]) == 6
+        setting = "mux_template" if stage == "mux" else "render_template"
+        assert f"bad {setting}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage, setting, files", [
+        (stage_render, "render_template", 1),
+        (stage_mux, "mux_template", 2),
+    ], ids=["render", "mux"])
+    def test_stage_called_directly_refuses_a_template_that_does_not_split(self, tmp_path,
+                                                                          stage, setting, files):
+        config = PipelineConfig(output_dir=str(tmp_path / "out"), **{setting: "cp '{in} {out}"})
+        with pytest.raises(ConfigError, match=f"bad {setting}"):
+            stage(config, *[str(tmp_path / "in.bin")] * files)
+        assert not (tmp_path / "out").exists()
 
     def test_mux_template(self, tmp_path):
         video = tmp_path / "v.bin"
@@ -828,6 +859,35 @@ class TestBadContentExitCodes:
         )
         assert cli.main(["compose", "--plan", str(plan), "--output-dir", str(tmp_path)]) == 3
         assert "duration" in capsys.readouterr().err
+        assert not (tmp_path / "soundtrack.mid").exists()
+
+    def test_scenes_whose_bar_count_overflows_exit_3(self, tmp_path, capsys):
+        # one frame at 10**-308 fps lasts 1e308 s, and 1e308 s over a 0.06 s
+        # bar is past float range
+        scene = {"id": 0, "start_frame": 0, "end_frame": 1,
+                 "opens_with": "start-of-video", "closes_with": "end-of-video"}
+        scenes = tmp_path / "scenes.json"
+        scenes.write_text(json.dumps({"fps": [1, 10 ** 308], "total_frames": 1,
+                                      "scenes": [scene]}))
+        mood = tmp_path / "mood.json"
+        mood.write_text(json.dumps(inspire_with(tempo_range=[990, 1000],
+                                                time_signatures=[[2, 8]], phrase_length_bars=1)))
+        assert cli.main(["plan", "--scenes", str(scenes), "--mood", str(mood),
+                         "--output-dir", str(tmp_path)]) == 3
+        assert "no tempo/time-signature/phrase combination fits section 0" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "plan.ini").exists()
+
+    @pytest.mark.parametrize("duration", ["1e308", "8 to 1e308"])
+    def test_plan_duration_whose_bar_count_overflows_exits_3(self, tmp_path, capsys, duration):
+        plan = tmp_path / "plan.ini"
+        plan.write_text(
+            "[composition]\nduration = 1e308\nmood = inspire\ncomplexity = simple\n"
+            "seed = 1\n\n[section0]\ntime_sig = 2/8\ntempo = 1000\nenergy = medium\n"
+            f"duration = {duration}\ndirection = up\nslope = stay\n"
+        )
+        assert cli.main(["compose", "--plan", str(plan), "--output-dir", str(tmp_path)]) == 3
+        assert "line 7: section 0 spans inf bars" in capsys.readouterr().err
         assert not (tmp_path / "soundtrack.mid").exists()
 
     @pytest.mark.parametrize("field", ["fps", "total_frames", "id", "start_frame"])
