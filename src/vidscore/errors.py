@@ -1,6 +1,19 @@
 """Exception hierarchy and the CLI exit codes attached to each failure class."""
 
 
+def number_text(value, spec: str = "") -> str:
+    """``value`` formatted by ``spec`` for an error message, or, where that
+    takes more than 80 characters, a float in 6 significant digits and an
+    integer as its first digits and its digit count: a number read from the
+    input can run to hundreds of digits."""
+    text = format(value, spec)
+    if len(text) <= 80:
+        return text
+    if isinstance(value, float):
+        return format(value, ".6g")
+    return f"{text[:12]}... ({len(text.lstrip('-'))} digits)"
+
+
 class VidscoreError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -53,7 +66,7 @@ class UnplannableSectionError(PlanningError):
         self.duration_s = duration_s
         super().__init__(
             f"no tempo/time-signature/phrase combination fits section "
-            f"{section_id} (duration {duration_s:.3f} s)"
+            f"{section_id} (duration {number_text(duration_s, '.3f')} s)"
         )
 
 

@@ -19,9 +19,10 @@ Each frame yields two statistics downstream detectors consume:
 
 ``stream_stats`` splits a clip opened here across the CPUs in the process's
 affinity mask (``os.sched_getaffinity``): one contiguous frame range per CPU,
-each range after the first computed by a forked child that reads the source
-itself. There is no setting for it; to use fewer CPUs, narrow the mask (for
-example with ``taskset``). The statistics do not depend on the split.
+each range after the first computed by a forked child that reads that range
+alone (a source built from an iterator alone reads through to it). There is
+no setting for it; to use fewer CPUs, narrow the mask (for example with
+``taskset``). The statistics do not depend on the split.
 
 Each process runs one per-frame loop, which makes one compiled pass over
 each frame's pixels (``_framestats.c``, called through ``ctypes``). The pass
@@ -46,7 +47,7 @@ import re
 import signal
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -64,15 +65,27 @@ class Frame:
 
 
 class FrameSource:
-    """Ordered, single-pass iterator of frames with a known FrameSpec."""
+    """Ordered, single-pass iterator of frames with a known FrameSpec.
 
-    def __init__(self, spec: FrameSpec, total_frames: int, frames: Iterator[Frame]):
+    ``frames(start, stop)`` gives frames ``start:stop`` from ``reader``,
+    which reads those alone; a source built without one reads through its
+    iterator, dropping the frames before ``start``.
+    """
+
+    def __init__(self, spec: FrameSpec, total_frames: int, frames: Iterator[Frame],
+                 reader: Optional[Callable[[int, int], Iterator[Frame]]] = None):
         self.spec = spec
         self.total_frames = total_frames
         self._frames = frames
+        self._reader = reader
 
     def __iter__(self) -> Iterator[Frame]:
         return self._frames
+
+    def frames(self, start: int, stop: int) -> Iterator[Frame]:
+        if self._reader is not None:
+            return self._reader(start, stop)
+        return itertools.islice(iter(self), start, stop)
 
 
 def open_frame_source(path: str, fps: Optional[tuple[int, int]] = None) -> FrameSource:
@@ -122,15 +135,16 @@ def _open_raw_stream(path: str) -> FrameSource:
         )
     total = size // spec.frame_bytes
 
-    def gen() -> Iterator[Frame]:
+    def read(start: int, stop: int) -> Iterator[Frame]:
         with open(path, "rb") as fh:
-            for index in range(total):
+            fh.seek(start * spec.frame_bytes)
+            for index in range(start, stop):
                 data = fh.read(spec.frame_bytes)
                 if len(data) != spec.frame_bytes:
                     raise MalformedSourceError(f"{path}: truncated at frame {index}")
                 yield Frame(index=index, pixels=data)
 
-    return FrameSource(spec=spec, total_frames=total, frames=gen())
+    return FrameSource(spec, total, read(0, total), read)
 
 
 _NUMBERED = re.compile(r"(\d+)\.ppm$", re.IGNORECASE)
@@ -154,17 +168,16 @@ def _open_image_dir(path: str, fps: tuple[int, int]) -> FrameSource:
     width, height, first = _read_ppm(os.path.join(path, entries[0][1]))
     spec = FrameSpec(width=width, height=height, fps_num=fps[0], fps_den=fps[1])
 
-    def gen() -> Iterator[Frame]:
-        yield Frame(index=0, pixels=first)
-        for index, (_, name) in enumerate(entries[1:], start=1):
-            w, h, pixels = _read_ppm(os.path.join(path, name))
+    def read(start: int, stop: int) -> Iterator[Frame]:
+        for index, (_, name) in enumerate(entries[start:stop], start):
+            w, h, pixels = _read_ppm(os.path.join(path, name)) if index else (width, height, first)
             if (w, h) != (width, height):
                 raise MalformedSourceError(
                     f"{name}: size {w}x{h} differs from {width}x{height}"
                 )
             yield Frame(index=index, pixels=pixels)
 
-    return FrameSource(spec=spec, total_frames=len(entries), frames=gen())
+    return FrameSource(spec, len(entries), read(0, len(entries)), read)
 
 
 def _read_ppm(path: str) -> tuple[int, int, bytes]:
@@ -517,7 +530,7 @@ def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
     by forked child k for k >= 1, and the first range by this process.
 
     The children are forked before any frame is read, so each one opens and
-    reads the source itself; no pixel data crosses a process boundary. Each
+    reads its own range alone; no pixel data crosses a process boundary. Each
     child writes its range's rows into its own slice of one shared anonymous
     mapping, made before the forks. This process yields its own range from
     its one per-frame loop, waits for every child in order, and yields the
@@ -562,9 +575,10 @@ def _fork_range(source: FrameSource, start: int, out: np.ndarray) -> int:
     """Fork a child that computes frames ``start:start + len(out)`` of
     ``source`` into ``out``, a slice of a shared mapping, and return its pid.
 
-    The child reads the earlier frames without computing them, runs the
-    per-frame loop from frame ``start - 1``, whose HSV seeds the first delta
-    and whose stats it drops, and writes each later frame's
+    The child reads frames from ``start - 1`` on through ``source.frames``,
+    so it reads no earlier frame unless ``source`` has no reader. It runs
+    the per-frame loop from frame ``start - 1``, whose HSV seeds the first
+    delta and whose stats it drops, and writes each later frame's
     ``(avg_intensity, hsv_delta)`` as a row of ``out``; a range that comes
     out shorter fails the reshape. It leaves through ``os._exit``, so it
     runs no exit handler, flushes no buffer it inherited and raises nothing
@@ -576,7 +590,7 @@ def _fork_range(source: FrameSource, start: int, out: np.ndarray) -> int:
     if pid == 0:
         status = 1
         try:
-            frames = itertools.islice(source, start - 1, start + len(out))
+            frames = source.frames(start - 1, start + len(out))
             stats = itertools.islice(_per_frame(frames), 1, None)
             out[:] = np.reshape([(s.avg_intensity, s.hsv_delta) for s in stats], out.shape)
             status = 0

@@ -96,7 +96,7 @@ class PipelineConfig:
             num, den = fps_fraction(self.fps)
             check_frame_rate(num, den)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad fps {self.fps!r}: {exc}") from exc
+            raise ConfigError(f"bad fps {self.fps!r:.80}: {exc}") from exc
         return num, den
 
     def out_path(self, name: str) -> str:

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, asdict
 from typing import Iterable, List, Optional, Tuple
 
-from .errors import ConfigError, EmptyVideoError, MalformedSourceError
+from .errors import ConfigError, EmptyVideoError, MalformedSourceError, number_text
 from .files import ints, typed
 
 OPENS = ("start-of-video", "cut", "fade-in")
@@ -38,11 +38,12 @@ def check_frame_rate(num: int, den: int) -> None:
     detector's merge tolerance multiplies a float by ``num``, so a term past
     float range fails there even when the quotient fits."""
     if num < 1 or den < 1:
-        raise ValueError(f"frame rate {num}/{den} is not positive")
+        raise ValueError(f"frame rate {number_text(num)}/{number_text(den)} is not positive")
     try:
         float(num), float(den)
     except OverflowError:
-        raise ValueError(f"frame rate {num}/{den} has a term past float range") from None
+        raise ValueError(f"frame rate {number_text(num)}/{number_text(den)} has a term "
+                         "past float range") from None
 
 
 # The frame geometry and per-frame statistics the detectors read live here,
@@ -71,7 +72,8 @@ class FrameSpec:
             return index * self.fps_den / self.fps_num
         except OverflowError:
             raise MalformedSourceError(
-                f"frame {index} at {self.fps_num}/{self.fps_den} fps is past float range"
+                f"frame {index} at {number_text(self.fps_num)}/{number_text(self.fps_den)} "
+                "fps is past float range"
             ) from None
 
 
@@ -255,5 +257,5 @@ def _check_tiling(scenes: List[Scene], total_frames: int) -> None:
         expect = scene.end_frame
     if expect != total_frames:
         raise MalformedSourceError(
-            f"scenes cover {expect} frames, expected {total_frames}"
+            f"scenes cover {number_text(expect)} frames, expected {number_text(total_frames)}"
         )

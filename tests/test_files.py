@@ -11,7 +11,7 @@ SRC = pathlib.Path(vidscore.__file__).parent
 # the only direct file access outside files.py: the streaming raw-frame
 # reader and the stem WAV reader
 ALLOWED = {
-    ("frames.py", "_open_raw_stream.gen", "open(path, 'rb')"),
+    ("frames.py", "_open_raw_stream.read", "open(path, 'rb')"),
     ("loops.py", "read_wav", "wave.open(path, 'rb')"),
 }
 

@@ -1,5 +1,6 @@
 import array
 import hashlib
+import itertools
 import os
 import random
 import signal
@@ -11,7 +12,9 @@ import pytest
 from vidscore import cli
 from vidscore import frames as frames_module
 from vidscore.errors import MalformedSourceError, SourceNotFoundError, VidscoreError
-from vidscore.frames import Frame, compute_intensity, open_frame_source, stream_stats
+from vidscore.frames import (Frame, FrameSource, compute_intensity, open_frame_source,
+                             stream_stats)
+from vidscore.scenes import FrameSpec
 
 from conftest import needs_cc, rgb_to_hsv, solid_frame, write_ppm
 
@@ -591,6 +594,67 @@ class TestSplitStats:
         split = list(stream_stats(write_source(tmp_path, clip, "raw", width=1, height=1)))
         assert split == list(stream_stats(clip))
         assert len(forked) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", ["raw", "ppm"])
+    def test_each_child_reads_only_its_own_range(self, tmp_path, cpus, monkeypatch, kind):
+        forked = cpus(3)  # frames 0-2 here, 3-5 and 6-8 in the children
+        clip = noisy_clip(9, "cut")
+        serial = list(stream_stats(clip))
+        source = write_source(tmp_path, clip, kind)
+        log, frame = tmp_path / "reads.log", frames_module.Frame
+
+        def logged(index, pixels):
+            """A frame read, logged with the pid of the process that read it
+            to a file, which the children's reads reach across the fork."""
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {index}\n")
+            return frame(index=index, pixels=pixels)
+
+        monkeypatch.setattr(frames_module, "Frame", logged)
+        assert list(stream_stats(source)) == serial
+        reads = {}
+        for line in log.read_text().splitlines():
+            pid, index = map(int, line.split())
+            reads.setdefault(pid, []).append(index)
+        # each child reads the frame before its range, whose HSV seeds its first delta
+        assert reads == {os.getpid(): [0, 1, 2], forked[0]: [2, 3, 4, 5],
+                         forked[1]: [5, 6, 7, 8]}
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", ["raw", "ppm"])
+    def test_a_range_of_frames_is_the_range_of_a_pass(self, tmp_path, kind):
+        clip = noisy_clip(5, "fade")
+        source = write_source(tmp_path, clip, kind)
+        for start, stop in itertools.combinations_with_replacement(range(6), 2):
+            fresh = write_source(tmp_path, clip, kind)
+            assert list(source.frames(start, stop)) == \
+                list(itertools.islice(iter(fresh), start, stop)) == clip[start:stop]
+
+    def test_a_source_built_from_an_iterator_alone_splits(self, cpus):
+        forked = cpus(3)
+        clip = noisy_clip(9, "fade")
+        source = FrameSource(FrameSpec(12, 8, 30, 1), len(clip), iter(clip))
+        assert list(stream_stats(source)) == list(stream_stats(clip))
+        assert len(forked) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("kept", [1.5, 4, 7.5],
+                             ids=["parent range", "first child range", "second child range"])
+    def test_a_stream_truncated_after_opening_fails_as_the_serial_loop_does(self, tmp_path,
+                                                                           cpus, kept):
+        forked = cpus(3)  # frames 0-2 here, 3-5 and 6-8 in the children
+        clip = noisy_clip(9, "cut")
+        split_source = write_source(tmp_path, clip, "raw")
+        serial_source = open_frame_source(str(tmp_path / "clip.rgb24"))
+        # a child whose range starts past the new end seeks there and fails
+        os.truncate(tmp_path / "clip.rgb24", int(kept * len(clip[0].pixels)))
+        serial = stats_until_error(stream_stats(iter(serial_source)))
+        split = stats_until_error(stream_stats(split_source))
+        assert split == serial
+        assert serial[1:] == (MalformedSourceError,
+                              f"{tmp_path / 'clip.rgb24'}: truncated at frame {int(kept)}")
+        assert len(forked) == 2
         assert_no_child_left()
 
     def test_one_cpu_never_forks(self, tmp_path, monkeypatch):

@@ -878,6 +878,49 @@ class TestBadContentExitCodes:
             capsys.readouterr().err
         assert not (tmp_path / "plan.ini").exists()
 
+    @pytest.mark.parametrize("fps, total, code, message", [
+        ([1, 10 ** 308], 1, 3, "no tempo/time-signature/phrase combination fits section 0 "
+                               "(duration 1e+308 s)"),
+        ([10 ** 400, 1], 1, 2, "frame rate 100000000000... (401 digits)/1 has a term past "
+                               "float range"),
+        ([30, 1], 10 ** 400, 2, "scenes cover 1 frames, expected 100000000000... (401 digits)"),
+        ([30, 1], 2, 2, "scenes cover 1 frames, expected 2"),
+    ], ids=["duration past 1e300 s", "frame rate term", "frame count", "ordinary frame count"])
+    def test_a_huge_number_in_the_scenes_gives_a_short_message(self, tmp_path, capsys, fps,
+                                                              total, code, message):
+        scene = {"id": 0, "start_frame": 0, "end_frame": 1,
+                 "opens_with": "start-of-video", "closes_with": "end-of-video"}
+        scenes = tmp_path / "scenes.json"
+        scenes.write_text(json.dumps({"fps": fps, "total_frames": total, "scenes": [scene]}))
+        mood = tmp_path / "mood.json"
+        mood.write_text(json.dumps(inspire_with(tempo_range=[990, 1000],
+                                                time_signatures=[[2, 8]], phrase_length_bars=1)))
+        assert cli.main(["plan", "--scenes", str(scenes), "--mood", str(mood),
+                         "--output-dir", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err) < 200
+
+    def test_a_frame_time_past_float_range_gives_a_short_message(self, tmp_path, capsys):
+        (tmp_path / "clip.rgb24").write_bytes(bytes(3 * 12))  # three 2x2 frames
+        (tmp_path / "clip.hdr").write_text(f"width=2 height=2 fps_num=1 fps_den={10 ** 308}\n")
+        assert cli.main(["analyze", "--source", str(tmp_path / "clip.rgb24"),
+                         "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "frame 3 at 1/100000000000... (309 digits) fps is past float range" in err
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("fps", ["1/1" + "0" * 400, "0/" + "9" * 300],
+                             ids=["term past float range", "not positive"])
+    def test_a_huge_fps_flag_gives_a_short_message(self, tmp_path, capsys, fps):
+        (tmp_path / "clip.rgb24").write_bytes(bytes(3 * 12))
+        (tmp_path / "clip.hdr").write_text("width=2 height=2 fps_num=30 fps_den=1\n")
+        assert cli.main(["analyze", "--source", str(tmp_path / "clip.rgb24"), "--fps", fps,
+                         "--output-dir", str(tmp_path / "out")]) == 6
+        err = capsys.readouterr().err
+        assert f"bad fps '{fps[:79]}: frame rate " in err
+        assert len(err) < 200
+
     @pytest.mark.parametrize("duration", ["1e308", "8 to 1e308"])
     def test_plan_duration_whose_bar_count_overflows_exits_3(self, tmp_path, capsys, duration):
         plan = tmp_path / "plan.ini"
