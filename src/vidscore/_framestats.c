@@ -4,24 +4,22 @@
    looked up in the table of frames._hue_table, saturation as
    chroma / max(value, 1) * 255 in float32, and value in uint8. It returns
    the exact sum of every channel of every pixel. Given the previous
-   frame's set, it also stores the sum of the per-pixel hue changes, taken
-   on the shorter arc of the 256-unit circle, in sums[0], the sum of the
-   absolute saturation changes in sums[1], both in float64, and the exact
-   sum of the absolute value changes in *dv_sum.
+   frame's set, it also stores in sums the exact sums of the per-pixel
+   changes: of hue, taken on the shorter arc of the 256-unit circle, in
+   units of 2**-26; of saturation in units of 2**-24; and of value.
 
    Every float32 operation is the one the numpy path takes, in the same
    order, so built without contraction (-ffp-contract=off) and without
-   -ffast-math it gives the same bits. The two float64 sums are exact, so
-   any order gives numpy's pairwise sum, while they stay below 2**27 (hue)
-   and 2**29 (saturation): every table entry is a multiple of 2**-26 in
-   [0, 256), so every hue change is one in [0, 128]; a non-zero saturation
-   is at least 0.5, so every saturation change is a multiple of 2**-24 in
-   [0, 255]; and no term is negative. frames._compiled_stats takes a frame
-   whose sums reach either bound through the numpy path instead.
+   -ffast-math it gives the same bits. Every table entry is a multiple of
+   2**-26 in [0, 256), so every hue change is one in [0, 128]; a non-zero
+   saturation is at least 0.5, so every saturation change is a multiple of
+   2**-24 in [0, 255]. So a chunk's float64 totals, at most 2**16 (hue) and
+   below 2**17 (saturation), are exact in any order, and each converts
+   exactly into its integer sum, which holds a frame below 2**30 pixels.
 
    The pixels go in chunks small enough for stack buffers, and each step
    is its own loop over a chunk, on pointers declared not to alias, which
-   the compiler can vectorise; the float64 sums run in LANES independent
+   the compiler can vectorise; the float64 totals run in LANES independent
    lanes for the same reason. On x86-64, where the compiler has
    target_clones and glibc the ifunc that picks a clone at load time, the
    pass also has an AVX2 body, which holds the same operations; defining
@@ -47,13 +45,12 @@
 #endif
 
 /* Pixels start to start + m of the frame; returns their channel sum and,
-   given a previous set, adds their changes to the lanes and *dv_sum. */
+   given a previous set, adds their changes to sums. */
 INLINE uint32_t chunk(int64_t start, int m, const uint8_t *restrict rgb,
                       float *restrict hue, float *restrict sat, uint8_t *restrict val,
                       const float *restrict prev_hue, const float *restrict prev_sat,
                       const uint8_t *restrict prev_val, const float *restrict table,
-                      double *restrict hue_lanes, double *restrict sat_lanes,
-                      uint64_t *restrict dv_sum)
+                      int64_t *restrict sums)
 {
     const uint8_t *restrict p = rgb + 3 * start;
     float *restrict h = hue + start, *restrict s = sat + start;
@@ -80,6 +77,7 @@ INLINE uint32_t chunk(int64_t start, int m, const uint8_t *restrict rgb,
     const float *restrict ph = prev_hue + start, *restrict ps = prev_sat + start;
     const uint8_t *restrict pv = prev_val + start;
     float dh[CHUNK], ds[CHUNK];
+    double hue_lanes[LANES] = {0}, sat_lanes[LANES] = {0}, hue_total = 0, sat_total = 0;
     uint32_t dv = 0;
     for (int i = 0; i < m; i++) {
         float d = fabsf(h[i] - ph[i]), w = 256.0f - d;
@@ -100,7 +98,13 @@ INLINE uint32_t chunk(int64_t start, int m, const uint8_t *restrict rgb,
         int d = v[i] - pv[i];
         dv += (uint32_t)(d < 0 ? -d : d);
     }
-    *dv_sum += dv;
+    for (int j = 0; j < LANES; j++) {
+        hue_total += hue_lanes[j];
+        sat_total += sat_lanes[j];
+    }
+    sums[0] += (int64_t)(hue_total * 0x1p26);
+    sums[1] += (int64_t)(sat_total * 0x1p24);
+    sums[2] += dv;
     return sum;
 }
 
@@ -108,19 +112,12 @@ DISPATCH uint64_t vidscore_frame_stats(const uint8_t *rgb, int64_t n,
                                        float *hue, float *sat, uint8_t *val,
                                        const float *prev_hue, const float *prev_sat,
                                        const uint8_t *prev_val, const float *table,
-                                       double *sums, uint64_t *dv_sum)
+                                       int64_t *sums)
 {
-    double hue_lanes[LANES] = {0}, sat_lanes[LANES] = {0};
     uint64_t total = 0;
-    *dv_sum = 0;
+    sums[0] = sums[1] = sums[2] = 0;
     for (int64_t start = 0; start < n; start += CHUNK)
         total += chunk(start, n - start < CHUNK ? (int)(n - start) : CHUNK, rgb, hue, sat,
-                       val, prev_hue, prev_sat, prev_val, table, hue_lanes, sat_lanes,
-                       dv_sum);
-    sums[0] = sums[1] = 0.0;
-    for (int j = 0; j < LANES; j++) {
-        sums[0] += hue_lanes[j];
-        sums[1] += sat_lanes[j];
-    }
+                       val, prev_hue, prev_sat, prev_val, table, sums);
     return total;
 }

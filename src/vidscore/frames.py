@@ -26,14 +26,15 @@ no setting for it; to use fewer CPUs, narrow the mask (for example with
 
 Each process runs one per-frame loop, which makes one compiled pass over
 each frame's pixels (``_framestats.c``, called through ``ctypes``). The pass
-also sums the frame's changes, runs an AVX2 body on x86-64 where the CPU has
-one, and writes each frame's HSV into one of two sets the loop sizes on its
-first frame (a child sizes its own after the fork). The library is built on
-first use with the C compiler Python was built with, and cached in the
-``__pycache__`` folder beside this module. Where no library can be built or
-loaded there, the loop runs the plain numpy functions ``_frame_hsv``,
-``_hsv_delta`` and ``compute_intensity``, which give the same statistics bit
-for bit and remain the oracle for the compiled pass.
+also sums the frame's changes exactly, in integers, runs an AVX2 body on
+x86-64 where the CPU has one, and writes each frame's HSV into one of two
+sets the loop sizes on its first frame (a child sizes its own after the
+fork). The library is built on first use with the C compiler Python was
+built with, and cached in the ``__pycache__`` folder beside this module.
+Where no library can be built or loaded there, the loop runs the plain numpy
+functions ``_frame_hsv``, ``_hsv_delta`` and ``compute_intensity``, which
+take the same integer sums, give the same statistics bit for bit and remain
+the oracle for the compiled pass.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, MalformedSourceError, SourceNotFoundError
 from .files import read_input, staged
-from .scenes import FrameSpec, FrameStats
+from .scenes import FrameSpec, FrameStats, check_frame_size
 
 HUE_SCALE = 256.0  # full hue circle after rescaling; max circular delta is 128
 
@@ -205,10 +206,9 @@ def _read_ppm(path: str) -> tuple[int, int, bytes]:
         raise MalformedSourceError(f"{path}: not a binary PPM (P6) file")
     try:
         width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+        check_frame_size(width, height)
     except ValueError as exc:
         raise MalformedSourceError(f"{path}: bad PPM header: {exc}") from exc
-    if width < 1 or height < 1:
-        raise MalformedSourceError(f"{path}: bad frame size {width}x{height}")
     if maxval != 255:
         raise MalformedSourceError(f"{path}: unsupported maxval {maxval}")
     pixels = data[pos : pos + 3 * width * height]
@@ -237,7 +237,8 @@ def _exact_sum(values: np.ndarray) -> int:
 def compute_intensity(frame: Frame) -> float:
     """Mean over pixels of (R+G+B)/3, in [0, 255].
 
-    The channel sum is an integer below 2**53, so summing it exactly and
+    A source's frames have fewer than 2**30 pixels (``FrameSpec``), so the
+    channel sum is an integer below 2**53, and summing it exactly and
     dividing once gives the same double as a float64 mean.
     """
     pixels = np.frombuffer(frame.pixels, dtype=np.uint8)
@@ -285,7 +286,9 @@ class _WorkArea:
     """The two HSV sets the compiled pass writes in turn, as the current and
     the previous frame's, for frames of ``pixels`` pixels, and its other
     arguments. One stream's loop builds this once: a fresh frame-sized array
-    is a new mapping whose pages fault again on every frame."""
+    is a new mapping whose pages fault again on every frame. The pass writes
+    its three sums of the changes into ``sums``, which ``tolist`` reads
+    faster than Python unpacks a ``ctypes`` array."""
 
     def __init__(self, pixels: int):
         self.hsv = [
@@ -294,11 +297,10 @@ class _WorkArea:
             for _ in range(2)
         ]
         # the compiled pass's arguments: each HSV set's addresses, and its
-        # last three, the hue table and where the sums of the changes go
+        # last two, the hue table and where the sums of the changes go
         self.addresses = [tuple(a.ctypes.data for a in hsv) for hsv in self.hsv]
-        self.sums = (ctypes.c_double * 2)()
-        self.dv_sum = ctypes.c_uint64()
-        self.kernel_tail = (_hue_table().ctypes.data, self.sums, ctypes.byref(self.dv_sum))
+        self.sums = np.zeros(3, dtype=np.int64)
+        self.kernel_tail = (_hue_table().ctypes.data, self.sums.ctypes.data)
 
 
 def _frame_hsv(pixels):
@@ -326,31 +328,48 @@ def _frame_hsv(pixels):
     return hue, sat, v
 
 
+_CHANGE_BLOCK = 1 << 19  # float32 changes per float64 sum: 2**19 * 256 = 2**27
+
+
+def _change_units(changes: np.ndarray, bits: int) -> int:
+    """The exact sum of float32 ``changes`` in [0, 256), each a multiple of
+    2**-bits for ``bits`` up to 26, in units of 2**-bits.
+
+    A block of ``_CHANGE_BLOCK`` changes sums below 2**27, so every partial
+    sum is a multiple of 2**-26 below 2**27, which a float64 holds: the
+    block's float64 sum is exact in any order, whatever numpy's buffer
+    size, and so is its scaling by 2**bits.
+    """
+    return sum(int(np.add.reduce(changes[start:start + _CHANGE_BLOCK], dtype=np.float64)
+                   * 2**bits) for start in range(0, changes.size, _CHANGE_BLOCK))
+
+
 def _hsv_delta(prev, curr) -> float:
     """Mean absolute HSV change between two ``_frame_hsv`` results, averaged
     over the three channels.
 
-    Hue and saturation changes are float32, so their means sum in float64,
-    through the ``np.add.reduce`` that ``np.mean`` runs, called without its
-    Python wrapper, so the result is the same double. The value term is a
-    sum of integers below 2**53, so it is summed exactly in integers.
+    Every hue change is a multiple of 2**-26 in [0, 128] and every
+    saturation change one of 2**-24 in [0, 255] (see ``_framestats.c``), so
+    ``_change_units`` sums them exactly, as ``_exact_sum`` does the value
+    changes.
     """
     dh = np.abs(curr[0] - prev[0])
     dh = np.minimum(dh, np.float32(HUE_SCALE) - dh)
     ds = np.abs(curr[1] - prev[1])
     dv = np.maximum(curr[2], prev[2]) - np.minimum(curr[2], prev[2])  # |curr - prev| in uint8
-    return _delta_score(np.add.reduce(dh, dtype=np.float64),
-                        np.add.reduce(ds, dtype=np.float64), _exact_sum(dv), dh.size)
+    return _delta_score(_change_units(dh, 26), _change_units(ds, 24), _exact_sum(dv), dh.size)
 
 
-def _delta_score(hue_sum, sat_sum, dv_sum: int, n: int) -> float:
-    """The HSV delta of ``n`` pixels from the float64 sums of their hue and
-    saturation changes and the exact sum ``dv_sum`` of their value changes.
+def _delta_score(hue_units: int, sat_units: int, dv_sum: int, n: int) -> float:
+    """The HSV delta of ``n`` pixels from the exact sums of their hue
+    changes in units of 2**-26, their saturation changes in units of 2**-24
+    and their value changes.
 
-    Each term is divided once, so given the same sums both paths give the
-    same double; the value term gives the same double as a float64 mean.
+    Each term is one true division of Python integers, which rounds the
+    exact mean once, so the delta does not depend on the order either path
+    sums in.
     """
-    return float((hue_sum / n + sat_sum / n + dv_sum / n) / 3.0)
+    return (hue_units / (n << 26) + sat_units / (n << 24) + dv_sum / n) / 3.0
 
 
 # -- the compiled pass ---------------------------------------------------------
@@ -429,15 +448,9 @@ def _build(source: str, cache: str):
 def _load(path: str):
     """The pass's entry point in the shared library ``path``."""
     kernel = ctypes.CDLL(path).vidscore_frame_stats
-    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 9
+    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 8
     kernel.restype = ctypes.c_uint64
     return kernel
-
-
-# The float64 sums of a frame's hue and saturation changes are exact below
-# these, whatever order they are taken in (see _compiled_stats).
-_HUE_SUM_BOUND = 2.0**27
-_SAT_SUM_BOUND = 2.0**29
 
 
 def _compiled_stats(kernel, pixels, work: _WorkArea, curr: bool, prev: bool):
@@ -446,17 +459,8 @@ def _compiled_stats(kernel, pixels, work: _WorkArea, curr: bool, prev: bool):
     ``work``; with ``prev``, the other set holds the previous frame's.
     ``pixels`` is any C-contiguous bytes-like object, passed without a copy.
 
-    The kernel sums the hue and saturation changes itself, in its own
-    order. Every hue table entry is a multiple of 2**-26 in [0, 256), and
-    every non-zero saturation is at least 0.5, so every hue change is a
-    multiple of 2**-26 in [0, 128] and every saturation change one of
-    2**-24 in [0, 255]. No term is negative, so while the hue sum stays
-    below ``_HUE_SUM_BOUND`` and the saturation sum below ``_SAT_SUM_BOUND``
-    every partial sum is exact, in the kernel's order and in numpy's
-    pairwise one alike, and a computed sum reaches its bound only when the
-    exact one does. A frame whose sums reach either bound takes its delta
-    from ``_hsv_delta`` on the two HSV sets, as the numpy path does, so the
-    result is the same double either way.
+    The kernel takes the exact integer sums of the changes that
+    ``_hsv_delta`` takes, so ``_delta_score`` gives the same double.
     """
     if type(pixels) is not bytes:  # ctypes takes only bytes without a copy
         pixels = np.frombuffer(pixels, dtype=np.uint8).ctypes.data
@@ -465,12 +469,7 @@ def _compiled_stats(kernel, pixels, work: _WorkArea, curr: bool, prev: bool):
     total = kernel(pixels, n, *work.addresses[curr], *previous, *work.kernel_tail)
     if not prev:
         return total / (3 * n), None
-    hue_sum, sat_sum = work.sums
-    if hue_sum < _HUE_SUM_BOUND and sat_sum < _SAT_SUM_BOUND:
-        delta = _delta_score(hue_sum, sat_sum, work.dv_sum.value, n)
-    else:
-        delta = _hsv_delta(work.hsv[not curr], work.hsv[curr])
-    return total / (3 * n), delta
+    return total / (3 * n), _delta_score(*work.sums.tolist(), n)
 
 
 def stream_stats(frames) -> Iterator[FrameStats]:

@@ -46,6 +46,17 @@ def check_frame_rate(num: int, den: int) -> None:
                          "past float range") from None
 
 
+def check_frame_size(width: int, height: int) -> None:
+    """Raise ValueError unless a frame is ``width`` x ``height`` pixels, both
+    at least 1 and fewer than 2**30 in all. A pixel adds up to 2**33 units
+    to the int64 sum of a frame's hue changes, so a frame of 2**30 pixels or
+    more could overflow it."""
+    if width < 1 or height < 1:
+        raise ValueError(f"bad frame size {width}x{height}")
+    if width * height >= 1 << 30:
+        raise ValueError(f"frame size {width}x{height} is 2**30 pixels or more")
+
+
 # The frame geometry and per-frame statistics the detectors read live here,
 # not in ``frames``, so scenes and everything downstream import without numpy.
 @dataclass(frozen=True)
@@ -56,9 +67,8 @@ class FrameSpec:
     fps_den: int
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise MalformedSourceError(f"bad frame size {self.width}x{self.height}")
         try:
+            check_frame_size(self.width, self.height)
             check_frame_rate(self.fps_num, self.fps_den)
         except ValueError as exc:
             raise MalformedSourceError(str(exc)) from None

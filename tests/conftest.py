@@ -6,6 +6,7 @@ import shlex
 import shutil
 import sysconfig
 import wave
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +98,52 @@ def rgb_to_hsv(pixel):
     else:
         h6 = (r - g) / c + 4.0
     return (h6 * (HUE_SCALE / 6.0), s, v)
+
+
+def float32_hsv(pixels):
+    """``rgb_to_hsv`` over an (n, 3) uint8 array, vectorised in float32, as
+    the per-frame statistics take it: hue and saturation float32 arrays and
+    value as integers."""
+    r, g, b = np.asarray(pixels, dtype=np.float32).T
+    v = np.maximum(np.maximum(r, g), b)
+    c = v - np.minimum(np.minimum(r, g), b)
+    s = c / np.maximum(v, np.float32(1.0)) * np.float32(255.0)
+    safe_c = np.maximum(c, np.float32(1.0))  # where c is 0 the hue is 0 anyway
+    h6 = np.select(
+        [c == 0, v == r, v == g],
+        [np.float32(0.0), ((g - b) / safe_c) % np.float32(6.0), (b - r) / safe_c + np.float32(2.0)],
+        (r - g) / safe_c + np.float32(4.0))
+    return h6 * np.float32(256.0 / 6.0), s, v.astype(np.int64)
+
+
+def exact_sum(values):
+    """The exact sum of an array of floats, as a Fraction: each distinct
+    value's integer ratio times its count, over one power-of-two denominator."""
+    distinct, counts = np.unique(values, return_counts=True)
+    ratios = [x.as_integer_ratio() for x in distinct.tolist()]
+    den = max(d for _, d in ratios)
+    return Fraction(sum(num * (den // d) * k for (num, d), k in zip(ratios, counts.tolist())),
+                    den)
+
+
+def exact_frame_stats(frames):
+    """``(avg_intensity, hsv_delta)`` of each frame, built from ``float32_hsv``
+    alone: every sum exact and every mean rounded once."""
+    stats, prev = [], None
+    for frame in frames:
+        pixels = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
+        n = len(pixels)
+        hsv = float32_hsv(pixels)
+        delta = None
+        if prev is not None:
+            dh = np.abs(hsv[0] - prev[0])
+            dh = np.minimum(dh, np.float32(256.0) - dh)
+            means = [float(exact_sum(dh) / n), float(exact_sum(np.abs(hsv[1] - prev[1])) / n),
+                     float(Fraction(int(np.abs(hsv[2] - prev[2]).sum()), n))]
+            delta = (means[0] + means[1] + means[2]) / 3.0
+        stats.append((float(Fraction(int(pixels.sum(dtype=np.int64)), 3 * n)), delta))
+        prev = hsv
+    return stats
 
 
 def wave_bytes(track, rate):

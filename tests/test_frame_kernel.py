@@ -200,51 +200,22 @@ def compiled_body(request, monkeypatch):
     monkeypatch.setattr(frames, "_kernel", lambda: kernel)
 
 
-@pytest.fixture
-def numpy_deltas(monkeypatch):
-    """A list that gains one item per delta ``_hsv_delta`` computes."""
-    calls = []
-    delta = frames._hsv_delta
-
-    def counted(*args):
-        calls.append(None)
-        return delta(*args)
-
-    monkeypatch.setattr(frames, "_hsv_delta", counted)
-    return calls
-
-
-@needs_cc
-@pytest.mark.parametrize("clip, fallbacks", [
-    (every_colour_frames, 0),
-    (lambda: noisy_clip(9, "cut"), 0),
-    (lambda: noisy_clip(9, "fade"), 0),
-    (half_turn_frames, 2),  # each delta's hue sum is past 2**27
-], ids=["every colour", "noisy cut", "noisy fade", "half turns"])
-def test_only_a_frame_whose_sums_reach_a_bound_takes_the_numpy_delta(compiled_body,
-                                                                      numpy_deltas, clip,
-                                                                      fallbacks):
-    # a pass that always fell back would be right but slow
-    for _ in frames.stream_stats(clip()):
-        pass
-    assert len(numpy_deltas) == fallbacks
-
-
 RED, CYAN, GREY = (255, 0, 0), (0, 255, 255), (128, 128, 128)
 
 
 @needs_cc
-@pytest.mark.parametrize("pixels, first, second, fallbacks", [
-    (2**20, RED, CYAN, 1),  # every hue turns by 128: the hue sum is 2**27
-    (2**20 - 1, RED, CYAN, 0),
-    (2**29 // 255 + 1, GREY, RED, 1),  # every saturation rises by 255: past 2**29
-    (2**29 // 255, GREY, RED, 0),
+@pytest.mark.parametrize("pixels, first, second, delta", [
+    (2**20, RED, CYAN, 128 / 3),  # every hue turns by 128: a hue sum of 2**27
+    (2**20 - 1, RED, CYAN, 128 / 3),
+    (2**29 // 255 + 1, GREY, RED, 382 / 3),  # every saturation rises by 255: past 2**29
+    (2**29 // 255, GREY, RED, 382 / 3),
 ], ids=["hue sum at its bound", "hue sum below it", "saturation sum past its bound",
         "saturation sum below it"])
-def test_a_sum_at_its_bound_takes_the_numpy_delta(monkeypatch, compiled_body, numpy_deltas,
-                                                  pixels, first, second, fallbacks):
+def test_a_sum_at_its_bound_takes_the_numpy_delta(monkeypatch, compiled_body, pixels, first,
+                                                  second, delta):
+    # the bounds are those below which a float64 sum of the changes would be
+    # exact in any order; the integer sums are exact on both sides of them
     clip = [Frame(0, bytes(first) * pixels), Frame(1, bytes(second) * pixels)]
     expected = numpy_stats(monkeypatch, clip)
-    numpy_deltas.clear()
+    assert expected[1].hsv_delta == delta
     assert list(frames.stream_stats(clip)) == expected
-    assert len(numpy_deltas) == fallbacks

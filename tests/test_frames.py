@@ -16,7 +16,7 @@ from vidscore.frames import (Frame, FrameSource, compute_intensity, open_frame_s
                              stream_stats)
 from vidscore.scenes import FrameSpec
 
-from conftest import needs_cc, rgb_to_hsv, solid_frame, write_ppm
+from conftest import exact_frame_stats, needs_cc, rgb_to_hsv, solid_frame, write_ppm
 
 
 def frame_of(rgb, width=8, height=6, index=0):
@@ -236,6 +236,15 @@ class TestFrameSource:
         (tmp_path / "0000.ppm").write_bytes(b"P6\n" + size + b"\n255\n" + bytes(12))
         with pytest.raises(MalformedSourceError, match="bad frame size"):
             open_frame_source(str(tmp_path), fps=(25, 1))
+
+    @pytest.mark.parametrize("size", [b"32768 32768", b"1073741824 1"])
+    def test_ppm_size_of_2_to_the_30_pixels_is_refused(self, tmp_path, size):
+        (tmp_path / "0000.ppm").write_bytes(b"P6\n" + size + b"\n255\n" + bytes(12))
+        with pytest.raises(MalformedSourceError, match=r"is 2\*\*30 pixels or more"):
+            open_frame_source(str(tmp_path), fps=(25, 1))
+
+    def test_a_frame_below_2_to_the_30_pixels_is_taken(self):
+        assert FrameSpec(32768, 32767, 30, 1).frame_bytes == 3 * 32768 * 32767
 
     def test_ppm_comment_running_to_end_of_file_is_a_truncated_header(self, tmp_path):
         (tmp_path / "0000.ppm").write_bytes(b"P6\n2 2 #c")
@@ -681,6 +690,17 @@ def every_colour_frames(order=None):
         yield Frame(index=red, pixels=pixels.tobytes())
 
 
+def stats_digest(stats):
+    """sha256 of ``(avg_intensity, hsv_delta)`` pairs, packed as
+    little-endian doubles, with no delta for the first frame."""
+    digest = hashlib.sha256()
+    for avg, delta in stats:
+        digest.update(struct.pack("<d", avg))
+        if delta is not None:
+            digest.update(struct.pack("<d", delta))
+    return digest.hexdigest()
+
+
 # sha256 of every avg_intensity and hsv_delta, packed as little-endian
 # doubles, over all 2**24 colours in raster and in shuffled pixel order.
 EVERY_COLOUR_DIGEST = "bf8c572646cff4a2b6a29e17c575003898e5588a86e25d672ddce61c9a862751"
@@ -689,14 +709,10 @@ EVERY_COLOUR_DIGEST = "bf8c572646cff4a2b6a29e17c575003898e5588a86e25d672ddce61c9
 def test_stats_over_every_colour_are_pinned_bit_for_bit():
     # The oracle tests compare with a tolerance, and the golden scenes cannot
     # see a last-bit change in a delta: this pins the exact doubles.
-    digest = hashlib.sha256()
     shuffled = np.random.default_rng(6).permutation(256 * 256)
-    for order in (None, shuffled):
-        for entry in stream_stats(every_colour_frames(order)):
-            digest.update(struct.pack("<d", entry.avg_intensity))
-            if entry.hsv_delta is not None:
-                digest.update(struct.pack("<d", entry.hsv_delta))
-    assert digest.hexdigest() == EVERY_COLOUR_DIGEST
+    stats = [(s.avg_intensity, s.hsv_delta) for order in (None, shuffled)
+             for s in stream_stats(every_colour_frames(order))]
+    assert stats_digest(stats) == EVERY_COLOUR_DIGEST
 
 
 def test_stats_over_every_colour_are_pinned_bit_for_bit_on_the_numpy_path(numpy_path):
@@ -712,12 +728,12 @@ def half_turn_frames():
     """Three seeded random frames of 1100x1000 pixels.
 
     Between neighbours every pixel but those of a 30-row bottom strip turns
-    half the hue circle, so each frame's float64 sum of hue terms passes
-    2**27, where a float64 holds no multiple of 2**-26 that is not one of
-    2**-25. The strip holds reds (r, 1, 0), whose hues lie below 0.25 and
-    whose deltas carry that last bit, so the rounding of the sum depends on
-    the order it is taken in. These seeds round it differently from an
-    exact sum in both deltas.
+    half the hue circle, so each delta's sum of hue changes passes 2**27,
+    where a float64 holds no multiple of 2**-26 that is not one of 2**-25.
+    The strip holds reds (r, 1, 0), whose hues lie below 0.25 and whose
+    deltas carry that last bit, so a float64 sum would round by its order,
+    and these seeds' sums would round away from the exact sum in both
+    deltas. Their stats pin that every mean is the exact one, rounded once.
     """
     rng = np.random.default_rng(3)
     first = rng.integers(0, 256, (1000, 1100, 3), dtype=np.uint8)
@@ -730,20 +746,20 @@ def half_turn_frames():
 
 
 # sha256 of every avg_intensity and hsv_delta of half_turn_frames, packed as
-# little-endian doubles.
-LARGE_FRAME_DIGEST = "8ca50b74957597f1188e57696a98ba5c524e01680a0de6d3b89fbd46f43d5415"
+# little-endian doubles, as exact_frame_stats computes them.
+LARGE_FRAME_DIGEST = "15c10fab01151854ba8421fed8651506179b18d36016b4b59c44d765102452ba"
+
+
+def test_the_large_frame_pin_holds_the_exact_means():
+    assert stats_digest(exact_frame_stats(half_turn_frames())) == LARGE_FRAME_DIGEST
 
 
 def test_stats_over_large_frames_are_pinned_bit_for_bit():
-    # The every-colour pin's frames hold 2**16 pixels, and their float64
-    # sums of float32 hue and saturation terms are exact in any order. These
-    # are not, so this pin also sees a change in the order of the sums.
-    digest = hashlib.sha256()
-    for entry in stream_stats(half_turn_frames()):
-        digest.update(struct.pack("<d", entry.avg_intensity))
-        if entry.hsv_delta is not None:
-            digest.update(struct.pack("<d", entry.hsv_delta))
-    assert digest.hexdigest() == LARGE_FRAME_DIGEST
+    # The every-colour pin's frames hold 2**16 pixels, and a float64 sum of
+    # their float32 hue and saturation changes would be exact in any order.
+    # These hold more, so this pin sees a sum that a float64 cannot hold.
+    stats = stream_stats(half_turn_frames())
+    assert stats_digest((s.avg_intensity, s.hsv_delta) for s in stats) == LARGE_FRAME_DIGEST
 
 
 def test_stats_over_large_frames_are_pinned_bit_for_bit_on_the_numpy_path(numpy_path):
@@ -753,3 +769,20 @@ def test_stats_over_large_frames_are_pinned_bit_for_bit_on_the_numpy_path(numpy_
 @needs_cc
 def test_stats_over_large_frames_are_pinned_bit_for_bit_on_the_plain_body(plain_body):
     test_stats_over_large_frames_are_pinned_bit_for_bit()
+
+
+@pytest.mark.parametrize("path", ["numpy", "compiled"])
+def test_numpy_buffer_size_does_not_move_the_stats(request, path):
+    # numpy casts through a buffer of np.getbufsize() items, so a float64
+    # sum of float32 changes would be taken in an order that size sets
+    if path == "numpy":
+        request.getfixturevalue("numpy_path")
+    expected = exact_frame_stats(half_turn_frames())
+    size = np.getbufsize()
+    try:
+        for buffer in (4096, 8192, 32768):
+            np.setbufsize(buffer)
+            stats = stream_stats(half_turn_frames())
+            assert [(s.avg_intensity, s.hsv_delta) for s in stats] == expected, buffer
+    finally:
+        np.setbufsize(size)

@@ -87,6 +87,15 @@ class TestAnalyze:
                          "--output-dir", str(tmp_path)])
         assert code == 2
 
+    def test_a_frame_of_2_to_the_30_pixels_exits_2(self, tmp_path, capsys):
+        # the int64 sum of a frame's hue changes holds fewer pixels
+        (tmp_path / "huge.rgb24").write_bytes(b"")
+        (tmp_path / "huge.hdr").write_text("width=32768 height=32768 fps_num=30 fps_den=1\n")
+        code = cli.main(["analyze", "--source", str(tmp_path / "huge.rgb24"),
+                         "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "frame size 32768x32768 is 2**30 pixels or more" in capsys.readouterr().err
+
     def test_cli_prints_scene_count(self, tmp_path, capsys):
         builder = VideoBuilder().add_run(CUT_SAFE_COLORS[0], 60)
         source = builder.write(tmp_path)
