@@ -1,10 +1,13 @@
-/* One pass over a frame's RGB24 pixels for vidscore.frames.
+/* One pass over a run of frames' RGB24 pixels for vidscore.frames.
 
-   vidscore_frame_stats writes the HSV set of a frame of n pixels: hue
+   vidscore_frame_stats takes a run of count frames of n pixels each, by
+   their addresses, and two HSV sets, each the addresses of a hue, a
+   saturation and a value array. Frame f writes set (first + f) % 2: hue
    looked up in the table of frames._hue_table, saturation as
-   chroma / max(value, 1) * 255 in float32, and value in uint8. It returns
-   the exact sum of every channel of every pixel. Given the previous
-   frame's set, it also stores in sums the exact sums of the per-pixel
+   chroma / max(value, 1) * 255 in float32, and value in uint8; the other
+   set holds the previous frame's, which frame 0 has where has_prev is set.
+   Each frame fills a row of four int64: the exact sum of every channel of
+   every pixel and, given a previous frame, the exact sums of the per-pixel
    changes: of hue, taken on the shorter arc of the 256-unit circle, in
    units of 2**-26; of saturation in units of 2**-24; and of value.
 
@@ -108,16 +111,18 @@ INLINE uint32_t chunk(int64_t start, int m, const uint8_t *restrict rgb,
     return sum;
 }
 
-DISPATCH uint64_t vidscore_frame_stats(const uint8_t *rgb, int64_t n,
-                                       float *hue, float *sat, uint8_t *val,
-                                       const float *prev_hue, const float *prev_sat,
-                                       const uint8_t *prev_val, const float *table,
-                                       int64_t *sums)
+DISPATCH void vidscore_frame_stats(const uint8_t *const *frames, int64_t count, int64_t n,
+                                   void *const *sets, int64_t first, int64_t has_prev,
+                                   const float *table, int64_t *rows)
 {
-    uint64_t total = 0;
-    sums[0] = sums[1] = sums[2] = 0;
-    for (int64_t start = 0; start < n; start += CHUNK)
-        total += chunk(start, n - start < CHUNK ? (int)(n - start) : CHUNK, rgb, hue, sat,
-                       val, prev_hue, prev_sat, prev_val, table, sums);
-    return total;
+    for (int64_t f = 0; f < count; f++) {
+        int64_t set = (first + f) % 2;
+        void *const *curr = sets + 3 * set, *const *prev = sets + 3 * !set;
+        int64_t *row = rows + 4 * f;
+        row[0] = row[1] = row[2] = row[3] = 0;
+        for (int64_t start = 0; start < n; start += CHUNK)
+            row[0] += chunk(start, n - start < CHUNK ? (int)(n - start) : CHUNK, frames[f],
+                           curr[0], curr[1], curr[2], f || has_prev ? prev[0] : 0, prev[1],
+                           prev[2], table, row + 1);
+    }
 }

@@ -19,22 +19,21 @@ Each frame yields two statistics downstream detectors consume:
 
 ``stream_stats`` splits a clip opened here across the CPUs in the process's
 affinity mask (``os.sched_getaffinity``): one contiguous frame range per CPU,
-each range after the first computed by a forked child that reads that range
-alone (a source built from an iterator alone reads through to it). There is
-no setting for it; to use fewer CPUs, narrow the mask (for example with
-``taskset``). The statistics do not depend on the split.
+each range after the first computed by a worker thread that reads that range
+alone. There is no setting for it; to use fewer CPUs, narrow the mask (for
+example with ``taskset``). The statistics do not depend on the split.
 
-Each process runs one per-frame loop, which makes one compiled pass over
-each frame's pixels (``_framestats.c``, called through ``ctypes``). The pass
-also sums the frame's changes exactly, in integers, runs an AVX2 body on
-x86-64 where the CPU has one, and writes each frame's HSV into one of two
-sets the loop sizes on its first frame (a child sizes its own after the
-fork). The library is built on first use with the C compiler Python was
+Each thread runs one per-frame loop, which makes one compiled pass over a
+run of frames' pixels (``_framestats.c``, called through ``ctypes``, which
+releases the interpreter lock for the call). The pass also sums each frame's
+changes exactly, in integers, and runs an AVX2 body on x86-64 where the CPU
+has one. The library is built on first use with the C compiler Python was
 built with, and cached in the ``__pycache__`` folder beside this module.
-Where no library can be built or loaded there, the loop runs the plain numpy
-functions ``_frame_hsv``, ``_hsv_delta`` and ``compute_intensity``, which
-take the same integer sums, give the same statistics bit for bit and remain
-the oracle for the compiled pass.
+Where no library can be built or loaded there, one loop in the calling
+thread runs the plain numpy functions ``_frame_hsv``, ``_hsv_delta`` and
+``compute_intensity``, which hold the interpreter lock, take the same
+integer sums, give the same statistics bit for bit and remain the oracle for
+the compiled pass.
 """
 
 from __future__ import annotations
@@ -42,10 +41,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
-import mmap
 import os
 import re
-import signal
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -69,8 +67,8 @@ class FrameSource:
     """Ordered, single-pass iterator of frames with a known FrameSpec.
 
     ``frames(start, stop)`` gives frames ``start:stop`` from ``reader``,
-    which reads those alone; a source built without one reads through its
-    iterator, dropping the frames before ``start``.
+    which reads those alone. A source built without one has only its
+    iterator, so ``stream_stats`` computes it in one thread.
     """
 
     def __init__(self, spec: FrameSpec, total_frames: int, frames: Iterator[Frame],
@@ -84,9 +82,7 @@ class FrameSource:
         return self._frames
 
     def frames(self, start: int, stop: int) -> Iterator[Frame]:
-        if self._reader is not None:
-            return self._reader(start, stop)
-        return itertools.islice(iter(self), start, stop)
+        return self._reader(start, stop)
 
 
 def open_frame_source(path: str, fps: Optional[tuple[int, int]] = None) -> FrameSource:
@@ -114,13 +110,22 @@ def _parse_header(path: str) -> FrameSpec:
         fields[key] = value
     try:
         return FrameSpec(
-            width=int(fields["width"]),
-            height=int(fields["height"]),
-            fps_num=int(fields["fps_num"]),
-            fps_den=int(fields["fps_den"]),
+            width=_header_number(fields["width"]),
+            height=_header_number(fields["height"]),
+            fps_num=_header_number(fields["fps_num"]),
+            fps_den=_header_number(fields["fps_den"]),
         )
     except (KeyError, ValueError) as exc:
         raise MalformedSourceError(f"bad stream header {path}: {exc}") from exc
+
+
+def _header_number(text: str) -> int:
+    """A stream or PPM header's number: ASCII digits after at most a minus
+    sign, which the range checks refuse. ``int`` also takes a plus sign,
+    underscores and other scripts' digits, which neither format allows."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"{text!r} is not a decimal number")
+    return int(text)
 
 
 def _open_raw_stream(path: str) -> FrameSource:
@@ -205,7 +210,8 @@ def _read_ppm(path: str) -> tuple[int, int, bytes]:
     if fields[0] != b"P6":
         raise MalformedSourceError(f"{path}: not a binary PPM (P6) file")
     try:
-        width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+        width, height, maxval = (_header_number(field.decode("latin-1"))
+                                 for field in fields[1:])
         check_frame_size(width, height)
     except ValueError as exc:
         raise MalformedSourceError(f"{path}: bad PPM header: {exc}") from exc
@@ -282,25 +288,26 @@ def _hue_table() -> np.ndarray:
     return h6.ravel()
 
 
+# bytes of the frames that go to one compiled call, each frame counted as
+# its pixels and 256 bytes for its objects, address and row of sums; a run
+# holds at least one frame
+_RUN_BYTES = 1 << 19
+
+
 class _WorkArea:
-    """The two HSV sets the compiled pass writes in turn, as the current and
-    the previous frame's, for frames of ``pixels`` pixels, and its other
-    arguments. One stream's loop builds this once: a fresh frame-sized array
-    is a new mapping whose pages fault again on every frame. The pass writes
-    its three sums of the changes into ``sums``, which ``tolist`` reads
-    faster than Python unpacks a ``ctypes`` array."""
+    """The compiled pass's two HSV sets for one stream of frames of
+    ``pixels`` pixels, and how many frames it has ``seen``. One stream's loop
+    builds this once: a fresh frame-sized array is a new mapping whose pages
+    fault again on every frame. ``run`` is how many frames go to one call."""
 
     def __init__(self, pixels: int):
-        self.hsv = [
-            (np.empty(pixels, dtype=np.float32), np.empty(pixels, dtype=np.float32),
-             np.empty(pixels, dtype=np.uint8))
-            for _ in range(2)
-        ]
-        # the compiled pass's arguments: each HSV set's addresses, and its
-        # last two, the hue table and where the sums of the changes go
-        self.addresses = [tuple(a.ctypes.data for a in hsv) for hsv in self.hsv]
-        self.sums = np.zeros(3, dtype=np.int64)
-        self.kernel_tail = (_hue_table().ctypes.data, self.sums.ctypes.data)
+        self.pixels, self.seen = pixels, 0
+        # hue, saturation and value of set 0, then of set 1
+        self.hsv = [np.empty(pixels, dtype) for _ in range(2)
+                    for dtype in (np.float32, np.float32, np.uint8)]
+        self.sets = (ctypes.c_void_p * 6)(*[a.ctypes.data for a in self.hsv])
+        self.table = _hue_table().ctypes.data
+        self.run = max(1, _RUN_BYTES // (3 * pixels + 256))
 
 
 def _frame_hsv(pixels):
@@ -448,40 +455,42 @@ def _build(source: str, cache: str):
 def _load(path: str):
     """The pass's entry point in the shared library ``path``."""
     kernel = ctypes.CDLL(path).vidscore_frame_stats
-    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 8
-    kernel.restype = ctypes.c_uint64
+    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                       ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    kernel.restype = None
     return kernel
 
 
-def _compiled_stats(kernel, pixels, work: _WorkArea, curr: bool, prev: bool):
-    """``(avg_intensity, hsv_delta)`` of a frame's ``pixels`` from one call
-    of ``kernel``, which writes the frame's HSV into set ``curr`` of
-    ``work``; with ``prev``, the other set holds the previous frame's.
-    ``pixels`` is any C-contiguous bytes-like object, passed without a copy.
-
-    The kernel takes the exact integer sums of the changes that
-    ``_hsv_delta`` takes, so ``_delta_score`` gives the same double.
+def _run_stats(kernel, work: _WorkArea, run: list) -> Iterator[FrameStats]:
+    """FrameStats of ``run``, the frames after those ``work`` has seen, from
+    one call of ``kernel``, which is passed each frame's pixels without a
+    copy. It takes the exact integer sums of the changes that ``_hsv_delta``
+    takes, so ``_delta_score`` gives the same double.
     """
-    if type(pixels) is not bytes:  # ctypes takes only bytes without a copy
-        pixels = np.frombuffer(pixels, dtype=np.uint8).ctypes.data
-    n = work.hsv[0][2].size
-    previous = work.addresses[not curr] if prev else (None, None, None)
-    total = kernel(pixels, n, *work.addresses[curr], *previous, *work.kernel_tail)
-    if not prev:
-        return total / (3 * n), None
-    return total / (3 * n), _delta_score(*work.sums.tolist(), n)
+    frames = (ctypes.c_char_p * len(run))(*[
+        frame.pixels if type(frame.pixels) is bytes
+        else np.frombuffer(frame.pixels, dtype=np.uint8).ctypes.data for frame in run])
+    rows = np.empty((len(run), 4), dtype=np.int64)
+    n, seen = work.pixels, work.seen
+    # the stream's frame i writes HSV set i % 2, and has a previous one from i = 1
+    kernel(frames, len(run), n, work.sets, seen % 2, seen > 0, work.table, rows.ctypes.data)
+    work.seen += len(run)
+    for i, (frame, (total, hue, sat, val)) in enumerate(zip(run, rows.tolist()), seen):
+        delta = _delta_score(hue, sat, val, n) if i else None
+        yield FrameStats(index=frame.index, avg_intensity=total / (3 * n), hsv_delta=delta)
 
 
 def stream_stats(frames) -> Iterator[FrameStats]:
     """FrameStats per frame, in order, from one pass over ``frames``.
 
-    A FrameSource is split into contiguous frame ranges, one per CPU in this
-    process's affinity mask, and every range after the first is computed by
-    a forked child (see ``_split_stats``). Any other iterable, a single CPU
-    or a clip of one frame runs the same per-frame loop in this process.
-    The statistics are the same bit for bit either way.
+    Where ``_kernel`` gives the compiled pass, a FrameSource with a reader is
+    split into contiguous frame ranges, one per CPU in this process's
+    affinity mask, each after the first computed by a worker thread (see
+    ``_split_stats``). Anything else runs the same per-frame loop in the
+    calling thread. The statistics are the same bit for bit either way.
     """
-    if isinstance(frames, FrameSource) and hasattr(os, "sched_getaffinity"):
+    if (isinstance(frames, FrameSource) and frames._reader is not None
+            and hasattr(os, "sched_getaffinity") and _kernel() is not None):
         parts = min(len(os.sched_getaffinity(0)), frames.total_frames)
         if parts > 1:
             total = frames.total_frames
@@ -489,121 +498,106 @@ def stream_stats(frames) -> Iterator[FrameStats]:
     return _per_frame(frames)
 
 
-def _per_frame(frames):
-    """The per-frame loop: one call of the compiled pass a frame, or, where
-    ``_kernel`` gives none, the numpy functions, with the same results.
+def _frame_bytes(frame: Frame, first: Optional[int]) -> int:
+    """The byte size of ``frame``'s pixels, which must be one or more whole
+    RGB24 pixels in one C-contiguous buffer, and ``first`` bytes if given."""
+    view = memoryview(frame.pixels)
+    if not view.c_contiguous:  # np.frombuffer reads only one contiguous buffer
+        raise MalformedSourceError(f"frame {frame.index}: pixels not in one contiguous buffer")
+    size = view.nbytes  # len() counts items, not bytes
+    if (size != first) if first else (size == 0 or size % 3):
+        want = f"the first frame's {first}" if first else "whole RGB24 pixels"
+        raise MalformedSourceError(f"frame {frame.index}: {size} bytes, not {want}")
+    return size
 
-    The first frame's size, in bytes whatever the item size of a frame's
-    bytes-like pixels, sizes the compiled pass's work area. A frame that is
-    not one or more whole RGB24 pixels in one C-contiguous buffer, or not
-    the first frame's size, raises ``MalformedSourceError`` on either path.
+
+def _per_frame(frames):
+    """The per-frame loop: one call of the compiled pass a run of frames,
+    or, where ``_kernel`` gives none, the numpy functions a frame, with the
+    same results. The first frame's size sizes the compiled pass's work
+    area. A frame that fails ``_frame_bytes``, or an error from ``frames``,
+    raises after the stats of every frame before it: the run so far first.
     """
     kernel = _kernel()
-    first = work = prev = None
-    for frame in frames:
-        view = memoryview(frame.pixels)
-        if not view.c_contiguous:  # np.frombuffer reads only one contiguous buffer
-            raise MalformedSourceError(
-                f"frame {frame.index}: pixels not in one contiguous buffer")
-        size = view.nbytes  # len() counts items, not bytes
-        if first is None and size and size % 3 == 0:
-            first = size
-            work = None if kernel is None else _WorkArea(size // 3)
-        if first is None or size != first:
-            want = f"the first frame's {first}" if first else "whole RGB24 pixels"
-            raise MalformedSourceError(f"frame {frame.index}: {size} bytes, not {want}")
-        if kernel is None:
+    if kernel is None:
+        first = prev = None
+        for frame in frames:
+            first = _frame_bytes(frame, first)
             hsv = _frame_hsv(frame.pixels)
-            avg = compute_intensity(frame)
             delta = None if prev is None else _hsv_delta(prev, hsv)
-        else:
-            curr = work.hsv[0] is prev  # the HSV set that does not hold the previous frame's
-            avg, delta = _compiled_stats(kernel, frame.pixels, work, curr, prev is not None)
-            hsv = work.hsv[curr]
-        yield FrameStats(index=frame.index, avg_intensity=avg, hsv_delta=delta)
-        prev = hsv
+            yield FrameStats(index=frame.index, avg_intensity=compute_intensity(frame),
+                             hsv_delta=delta)
+            prev = hsv
+        return
+    work, run = None, []
+    try:
+        for frame in frames:
+            size = _frame_bytes(frame, work and 3 * work.pixels)
+            work = work or _WorkArea(size // 3)
+            run.append(frame)
+            if len(run) == work.run:
+                full, run = run, []
+                yield from _run_stats(kernel, work, full)
+    except Exception:
+        if run:
+            yield from _run_stats(kernel, work, run)
+        raise
+    if run:
+        yield from _run_stats(kernel, work, run)
 
 
 def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
     """Stats of ``source`` with frames ``bounds[k]:bounds[k + 1]`` computed
-    by forked child k for k >= 1, and the first range by this process.
+    by worker thread k for k >= 1, and the first range by this thread.
 
-    The children are forked before any frame is read, so each one opens and
-    reads its own range alone; no pixel data crosses a process boundary. Each
-    child writes its range's rows into its own slice of one shared anonymous
-    mapping, made before the forks. This process yields its own range from
-    its one per-frame loop, waits for every child in order, and yields the
-    mapping's rows once all of them exited 0. Every child is waited for,
-    also on early close or error, so its CPU counts in ``RUSAGE_CHILDREN``.
-    When a child fails or dies, or cannot be forked, that same loop goes on
-    over every frame after this process's range, so bad input raises the
-    same error after the same stats as the single-process loop.
-
-    The hue table and the compiled pass are built, or the library loaded,
-    before the forks, so each child inherits them and none builds its own.
+    Worker k reads frames ``bounds[k] - 1`` to ``bounds[k + 1]`` through
+    ``source.frames``: the frame before its range seeds its first delta, and
+    its stats are dropped. A worker keeps its range's stats, or nothing when
+    its loop raises. This thread's one loop computes its own range, joins
+    every worker and yields their stats; when one failed or did not start,
+    the loop goes on over every later frame, so bad input raises the same
+    error after the same stats as one thread would. On every path, also on
+    early close or error, the workers are told to stop, which each checks
+    before it reads a frame, and joined.
     """
-    _hue_table()
-    _kernel()
-    # two float64 a frame; the array keeps the mapping open, so it is not closed here
-    rows = np.frombuffer(mmap.mmap(-1, 16 * (bounds[-1] - bounds[1]))).reshape(-1, 2)
-    children = []  # pids not yet reaped
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            try:
-                children.append(
-                    _fork_range(source, start, rows[start - bounds[1]:stop - bounds[1]]))
-            except OSError:
-                break  # the ranges left are computed below
-        stats = _per_frame(source)
-        yield from itertools.islice(stats, bounds[1])
-        failed = len(children) < len(bounds) - 2  # a fork failed
-        while children and not failed:
-            failed = os.waitpid(children[0], 0)[1] != 0
-            del children[0]
-        if failed:
-            _reap(children)
-            yield from stats
-            return
-        for index, (avg, delta) in enumerate(rows.tolist(), start=bounds[1]):
-            yield FrameStats(index=index, avg_intensity=avg, hsv_delta=delta)
-    finally:
-        _reap(children)
+    _hue_table()  # built once, not by each worker
+    stop = threading.Event()
+    done = [None] * (len(bounds) - 2)  # each worker's stats, once it has its whole range
 
-
-def _fork_range(source: FrameSource, start: int, out: np.ndarray) -> int:
-    """Fork a child that computes frames ``start:start + len(out)`` of
-    ``source`` into ``out``, a slice of a shared mapping, and return its pid.
-
-    The child reads frames from ``start - 1`` on through ``source.frames``,
-    so it reads no earlier frame unless ``source`` has no reader. It runs
-    the per-frame loop from frame ``start - 1``, whose HSV seeds the first
-    delta and whose stats it drops, and writes each later frame's
-    ``(avg_intensity, hsv_delta)`` as a row of ``out``; a range that comes
-    out shorter fails the reshape. It leaves through ``os._exit``, so it
-    runs no exit handler, flushes no buffer it inherited and raises nothing
-    into the caller's code; any failure shows only as a non-zero status.
-    The child calls no BLAS routine, so it never needs the idle BLAS threads
-    that fork does not copy.
-    """
-    pid = os.fork()
-    if pid == 0:
-        status = 1
+    def work(k: int, start: int, end: int) -> None:
+        frames = itertools.takewhile(lambda _: not stop.is_set(), source.frames(start - 1, end))
         try:
-            frames = source.frames(start - 1, start + len(out))
-            stats = itertools.islice(_per_frame(frames), 1, None)
-            out[:] = np.reshape([(s.avg_intensity, s.hsv_delta) for s in stats], out.shape)
-            status = 0
-        finally:
-            os._exit(status)
-    return pid
+            stats = list(_per_frame(frames))[1:]
+        except Exception:  # this thread's loop computes the range again and raises there
+            return
+        if len(stats) == end - start:
+            done[k] = stats
 
+    def own_frames():
+        # this thread's range, then, if any worker failed, every later frame
+        frames = iter(source)
+        yield from itertools.islice(frames, bounds[1])
+        for worker in workers:
+            worker.join()
+        if None in done:
+            yield from frames
 
-def _reap(children: list) -> None:
-    """Kill and wait for every child still in ``children``, then empty it."""
-    while children:
-        pid = children.pop()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+    workers = []
+    try:
+        for k, (start, end) in enumerate(zip(bounds[1:-1], bounds[2:])):
+            worker = threading.Thread(target=work, args=(k, start, end))
+            try:
+                worker.start()
+            except RuntimeError:
+                break  # the ranges left are computed by this thread
+            workers.append(worker)
+        yield from _per_frame(own_frames())
+        if None not in done:
+            yield from itertools.chain(*done)
+    finally:
+        stop.set()
+        for worker in workers:
+            worker.join()
 
 
 def fps_fraction(text: str) -> tuple[int, int]:

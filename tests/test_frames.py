@@ -3,8 +3,8 @@ import hashlib
 import itertools
 import os
 import random
-import signal
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -360,7 +360,7 @@ class TestStreamStats:
 def noisy_clip(total, transition, width=12, height=8):
     """``total`` noisy frames with a cut, or the bottom of a fade through
     black, at the middle frame, where a split over two CPUs starts the
-    child's range."""
+    worker's range."""
     noise = np.random.default_rng(total).integers(0, 40, size=(total, height * width, 3))
     middle = total // 2
     clip = []
@@ -375,7 +375,10 @@ def noisy_clip(total, transition, width=12, height=8):
 
 
 def write_source(directory, clip, kind, width=12, height=8):
-    """Write ``clip`` as a raw stream or a PPM directory and open it."""
+    """Write ``clip`` as a raw stream or a PPM directory and open it, or
+    make a source of ``clip``'s iterator alone, which has no reader."""
+    if kind == "iterator":
+        return FrameSource(FrameSpec(width, height, 30, 1), len(clip), iter(clip))
     if kind == "raw":
         path = directory / "clip.rgb24"
         path.write_bytes(b"".join(frame.pixels for frame in clip))
@@ -389,28 +392,24 @@ def write_source(directory, clip, kind, width=12, height=8):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the CPU count stream_stats sees; returns the pids it forks."""
-    forked = []
-    real_fork = os.fork
+    """Set the CPU count stream_stats sees; returns the threads it starts."""
+    started, real_start = [], threading.Thread.start
 
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
+    def counting_start(thread):
+        real_start(thread)
+        started.append(thread)
 
     def set_cpus(count):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)),
                             raising=False)
-        return forked
+        return started
 
-    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
     return set_cpus
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def assert_no_worker_left():
+    assert threading.enumerate() == [threading.main_thread()]
 
 
 def stats_until_error(stats):
@@ -422,28 +421,28 @@ def stats_until_error(stats):
     return seen, type(info.value), str(info.value)
 
 
-def kill_children(monkeypatch):
-    """Make every forked child kill itself on its first frame, on whichever
-    path the per-frame loop takes: the compiled pass is wrapped where
-    ``_kernel`` gives one, else ``_frame_hsv``. Returns a list that gains
-    one item per frame this process computes, so a test can tell that the
-    children's ranges were computed here."""
-    parent, computed = os.getpid(), []
+def in_main_thread():
+    return threading.current_thread() is threading.main_thread()
 
-    def dying(step):
-        def run(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            computed.append(None)
-            return step(*args)
-        return run
 
-    kernel = frames_module._kernel()
-    if kernel is None:
-        monkeypatch.setattr(frames_module, "_frame_hsv", dying(frames_module._frame_hsv))
-    else:
-        hooked = dying(kernel)
-        monkeypatch.setattr(frames_module, "_kernel", lambda: hooked)
+def fail_workers(monkeypatch):
+    """Make the compiled pass raise in every thread but the main one. Returns
+    a list that gains one item per frame the main thread computes, on either
+    path, so a test can tell that the workers' ranges were computed there."""
+    computed, kernel, frame_hsv = [], frames_module._kernel(), frames_module._frame_hsv
+
+    def failing(*args):
+        if not in_main_thread():
+            raise RuntimeError("worker failed")
+        computed.extend([None] * args[1])  # a run's frame count
+        return kernel(*args)
+
+    def counted(pixels):
+        computed.append(None)
+        return frame_hsv(pixels)
+
+    monkeypatch.setattr(frames_module, "_kernel", lambda: None if kernel is None else failing)
+    monkeypatch.setattr(frames_module, "_frame_hsv", counted)
     return computed
 
 
@@ -464,27 +463,35 @@ def plain_body(monkeypatch, plain_kernel):
 
 def split_cases(test):
     """The cases of the split pin, which runs on both paths."""
-    for mark in (pytest.mark.parametrize("count", [2, 3]),
+    for mark in (pytest.mark.parametrize("count", [1, 2, 3]),
                  pytest.mark.parametrize("total", [1, 2, 3, 4, 5]),
                  pytest.mark.parametrize("transition", ["cut", "fade"]),
-                 pytest.mark.parametrize("kind", ["raw", "ppm"])):
+                 pytest.mark.parametrize("kind", ["raw", "ppm", "iterator"])):
         test = mark(test)
     return test
 
 
 class TestSplitStats:
-    """A FrameSource's stats are split across forked children, one frame
-    range per CPU, and must match the single-process loop bit for bit."""
+    """A FrameSource's stats are split across worker threads, one frame
+    range per CPU, and must match the loop in one thread bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def runs_of_three(self, monkeypatch):
+        """Runs of three 12x8 frames: the bad frames below fall inside runs."""
+        monkeypatch.setattr(frames_module, "_RUN_BYTES", 1700)
+        assert frames_module._WorkArea(12 * 8).run == 3
 
     @split_cases
     def test_split_matches_serial_bit_for_bit(self, tmp_path, cpus, kind, transition,
                                               total, count):
-        forked = cpus(count)
+        started = cpus(count)
         clip = noisy_clip(total, transition)
         split = list(stream_stats(write_source(tmp_path, clip, kind)))
         assert split == list(stream_stats(clip))
-        assert len(forked) == min(count, total) - 1
-        assert_no_child_left()
+        # a reader-less source and the numpy path, which holds the lock, start no thread
+        threads = kind != "iterator" and frames_module._kernel() is not None
+        assert len(started) == (min(count, total) - 1 if threads else 0)
+        assert_no_worker_left()
 
     @split_cases
     def test_split_matches_serial_bit_for_bit_on_the_numpy_path(
@@ -500,25 +507,25 @@ class TestSplitStats:
     ], ids=["truncated pixels", "other size", "not P6"])
     def test_malformed_frame_fails_as_the_serial_loop_does(self, tmp_path, cpus,
                                                           bad_index, bad_bytes):
-        forked = cpus(3)  # frames 0-2 here, 3-5 and 6-8 in the children
+        started = cpus(3)  # frames 0-2 in the main thread, 3-5 and 6-8 in the workers
         write_source(tmp_path, noisy_clip(9, "cut"), "ppm")
         (tmp_path / f"{bad_index:04d}.ppm").write_bytes(bad_bytes)
         serial = stats_until_error(stream_stats(iter(open_frame_source(str(tmp_path), (30, 1)))))
         split = stats_until_error(stream_stats(open_frame_source(str(tmp_path), (30, 1))))
         assert split == serial
         assert len(serial[0]) == bad_index
-        assert len(forked) == 2
-        assert_no_child_left()
+        assert len(started) == 2
+        assert_no_worker_left()
 
     def test_a_killed_child_leaves_its_range_to_the_parent(self, tmp_path, cpus, monkeypatch):
-        forked = cpus(3)
+        started = cpus(3)
         clip = noisy_clip(9, "fade")
         serial = list(stream_stats(clip))
-        computed = kill_children(monkeypatch)
+        computed = fail_workers(monkeypatch)
         assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == serial
-        assert len(computed) == len(clip)  # the children's ranges too
-        assert len(forked) == 2
-        assert_no_child_left()
+        assert len(computed) == len(clip)  # the workers' ranges too
+        assert len(started) == (0 if frames_module._kernel() is None else 2)
+        assert_no_worker_left()
 
     def test_a_killed_child_leaves_its_range_to_the_parent_on_the_numpy_path(
             self, tmp_path, cpus, monkeypatch, numpy_path):
@@ -531,24 +538,25 @@ class TestSplitStats:
         serial = list(stream_stats(clip))
 
         def counted(name):
-            """Calls of ``name`` in this process; a child appends to its own copy."""
+            """Calls of ``name`` in the main thread."""
             calls, step = [], getattr(frames_module, name)
 
             def run(*args):
-                calls.append(args)
+                if in_main_thread():
+                    calls.append(args)
                 return step(*args)
 
             monkeypatch.setattr(frames_module, name, run)
             return calls
 
-        computed = kill_children(monkeypatch)
+        computed = fail_workers(monkeypatch)
         loops, built = counted("_per_frame"), counted("_WorkArea")
         assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == serial
         assert len(computed) == len(clip)
         assert len(loops) == 1
         # the numpy path builds no work area
         assert built == ([] if frames_module._kernel() is None else [(len(clip[0].pixels) // 3,)])
-        assert_no_child_left()
+        assert_no_worker_left()
 
     def test_the_parent_continues_its_one_loop_after_a_killed_child_on_the_numpy_path(
             self, tmp_path, cpus, monkeypatch, numpy_path):
@@ -563,73 +571,78 @@ class TestSplitStats:
         assert len({frame.pixels for frame in clip}) == len(clip)
         fresh = [frames_module._frame_hsv(frame.pixels) for frame in clip]
         expected = [None] + [frames_module._hsv_delta(a, b) for a, b in zip(fresh, fresh[1:])]
-        forked = cpus(3)
-        computed = []
+        started, computed = cpus(3), []
         if path == "bare iterable":
             stats = stream_stats(iter(clip))
         else:
             if path == "killed child on the numpy path":
                 monkeypatch.setattr(frames_module, "_kernel", lambda: None)
             if path.startswith("killed child"):
-                computed = kill_children(monkeypatch)
+                computed = fail_workers(monkeypatch)
             stats = stream_stats(write_source(tmp_path, clip, "raw"))
         assert [entry.hsv_delta for entry in stats] == expected
         assert len(computed) == (len(clip) if path.startswith("killed child") else 0)
-        assert len(forked) == (0 if path == "bare iterable" else 2)
-        assert_no_child_left()
+        assert len(started) == (2 if path in ("split", "killed child") else 0)
+        assert_no_worker_left()
 
-    def test_a_failed_fork_leaves_its_range_to_the_parent(self, tmp_path, monkeypatch):
+    def test_a_failed_thread_start_leaves_its_range_to_the_parent(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2}, raising=False)
 
-        def no_fork():
-            raise BlockingIOError("fork: resource temporarily unavailable")
+        def no_start(_thread):
+            raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
         clip = noisy_clip(7, "cut")
         assert list(stream_stats(write_source(tmp_path, clip, "ppm"))) == list(stream_stats(clip))
 
-    def test_closing_early_leaves_no_child(self, tmp_path, cpus):
-        forked = cpus(3)
-        stats = stream_stats(write_source(tmp_path, noisy_clip(40, "cut"), "raw"))
+    @needs_cc
+    def test_closing_early_leaves_no_child(self, tmp_path, cpus, monkeypatch):
+        started = cpus(2)
+        clip = noisy_clip(4000, "cut", width=1, height=1)
+        kernel, yielded, in_worker = frames_module._kernel(), threading.Event(), []
+
+        def gated(*args):  # the worker's calls wait until the main thread yielded a stat
+            if not in_main_thread():
+                yielded.wait(timeout=60)
+                in_worker.append(args[1])
+            return kernel(*args)
+
+        monkeypatch.setattr(frames_module, "_kernel", lambda: gated)
+        stats = stream_stats(write_source(tmp_path, clip, "raw", width=1, height=1))
         assert next(stats).index == 0
+        yielded.set()
         stats.close()
-        assert len(forked) == 2
-        assert_no_child_left()
+        assert len(started) == 1
+        assert_no_worker_left()
+        assert sum(in_worker) < len(clip) // 2  # the worker stopped between runs
 
     def test_a_child_range_larger_than_a_pipe_buffer(self, tmp_path, cpus):
-        # 5001 frames in the child, 16 bytes each: more than a 64 KiB pipe holds
-        forked = cpus(2)
+        # 5001 frames in the worker, in many runs
+        started = cpus(2)
         clip = noisy_clip(10001, "cut", width=1, height=1)
         split = list(stream_stats(write_source(tmp_path, clip, "raw", width=1, height=1)))
         assert split == list(stream_stats(clip))
-        assert len(forked) == 1
-        assert_no_child_left()
+        assert len(started) == 1
+        assert_no_worker_left()
 
     @pytest.mark.parametrize("kind", ["raw", "ppm"])
     def test_each_child_reads_only_its_own_range(self, tmp_path, cpus, monkeypatch, kind):
-        forked = cpus(3)  # frames 0-2 here, 3-5 and 6-8 in the children
+        started = cpus(3)  # frames 0-2 in the main thread, 3-5 and 6-8 in the workers
         clip = noisy_clip(9, "cut")
-        serial = list(stream_stats(clip))
         source = write_source(tmp_path, clip, kind)
-        log, frame = tmp_path / "reads.log", frames_module.Frame
+        reads, frame = [], frames_module.Frame
 
-        def logged(index, pixels):
-            """A frame read, logged with the pid of the process that read it
-            to a file, which the children's reads reach across the fork."""
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {index}\n")
+        def logged(index, pixels):  # a Thread, unlike its ident, is never reused
+            reads.append((threading.current_thread(), index))
             return frame(index=index, pixels=pixels)
 
         monkeypatch.setattr(frames_module, "Frame", logged)
-        assert list(stream_stats(source)) == serial
-        reads = {}
-        for line in log.read_text().splitlines():
-            pid, index = map(int, line.split())
-            reads.setdefault(pid, []).append(index)
-        # each child reads the frame before its range, whose HSV seeds its first delta
-        assert reads == {os.getpid(): [0, 1, 2], forked[0]: [2, 3, 4, 5],
-                         forked[1]: [5, 6, 7, 8]}
-        assert_no_child_left()
+        assert list(stream_stats(source)) == list(stream_stats(clip))
+        by_thread = {thread: [i for t, i in reads if t is thread] for thread, _ in reads}
+        # each worker reads the frame before its range, whose HSV seeds its first delta
+        assert by_thread == {threading.main_thread(): [0, 1, 2], started[0]: [2, 3, 4, 5],
+                             started[1]: [5, 6, 7, 8]}
+        assert_no_worker_left()
 
     @pytest.mark.parametrize("kind", ["raw", "ppm"])
     def test_a_range_of_frames_is_the_range_of_a_pass(self, tmp_path, kind):
@@ -640,37 +653,23 @@ class TestSplitStats:
             assert list(source.frames(start, stop)) == \
                 list(itertools.islice(iter(fresh), start, stop)) == clip[start:stop]
 
-    def test_a_source_built_from_an_iterator_alone_splits(self, cpus):
-        forked = cpus(3)
-        clip = noisy_clip(9, "fade")
-        source = FrameSource(FrameSpec(12, 8, 30, 1), len(clip), iter(clip))
-        assert list(stream_stats(source)) == list(stream_stats(clip))
-        assert len(forked) == 2
-        assert_no_child_left()
-
     @pytest.mark.parametrize("kept", [1.5, 4, 7.5],
                              ids=["parent range", "first child range", "second child range"])
     def test_a_stream_truncated_after_opening_fails_as_the_serial_loop_does(self, tmp_path,
                                                                            cpus, kept):
-        forked = cpus(3)  # frames 0-2 here, 3-5 and 6-8 in the children
+        started = cpus(3)  # frames 0-2 in the main thread, 3-5 and 6-8 in the workers
         clip = noisy_clip(9, "cut")
         split_source = write_source(tmp_path, clip, "raw")
         serial_source = open_frame_source(str(tmp_path / "clip.rgb24"))
-        # a child whose range starts past the new end seeks there and fails
+        # a worker whose range starts past the new end seeks there and fails
         os.truncate(tmp_path / "clip.rgb24", int(kept * len(clip[0].pixels)))
         serial = stats_until_error(stream_stats(iter(serial_source)))
         split = stats_until_error(stream_stats(split_source))
         assert split == serial
         assert serial[1:] == (MalformedSourceError,
                               f"{tmp_path / 'clip.rgb24'}: truncated at frame {int(kept)}")
-        assert len(forked) == 2
-        assert_no_child_left()
-
-    def test_one_cpu_never_forks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
-        clip = noisy_clip(5, "fade")
-        assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == list(stream_stats(clip))
+        assert len(started) == 2
+        assert_no_worker_left()
 
 
 def every_colour_frames(order=None):
