@@ -1,11 +1,13 @@
 /* One pass over a run of frames' RGB24 pixels for vidscore.frames.
 
-   vidscore_frame_stats takes a run of count frames of n pixels each, by
-   their addresses, and two HSV sets, each the addresses of a hue, a
-   saturation and a value array. Frame f writes set (first + f) % 2: hue
-   looked up in the table of frames._hue_table, saturation as
-   chroma / max(value, 1) * 255 in float32, and value in uint8; the other
-   set holds the previous frame's, which frame 0 has where has_prev is set.
+   vidscore_frame_stats takes a run of count frames of n pixels each in one
+   contiguous buffer, frame f at frames + 3 * n * f (the caller reads a run
+   from the file straight into it, or copies frames into it), and two HSV
+   sets, each the addresses of a hue, a saturation and a value array.
+   Frame f writes set (first + f) % 2: hue looked up in the table of
+   frames._hue_table, saturation as chroma / max(value, 1) * 255 in
+   float32, and value in uint8; the other set holds the previous frame's,
+   which frame 0 has where has_prev is set.
    Each frame fills a row of four int64: the exact sum of every channel of
    every pixel and, given a previous frame, the exact sums of the per-pixel
    changes: of hue, taken on the shorter arc of the 256-unit circle, in
@@ -111,17 +113,18 @@ INLINE uint32_t chunk(int64_t start, int m, const uint8_t *restrict rgb,
     return sum;
 }
 
-DISPATCH void vidscore_frame_stats(const uint8_t *const *frames, int64_t count, int64_t n,
+DISPATCH void vidscore_frame_stats(const uint8_t *frames, int64_t count, int64_t n,
                                    void *const *sets, int64_t first, int64_t has_prev,
                                    const float *table, int64_t *rows)
 {
     for (int64_t f = 0; f < count; f++) {
         int64_t set = (first + f) % 2;
         void *const *curr = sets + 3 * set, *const *prev = sets + 3 * !set;
+        const uint8_t *rgb = frames + 3 * n * f;
         int64_t *row = rows + 4 * f;
         row[0] = row[1] = row[2] = row[3] = 0;
         for (int64_t start = 0; start < n; start += CHUNK)
-            row[0] += chunk(start, n - start < CHUNK ? (int)(n - start) : CHUNK, frames[f],
+            row[0] += chunk(start, n - start < CHUNK ? (int)(n - start) : CHUNK, rgb,
                            curr[0], curr[1], curr[2], f || has_prev ? prev[0] : 0, prev[1],
                            prev[2], table, row + 1);
     }

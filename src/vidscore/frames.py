@@ -23,12 +23,14 @@ each range after the first computed by a worker thread that reads that range
 alone. There is no setting for it; to use fewer CPUs, narrow the mask (for
 example with ``taskset``). The statistics do not depend on the split.
 
-Each thread runs one per-frame loop, which makes one compiled pass over a
-run of frames' pixels (``_framestats.c``, called through ``ctypes``, which
-releases the interpreter lock for the call). The pass also sums each frame's
-changes exactly, in integers, and runs an AVX2 body on x86-64 where the CPU
-has one. The library is built on first use with the C compiler Python was
-built with, and cached in the ``__pycache__`` folder beside this module.
+Each thread reads its range a run of frames at a time into one buffer, and
+makes one compiled pass over each run (``_framestats.c``, through
+``ctypes``); the read and the pass both release the interpreter lock. Other
+iterables of frames are copied into such a buffer in the calling thread.
+The pass sums each frame's changes exactly, in integers, and runs an AVX2
+body on x86-64 where the CPU has one. The library is built on first use
+with the C compiler Python was built with, and cached in the
+``__pycache__`` folder beside this module.
 Where no library can be built or loaded there, one loop in the calling
 thread runs the plain numpy functions ``_frame_hsv``, ``_hsv_delta`` and
 ``compute_intensity``, which hold the interpreter lock, take the same
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import os
 import re
 import threading
@@ -63,16 +64,29 @@ class Frame:
     pixels: bytes  # interleaved RGB, 8 bits per channel, row-major
 
 
+# bytes of the frames that one run buffer holds, which go to one compiled
+# call; a run holds at least one frame
+_RUN_BYTES = 1 << 19
+
+
+def _run_frames(size: int) -> int:
+    """How many frames of ``size`` bytes a run holds."""
+    return max(1, _RUN_BYTES // size)
+
+
 class FrameSource:
     """Ordered, single-pass iterator of frames with a known FrameSpec.
 
-    ``frames(start, stop)`` gives frames ``start:stop`` from ``reader``,
-    which reads those alone. A source built without one has only its
+    ``reader(start, stop, buffer)`` fills the writable ``buffer`` with as
+    many whole frames of ``start:stop`` as it holds, again and again, and
+    yields each fill's frame count; a frame that cannot be read raises once
+    the whole frames before it are yielded. A source opened here builds its
+    iterator on its reader. One built without a reader has only its
     iterator, so ``stream_stats`` computes it in one thread.
     """
 
     def __init__(self, spec: FrameSpec, total_frames: int, frames: Iterator[Frame],
-                 reader: Optional[Callable[[int, int], Iterator[Frame]]] = None):
+                 reader: Optional[Callable[[int, int, object], Iterator[int]]] = None):
         self.spec = spec
         self.total_frames = total_frames
         self._frames = frames
@@ -81,8 +95,16 @@ class FrameSource:
     def __iter__(self) -> Iterator[Frame]:
         return self._frames
 
-    def frames(self, start: int, stop: int) -> Iterator[Frame]:
-        return self._reader(start, stop)
+
+def _frames_of(reader, size: int, total: int) -> Iterator[Frame]:
+    """Frames ``0:total`` of ``size`` bytes from ``reader``, each copied out
+    of one run buffer."""
+    buffer = bytearray(size * _run_frames(size))
+    view, index = memoryview(buffer), 0
+    for count in reader(0, total, buffer):
+        for offset in range(0, count * size, size):
+            yield Frame(index=index, pixels=bytes(view[offset:offset + size]))
+            index += 1
 
 
 def open_frame_source(path: str, fps: Optional[tuple[int, int]] = None) -> FrameSource:
@@ -133,24 +155,38 @@ def _open_raw_stream(path: str) -> FrameSource:
     if not os.path.exists(header):
         raise SourceNotFoundError(f"missing sidecar header: {header}")
     spec = _parse_header(header)
-    size = os.path.getsize(path)
-    if size % spec.frame_bytes != 0:
+    size = spec.frame_bytes
+    length = os.path.getsize(path)
+    if length % size != 0:
         raise MalformedSourceError(
-            f"{path}: {size} bytes is not a multiple of the "
-            f"{spec.frame_bytes}-byte frame size"
+            f"{path}: {length} bytes is not a multiple of the {size}-byte frame size"
         )
-    total = size // spec.frame_bytes
+    total = length // size
 
-    def read(start: int, stop: int) -> Iterator[Frame]:
-        with open(path, "rb") as fh:
-            fh.seek(start * spec.frame_bytes)
-            for index in range(start, stop):
-                data = fh.read(spec.frame_bytes)
-                if len(data) != spec.frame_bytes:
-                    raise MalformedSourceError(f"{path}: truncated at frame {index}")
-                yield Frame(index=index, pixels=data)
+    def read(start: int, stop: int, buffer) -> Iterator[int]:
+        # unbuffered, so each readinto fills the buffer itself; after a
+        # short one, another, until the run or the file ends
+        view = memoryview(buffer)
+        run = view.nbytes // size
+        try:
+            with open(path, "rb", buffering=0) as fh:
+                fh.seek(start * size)
+                for first in range(start, stop, run):
+                    want, got = min(run, stop - first) * size, 0
+                    while got < want:
+                        more = fh.readinto(view[got:want])
+                        if not more:
+                            break
+                        got += more
+                    if got >= size:
+                        yield got // size
+                    if got < want:
+                        raise MalformedSourceError(
+                            f"{path}: truncated at frame {first + got // size}")
+        except OSError as exc:
+            raise MalformedSourceError(f"cannot read video {path}: {exc}") from exc
 
-    return FrameSource(spec, total, read(0, total), read)
+    return FrameSource(spec, total, _frames_of(read, size, total), read)
 
 
 _NUMBERED = re.compile(r"(\d+)\.ppm$", re.IGNORECASE)
@@ -173,17 +209,33 @@ def _open_image_dir(path: str, fps: tuple[int, int]) -> FrameSource:
 
     width, height, first = _read_ppm(os.path.join(path, entries[0][1]))
     spec = FrameSpec(width=width, height=height, fps_num=fps[0], fps_den=fps[1])
+    size = spec.frame_bytes
 
-    def read(start: int, stop: int) -> Iterator[Frame]:
-        for index, (_, name) in enumerate(entries[start:stop], start):
-            w, h, pixels = _read_ppm(os.path.join(path, name)) if index else (width, height, first)
-            if (w, h) != (width, height):
-                raise MalformedSourceError(
-                    f"{name}: size {w}x{h} differs from {width}x{height}"
-                )
-            yield Frame(index=index, pixels=pixels)
+    def pixels(index: int) -> bytes:  # the first file is read already
+        if not index:
+            return first
+        name = entries[index][1]
+        w, h, data = _read_ppm(os.path.join(path, name))
+        if (w, h) != (width, height):
+            raise MalformedSourceError(f"{name}: size {w}x{h} differs from {width}x{height}")
+        return data
 
-    return FrameSource(spec, len(entries), read(0, len(entries)), read)
+    def read(start: int, stop: int, buffer) -> Iterator[int]:
+        view = memoryview(buffer)
+        run = view.nbytes // size
+        for at in range(start, stop, run):
+            count = 0
+            try:
+                for index in range(at, min(at + run, stop)):
+                    view[count * size:(count + 1) * size] = pixels(index)
+                    count += 1
+            except MalformedSourceError:
+                if count:
+                    yield count
+                raise
+            yield count
+
+    return FrameSource(spec, len(entries), _frames_of(read, size, len(entries)), read)
 
 
 def _read_ppm(path: str) -> tuple[int, int, bytes]:
@@ -288,28 +340,6 @@ def _hue_table() -> np.ndarray:
     return h6.ravel()
 
 
-# bytes of the frames that go to one compiled call, each frame counted as
-# its pixels and 256 bytes for its objects, address and row of sums; a run
-# holds at least one frame
-_RUN_BYTES = 1 << 19
-
-
-class _WorkArea:
-    """The compiled pass's two HSV sets for one stream of frames of
-    ``pixels`` pixels, and how many frames it has ``seen``. One stream's loop
-    builds this once: a fresh frame-sized array is a new mapping whose pages
-    fault again on every frame. ``run`` is how many frames go to one call."""
-
-    def __init__(self, pixels: int):
-        self.pixels, self.seen = pixels, 0
-        # hue, saturation and value of set 0, then of set 1
-        self.hsv = [np.empty(pixels, dtype) for _ in range(2)
-                    for dtype in (np.float32, np.float32, np.uint8)]
-        self.sets = (ctypes.c_void_p * 6)(*[a.ctypes.data for a in self.hsv])
-        self.table = _hue_table().ctypes.data
-        self.run = max(1, _RUN_BYTES // (3 * pixels + 256))
-
-
 def _frame_hsv(pixels):
     """Per-pixel ``(hue, saturation, value)`` of a frame's RGB24 ``pixels``,
     every channel in [0, 255]: hue and saturation float32, value uint8, so
@@ -403,18 +433,22 @@ def stats_path() -> str:
 
 
 def _build(source: str, cache: str):
-    """Load the C file ``source`` compiled to ``<cache>/_framestats.<key>.so``,
-    compiling it first when that file is missing; None when there is no C
-    compiler, the compile fails or ``source`` cannot be read.
+    """Load the C file ``source`` compiled to
+    ``<cache>/_framestats.<key><suffix>``, compiling it first when that file
+    is missing; None when there is no C compiler, the compile fails or
+    ``source`` cannot be read.
 
-    The key hashes the source, the compile command and the interpreter's
-    extension suffix, which names the machine and C ABI a library is built
-    for, so a library is built once per source, flag set and machine. It is
-    compiled to a temporary name and renamed into place, so processes that
-    build at once each load a whole library. ``cache`` is trusted as the
-    module's bytecode beside it is. Where it cannot be written, or its
-    library not loaded, this is None too: a library in a folder that only
-    one process keeps would cost every process the compile.
+    The suffix is the interpreter's extension suffix, which names the
+    interpreter (as a ``.pyc`` file's cache tag does), the machine and the C
+    ABI. The key hashes the source, the compile command and the suffix, so a
+    library is built once per source, flag set and machine. It is compiled
+    to a temporary name and renamed into place, so processes that build at
+    once each load a whole library; then the older libraries with its
+    suffix, which are never loaded again, are removed where they can be.
+    ``cache`` is trusted as the module's bytecode beside it is. Where it
+    cannot be written, or its library not loaded, this is None too: a
+    library in a folder that only one process keeps would cost every
+    process the compile.
 
     The modules only a build needs are imported here, so a process that
     computes no frame statistics never loads them.
@@ -425,6 +459,7 @@ def _build(source: str, cache: str):
     import subprocess
     import sysconfig
     import tempfile
+    from contextlib import suppress
 
     command = shlex.split(sysconfig.get_config_var("CC") or "")
     if not command or shutil.which(command[0]) is None:
@@ -434,10 +469,9 @@ def _build(source: str, cache: str):
     except OSError:
         return None
     command += [*_CFLAGS, "-x", "c", "-"]
-    key = hashlib.sha256(
-        "\0".join([*command, sysconfig.get_config_var("EXT_SUFFIX") or ""]).encode()
-        + b"\0" + code)
-    name = f"_framestats.{key.hexdigest()[:16]}.so"
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    key = hashlib.sha256("\0".join([*command, suffix]).encode() + b"\0" + code)
+    name = f"_framestats.{key.hexdigest()[:16]}{suffix}"
     path = os.path.join(cache, name)
     try:
         os.makedirs(cache, exist_ok=True)
@@ -447,6 +481,10 @@ def _build(source: str, cache: str):
             with staged(path, tmp):
                 subprocess.run(command + ["-o", tmp], input=code, capture_output=True,
                                check=True)
+            for old in os.listdir(cache):
+                if old != name and old.startswith("_framestats.") and old.endswith(suffix):
+                    with suppress(OSError):
+                        os.remove(os.path.join(cache, old))
         return _load(path)
     except (OSError, ConfigError, subprocess.CalledProcessError):
         return None
@@ -461,41 +499,64 @@ def _load(path: str):
     return kernel
 
 
-def _run_stats(kernel, work: _WorkArea, run: list) -> Iterator[FrameStats]:
-    """FrameStats of ``run``, the frames after those ``work`` has seen, from
-    one call of ``kernel``, which is passed each frame's pixels without a
-    copy. It takes the exact integer sums of the changes that ``_hsv_delta``
-    takes, so ``_delta_score`` gives the same double.
-    """
-    frames = (ctypes.c_char_p * len(run))(*[
-        frame.pixels if type(frame.pixels) is bytes
-        else np.frombuffer(frame.pixels, dtype=np.uint8).ctypes.data for frame in run])
-    rows = np.empty((len(run), 4), dtype=np.int64)
-    n, seen = work.pixels, work.seen
-    # the stream's frame i writes HSV set i % 2, and has a previous one from i = 1
-    kernel(frames, len(run), n, work.sets, seen % 2, seen > 0, work.table, rows.ctypes.data)
-    work.seen += len(run)
-    for i, (frame, (total, hue, sat, val)) in enumerate(zip(run, rows.tolist()), seen):
-        delta = _delta_score(hue, sat, val, n) if i else None
-        yield FrameStats(index=frame.index, avg_intensity=total / (3 * n), hsv_delta=delta)
+class _WorkArea:
+    """The compiled pass's run buffer and two HSV sets for one stream of
+    frames of ``pixels`` pixels, and how many frames it has ``seen``. A
+    thread builds one and reuses it for every run: a fresh array is a new
+    mapping whose pages fault again. ``buffer`` holds ``run`` frames."""
+
+    def __init__(self, pixels: int):
+        self.pixels, self.seen = pixels, 0
+        self.run = _run_frames(3 * pixels)
+        self.buffer = np.empty(3 * pixels * self.run, np.uint8)
+        self.address = self.buffer.ctypes.data
+        # hue, saturation and value of set 0, then of set 1
+        self.hsv = [np.empty(pixels, dtype) for _ in range(2)
+                    for dtype in (np.float32, np.float32, np.uint8)]
+        self.sets = (ctypes.c_void_p * 6)(*[a.ctypes.data for a in self.hsv])
+        self.table = _hue_table().ctypes.data
+
+    def sums(self, kernel, count: int, rows: np.ndarray) -> None:
+        """Write the sums of the buffer's first ``count`` frames, the
+        stream's next, into the first ``count`` rows of the C-contiguous
+        int64 ``rows`` from one call of ``kernel``: the exact integer sums
+        that ``_hsv_delta`` takes, so ``_delta_score`` gives its double."""
+        # the stream's frame i writes HSV set i % 2, and has a previous one from i = 1
+        kernel(self.address, count, self.pixels, self.sets, self.seen % 2, self.seen > 0,
+               self.table, rows.ctypes.data)
+        self.seen += count
+
+    def stats(self, kernel, indexes) -> Iterator[FrameStats]:
+        """FrameStats of the buffer's first ``len(indexes)`` frames, which
+        have those indexes; ``kernel`` is called at once."""
+        rows, delta = np.empty((len(indexes), 4), np.int64), self.seen > 0
+        self.sums(kernel, len(indexes), rows)
+        return _stats(rows, indexes, self.pixels, delta)
+
+
+def _stats(rows: np.ndarray, indexes, pixels: int, delta: bool) -> Iterator[FrameStats]:
+    """FrameStats of the frames ``indexes`` of ``pixels`` pixels from their
+    ``rows`` of sums; the first has an HSV delta where ``delta`` is set, and
+    every later one has."""
+    for index, (total, hue, sat, val) in zip(indexes, rows.tolist()):
+        yield FrameStats(index=index, avg_intensity=total / (3 * pixels),
+                         hsv_delta=_delta_score(hue, sat, val, pixels) if delta else None)
+        delta = True
 
 
 def stream_stats(frames) -> Iterator[FrameStats]:
     """FrameStats per frame, in order, from one pass over ``frames``.
 
-    Where ``_kernel`` gives the compiled pass, a FrameSource with a reader is
-    split into contiguous frame ranges, one per CPU in this process's
-    affinity mask, each after the first computed by a worker thread (see
-    ``_split_stats``). Anything else runs the same per-frame loop in the
-    calling thread. The statistics are the same bit for bit either way.
+    Where ``_kernel`` gives the compiled pass, a FrameSource with a reader
+    is read straight into run buffers and split into contiguous frame
+    ranges, one per CPU in this process's affinity mask (see
+    ``_split_stats``). Anything else runs the per-frame loop in the calling
+    thread. The statistics are the same bit for bit either way.
     """
-    if (isinstance(frames, FrameSource) and frames._reader is not None
-            and hasattr(os, "sched_getaffinity") and _kernel() is not None):
-        parts = min(len(os.sched_getaffinity(0)), frames.total_frames)
-        if parts > 1:
-            total = frames.total_frames
-            return _split_stats(frames, [total * k // parts for k in range(parts + 1)])
-    return _per_frame(frames)
+    kernel = _kernel()
+    if kernel is not None and isinstance(frames, FrameSource) and frames._reader is not None:
+        return _split_stats(frames, kernel)
+    return _per_frame(frames, kernel)
 
 
 def _frame_bytes(frame: Frame, first: Optional[int]) -> int:
@@ -511,14 +572,14 @@ def _frame_bytes(frame: Frame, first: Optional[int]) -> int:
     return size
 
 
-def _per_frame(frames):
-    """The per-frame loop: one call of the compiled pass a run of frames,
-    or, where ``_kernel`` gives none, the numpy functions a frame, with the
-    same results. The first frame's size sizes the compiled pass's work
-    area. A frame that fails ``_frame_bytes``, or an error from ``frames``,
-    raises after the stats of every frame before it: the run so far first.
+def _per_frame(frames, kernel):
+    """The loop over an iterable of Frames: each frame's pixels copied into
+    the run buffer and one call of the compiled pass ``kernel`` a run, or,
+    where it is None, the numpy functions a frame, with the same results.
+    The first frame's size sizes the work area. A frame that fails
+    ``_frame_bytes``, or an error from ``frames``, raises after the stats of
+    every frame before it: the run so far first.
     """
-    kernel = _kernel()
     if kernel is None:
         first = prev = None
         for frame in frames:
@@ -529,58 +590,70 @@ def _per_frame(frames):
                              hsv_delta=delta)
             prev = hsv
         return
-    work, run = None, []
+    work, indexes = None, []
     try:
         for frame in frames:
             size = _frame_bytes(frame, work and 3 * work.pixels)
             work = work or _WorkArea(size // 3)
-            run.append(frame)
-            if len(run) == work.run:
-                full, run = run, []
-                yield from _run_stats(kernel, work, full)
+            slot = len(indexes) * size
+            work.buffer[slot:slot + size] = np.frombuffer(frame.pixels, np.uint8)
+            indexes.append(frame.index)
+            if len(indexes) == work.run:
+                full, indexes = indexes, []
+                yield from work.stats(kernel, full)
     except Exception:
-        if run:
-            yield from _run_stats(kernel, work, run)
+        if indexes:
+            yield from work.stats(kernel, indexes)
         raise
-    if run:
-        yield from _run_stats(kernel, work, run)
+    if indexes:
+        yield from work.stats(kernel, indexes)
 
 
-def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
-    """Stats of ``source`` with frames ``bounds[k]:bounds[k + 1]`` computed
-    by worker thread k for k >= 1, and the first range by this thread.
+def _read_stats(source: FrameSource, kernel, work: _WorkArea, start: int,
+                stop: int) -> Iterator[FrameStats]:
+    """Stats of frames ``start:stop`` of ``source``, the next of ``work``'s
+    stream: one read into its buffer and one call a run."""
+    for count in source._reader(start, stop, work.buffer):
+        yield from work.stats(kernel, range(start, start + count))
+        start += count
 
-    Worker k reads frames ``bounds[k] - 1`` to ``bounds[k + 1]`` through
-    ``source.frames``: the frame before its range seeds its first delta, and
-    its stats are dropped. A worker keeps its range's stats, or nothing when
-    its loop raises. This thread's one loop computes its own range, joins
-    every worker and yields their stats; when one failed or did not start,
-    the loop goes on over every later frame, so bad input raises the same
-    error after the same stats as one thread would. On every path, also on
-    early close or error, the workers are told to stop, which each checks
-    before it reads a frame, and joined.
+
+def _split_stats(source: FrameSource, kernel) -> Iterator[FrameStats]:
+    """Stats of ``source`` split into one contiguous frame range per CPU in
+    this process's affinity mask: range k by worker thread k for k >= 1,
+    the first by this thread, so one CPU starts no thread.
+
+    Each thread reads a run into its work area's buffer, then makes one
+    call of ``kernel``. A worker reads from the frame before its range,
+    which seeds its first delta, and keeps its range's rows of sums, or
+    nothing when its reader or call raises; before each call it checks
+    whether it was told to stop. This thread computes its range, joins
+    every worker and turns their rows into stats; when one failed or did
+    not start, it goes on over every later frame with the same work area,
+    so bad input raises the same error after the same stats as one thread
+    would. On every path, also on early close or error, the workers are
+    told to stop and joined.
     """
+    total = source.total_frames
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cpus, total))
+    bounds = [total * k // parts for k in range(parts + 1)]
+    pixels = source.spec.width * source.spec.height
     _hue_table()  # built once, not by each worker
     stop = threading.Event()
-    done = [None] * (len(bounds) - 2)  # each worker's stats, once it has its whole range
+    done = [None] * (parts - 1)  # each worker's rows, once it has its whole range
 
     def work(k: int, start: int, end: int) -> None:
-        frames = itertools.takewhile(lambda _: not stop.is_set(), source.frames(start - 1, end))
+        area, rows, filled = _WorkArea(pixels), np.empty((end - start + 1, 4), np.int64), 0
         try:
-            stats = list(_per_frame(frames))[1:]
+            for count in source._reader(start - 1, end, area.buffer):
+                if stop.is_set():
+                    return
+                area.sums(kernel, count, rows[filled:])
+                filled += count
         except Exception:  # this thread's loop computes the range again and raises there
             return
-        if len(stats) == end - start:
-            done[k] = stats
-
-    def own_frames():
-        # this thread's range, then, if any worker failed, every later frame
-        frames = iter(source)
-        yield from itertools.islice(frames, bounds[1])
-        for worker in workers:
-            worker.join()
-        if None in done:
-            yield from frames
+        done[k] = rows[1:]
 
     workers = []
     try:
@@ -591,9 +664,15 @@ def _split_stats(source: FrameSource, bounds: list) -> Iterator[FrameStats]:
             except RuntimeError:
                 break  # the ranges left are computed by this thread
             workers.append(worker)
-        yield from _per_frame(own_frames())
-        if None not in done:
-            yield from itertools.chain(*done)
+        area = _WorkArea(pixels)
+        yield from _read_stats(source, kernel, area, 0, bounds[1])
+        for worker in workers:
+            worker.join()
+        if any(rows is None for rows in done):
+            yield from _read_stats(source, kernel, area, bounds[1], total)
+        else:
+            for rows, start in zip(done, bounds[1:]):
+                yield from _stats(rows, range(start, start + len(rows)), pixels, True)
     finally:
         stop.set()
         for worker in workers:

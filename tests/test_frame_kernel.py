@@ -100,14 +100,42 @@ def test_a_library_is_built_once_per_source_and_flags(monkeypatch, tmp_path, com
     source.write_text(source.read_text() + "/* changed */\n")
     changed = frames._build(str(source), str(cache))
     assert len(compiles) == 2
-    assert len(libraries(cache)) == 2  # a new key, and a new library beside the old
+    rebuilt = libraries(cache)
+    assert len(rebuilt) == 1 and rebuilt != built  # a new key, and the old library removed
     assert stats_with(monkeypatch, changed, clip) == expected
 
     monkeypatch.setattr(frames, "_CFLAGS", frames._CFLAGS + ("-g",))
     frames._build(str(source), str(cache))
     assert len(compiles) == 3
-    assert len(libraries(cache)) == 3
+    assert len(libraries(cache)) == 1 and libraries(cache) != rebuilt
     assert sorted(os.listdir(cache)) == libraries(cache)  # no temporary file is left
+
+
+@needs_cc
+def test_a_build_removes_only_this_interpreters_older_libraries(monkeypatch, tmp_path):
+    source, cache = tmp_path / "pass.c", tmp_path / "cache"
+    shutil.copy(frames._SOURCE, source)
+    cache.mkdir()
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    older = cache / f"_framestats.0123456789abcdef{suffix}"
+    other = cache / "_framestats.0123456789abcdef.cpython-399-x86_64-linux-gnu.so"
+    unrelated = cache / f"other{suffix}"
+    for path in (older, other, unrelated):
+        path.write_bytes(b"")
+    assert frames._build(str(source), str(cache)) is not None
+    assert not older.exists() and other.exists() and unrelated.exists()
+    assert len(libraries(cache)) == 3
+    assert frames._build(str(source), str(cache)) is not None  # loading one removes nothing
+    assert len(libraries(cache)) == 3
+
+    def no_remove(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    older.write_bytes(b"")
+    source.write_text(source.read_text() + "/* changed */\n")
+    monkeypatch.setattr(os, "remove", no_remove)
+    assert frames._build(str(source), str(cache)) is not None  # a failed removal is ignored
+    assert older.exists() and len(libraries(cache)) == 5
 
 
 @needs_cc

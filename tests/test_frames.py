@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from vidscore import cli
+from vidscore import cli, pipeline
 from vidscore import frames as frames_module
 from vidscore.errors import MalformedSourceError, SourceNotFoundError, VidscoreError
 from vidscore.frames import (Frame, FrameSource, compute_intensity, open_frame_source,
@@ -286,6 +286,23 @@ class TestFrameSource:
         assert "no frame 30" in capsys.readouterr().err
         assert not (out / "scenes.json").exists()
 
+    def test_a_raw_stream_that_cannot_be_read_after_opening_exits_2(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        write_source(tmp_path, noisy_clip(4, "cut"), "raw")
+        opened = pipeline.open_frame_source
+
+        def open_then_remove(source, fps):
+            opened_source = opened(source, fps)
+            os.remove(source)
+            return opened_source
+
+        monkeypatch.setattr(pipeline, "open_frame_source", open_then_remove)
+        out = tmp_path / "out"
+        argv = ["analyze", "--source", str(tmp_path / "clip.rgb24"), "--output-dir", str(out)]
+        assert cli.main(argv) == 2
+        assert "cannot read video" in capsys.readouterr().err
+        assert not (out / "scenes.json").exists()
+
 
 class TestStreamStats:
     def test_streaming_matches_buffered(self):
@@ -446,6 +463,19 @@ def fail_workers(monkeypatch):
     return computed
 
 
+def logged_reads(monkeypatch, source):
+    """Log ``(thread, start, stop)`` for each call of ``source``'s reader;
+    a Thread, unlike its ident, is never reused."""
+    reads, reader = [], source._reader
+
+    def logged(start, stop, buffer):
+        reads.append((threading.current_thread(), start, stop))
+        return reader(start, stop, buffer)
+
+    monkeypatch.setattr(source, "_reader", logged)
+    return reads
+
+
 @pytest.fixture
 def numpy_path(monkeypatch):
     """Run the per-frame loop on the numpy functions, as where no compiled
@@ -478,7 +508,7 @@ class TestSplitStats:
     @pytest.fixture(autouse=True)
     def runs_of_three(self, monkeypatch):
         """Runs of three 12x8 frames: the bad frames below fall inside runs."""
-        monkeypatch.setattr(frames_module, "_RUN_BYTES", 1700)
+        monkeypatch.setattr(frames_module, "_RUN_BYTES", 1000)
         assert frames_module._WorkArea(12 * 8).run == 3
 
     @split_cases
@@ -536,26 +566,26 @@ class TestSplitStats:
         cpus(3)
         clip = noisy_clip(9, "cut")
         serial = list(stream_stats(clip))
+        built, step = [], frames_module._WorkArea
 
-        def counted(name):
-            """Calls of ``name`` in the main thread."""
-            calls, step = [], getattr(frames_module, name)
-
-            def run(*args):
-                if in_main_thread():
-                    calls.append(args)
-                return step(*args)
-
-            monkeypatch.setattr(frames_module, name, run)
-            return calls
+        def counted(*args):  # work areas built in the main thread
+            if in_main_thread():
+                built.append(args)
+            return step(*args)
 
         computed = fail_workers(monkeypatch)
-        loops, built = counted("_per_frame"), counted("_WorkArea")
-        assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == serial
+        monkeypatch.setattr(frames_module, "_WorkArea", counted)
+        source = write_source(tmp_path, clip, "raw")
+        reads = logged_reads(monkeypatch, source)
+        assert list(stream_stats(source)) == serial
         assert len(computed) == len(clip)
-        assert len(loops) == 1
-        # the numpy path builds no work area
-        assert built == ([] if frames_module._kernel() is None else [(len(clip[0].pixels) // 3,)])
+        if frames_module._kernel() is None:  # the numpy path's one loop takes the iterator
+            assert reads == [] and built == []
+        else:
+            # one work area, whose HSV of frame 2 gives frame 3 its delta
+            assert [(start, stop) for thread, start, stop in reads
+                    if thread is threading.main_thread()] == [(0, 3), (3, 9)]
+            assert built == [(len(clip[0].pixels) // 3,)]
         assert_no_worker_left()
 
     def test_the_parent_continues_its_one_loop_after_a_killed_child_on_the_numpy_path(
@@ -625,33 +655,37 @@ class TestSplitStats:
         assert len(started) == 1
         assert_no_worker_left()
 
+    @needs_cc
     @pytest.mark.parametrize("kind", ["raw", "ppm"])
     def test_each_child_reads_only_its_own_range(self, tmp_path, cpus, monkeypatch, kind):
         started = cpus(3)  # frames 0-2 in the main thread, 3-5 and 6-8 in the workers
         clip = noisy_clip(9, "cut")
         source = write_source(tmp_path, clip, kind)
-        reads, frame = [], frames_module.Frame
-
-        def logged(index, pixels):  # a Thread, unlike its ident, is never reused
-            reads.append((threading.current_thread(), index))
-            return frame(index=index, pixels=pixels)
-
-        monkeypatch.setattr(frames_module, "Frame", logged)
+        reads = logged_reads(monkeypatch, source)
+        # every thread reads into its run buffer, and no frame becomes an object
+        monkeypatch.setattr(frames_module, "Frame", lambda *args, **kwargs: pytest.fail("a Frame"))
         assert list(stream_stats(source)) == list(stream_stats(clip))
-        by_thread = {thread: [i for t, i in reads if t is thread] for thread, _ in reads}
+        by_thread = {thread: [(a, b) for t, a, b in reads if t is thread] for thread, *_ in reads}
         # each worker reads the frame before its range, whose HSV seeds its first delta
-        assert by_thread == {threading.main_thread(): [0, 1, 2], started[0]: [2, 3, 4, 5],
-                             started[1]: [5, 6, 7, 8]}
+        assert by_thread == {threading.main_thread(): [(0, 3)], started[0]: [(2, 6)],
+                             started[1]: [(5, 9)]}
         assert_no_worker_left()
 
     @pytest.mark.parametrize("kind", ["raw", "ppm"])
     def test_a_range_of_frames_is_the_range_of_a_pass(self, tmp_path, kind):
         clip = noisy_clip(5, "fade")
         source = write_source(tmp_path, clip, kind)
+        size = len(clip[0].pixels)
         for start, stop in itertools.combinations_with_replacement(range(6), 2):
+            for run in (1, 2, 5):  # frames a buffer holds
+                buffer, read, counts = bytearray(run * size), b"", []
+                for count in source._reader(start, stop, buffer):
+                    read += buffer[:count * size]
+                    counts.append(count)
+                assert read == b"".join(frame.pixels for frame in clip[start:stop])
+                assert counts == [min(run, stop - at) for at in range(start, stop, run)]
             fresh = write_source(tmp_path, clip, kind)
-            assert list(source.frames(start, stop)) == \
-                list(itertools.islice(iter(fresh), start, stop)) == clip[start:stop]
+            assert list(itertools.islice(iter(fresh), start, stop)) == clip[start:stop]
 
     @pytest.mark.parametrize("kept", [1.5, 4, 7.5],
                              ids=["parent range", "first child range", "second child range"])
@@ -669,6 +703,51 @@ class TestSplitStats:
         assert serial[1:] == (MalformedSourceError,
                               f"{tmp_path / 'clip.rgb24'}: truncated at frame {int(kept)}")
         assert len(started) == 2
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("kept", [2.5, 4.5], ids=["parent range", "child range"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_stream_truncated_mid_run_gives_the_serial_stats_then_its_error(
+            self, tmp_path, cpus, count, kept):
+        # runs of frames 0-2, 3-5 and 6-8 in one thread; with three, the
+        # main thread's one run holds frame 2, and the first worker's first
+        # run frames 2-4
+        started = cpus(count)
+        clip = noisy_clip(9, "cut")
+        split_source = write_source(tmp_path, clip, "raw")
+        serial_source = open_frame_source(str(tmp_path / "clip.rgb24"))
+        os.truncate(tmp_path / "clip.rgb24", int(kept * len(clip[0].pixels)))
+        serial = stats_until_error(stream_stats(iter(serial_source)))
+        split = stats_until_error(stream_stats(split_source))
+        assert split == serial
+        assert serial[0] == list(stream_stats(clip))[:int(kept)]
+        assert serial[1:] == (MalformedSourceError,
+                              f"{tmp_path / 'clip.rgb24'}: truncated at frame {int(kept)}")
+        assert len(started) == (count - 1 if frames_module._kernel() is not None else 0)
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_ppm_directory_gives_its_raw_streams_stats(self, tmp_path, cpus, count):
+        cpus(count)
+        clip = noisy_clip(10, "fade")
+        raw, ppm = tmp_path / "raw", tmp_path / "ppm"
+        raw.mkdir()
+        ppm.mkdir()
+        assert (list(stream_stats(write_source(ppm, clip, "ppm")))
+                == list(stream_stats(write_source(raw, clip, "raw"))))
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_a_raw_stream_removed_after_opening_cannot_be_read(self, tmp_path, cpus,
+                                                               monkeypatch, count, path):
+        cpus(count)
+        if path == "numpy":
+            monkeypatch.setattr(frames_module, "_kernel", lambda: None)
+        source = write_source(tmp_path, noisy_clip(4, "cut"), "raw")
+        os.remove(tmp_path / "clip.rgb24")
+        with pytest.raises(MalformedSourceError, match=r"^cannot read video .*clip\.rgb24: "):
+            list(stream_stats(source))
         assert_no_worker_left()
 
 
