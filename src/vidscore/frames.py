@@ -31,11 +31,11 @@ The pass sums each frame's changes exactly, in integers, and runs an AVX2
 body on x86-64 where the CPU has one. The library is built on first use
 with the C compiler Python was built with, and cached in the
 ``__pycache__`` folder beside this module.
-Where no library can be built or loaded there, one loop in the calling
-thread runs the plain numpy functions ``_frame_hsv``, ``_hsv_delta`` and
-``compute_intensity``, which hold the interpreter lock, take the same
-integer sums, give the same statistics bit for bit and remain the oracle for
-the compiled pass.
+Where no library can be built or loaded there, the plain numpy functions
+``_frame_hsv``, ``_exact_sum`` and ``_hsv_changes`` take the same integer
+sums from the same run buffer, a frame at a time and in the calling thread
+alone, as they hold the interpreter lock. They give the same statistics bit
+for bit and remain the oracle for the compiled pass.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ class FrameSource:
 
 def _frames_of(reader, size: int, total: int) -> Iterator[Frame]:
     """Frames ``0:total`` of ``size`` bytes from ``reader``, each copied out
-    of one run buffer."""
+    of one run buffer; kept, though ``stream_stats`` takes the reader, for
+    the benchmark's traced run and as the serial reference in tests."""
     buffer = bytearray(size * _run_frames(size))
     view, index = memoryview(buffer), 0
     for count in reader(0, total, buffer):
@@ -193,8 +194,12 @@ _NUMBERED = re.compile(r"(\d+)\.ppm$", re.IGNORECASE)
 
 
 def _open_image_dir(path: str, fps: tuple[int, int]) -> FrameSource:
+    try:
+        names = os.listdir(path)
+    except OSError as exc:
+        raise MalformedSourceError(f"cannot read image directory {path}: {exc}") from exc
     entries = []
-    for name in os.listdir(path):
+    for name in names:
         match = _NUMBERED.search(name)
         if match:
             entries.append((int(match.group(1)), name))
@@ -292,17 +297,6 @@ def _exact_sum(values: np.ndarray) -> int:
     return total
 
 
-def compute_intensity(frame: Frame) -> float:
-    """Mean over pixels of (R+G+B)/3, in [0, 255].
-
-    A source's frames have fewer than 2**30 pixels (``FrameSpec``), so the
-    channel sum is an integer below 2**53, and summing it exactly and
-    dividing once gives the same double as a float64 mean.
-    """
-    pixels = np.frombuffer(frame.pixels, dtype=np.uint8)
-    return _exact_sum(pixels) / pixels.size
-
-
 @functools.cache
 def _hue_table() -> np.ndarray:
     """Float32 lookup table for hue, built on first use.
@@ -343,7 +337,7 @@ def _hue_table() -> np.ndarray:
 def _frame_hsv(pixels):
     """Per-pixel ``(hue, saturation, value)`` of a frame's RGB24 ``pixels``,
     every channel in [0, 255]: hue and saturation float32, value uint8, so
-    that ``_hsv_delta`` can take its term in integers.
+    that ``_hsv_changes`` can take its sum in integers.
 
     Hue comes from the standard hexagonal model rescaled so the full circle is
     256 units; achromatic pixels get hue 0. Hue is a float32 lookup in the
@@ -381,9 +375,10 @@ def _change_units(changes: np.ndarray, bits: int) -> int:
                    * 2**bits) for start in range(0, changes.size, _CHANGE_BLOCK))
 
 
-def _hsv_delta(prev, curr) -> float:
-    """Mean absolute HSV change between two ``_frame_hsv`` results, averaged
-    over the three channels.
+def _hsv_changes(prev, curr) -> tuple[int, int, int]:
+    """The exact sums of the per-pixel changes between two ``_frame_hsv``
+    results: of hue, on the shorter arc, in units of 2**-26; of saturation
+    in units of 2**-24; and of value.
 
     Every hue change is a multiple of 2**-26 in [0, 128] and every
     saturation change one of 2**-24 in [0, 255] (see ``_framestats.c``), so
@@ -394,7 +389,7 @@ def _hsv_delta(prev, curr) -> float:
     dh = np.minimum(dh, np.float32(HUE_SCALE) - dh)
     ds = np.abs(curr[1] - prev[1])
     dv = np.maximum(curr[2], prev[2]) - np.minimum(curr[2], prev[2])  # |curr - prev| in uint8
-    return _delta_score(_change_units(dh, 26), _change_units(ds, 24), _exact_sum(dv), dh.size)
+    return _change_units(dh, 26), _change_units(ds, 24), _exact_sum(dv)
 
 
 def _delta_score(hue_units: int, sat_units: int, dv_sum: int, n: int) -> float:
@@ -417,6 +412,8 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_framestats.
 # cached library can outlive the machine it was built on: the pass picks its
 # AVX2 body at run time instead
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# no interpreter with an extension suffix builds this name
+_UNSUFFIXED = re.compile(r"_framestats\.[0-9a-f]{16}\.so")
 
 
 @functools.cache
@@ -444,7 +441,8 @@ def _build(source: str, cache: str):
     library is built once per source, flag set and machine. It is compiled
     to a temporary name and renamed into place, so processes that build at
     once each load a whole library; then the older libraries with its
-    suffix, which are never loaded again, are removed where they can be.
+    suffix, and any from before libraries had one (``_UNSUFFIXED``), which
+    are never loaded again, are removed where they can be.
     ``cache`` is trusted as the module's bytecode beside it is. Where it
     cannot be written, or its library not loaded, this is None too: a
     library in a folder that only one process keeps would cost every
@@ -482,7 +480,8 @@ def _build(source: str, cache: str):
                 subprocess.run(command + ["-o", tmp], input=code, capture_output=True,
                                check=True)
             for old in os.listdir(cache):
-                if old != name and old.startswith("_framestats.") and old.endswith(suffix):
+                ours = old.startswith("_framestats.") and old.endswith(suffix)
+                if old != name and (ours or _UNSUFFIXED.fullmatch(old)):
                     with suppress(OSError):
                         os.remove(os.path.join(cache, old))
         return _load(path)
@@ -500,13 +499,14 @@ def _load(path: str):
 
 
 class _WorkArea:
-    """The compiled pass's run buffer and two HSV sets for one stream of
-    frames of ``pixels`` pixels, and how many frames it has ``seen``. A
-    thread builds one and reuses it for every run: a fresh array is a new
-    mapping whose pages fault again. ``buffer`` holds ``run`` frames."""
+    """The run buffer and two HSV sets for one stream of frames of
+    ``pixels`` pixels, and how many frames it has ``seen``. A thread builds
+    one and reuses it for every run: a fresh array is a new mapping whose
+    pages fault again. ``buffer`` holds ``run`` frames. On the numpy path,
+    where ``_kernel`` is None, ``prev`` holds the previous frame's HSV."""
 
     def __init__(self, pixels: int):
-        self.pixels, self.seen = pixels, 0
+        self.kernel, self.pixels, self.seen, self.prev = _kernel(), pixels, 0, None
         self.run = _run_frames(3 * pixels)
         self.buffer = np.empty(3 * pixels * self.run, np.uint8)
         self.address = self.buffer.ctypes.data
@@ -516,28 +516,37 @@ class _WorkArea:
         self.sets = (ctypes.c_void_p * 6)(*[a.ctypes.data for a in self.hsv])
         self.table = _hue_table().ctypes.data
 
-    def sums(self, kernel, count: int, rows: np.ndarray) -> None:
+    def sums(self, count: int, rows: np.ndarray) -> None:
         """Write the sums of the buffer's first ``count`` frames, the
         stream's next, into the first ``count`` rows of the C-contiguous
-        int64 ``rows`` from one call of ``kernel``: the exact integer sums
-        that ``_hsv_delta`` takes, so ``_delta_score`` gives its double."""
-        # the stream's frame i writes HSV set i % 2, and has a previous one from i = 1
-        kernel(self.address, count, self.pixels, self.sets, self.seen % 2, self.seen > 0,
-               self.table, rows.ctypes.data)
+        int64 ``rows``: each frame's channel sum, then the sums of its
+        changes that ``_hsv_changes`` takes, which are 0 for the stream's
+        first frame."""
+        if self.kernel is not None:
+            # the stream's frame i writes HSV set i % 2, and has a previous one from i = 1
+            self.kernel(self.address, count, self.pixels, self.sets, self.seen % 2,
+                        self.seen > 0, self.table, rows.ctypes.data)
+        else:
+            for row, pixels in zip(rows[:count], self.buffer.reshape(self.run, -1)):
+                hsv = _frame_hsv(pixels)
+                changes = (0, 0, 0) if self.prev is None else _hsv_changes(self.prev, hsv)
+                row[:] = (_exact_sum(pixels), *changes)
+                self.prev = hsv
         self.seen += count
 
-    def stats(self, kernel, indexes) -> Iterator[FrameStats]:
+    def stats(self, indexes) -> Iterator[FrameStats]:
         """FrameStats of the buffer's first ``len(indexes)`` frames, which
-        have those indexes; ``kernel`` is called at once."""
+        have those indexes; their sums are taken at once."""
         rows, delta = np.empty((len(indexes), 4), np.int64), self.seen > 0
-        self.sums(kernel, len(indexes), rows)
+        self.sums(len(indexes), rows)
         return _stats(rows, indexes, self.pixels, delta)
 
 
 def _stats(rows: np.ndarray, indexes, pixels: int, delta: bool) -> Iterator[FrameStats]:
     """FrameStats of the frames ``indexes`` of ``pixels`` pixels from their
     ``rows`` of sums; the first has an HSV delta where ``delta`` is set, and
-    every later one has."""
+    every later one has. A frame has under 2**30 pixels (``FrameSpec``), so
+    its channel sum is below 2**53 and one division gives a float64 mean."""
     for index, (total, hue, sat, val) in zip(indexes, rows.tolist()):
         yield FrameStats(index=index, avg_intensity=total / (3 * pixels),
                          hsv_delta=_delta_score(hue, sat, val, pixels) if delta else None)
@@ -547,16 +556,15 @@ def _stats(rows: np.ndarray, indexes, pixels: int, delta: bool) -> Iterator[Fram
 def stream_stats(frames) -> Iterator[FrameStats]:
     """FrameStats per frame, in order, from one pass over ``frames``.
 
-    Where ``_kernel`` gives the compiled pass, a FrameSource with a reader
-    is read straight into run buffers and split into contiguous frame
-    ranges, one per CPU in this process's affinity mask (see
-    ``_split_stats``). Anything else runs the per-frame loop in the calling
-    thread. The statistics are the same bit for bit either way.
+    A FrameSource with a reader is read straight into run buffers and, on
+    the compiled pass, split into contiguous frame ranges, one per CPU in
+    this process's affinity mask (see ``_split_stats``). Any other iterable
+    of Frames is copied into a run buffer in the calling thread. The
+    statistics are the same bit for bit either way, and on either path.
     """
-    kernel = _kernel()
-    if kernel is not None and isinstance(frames, FrameSource) and frames._reader is not None:
-        return _split_stats(frames, kernel)
-    return _per_frame(frames, kernel)
+    if isinstance(frames, FrameSource) and frames._reader is not None:
+        return _split_stats(frames)
+    return _per_frame(frames)
 
 
 def _frame_bytes(frame: Frame, first: Optional[int]) -> int:
@@ -572,24 +580,13 @@ def _frame_bytes(frame: Frame, first: Optional[int]) -> int:
     return size
 
 
-def _per_frame(frames, kernel):
+def _per_frame(frames):
     """The loop over an iterable of Frames: each frame's pixels copied into
-    the run buffer and one call of the compiled pass ``kernel`` a run, or,
-    where it is None, the numpy functions a frame, with the same results.
-    The first frame's size sizes the work area. A frame that fails
-    ``_frame_bytes``, or an error from ``frames``, raises after the stats of
-    every frame before it: the run so far first.
+    the run buffer, and the sums of a run taken once it is full. The first
+    frame's size sizes the work area. A frame that fails ``_frame_bytes``,
+    or an error from ``frames``, raises after the stats of every frame
+    before it: the run so far first.
     """
-    if kernel is None:
-        first = prev = None
-        for frame in frames:
-            first = _frame_bytes(frame, first)
-            hsv = _frame_hsv(frame.pixels)
-            delta = None if prev is None else _hsv_delta(prev, hsv)
-            yield FrameStats(index=frame.index, avg_intensity=compute_intensity(frame),
-                             hsv_delta=delta)
-            prev = hsv
-        return
     work, indexes = None, []
     try:
         for frame in frames:
@@ -600,43 +597,43 @@ def _per_frame(frames, kernel):
             indexes.append(frame.index)
             if len(indexes) == work.run:
                 full, indexes = indexes, []
-                yield from work.stats(kernel, full)
+                yield from work.stats(full)
     except Exception:
         if indexes:
-            yield from work.stats(kernel, indexes)
+            yield from work.stats(indexes)
         raise
     if indexes:
-        yield from work.stats(kernel, indexes)
+        yield from work.stats(indexes)
 
 
-def _read_stats(source: FrameSource, kernel, work: _WorkArea, start: int,
+def _read_stats(source: FrameSource, work: _WorkArea, start: int,
                 stop: int) -> Iterator[FrameStats]:
     """Stats of frames ``start:stop`` of ``source``, the next of ``work``'s
-    stream: one read into its buffer and one call a run."""
+    stream: one read into its buffer and one sum a run."""
     for count in source._reader(start, stop, work.buffer):
-        yield from work.stats(kernel, range(start, start + count))
+        yield from work.stats(range(start, start + count))
         start += count
 
 
-def _split_stats(source: FrameSource, kernel) -> Iterator[FrameStats]:
+def _split_stats(source: FrameSource) -> Iterator[FrameStats]:
     """Stats of ``source`` split into one contiguous frame range per CPU in
-    this process's affinity mask: range k by worker thread k for k >= 1,
-    the first by this thread, so one CPU starts no thread.
+    this process's affinity mask, or one range where ``_kernel`` is None, as
+    the numpy functions hold the interpreter lock: range k by worker thread
+    k for k >= 1, the first by this thread, so one range starts no thread.
 
-    Each thread reads a run into its work area's buffer, then makes one
-    call of ``kernel``. A worker reads from the frame before its range,
-    which seeds its first delta, and keeps its range's rows of sums, or
-    nothing when its reader or call raises; before each call it checks
-    whether it was told to stop. This thread computes its range, joins
-    every worker and turns their rows into stats; when one failed or did
-    not start, it goes on over every later frame with the same work area,
-    so bad input raises the same error after the same stats as one thread
-    would. On every path, also on early close or error, the workers are
-    told to stop and joined.
+    Each thread reads a run into its work area's buffer, then takes the
+    run's sums. A worker reads from the frame before its range, which seeds
+    its first delta, and keeps its range's rows of sums, or nothing when its
+    reader or pass raises; before each pass it checks whether it was told
+    to stop. This thread computes its range, joins every worker and turns
+    their rows into stats; when one failed or did not start, it goes on
+    over every later frame with the same work area, so bad input raises the
+    same error after the same stats as one thread would. On every path,
+    also on early close or error, the workers are told to stop and joined.
     """
     total = source.total_frames
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = max(1, min(cpus, total))
+    threads = _kernel() is not None and hasattr(os, "sched_getaffinity")
+    parts = max(1, min(len(os.sched_getaffinity(0)) if threads else 1, total))
     bounds = [total * k // parts for k in range(parts + 1)]
     pixels = source.spec.width * source.spec.height
     _hue_table()  # built once, not by each worker
@@ -649,7 +646,7 @@ def _split_stats(source: FrameSource, kernel) -> Iterator[FrameStats]:
             for count in source._reader(start - 1, end, area.buffer):
                 if stop.is_set():
                     return
-                area.sums(kernel, count, rows[filled:])
+                area.sums(count, rows[filled:])
                 filled += count
         except Exception:  # this thread's loop computes the range again and raises there
             return
@@ -665,11 +662,11 @@ def _split_stats(source: FrameSource, kernel) -> Iterator[FrameStats]:
                 break  # the ranges left are computed by this thread
             workers.append(worker)
         area = _WorkArea(pixels)
-        yield from _read_stats(source, kernel, area, 0, bounds[1])
+        yield from _read_stats(source, area, 0, bounds[1])
         for worker in workers:
             worker.join()
         if any(rows is None for rows in done):
-            yield from _read_stats(source, kernel, area, bounds[1], total)
+            yield from _read_stats(source, area, bounds[1], total)
         else:
             for rows, start in zip(done, bounds[1:]):
                 yield from _stats(rows, range(start, start + len(rows)), pixels, True)

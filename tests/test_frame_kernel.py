@@ -118,12 +118,15 @@ def test_a_build_removes_only_this_interpreters_older_libraries(monkeypatch, tmp
     cache.mkdir()
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     older = cache / f"_framestats.0123456789abcdef{suffix}"
+    # named as libraries were before they took the extension suffix
+    unsuffixed = cache / "_framestats.fedcba9876543210.so"
     other = cache / "_framestats.0123456789abcdef.cpython-399-x86_64-linux-gnu.so"
     unrelated = cache / f"other{suffix}"
-    for path in (older, other, unrelated):
+    for path in (older, unsuffixed, other, unrelated):
         path.write_bytes(b"")
     assert frames._build(str(source), str(cache)) is not None
-    assert not older.exists() and other.exists() and unrelated.exists()
+    assert not older.exists() and not unsuffixed.exists()
+    assert other.exists() and unrelated.exists()
     assert len(libraries(cache)) == 3
     assert frames._build(str(source), str(cache)) is not None  # loading one removes nothing
     assert len(libraries(cache)) == 3
@@ -132,10 +135,11 @@ def test_a_build_removes_only_this_interpreters_older_libraries(monkeypatch, tmp
         raise PermissionError(13, "Permission denied", path)
 
     older.write_bytes(b"")
+    unsuffixed.write_bytes(b"")
     source.write_text(source.read_text() + "/* changed */\n")
     monkeypatch.setattr(os, "remove", no_remove)
     assert frames._build(str(source), str(cache)) is not None  # a failed removal is ignored
-    assert older.exists() and len(libraries(cache)) == 5
+    assert older.exists() and unsuffixed.exists() and len(libraries(cache)) == 6
 
 
 @needs_cc

@@ -12,8 +12,7 @@ import pytest
 from vidscore import cli, pipeline
 from vidscore import frames as frames_module
 from vidscore.errors import MalformedSourceError, SourceNotFoundError, VidscoreError
-from vidscore.frames import (Frame, FrameSource, compute_intensity, open_frame_source,
-                             stream_stats)
+from vidscore.frames import Frame, FrameSource, open_frame_source, stream_stats
 from vidscore.scenes import FrameSpec
 
 from conftest import exact_frame_stats, needs_cc, rgb_to_hsv, solid_frame, write_ppm
@@ -40,29 +39,40 @@ def random_frame(rng, width=8, height=6, index=0):
     )
 
 
+def intensities(monkeypatch, frame):
+    """``frame``'s avg_intensity from stream_stats on the compiled pass and
+    on the numpy path."""
+    compiled = next(stream_stats([frame])).avg_intensity
+    with monkeypatch.context() as patch:
+        patch.setattr(frames_module, "_kernel", lambda: None)
+        return compiled, next(stream_stats([frame])).avg_intensity
+
+
 class TestIntensity:
-    def test_all_black_is_zero(self):
-        assert compute_intensity(frame_of((0, 0, 0))) == 0.0
+    def test_all_black_is_zero(self, monkeypatch):
+        assert intensities(monkeypatch, frame_of((0, 0, 0))) == (0.0, 0.0)
 
-    def test_all_white_is_full_scale(self):
-        assert compute_intensity(frame_of((255, 255, 255))) == 255.0
+    def test_all_white_is_full_scale(self, monkeypatch):
+        assert intensities(monkeypatch, frame_of((255, 255, 255))) == (255.0, 255.0)
 
-    def test_half_black_half_white(self):
+    def test_half_black_half_white(self, monkeypatch):
         pixels = solid_frame(8, 3, (0, 0, 0)) + solid_frame(8, 3, (255, 255, 255))
-        assert compute_intensity(Frame(index=0, pixels=pixels)) == 127.5
+        assert intensities(monkeypatch, Frame(index=0, pixels=pixels)) == (127.5, 127.5)
 
-    def test_permutation_invariant(self):
+    def test_permutation_invariant(self, monkeypatch):
         rng = random.Random(11)
         frame = random_frame(rng)
         triples = [frame.pixels[i : i + 3] for i in range(0, len(frame.pixels), 3)]
         rng.shuffle(triples)
         shuffled = Frame(index=0, pixels=b"".join(triples))
-        assert compute_intensity(frame) == pytest.approx(compute_intensity(shuffled))
+        assert intensities(monkeypatch, frame) == pytest.approx(
+            intensities(monkeypatch, shuffled))
 
-    def test_all_white_past_where_a_uint32_sum_wraps(self):
+    def test_all_white_past_where_a_uint32_sum_wraps(self, monkeypatch):
         side = 2400  # 5.76 M pixels, whose channel sum passes 2**32
         assert 3 * 255 * side * side >= 2**32
-        assert compute_intensity(Frame(index=0, pixels=b"\xff" * (3 * side * side))) == 255.0
+        frame = Frame(index=0, pixels=b"\xff" * (3 * side * side))
+        assert intensities(monkeypatch, frame) == (255.0, 255.0)
 
     @pytest.mark.parametrize("size", [0, 1, 2**16 - 1, 2**16, 2**24 + 2**18 + 3])
     def test_exact_sum_of_full_scale_values(self, size):
@@ -257,7 +267,7 @@ class TestFrameSource:
         source = open_frame_source(str(tmp_path), fps=(25, 1))
         frames = list(source)
         assert source.total_frames == 3
-        assert [compute_intensity(f) for f in frames] == [10.0, 20.0, 30.0]
+        assert [entry.avg_intensity for entry in stream_stats(frames)] == [10.0, 20.0, 30.0]
 
     def test_two_files_numbering_one_frame(self, tmp_path):
         for name in ("frame1.ppm", "frame001.ppm", "frame2.ppm"):
@@ -284,6 +294,26 @@ class TestFrameSource:
                 "--output-dir", str(out)]
         assert cli.main(argv) == 2
         assert "no frame 30" in capsys.readouterr().err
+        assert not (out / "scenes.json").exists()
+
+    def test_an_image_directory_that_cannot_be_listed_exits_2(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # root lists a folder whatever its mode, so the refusal is patched in
+        folder = tmp_path / "frames"
+        folder.mkdir()
+        write_ppm(str(folder / "0000.ppm"), 4, 3, solid_frame(4, 3, (9, 9, 9)))
+        listdir = os.listdir
+
+        def refuse(path="."):
+            if os.fspath(path) == str(folder):
+                raise PermissionError(13, "Permission denied", str(folder))
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", refuse)
+        out = tmp_path / "out"
+        argv = ["analyze", "--source", str(folder), "--fps", "25", "--output-dir", str(out)]
+        assert cli.main(argv) == 2
+        assert "cannot read image directory" in capsys.readouterr().err
         assert not (out / "scenes.json").exists()
 
     def test_a_raw_stream_that_cannot_be_read_after_opening_exits_2(self, tmp_path,
@@ -478,7 +508,7 @@ def logged_reads(monkeypatch, source):
 
 @pytest.fixture
 def numpy_path(monkeypatch):
-    """Run the per-frame loop on the numpy functions, as where no compiled
+    """Take the run's sums with the numpy functions, as where no compiled
     pass can be built. Tests without this fixture take the compiled pass
     wherever a C compiler is on the path."""
     monkeypatch.setattr(frames_module, "_kernel", lambda: None)
@@ -497,6 +527,19 @@ def split_cases(test):
                  pytest.mark.parametrize("total", [1, 2, 3, 4, 5]),
                  pytest.mark.parametrize("transition", ["cut", "fade"]),
                  pytest.mark.parametrize("kind", ["raw", "ppm", "iterator"])):
+        test = mark(test)
+    return test
+
+
+def malformed_frame_cases(test):
+    """The cases of a PPM directory with one bad frame, in each thread's range."""
+    for mark in (pytest.mark.parametrize("bad_bytes", [
+                     b"P6\n12 8\n255\n" + bytes(10),
+                     b"P6\n4 3\n255\n" + bytes(36),
+                     b"P5\n12 8\n255\n" + bytes(96),
+                 ], ids=["truncated pixels", "other size", "not P6"]),
+                 pytest.mark.parametrize("bad_index", [1, 4, 7], ids=[
+                     "parent range", "first child range", "second child range"])):
         test = mark(test)
     return test
 
@@ -528,13 +571,7 @@ class TestSplitStats:
             self, tmp_path, cpus, numpy_path, kind, transition, total, count):
         self.test_split_matches_serial_bit_for_bit(tmp_path, cpus, kind, transition, total, count)
 
-    @pytest.mark.parametrize("bad_index", [1, 4, 7],
-                             ids=["parent range", "first child range", "second child range"])
-    @pytest.mark.parametrize("bad_bytes", [
-        b"P6\n12 8\n255\n" + bytes(10),
-        b"P6\n4 3\n255\n" + bytes(36),
-        b"P5\n12 8\n255\n" + bytes(96),
-    ], ids=["truncated pixels", "other size", "not P6"])
+    @malformed_frame_cases
     def test_malformed_frame_fails_as_the_serial_loop_does(self, tmp_path, cpus,
                                                           bad_index, bad_bytes):
         started = cpus(3)  # frames 0-2 in the main thread, 3-5 and 6-8 in the workers
@@ -544,8 +581,14 @@ class TestSplitStats:
         split = stats_until_error(stream_stats(open_frame_source(str(tmp_path), (30, 1))))
         assert split == serial
         assert len(serial[0]) == bad_index
-        assert len(started) == 2
+        assert len(started) == (2 if frames_module._kernel() is not None else 0)
         assert_no_worker_left()
+
+    @malformed_frame_cases
+    def test_malformed_frame_fails_as_the_serial_loop_does_on_the_numpy_path(
+            self, tmp_path, cpus, numpy_path, bad_index, bad_bytes):
+        self.test_malformed_frame_fails_as_the_serial_loop_does(tmp_path, cpus, bad_index,
+                                                                bad_bytes)
 
     def test_a_killed_child_leaves_its_range_to_the_parent(self, tmp_path, cpus, monkeypatch):
         started = cpus(3)
@@ -579,13 +622,12 @@ class TestSplitStats:
         reads = logged_reads(monkeypatch, source)
         assert list(stream_stats(source)) == serial
         assert len(computed) == len(clip)
-        if frames_module._kernel() is None:  # the numpy path's one loop takes the iterator
-            assert reads == [] and built == []
-        else:
-            # one work area, whose HSV of frame 2 gives frame 3 its delta
-            assert [(start, stop) for thread, start, stop in reads
-                    if thread is threading.main_thread()] == [(0, 3), (3, 9)]
-            assert built == [(len(clip[0].pixels) // 3,)]
+        # one work area, whose HSV of frame 2 gives frame 3 its delta; the
+        # numpy path reads the whole clip in the main thread
+        ranges = [(0, 9)] if frames_module._kernel() is None else [(0, 3), (3, 9)]
+        assert [(start, stop) for thread, start, stop in reads
+                if thread is threading.main_thread()] == ranges
+        assert built == [(len(clip[0].pixels) // 3,)]
         assert_no_worker_left()
 
     def test_the_parent_continues_its_one_loop_after_a_killed_child_on_the_numpy_path(
@@ -599,8 +641,7 @@ class TestSplitStats:
                                                           path):
         clip = noisy_clip(9, "cut")
         assert len({frame.pixels for frame in clip}) == len(clip)
-        fresh = [frames_module._frame_hsv(frame.pixels) for frame in clip]
-        expected = [None] + [frames_module._hsv_delta(a, b) for a, b in zip(fresh, fresh[1:])]
+        expected = [delta for _, delta in exact_frame_stats(clip)]
         started, computed = cpus(3), []
         if path == "bare iterable":
             stats = stream_stats(iter(clip))
@@ -726,16 +767,29 @@ class TestSplitStats:
         assert len(started) == (count - 1 if frames_module._kernel() is not None else 0)
         assert_no_worker_left()
 
+    @pytest.mark.parametrize("kept", [2.5, 4.5], ids=["parent range", "child range"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_stream_truncated_mid_run_gives_the_serial_stats_then_its_error_on_the_numpy_path(
+            self, tmp_path, cpus, numpy_path, count, kept):
+        self.test_a_stream_truncated_mid_run_gives_the_serial_stats_then_its_error(
+            tmp_path, cpus, count, kept)
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_a_ppm_directory_gives_its_raw_streams_stats(self, tmp_path, cpus, count):
-        cpus(count)
+        started = cpus(count)
         clip = noisy_clip(10, "fade")
         raw, ppm = tmp_path / "raw", tmp_path / "ppm"
         raw.mkdir()
         ppm.mkdir()
         assert (list(stream_stats(write_source(ppm, clip, "ppm")))
                 == list(stream_stats(write_source(raw, clip, "raw"))))
+        assert len(started) == (2 * (count - 1) if frames_module._kernel() is not None else 0)
         assert_no_worker_left()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_ppm_directory_gives_its_raw_streams_stats_on_the_numpy_path(
+            self, tmp_path, cpus, numpy_path, count):
+        self.test_a_ppm_directory_gives_its_raw_streams_stats(tmp_path, cpus, count)
 
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
