@@ -189,8 +189,9 @@ def _nearest_index(members: Sequence[int], pitch: int) -> int:
 def _pc_in_register(pc: int, register: Tuple[int, int]) -> int:
     lo, hi = register
     center = (lo + hi) // 2
-    candidates = range(lo + (pc - lo) % 12, hi + 1, 12)  # pc in each octave
-    return min(candidates, key=lambda p: (abs(p - center), p), default=center)
+    # pc in each octave; moods._validate gives every register 12 pitches or more
+    candidates = range(lo + (pc - lo) % 12, hi + 1, 12)
+    return min(candidates, key=lambda p: (abs(p - center), p))
 
 
 class _SectionContext:
@@ -289,8 +290,6 @@ def _arpeggio_events(ctx, layer, rng, phrase_draws) -> List[Note]:
 
 def _melody_events(ctx, layer, rng, phrase_draws) -> List[Note]:
     members = _scale_members(ctx.mood.scale, layer.register[0], layer.register[1])
-    if not members:
-        return []
     events = []
     phrase_ticks = ctx.phrase_bars * ctx.bar
     for phrase in range(ctx.section.phrases):

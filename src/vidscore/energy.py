@@ -39,10 +39,15 @@ class EnergyLabel(str, Enum):
         return list(EnergyLabel).index(self) + 1
 
 
+# plan.ini's words for where a section's layers head, and how fast
+DIRECTIONS = ("up", "down")
+SLOPES = ("stay", "gradual", "steep")
+
+
 @dataclass(frozen=True)
 class DirectionSlope:
-    direction: str  # up | down
-    slope: str  # stay | gradual | steep
+    direction: str  # one of DIRECTIONS
+    slope: str  # one of SLOPES
 
 
 SceneCounts = Dict[int, float]

@@ -230,9 +230,10 @@ class _Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.end = len(data)  # reads stop here: the file's end, or a track chunk's
 
     def need(self, count: int) -> None:
-        if self.pos + count > len(self.data):
+        if self.pos + count > self.end:
             raise MalformedMidiError("truncated chunk", offset=self.pos)
 
     def bytes(self, count: int) -> bytes:
@@ -292,16 +293,17 @@ def read_smf(data: bytes) -> MidiDocument:
         end = reader.pos + length
         if end > len(data):
             raise MalformedMidiError("truncated track chunk", offset=reader.pos)
-        tracks.append(_read_track(reader, index, end))
-        reader.pos = end
+        reader.end = end
+        tracks.append(_read_track(reader, index))
+        reader.pos, reader.end = end, len(data)
     return MidiDocument(format=fmt, ppqn=division, tracks=tracks)
 
 
-def _read_track(reader: _Reader, index: int, end: int) -> MidiTrack:
+def _read_track(reader: _Reader, index: int) -> MidiTrack:
     track = MidiTrack(index=index)
     tick = 0
     running: Optional[int] = None
-    while reader.pos < end:
+    while reader.pos < reader.end:
         tick += reader.vlq()
         status = reader.peek()
         if status < 0x80:

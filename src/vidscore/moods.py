@@ -141,8 +141,10 @@ def _validate(mood: MoodConfig) -> MoodConfig:
         )
     for layer in mood.instrument_layers:
         reg_lo, reg_hi = layer.register
-        if not (0 <= reg_lo < reg_hi <= 127):
-            raise ConfigError(f"mood {mood.name}: bad register for {layer.label}")
+        # 12 pitches or more hold every pitch class, so each scale note has a place
+        if not (0 <= reg_lo and reg_lo + 11 <= reg_hi <= 127):
+            raise ConfigError(f"mood {mood.name}: bad register for {layer.label}: it must "
+                              "span 12 pitches or more within 0..127")
         if layer.rhythm_density not in DENSITIES:
             raise ConfigError(f"mood {mood.name}: bad density for {layer.label}")
     return mood

@@ -17,6 +17,13 @@ The plan serializes to an INI document with a [composition] block followed by
 one [sectionN] block per section. Section durations may be written as a range
 ("8 to 12") by hand; the solver resolves them, and emitted plans are always
 exact.
+
+Two records carry a plan, the second a subclass of the first. ``parse_ini``
+returns a ``PlanDocument`` of ``SectionEntry`` blocks as written, where a
+duration may still be a range. ``resolve_plan`` and ``finalize_plan`` return a
+``CompositionPlan`` of ``SectionSpec``: the same fields, with each duration
+exact and the whole phrase count that fills it. The composer takes only a
+``CompositionPlan``, so it never sees a range.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .energy import DirectionSlope, EnergyLabel
+from .energy import DIRECTIONS, SLOPES, DirectionSlope, EnergyLabel
 from .errors import (
     EmptyInputError,
     NoConsistentTempoError,
@@ -56,24 +63,41 @@ class Fit(NamedTuple):
     phrases: int
 
 
+DurationValue = Union[float, Tuple[float, float]]
+
+
 @dataclass(frozen=True)
-class SectionSpec:
+class SectionEntry:
     section_id: int
     time_signature: Tuple[int, int]
     tempo: int
     energy: EnergyLabel
-    duration_s: float
-    phrases: int
+    duration_s: DurationValue  # exact target, or an unresolved (lo, hi) range
     direction: str
     slope: str
 
 
 @dataclass(frozen=True)
-class CompositionPlan:
+class SectionSpec(SectionEntry):
+    duration_s: float
+    phrases: int
+
+
+@dataclass(frozen=True)
+class PlanDocument:
     total_duration_s: float
     mood: str
     complexity: str
     rng_seed: int
+    sections: Tuple[SectionEntry, ...]
+
+    @property
+    def has_ranges(self) -> bool:
+        return any(isinstance(s.duration_s, tuple) for s in self.sections)
+
+
+@dataclass(frozen=True)
+class CompositionPlan(PlanDocument):
     sections: Tuple[SectionSpec, ...]
 
 
@@ -171,16 +195,8 @@ def finalize_plan(
     for i, (duration, fits) in enumerate(zip(durations, candidates)):
         rng = SeededRng(rng_seed, i)
         fit = fits[rng.randrange(len(fits))]
-        sections.append(SectionSpec(
-            section_id=i,
-            time_signature=fit.time_signature,
-            tempo=fit.tempo,
-            energy=energies[i],
-            duration_s=duration,
-            phrases=fit.phrases,
-            direction=direction_slopes[i].direction,
-            slope=direction_slopes[i].slope,
-        ))
+        sections.append(SectionSpec(section_id=i, energy=energies[i], duration_s=duration,
+                                    **fit._asdict(), **vars(direction_slopes[i])))
 
     return CompositionPlan(
         total_duration_s=sum(durations),
@@ -192,33 +208,6 @@ def finalize_plan(
 
 
 # -- plan INI interchange -------------------------------------------------------
-
-DurationValue = Union[float, Tuple[float, float]]
-
-
-@dataclass(frozen=True)
-class SectionEntry:
-    section_id: int
-    time_signature: Tuple[int, int]
-    tempo: int
-    energy: EnergyLabel
-    duration_s: DurationValue  # exact target, or an unresolved (lo, hi) range
-    direction: str
-    slope: str
-
-
-@dataclass(frozen=True)
-class PlanDocument:
-    total_duration_s: float
-    mood: str
-    complexity: str
-    rng_seed: int
-    entries: Tuple[SectionEntry, ...]
-
-    @property
-    def has_ranges(self) -> bool:
-        return any(isinstance(e.duration_s, tuple) for e in self.entries)
-
 
 def _checked(kind: Callable[[str], Any], bad: str,
              ok: Callable[[Any], bool] = lambda value: True, unsupported: str = ""):
@@ -266,9 +255,12 @@ def _seconds(value: float) -> str:
 
 
 # One table per block: plan.ini key -> (field, parse, write), in the order
-# plan_to_ini writes the keys. The fields are CompositionPlan's and
-# PlanDocument's, then SectionSpec's and SectionEntry's. parse_ini reports a
-# parser's ValueError at the value's line.
+# plan_to_ini writes the keys. _COMPOSITION holds every PlanDocument field but
+# sections, and _SECTION every SectionEntry field but section_id, which the
+# block's header gives; the subclasses inherit them, so a new field is declared
+# once on its record and once here. Each parser takes its rule from the module
+# that owns the field. parse_ini reports a parser's ValueError at the value's
+# line.
 _Field = Tuple[str, Callable[[str], Any], Callable[[Any], str]]
 _BAD_VALUE = "bad [composition] value: {exc}"
 _COMPOSITION: Dict[str, _Field] = {
@@ -288,9 +280,8 @@ _SECTION: Dict[str, _Field] = {
     "energy": ("energy", _checked(EnergyLabel, "unknown energy {text!r}"), attrgetter("value")),
     "duration": ("duration_s", _parse_duration, _seconds),
     "direction": ("direction", _checked(str, "unknown direction {text!r}",
-                                        ("up", "down").__contains__), str),
-    "slope": ("slope", _checked(str, "unknown slope {text!r}",
-                                ("stay", "gradual", "steep").__contains__), str),
+                                        DIRECTIONS.__contains__), str),
+    "slope": ("slope", _checked(str, "unknown slope {text!r}", SLOPES.__contains__), str),
 }
 
 
@@ -358,7 +349,7 @@ def parse_ini(text: str) -> PlanDocument:
             raise PlanParseError(
                 f"section {entry.section_id} spans {bars} bars, over the budget of "
                 f"{MAX_SECTION_BARS}", line=header_line[entry.section_id])
-    return PlanDocument(entries=entries, **composition)
+    return PlanDocument(sections=entries, **composition)
 
 
 def _bars(entry: SectionEntry) -> float:
@@ -383,7 +374,7 @@ def resolve_plan(
     """
     mood = mood or load_mood(doc.mood)
     sections = []
-    for entry in doc.entries:
+    for entry in doc.sections:
         phrase_s = phrase_seconds(entry.tempo, entry.time_signature, mood.phrase_length_bars)
         if isinstance(entry.duration_s, tuple):
             lo, hi = entry.duration_s
@@ -415,11 +406,6 @@ def resolve_plan(
                 f"composition duration {total} is {drift:.3f} s away from the "
                 "section total"
             )
-    return CompositionPlan(
-        total_duration_s=total,
-        mood=doc.mood,
-        complexity=doc.complexity,
-        rng_seed=doc.rng_seed,
-        sections=tuple(sections),
-    )
+    return CompositionPlan(**{**vars(doc), "total_duration_s": total,
+                              "sections": tuple(sections)})
 

@@ -192,12 +192,11 @@ class TestComposeSection:
 
 def test_pc_in_register_matches_a_scan_of_the_register():
     for lo in range(128):
-        for hi in range(lo, 128):
+        for hi in range(lo + 11, 128):  # moods refuse a register of under 12 pitches
             center = (lo + hi) // 2
             for pc in range(12):
                 candidates = [p for p in range(lo, hi + 1) if p % 12 == pc]
-                expected = (min(candidates, key=lambda p: (abs(p - center), p))
-                            if candidates else center)
+                expected = min(candidates, key=lambda p: (abs(p - center), p))
                 assert _pc_in_register(pc, (lo, hi)) == expected, (pc, lo, hi)
 
 

@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from vidscore import cli
 from vidscore.errors import ConfigError
 from vidscore.midi import tempo_meta_value
 from vidscore.moods import list_moods, load_mood, supported_tempo
@@ -73,6 +74,29 @@ def test_wrongly_typed_mood_field(tmp_path, case):
     WRONG_TYPES[case](doc)
     with pytest.raises(ConfigError):
         load_mood(write_mood(tmp_path, doc))
+
+
+@pytest.mark.parametrize("register", [[60, 65], [60, 70]])
+def test_register_under_twelve_pitches_exits_6(tmp_path, capsys, register):
+    # the composer places each scale note by pitch class, and a narrower
+    # register has no place for some of them
+    doc = inspire_doc()
+    for layer in doc["instrument_layers"][:2]:
+        layer["register"] = register
+    scene = {"id": 0, "start_frame": 0, "end_frame": 240,
+             "opens_with": "start-of-video", "closes_with": "end-of-video"}
+    scenes = tmp_path / "scenes.json"
+    scenes.write_text(json.dumps({"fps": [24, 1], "total_frames": 240, "scenes": [scene]}))
+    assert cli.main(["plan", "--scenes", str(scenes), "--mood", write_mood(tmp_path, doc),
+                     "--output-dir", str(tmp_path)]) == 6
+    assert "bad register" in capsys.readouterr().err
+    assert not (tmp_path / "plan.ini").exists()
+
+
+def test_register_of_twelve_pitches_loads(tmp_path):
+    doc = inspire_doc()
+    doc["instrument_layers"][0]["register"] = [60, 71]
+    assert load_mood(write_mood(tmp_path, doc)).instrument_layers[0].register == (60, 71)
 
 
 def test_empty_progression_is_rejected(tmp_path):

@@ -142,7 +142,7 @@ class TestPlan:
         config = PipelineConfig(output_dir=str(directory), rng_seed=5)
         plan_path = stage_plan(config, scenes_path)
         doc = parse_ini(open(plan_path).read())
-        assert [e.energy.value for e in doc.entries] == ["medium"] * 4
+        assert [e.energy.value for e in doc.sections] == ["medium"] * 4
 
     def test_detections_flow_into_energies(self, analyzed, tmp_path):
         directory, _, scenes_path = analyzed
@@ -156,13 +156,13 @@ class TestPlan:
         plan_path = stage_plan(config, scenes_path)
         doc = parse_ini(open(plan_path).read())
         expected = classify_energy(counts)
-        assert [e.energy for e in doc.entries] == [expected[i] for i in range(4)]
+        assert [e.energy for e in doc.sections] == [expected[i] for i in range(4)]
 
     def test_global_mode_single_tempo(self, analyzed):
         directory, _, scenes_path = analyzed
         config = PipelineConfig(output_dir=str(directory), rng_seed=9)
         doc = parse_ini(open(stage_plan(config, scenes_path)).read())
-        assert len({e.tempo for e in doc.entries}) == 1
+        assert len({e.tempo for e in doc.sections}) == 1
 
     def test_unplannable_short_scene_exits_3(self, tmp_path):
         builder = VideoBuilder().add_run(CUT_SAFE_COLORS[0], 6)  # 0.2 s video
@@ -534,7 +534,7 @@ class TestRun:
                          "--output-dir", str(tmp_path)]) == 0
         doc = parse_ini((tmp_path / "plan.ini").read_text())
         assert doc.mood == str(mood)
-        assert {entry.tempo for entry in doc.entries} == {128}
+        assert {entry.tempo for entry in doc.sections} == {128}
         smf = read_smf((tmp_path / "soundtrack.mid").read_bytes())
         assert {usec for _tick, usec in doc_tempos(smf)} == {round(60e6 / 128)}
 
@@ -987,6 +987,21 @@ class TestBadContentExitCodes:
                          str(tmp_path / "stems.json"), "--output-dir", str(out)]) == 4
         assert "cannot read a PCM WAV file" in capsys.readouterr().err
         assert not (out / "soundtrack.wav").exists()
+
+    def test_melody_event_past_its_track_chunk_exits_4(self, valid_inputs, tmp_path, capsys):
+        # a format-1 file whose first track stops inside a note-on: its
+        # velocity byte would be the next chunk's "M"
+        header = b"MThd" + (6).to_bytes(4, "big") + bytes([0, 1, 0, 2, 0x01, 0xE0])
+        cut = b"MTrk" + (3).to_bytes(4, "big") + b"\x00\x90\x3c"
+        body = b"\x00\x90\x40\x64" + b"\x83\x60\x80\x40\x00" + b"\x00\xff\x2f\x00"
+        notes = b"MTrk" + len(body).to_bytes(4, "big") + body
+        melody = tmp_path / "motif.mid"
+        melody.write_bytes(header + cut + notes)
+        out = tmp_path / "out"
+        assert cli.main(["compose", "--plan", valid_inputs["plan"], "--melody", str(melody),
+                         "--output-dir", str(out)]) == 4
+        assert "truncated chunk" in capsys.readouterr().err
+        assert not (out / "soundtrack.mid").exists()
 
     @pytest.mark.parametrize("changes", [
         {"tempo_range": [2, 120]},

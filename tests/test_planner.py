@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -20,7 +21,13 @@ from vidscore.planner import (
     DEFAULT_TOLERANCE_S,
     MAX_SECTION_BARS,
     PLANNER_MODES,
+    _COMPOSITION,
+    _SECTION,
+    CompositionPlan,
     Fit,
+    PlanDocument,
+    SectionEntry,
+    SectionSpec,
     enumerate_fits,
     finalize_plan,
     fit_tolerance,
@@ -305,8 +312,32 @@ class TestPlanIni:
             "duration = 8 to 12\ndirection = up\nslope = stay\n"
         )
         doc = parse_ini(text)
-        assert doc.entries[0].duration_s == (8.0, 12.0)
+        assert doc.sections[0].duration_s == (8.0, 12.0)
         assert doc.has_ranges
+
+
+def field_names(record):
+    return sorted(field.name for field in dataclasses.fields(record))
+
+
+class TestPlanRecords:
+    """Each plan.ini field is declared once, on the parsed record, and named
+    once in its block's table; the resolved record adds only what resolving
+    decides."""
+
+    def test_resolved_records_extend_the_parsed_ones(self):
+        assert issubclass(SectionSpec, SectionEntry)
+        assert issubclass(CompositionPlan, PlanDocument)
+        assert sorted(vars(SectionSpec)["__annotations__"]) == ["duration_s", "phrases"]
+        assert sorted(vars(CompositionPlan)["__annotations__"]) == ["sections"]
+
+    def test_section_table_names_every_section_entry_field(self):
+        named = [field for field, _, _ in _SECTION.values()]
+        assert sorted(named + ["section_id"]) == field_names(SectionEntry)
+
+    def test_composition_table_names_every_plan_document_field(self):
+        named = [field for field, _, _ in _COMPOSITION.values()]
+        assert sorted(named + ["sections"]) == field_names(PlanDocument)
 
 
 class TestResolvePlan:
