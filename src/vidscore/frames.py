@@ -1,6 +1,7 @@
 """Frame sources and per-frame pixel statistics.
 
-Two kinds of input are supported behind one iterator interface:
+Two kinds of input are opened here, each as a ``FrameSource`` read through
+its reader:
 
 * a raw RGB24 stream (``<name>.rgb24``) with a text sidecar (``<name>.hdr``)
   declaring ``width= height= fps_num= fps_den=``, and
@@ -25,8 +26,9 @@ example with ``taskset``). The statistics do not depend on the split.
 
 Each thread reads its range a run of frames at a time into one buffer, and
 makes one compiled pass over each run (``_framestats.c``, through
-``ctypes``); the read and the pass both release the interpreter lock. Other
-iterables of frames are copied into such a buffer in the calling thread.
+``ctypes``); the read and the pass both release the interpreter lock. A
+source built from an iterable of frames is read in one range, each frame
+copied into the run buffer in the calling thread.
 The pass sums each frame's changes exactly, in integers, and runs an AVX2
 body on x86-64 where the CPU has one. The library is built on first use
 with the C compiler Python was built with, and cached in the
@@ -47,7 +49,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -75,37 +77,83 @@ def _run_frames(size: int) -> int:
 
 
 class FrameSource:
-    """Ordered, single-pass iterator of frames with a known FrameSpec.
+    """The ``total_frames`` frames of one clip of ``spec``, read through its
+    reader.
 
     ``reader(start, stop, buffer)`` fills the writable ``buffer`` with as
     many whole frames of ``start:stop`` as it holds, again and again, and
     yields each fill's frame count; a frame that cannot be read raises once
-    the whole frames before it are yielded. A source opened here builds its
-    iterator on its reader. One built without a reader has only its
-    iterator, so ``stream_stats`` computes it in one thread.
+    the whole frames before it are yielded. A source opened here reads any
+    range, in any thread. One built from ``frames``, an iterable of Frames,
+    has a reader that takes them in order, each checked against ``spec``;
+    it reads once, from frame 0, so it is ``one_pass``. Iterating a source
+    yields its Frames, each copied out of a run buffer.
     """
 
-    def __init__(self, spec: FrameSpec, total_frames: int, frames: Iterator[Frame],
+    def __init__(self, spec: FrameSpec, total_frames: int,
+                 frames: Optional[Iterable[Frame]] = None,
                  reader: Optional[Callable[[int, int, object], Iterator[int]]] = None):
         self.spec = spec
         self.total_frames = total_frames
-        self._frames = frames
-        self._reader = reader
+        self.one_pass = reader is None
+        self._reader = reader or _frame_reader(_in_order(frames, spec), spec.frame_bytes)
 
     def __iter__(self) -> Iterator[Frame]:
-        return self._frames
+        return _frames_of(self._reader, self.spec.frame_bytes, self.total_frames)
 
 
 def _frames_of(reader, size: int, total: int) -> Iterator[Frame]:
     """Frames ``0:total`` of ``size`` bytes from ``reader``, each copied out
-    of one run buffer; kept, though ``stream_stats`` takes the reader, for
-    the benchmark's traced run and as the serial reference in tests."""
+    of one run buffer: what iterating a FrameSource yields."""
     buffer = bytearray(size * _run_frames(size))
     view, index = memoryview(buffer), 0
     for count in reader(0, total, buffer):
         for offset in range(0, count * size, size):
             yield Frame(index=index, pixels=bytes(view[offset:offset + size]))
             index += 1
+
+
+def _frame_reader(pixels: Callable[[int], object], size: int):
+    """The reader of frames whose ``pixels(index)`` are ``size`` bytes each,
+    which fills each run a frame at a time. Where ``pixels`` raises, the
+    run's frames before it are yielded first."""
+    def read(start: int, stop: int, buffer) -> Iterator[int]:
+        view = memoryview(buffer)
+        run = view.nbytes // size
+        for at in range(start, stop, run):
+            count = 0
+            try:
+                for index in range(at, min(at + run, stop)):
+                    view[count * size:(count + 1) * size] = pixels(index)
+                    count += 1
+            except Exception:
+                if count:
+                    yield count
+                raise
+            yield count
+
+    return read
+
+
+def _in_order(frames: Iterable[Frame], spec: FrameSpec) -> Callable[[int], memoryview]:
+    """``pixels(index)`` that takes the next of ``frames`` whatever the
+    index: its pixels as bytes, which must be a frame of ``spec`` in one
+    C-contiguous buffer."""
+    frames = iter(frames)
+
+    def pixels(index: int) -> memoryview:
+        frame = next(frames, None)
+        if frame is None:
+            raise MalformedSourceError(f"frame {index}: the frames end before it")
+        view = memoryview(frame.pixels)
+        if not view.c_contiguous:  # a cast, or a copy into the run, reads one buffer
+            raise MalformedSourceError(f"frame {index}: pixels not in one contiguous buffer")
+        if view.nbytes != spec.frame_bytes:  # len() counts items, not bytes
+            raise MalformedSourceError(f"frame {index}: {view.nbytes} bytes, not the "
+                                       f"{spec.frame_bytes} of a {spec.width}x{spec.height} frame")
+        return view.cast("B")
+
+    return pixels
 
 
 def open_frame_source(path: str, fps: Optional[tuple[int, int]] = None) -> FrameSource:
@@ -187,7 +235,7 @@ def _open_raw_stream(path: str) -> FrameSource:
         except OSError as exc:
             raise MalformedSourceError(f"cannot read video {path}: {exc}") from exc
 
-    return FrameSource(spec, total, _frames_of(read, size, total), read)
+    return FrameSource(spec, total, reader=read)
 
 
 _NUMBERED = re.compile(r"(\d+)\.ppm$", re.IGNORECASE)
@@ -225,22 +273,7 @@ def _open_image_dir(path: str, fps: tuple[int, int]) -> FrameSource:
             raise MalformedSourceError(f"{name}: size {w}x{h} differs from {width}x{height}")
         return data
 
-    def read(start: int, stop: int, buffer) -> Iterator[int]:
-        view = memoryview(buffer)
-        run = view.nbytes // size
-        for at in range(start, stop, run):
-            count = 0
-            try:
-                for index in range(at, min(at + run, stop)):
-                    view[count * size:(count + 1) * size] = pixels(index)
-                    count += 1
-            except MalformedSourceError:
-                if count:
-                    yield count
-                raise
-            yield count
-
-    return FrameSource(spec, len(entries), _frames_of(read, size, len(entries)), read)
+    return FrameSource(spec, len(entries), reader=_frame_reader(pixels, size))
 
 
 def _read_ppm(path: str) -> tuple[int, int, bytes]:
@@ -553,59 +586,6 @@ def _stats(rows: np.ndarray, indexes, pixels: int, delta: bool) -> Iterator[Fram
         delta = True
 
 
-def stream_stats(frames) -> Iterator[FrameStats]:
-    """FrameStats per frame, in order, from one pass over ``frames``.
-
-    A FrameSource with a reader is read straight into run buffers and, on
-    the compiled pass, split into contiguous frame ranges, one per CPU in
-    this process's affinity mask (see ``_split_stats``). Any other iterable
-    of Frames is copied into a run buffer in the calling thread. The
-    statistics are the same bit for bit either way, and on either path.
-    """
-    if isinstance(frames, FrameSource) and frames._reader is not None:
-        return _split_stats(frames)
-    return _per_frame(frames)
-
-
-def _frame_bytes(frame: Frame, first: Optional[int]) -> int:
-    """The byte size of ``frame``'s pixels, which must be one or more whole
-    RGB24 pixels in one C-contiguous buffer, and ``first`` bytes if given."""
-    view = memoryview(frame.pixels)
-    if not view.c_contiguous:  # np.frombuffer reads only one contiguous buffer
-        raise MalformedSourceError(f"frame {frame.index}: pixels not in one contiguous buffer")
-    size = view.nbytes  # len() counts items, not bytes
-    if (size != first) if first else (size == 0 or size % 3):
-        want = f"the first frame's {first}" if first else "whole RGB24 pixels"
-        raise MalformedSourceError(f"frame {frame.index}: {size} bytes, not {want}")
-    return size
-
-
-def _per_frame(frames):
-    """The loop over an iterable of Frames: each frame's pixels copied into
-    the run buffer, and the sums of a run taken once it is full. The first
-    frame's size sizes the work area. A frame that fails ``_frame_bytes``,
-    or an error from ``frames``, raises after the stats of every frame
-    before it: the run so far first.
-    """
-    work, indexes = None, []
-    try:
-        for frame in frames:
-            size = _frame_bytes(frame, work and 3 * work.pixels)
-            work = work or _WorkArea(size // 3)
-            slot = len(indexes) * size
-            work.buffer[slot:slot + size] = np.frombuffer(frame.pixels, np.uint8)
-            indexes.append(frame.index)
-            if len(indexes) == work.run:
-                full, indexes = indexes, []
-                yield from work.stats(full)
-    except Exception:
-        if indexes:
-            yield from work.stats(indexes)
-        raise
-    if indexes:
-        yield from work.stats(indexes)
-
-
 def _read_stats(source: FrameSource, work: _WorkArea, start: int,
                 stop: int) -> Iterator[FrameStats]:
     """Stats of frames ``start:stop`` of ``source``, the next of ``work``'s
@@ -615,11 +595,16 @@ def _read_stats(source: FrameSource, work: _WorkArea, start: int,
         start += count
 
 
-def _split_stats(source: FrameSource) -> Iterator[FrameStats]:
-    """Stats of ``source`` split into one contiguous frame range per CPU in
-    this process's affinity mask, or one range where ``_kernel`` is None, as
-    the numpy functions hold the interpreter lock: range k by worker thread
-    k for k >= 1, the first by this thread, so one range starts no thread.
+def stream_stats(source: FrameSource) -> Iterator[FrameStats]:
+    """FrameStats per frame of ``source``, in order, read through its reader
+    straight into run buffers.
+
+    The frames are split into one contiguous range per CPU in this
+    process's affinity mask, or taken in one range where the source is
+    ``one_pass`` or ``_kernel`` is None, as the numpy functions hold the
+    interpreter lock: range k by worker thread k for k >= 1, the first by
+    this thread, so one range starts no thread. The statistics are the same
+    bit for bit whatever the split, and on either path.
 
     Each thread reads a run into its work area's buffer, then takes the
     run's sums. A worker reads from the frame before its range, which seeds
@@ -632,7 +617,7 @@ def _split_stats(source: FrameSource) -> Iterator[FrameStats]:
     also on early close or error, the workers are told to stop and joined.
     """
     total = source.total_frames
-    threads = _kernel() is not None and hasattr(os, "sched_getaffinity")
+    threads = not source.one_pass and _kernel() is not None and hasattr(os, "sched_getaffinity")
     parts = max(1, min(len(os.sched_getaffinity(0)) if threads else 1, total))
     bounds = [total * k // parts for k in range(parts + 1)]
     pixels = source.spec.width * source.spec.height

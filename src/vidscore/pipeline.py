@@ -152,10 +152,13 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def apply_settings(config: PipelineConfig, settings: dict) -> PipelineConfig:
-    """Set each given value, converted to the type of the field's default."""
+    """Set each given value, converted to the type of the field's default.
+    A value holding a NUL is refused: no path or command can carry one."""
     for key, value in settings.items():
         if value is None:
             continue
+        if isinstance(value, str) and "\0" in value:
+            raise ConfigError(f"bad value for {key}: {value!r} holds a NUL character")
         kind = type(PipelineConfig.__dataclass_fields__[key].default)
         try:
             if kind is bool and isinstance(value, str):

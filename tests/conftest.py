@@ -71,6 +71,28 @@ def solid_frame(width, height, rgb):
     return bytes(rgb) * (width * height)
 
 
+def clip_source(clip, width=None, height=1, fps=(30, 1)):
+    """A FrameSource of ``clip``, a list of Frames or one bytes-like holding
+    every frame, whose reader serves any range as a raw stream's does, so
+    ``stream_stats`` splits it across threads as it does a file. ``width``
+    defaults to the first Frame's pixels over ``height``."""
+    if isinstance(clip, list):
+        width = width or memoryview(clip[0].pixels).nbytes // 3 // height
+        clip = b"".join(frame.pixels for frame in clip)
+    data, spec = memoryview(clip).cast("B"), FrameSpec(width, height, *fps)
+    size = spec.frame_bytes
+
+    def read(start, stop, buffer):
+        view = memoryview(buffer)
+        run = view.nbytes // size
+        for first in range(start, stop, run):
+            count = min(run, stop - first)
+            view[:count * size] = data[first * size:(first + count) * size]
+            yield count
+
+    return frames.FrameSource(spec, data.nbytes // size, reader=read)
+
+
 def write_ppm(path, width, height, pixels):
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (width, height))

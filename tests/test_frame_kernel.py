@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,20 +15,20 @@ import pytest
 from vidscore import frames
 from vidscore.frames import Frame
 
-from conftest import needs_cc
-from test_frames import every_colour_frames, half_turn_frames, noisy_clip
+from conftest import clip_source, needs_cc
+from test_frames import noisy_clip
 
 
 def numpy_stats(monkeypatch, clip):
     with monkeypatch.context() as patch:
         patch.setattr(frames, "_kernel", lambda: None)
-        return list(frames.stream_stats(clip))
+        return list(frames.stream_stats(clip_source(clip)))
 
 
 def stats_with(monkeypatch, kernel, clip):
     with monkeypatch.context() as patch:
         patch.setattr(frames, "_kernel", lambda: kernel)
-        return list(frames.stream_stats(clip))
+        return list(frames.stream_stats(clip_source(clip)))
 
 
 @pytest.fixture
@@ -54,7 +55,7 @@ def test_the_compiled_pass_is_taken_where_a_c_compiler_is_on_the_path(monkeypatc
     assert frames.stats_path() == "compiled"
     monkeypatch.setattr(frames, "_frame_hsv", lambda *args: pytest.fail("ran the numpy path"))
     clip = noisy_clip(3, "cut")
-    assert list(frames.stream_stats(clip))[2].hsv_delta > 0
+    assert list(frames.stream_stats(clip_source(clip)))[2].hsv_delta > 0
 
 
 def test_no_compiler_falls_back_to_numpy(monkeypatch, tmp_path):
@@ -158,13 +159,22 @@ def test_a_library_is_built_per_machine(monkeypatch, tmp_path, compiles):
 
 
 @needs_cc
-@pytest.mark.parametrize("how", ["read-only", "a file in the way"])
+@pytest.mark.parametrize("how", ["read-only", "refused", "a file in the way"])
 def test_an_unwritable_cache_falls_back_to_numpy(monkeypatch, tmp_path, compiles, how):
     cache = tmp_path / "cache"
     if how == "read-only":
         if os.geteuid() == 0:
             pytest.skip("root writes into a read-only folder")
         cache.mkdir(mode=0o555)
+    elif how == "refused":  # as a read-only folder refuses everyone, root too
+        mkstemp = tempfile.mkstemp
+
+        def refuse(*args, dir=None, **kwargs):
+            if dir == str(cache):
+                raise PermissionError(13, "Permission denied", dir)
+            return mkstemp(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
     else:
         cache.write_text("")
     kernel = frames._build(frames._SOURCE, str(cache))
@@ -250,4 +260,4 @@ def test_a_sum_at_its_bound_takes_the_numpy_delta(monkeypatch, compiled_body, pi
     clip = [Frame(0, bytes(first) * pixels), Frame(1, bytes(second) * pixels)]
     expected = numpy_stats(monkeypatch, clip)
     assert expected[1].hsv_delta == delta
-    assert list(frames.stream_stats(clip)) == expected
+    assert list(frames.stream_stats(clip_source(clip))) == expected

@@ -15,16 +15,35 @@ from vidscore.errors import MalformedSourceError, SourceNotFoundError, VidscoreE
 from vidscore.frames import Frame, FrameSource, open_frame_source, stream_stats
 from vidscore.scenes import FrameSpec
 
-from conftest import exact_frame_stats, needs_cc, rgb_to_hsv, solid_frame, write_ppm
+from conftest import (clip_source, exact_frame_stats, needs_cc, rgb_to_hsv, solid_frame,
+                      write_ppm)
 
 
 def frame_of(rgb, width=8, height=6, index=0):
     return Frame(index=index, pixels=solid_frame(width, height, rgb))
 
 
+def stats_of(clip):
+    """The stats of ``clip``, a list of Frames, from a source that serves
+    any range of it, so they are split across threads as a file's are."""
+    return list(stream_stats(clip_source(clip)))
+
+
+def one_pass(clip, width=12, height=8):
+    """A source that takes ``clip``'s Frames in order, each checked against
+    a ``width`` x ``height`` spec: read in one range, in this thread."""
+    return FrameSource(FrameSpec(width, height, 30, 1), len(clip), iter(clip))
+
+
+def rebuilt(source):
+    """``source`` rebuilt from its Frames, as perfbench's traced run
+    rebuilds every source it opens: one pass, in one range."""
+    return FrameSource(source.spec, source.total_frames, iter(source))
+
+
 def content_delta(prev, curr):
     """The HSV delta stream_stats reports for curr following prev."""
-    return list(stream_stats([prev, curr]))[1].hsv_delta
+    return stats_of([prev, curr])[1].hsv_delta
 
 
 def uint16_view(pixels):
@@ -42,10 +61,10 @@ def random_frame(rng, width=8, height=6, index=0):
 def intensities(monkeypatch, frame):
     """``frame``'s avg_intensity from stream_stats on the compiled pass and
     on the numpy path."""
-    compiled = next(stream_stats([frame])).avg_intensity
+    compiled = stats_of([frame])[0].avg_intensity
     with monkeypatch.context() as patch:
         patch.setattr(frames_module, "_kernel", lambda: None)
-        return compiled, next(stream_stats([frame])).avg_intensity
+        return compiled, stats_of([frame])[0].avg_intensity
 
 
 class TestIntensity:
@@ -265,9 +284,8 @@ class TestFrameSource:
         for i, level in enumerate([10, 20, 30]):
             write_ppm(str(tmp_path / f"{i:04d}.ppm"), 4, 3, solid_frame(4, 3, (level,) * 3))
         source = open_frame_source(str(tmp_path), fps=(25, 1))
-        frames = list(source)
         assert source.total_frames == 3
-        assert [entry.avg_intensity for entry in stream_stats(frames)] == [10.0, 20.0, 30.0]
+        assert [entry.avg_intensity for entry in stream_stats(source)] == [10.0, 20.0, 30.0]
 
     def test_two_files_numbering_one_frame(self, tmp_path):
         for name in ("frame1.ppm", "frame001.ppm", "frame2.ppm"):
@@ -338,54 +356,63 @@ class TestStreamStats:
     def test_streaming_matches_buffered(self):
         rng = random.Random(8)
         frames = [random_frame(rng, index=i) for i in range(6)]
-        streamed = list(stream_stats(iter(frames)))
-        buffered = list(stream_stats(frames))
+        streamed = list(stream_stats(one_pass(frames, 8, 6)))
+        buffered = stats_of(frames)
         assert streamed == buffered
 
     def test_first_frame_has_no_delta(self):
-        stats = list(stream_stats([frame_of((9, 9, 9))]))
+        stats = stats_of([frame_of((9, 9, 9))])
         assert stats[0].hsv_delta is None
         assert stats[0].avg_intensity == 9.0
 
     def test_delta_matches_pairwise_function(self):
         rng = random.Random(21)
         frames = [random_frame(rng, index=i) for i in range(4)]
-        stats = list(stream_stats(frames))
+        stats = stats_of(frames)
         for i in range(1, 4):
             assert stats[i].hsv_delta == pytest.approx(
                 content_delta(frames[i - 1], frames[i])
             )
 
     def test_a_later_frame_of_another_size_is_malformed(self):
-        frames = iter([Frame(index=0, pixels=bytes(12)), Frame(index=1, pixels=bytes(27))])
-        with pytest.raises(MalformedSourceError, match="frame 1: 27 bytes"):
-            list(stream_stats(frames))
+        frames = [Frame(index=0, pixels=bytes(12)), Frame(index=1, pixels=bytes(27))]
+        seen, kind, message = stats_until_error(stream_stats(one_pass(frames, 2, 2)))
+        assert [entry.index for entry in seen] == [0]
+        assert (kind, message) == (MalformedSourceError,
+                                   "frame 1: 27 bytes, not the 12 of a 2x2 frame")
 
     @pytest.mark.parametrize("size", [13, 0], ids=["partial pixel", "empty"])
-    def test_a_first_frame_that_is_not_whole_pixels_is_malformed(self, size):
-        with pytest.raises(MalformedSourceError, match=f"frame 0: {size} bytes"):
-            list(stream_stats([Frame(index=0, pixels=bytes(size))]))
+    def test_a_first_frame_of_another_size_is_malformed(self, size):
+        with pytest.raises(MalformedSourceError, match=f"frame 0: {size} bytes, not the 12 "):
+            list(stream_stats(one_pass([Frame(index=0, pixels=bytes(size))], 2, 2)))
+
+    def test_frames_that_end_before_the_total_are_malformed(self):
+        clip = noisy_clip(5, "cut")
+        source = FrameSource(FrameSpec(12, 8, 30, 1), 7, iter(clip))
+        seen, kind, message = stats_until_error(stream_stats(source))
+        assert seen == stats_of(clip)
+        assert (kind, message) == (MalformedSourceError, "frame 5: the frames end before it")
 
     @pytest.mark.parametrize("kind", [bytearray, memoryview, uint16_view],
                              ids=["bytearray", "memoryview", "memoryview of uint16"])
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     def test_pixels_in_any_bytes_like_object(self, monkeypatch, kind, path):
         clip = noisy_clip(4, "cut")
-        expected = list(stream_stats(clip))
+        expected = stats_of(clip)
         if path == "numpy":
             monkeypatch.setattr(frames_module, "_kernel", lambda: None)
         held = [Frame(frame.index, kind(frame.pixels)) for frame in clip]
-        assert list(stream_stats(held)) == expected
+        assert list(stream_stats(one_pass(held))) == expected
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     def test_a_later_frame_of_as_many_wider_items_is_malformed(self, monkeypatch, path):
         # 12 bytes, then 12 items of two bytes each
-        frames = iter([Frame(index=0, pixels=bytes(12)),
-                       Frame(index=1, pixels=uint16_view(bytes(24)))])
+        frames = [Frame(index=0, pixels=bytes(12)),
+                  Frame(index=1, pixels=uint16_view(bytes(24)))]
         if path == "numpy":
             monkeypatch.setattr(frames_module, "_kernel", lambda: None)
         with pytest.raises(MalformedSourceError, match="frame 1: 24 bytes"):
-            list(stream_stats(frames))
+            list(stream_stats(one_pass(frames, 2, 2)))
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     def test_pixels_not_in_one_contiguous_buffer_are_malformed(self, monkeypatch, path):
@@ -393,12 +420,12 @@ class TestStreamStats:
             monkeypatch.setattr(frames_module, "_kernel", lambda: None)
         frames = [Frame(index=0, pixels=memoryview(bytes(range(48)))[::2])]
         with pytest.raises(MalformedSourceError, match="frame 0: pixels not in one contiguous"):
-            list(stream_stats(frames))
+            list(stream_stats(one_pass(frames, 4, 2)))
 
     def test_stats_in_range(self):
         rng = random.Random(34)
         frames = [random_frame(rng, index=i) for i in range(8)]
-        for entry in stream_stats(frames):
+        for entry in stats_of(frames):
             assert 0.0 <= entry.avg_intensity <= 255.0
             if entry.hsv_delta is not None:
                 assert 0.0 <= entry.hsv_delta <= 255.0
@@ -423,9 +450,12 @@ def noisy_clip(total, transition, width=12, height=8):
 
 def write_source(directory, clip, kind, width=12, height=8):
     """Write ``clip`` as a raw stream or a PPM directory and open it, or
-    make a source of ``clip``'s iterator alone, which has no reader."""
+    make a source that serves it from memory by range ("clip") or takes its
+    Frames in one pass ("iterator")."""
+    if kind == "clip":
+        return clip_source(clip, width, height)
     if kind == "iterator":
-        return FrameSource(FrameSpec(width, height, 30, 1), len(clip), iter(clip))
+        return one_pass(clip, width, height)
     if kind == "raw":
         path = directory / "clip.rgb24"
         path.write_bytes(b"".join(frame.pixels for frame in clip))
@@ -526,7 +556,7 @@ def split_cases(test):
     for mark in (pytest.mark.parametrize("count", [1, 2, 3]),
                  pytest.mark.parametrize("total", [1, 2, 3, 4, 5]),
                  pytest.mark.parametrize("transition", ["cut", "fade"]),
-                 pytest.mark.parametrize("kind", ["raw", "ppm", "iterator"])):
+                 pytest.mark.parametrize("kind", ["raw", "ppm", "clip", "iterator"])):
         test = mark(test)
     return test
 
@@ -560,8 +590,8 @@ class TestSplitStats:
         started = cpus(count)
         clip = noisy_clip(total, transition)
         split = list(stream_stats(write_source(tmp_path, clip, kind)))
-        assert split == list(stream_stats(clip))
-        # a reader-less source and the numpy path, which holds the lock, start no thread
+        assert split == list(stream_stats(one_pass(clip)))
+        # a one-pass source and the numpy path, which holds the lock, start no thread
         threads = kind != "iterator" and frames_module._kernel() is not None
         assert len(started) == (min(count, total) - 1 if threads else 0)
         assert_no_worker_left()
@@ -577,7 +607,7 @@ class TestSplitStats:
         started = cpus(3)  # frames 0-2 in the main thread, 3-5 and 6-8 in the workers
         write_source(tmp_path, noisy_clip(9, "cut"), "ppm")
         (tmp_path / f"{bad_index:04d}.ppm").write_bytes(bad_bytes)
-        serial = stats_until_error(stream_stats(iter(open_frame_source(str(tmp_path), (30, 1)))))
+        serial = stats_until_error(stream_stats(rebuilt(open_frame_source(str(tmp_path), (30, 1)))))
         split = stats_until_error(stream_stats(open_frame_source(str(tmp_path), (30, 1))))
         assert split == serial
         assert len(serial[0]) == bad_index
@@ -593,7 +623,7 @@ class TestSplitStats:
     def test_a_killed_child_leaves_its_range_to_the_parent(self, tmp_path, cpus, monkeypatch):
         started = cpus(3)
         clip = noisy_clip(9, "fade")
-        serial = list(stream_stats(clip))
+        serial = list(stream_stats(one_pass(clip)))
         computed = fail_workers(monkeypatch)
         assert list(stream_stats(write_source(tmp_path, clip, "raw"))) == serial
         assert len(computed) == len(clip)  # the workers' ranges too
@@ -608,7 +638,7 @@ class TestSplitStats:
                                                                     monkeypatch):
         cpus(3)
         clip = noisy_clip(9, "cut")
-        serial = list(stream_stats(clip))
+        serial = list(stream_stats(one_pass(clip)))
         built, step = [], frames_module._WorkArea
 
         def counted(*args):  # work areas built in the main thread
@@ -635,7 +665,7 @@ class TestSplitStats:
         self.test_the_parent_continues_its_one_loop_after_a_killed_child(tmp_path, cpus,
                                                                          monkeypatch)
 
-    @pytest.mark.parametrize("path", ["split", "bare iterable", "killed child",
+    @pytest.mark.parametrize("path", ["split", "one pass", "killed child",
                                       "killed child on the numpy path"])
     def test_reused_buffers_give_the_deltas_of_fresh_ones(self, tmp_path, cpus, monkeypatch,
                                                           path):
@@ -643,8 +673,8 @@ class TestSplitStats:
         assert len({frame.pixels for frame in clip}) == len(clip)
         expected = [delta for _, delta in exact_frame_stats(clip)]
         started, computed = cpus(3), []
-        if path == "bare iterable":
-            stats = stream_stats(iter(clip))
+        if path == "one pass":
+            stats = stream_stats(one_pass(clip))
         else:
             if path == "killed child on the numpy path":
                 monkeypatch.setattr(frames_module, "_kernel", lambda: None)
@@ -664,7 +694,8 @@ class TestSplitStats:
 
         monkeypatch.setattr(threading.Thread, "start", no_start)
         clip = noisy_clip(7, "cut")
-        assert list(stream_stats(write_source(tmp_path, clip, "ppm"))) == list(stream_stats(clip))
+        assert (list(stream_stats(write_source(tmp_path, clip, "ppm")))
+                == list(stream_stats(one_pass(clip))))
 
     @needs_cc
     def test_closing_early_leaves_no_child(self, tmp_path, cpus, monkeypatch):
@@ -692,7 +723,7 @@ class TestSplitStats:
         started = cpus(2)
         clip = noisy_clip(10001, "cut", width=1, height=1)
         split = list(stream_stats(write_source(tmp_path, clip, "raw", width=1, height=1)))
-        assert split == list(stream_stats(clip))
+        assert split == list(stream_stats(one_pass(clip, 1, 1)))
         assert len(started) == 1
         assert_no_worker_left()
 
@@ -702,17 +733,17 @@ class TestSplitStats:
         started = cpus(3)  # frames 0-2 in the main thread, 3-5 and 6-8 in the workers
         clip = noisy_clip(9, "cut")
         source = write_source(tmp_path, clip, kind)
-        reads = logged_reads(monkeypatch, source)
+        reads, serial = logged_reads(monkeypatch, source), list(stream_stats(one_pass(clip)))
         # every thread reads into its run buffer, and no frame becomes an object
         monkeypatch.setattr(frames_module, "Frame", lambda *args, **kwargs: pytest.fail("a Frame"))
-        assert list(stream_stats(source)) == list(stream_stats(clip))
+        assert list(stream_stats(source)) == serial
         by_thread = {thread: [(a, b) for t, a, b in reads if t is thread] for thread, *_ in reads}
         # each worker reads the frame before its range, whose HSV seeds its first delta
         assert by_thread == {threading.main_thread(): [(0, 3)], started[0]: [(2, 6)],
                              started[1]: [(5, 9)]}
         assert_no_worker_left()
 
-    @pytest.mark.parametrize("kind", ["raw", "ppm"])
+    @pytest.mark.parametrize("kind", ["raw", "ppm", "clip"])
     def test_a_range_of_frames_is_the_range_of_a_pass(self, tmp_path, kind):
         clip = noisy_clip(5, "fade")
         source = write_source(tmp_path, clip, kind)
@@ -738,7 +769,7 @@ class TestSplitStats:
         serial_source = open_frame_source(str(tmp_path / "clip.rgb24"))
         # a worker whose range starts past the new end seeks there and fails
         os.truncate(tmp_path / "clip.rgb24", int(kept * len(clip[0].pixels)))
-        serial = stats_until_error(stream_stats(iter(serial_source)))
+        serial = stats_until_error(stream_stats(rebuilt(serial_source)))
         split = stats_until_error(stream_stats(split_source))
         assert split == serial
         assert serial[1:] == (MalformedSourceError,
@@ -758,10 +789,10 @@ class TestSplitStats:
         split_source = write_source(tmp_path, clip, "raw")
         serial_source = open_frame_source(str(tmp_path / "clip.rgb24"))
         os.truncate(tmp_path / "clip.rgb24", int(kept * len(clip[0].pixels)))
-        serial = stats_until_error(stream_stats(iter(serial_source)))
+        serial = stats_until_error(stream_stats(rebuilt(serial_source)))
         split = stats_until_error(stream_stats(split_source))
         assert split == serial
-        assert serial[0] == list(stream_stats(clip))[:int(kept)]
+        assert serial[0] == list(stream_stats(one_pass(clip)))[:int(kept)]
         assert serial[1:] == (MalformedSourceError,
                               f"{tmp_path / 'clip.rgb24'}: truncated at frame {int(kept)}")
         assert len(started) == (count - 1 if frames_module._kernel() is not None else 0)
@@ -791,6 +822,21 @@ class TestSplitStats:
             self, tmp_path, cpus, numpy_path, count):
         self.test_a_ppm_directory_gives_its_raw_streams_stats(tmp_path, cpus, count)
 
+    @pytest.mark.parametrize("kind", ["raw", "ppm"])
+    def test_a_source_rebuilt_from_its_frames_is_read_once_in_one_range(
+            self, tmp_path, cpus, monkeypatch, kind):
+        started = cpus(3)
+        source = write_source(tmp_path, noisy_clip(9, "cut"), kind)
+        split, threads = list(stream_stats(source)), len(started)
+        reads = logged_reads(monkeypatch, source)
+        copy = rebuilt(source)
+        copy_reads = logged_reads(monkeypatch, copy)
+        assert copy.one_pass and not source.one_pass
+        assert list(stream_stats(copy)) == split
+        assert reads == copy_reads == [(threading.main_thread(), 0, 9)]
+        assert len(started) == threads  # the copy started none
+        assert_no_worker_left()
+
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     def test_a_raw_stream_removed_after_opening_cannot_be_read(self, tmp_path, cpus,
@@ -805,8 +851,9 @@ class TestSplitStats:
         assert_no_worker_left()
 
 
-def every_colour_frames(order=None):
-    """256 frames of 256x256 pixels; frame k holds every (g, b) at red k.
+def every_colour_source(order=None):
+    """256 frames of 256x256 pixels, served from one array; frame k holds
+    every (g, b) at red k.
 
     Together they hold all 2**24 colours once. ``order`` permutes the pixels
     of every frame the same way.
@@ -815,11 +862,10 @@ def every_colour_frames(order=None):
     gb = np.stack([g, b], axis=1).astype(np.uint8)
     if order is not None:
         gb = gb[order]
-    pixels = np.empty((256 * 256, 3), dtype=np.uint8)
-    pixels[:, 1:] = gb
-    for red in range(256):
-        pixels[:, 0] = red
-        yield Frame(index=red, pixels=pixels.tobytes())
+    clip = np.empty((256, 256 * 256, 3), dtype=np.uint8)
+    clip[:, :, 0] = np.arange(256, dtype=np.uint8)[:, None]
+    clip[:, :, 1:] = gb
+    return clip_source(clip, 256, 256)
 
 
 def stats_digest(stats):
@@ -843,7 +889,7 @@ def test_stats_over_every_colour_are_pinned_bit_for_bit():
     # see a last-bit change in a delta: this pins the exact doubles.
     shuffled = np.random.default_rng(6).permutation(256 * 256)
     stats = [(s.avg_intensity, s.hsv_delta) for order in (None, shuffled)
-             for s in stream_stats(every_colour_frames(order))]
+             for s in stream_stats(every_colour_source(order))]
     assert stats_digest(stats) == EVERY_COLOUR_DIGEST
 
 
@@ -890,7 +936,7 @@ def test_stats_over_large_frames_are_pinned_bit_for_bit():
     # The every-colour pin's frames hold 2**16 pixels, and a float64 sum of
     # their float32 hue and saturation changes would be exact in any order.
     # These hold more, so this pin sees a sum that a float64 cannot hold.
-    stats = stream_stats(half_turn_frames())
+    stats = stream_stats(clip_source(half_turn_frames(), 1100, 1000))
     assert stats_digest((s.avg_intensity, s.hsv_delta) for s in stats) == LARGE_FRAME_DIGEST
 
 
@@ -914,7 +960,7 @@ def test_numpy_buffer_size_does_not_move_the_stats(request, path):
     try:
         for buffer in (4096, 8192, 32768):
             np.setbufsize(buffer)
-            stats = stream_stats(half_turn_frames())
+            stats = stream_stats(clip_source(half_turn_frames(), 1100, 1000))
             assert [(s.avg_intensity, s.hsv_delta) for s in stats] == expected, buffer
     finally:
         np.setbufsize(size)

@@ -756,6 +756,30 @@ class TestConfigResolution:
         code = cli.main(["run", "--config", str(cfg)])
         assert code == 6
 
+    @pytest.mark.parametrize("argv, key", [
+        (["analyze", "--source", "{source}"], "output_dir"),
+        (["run", "--source", "{source}"], "output_dir"),
+        (["compose", "--plan", "{plan}", "--output-dir", "{work}"], "melody"),
+        (["render", "--midi", "{work}/in.mid", "--output-dir", "{work}"], "render_template"),
+        (["mux", "--video", "{source}", "--audio", "{work}/in.mid", "--output-dir", "{work}"],
+         "mux_template"),
+    ], ids=["analyze", "run", "compose", "render", "mux"])
+    def test_a_nul_in_a_config_setting_exits_6(self, analyzed, tmp_path, capsys, argv, key):
+        # a path or command holding a NUL reaches no system call
+        _, source, scenes_path = analyzed
+        plan = stage_plan(PipelineConfig(output_dir=str(tmp_path)), scenes_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "in.mid").write_bytes(b"x")
+        cfg = work / "pipeline.ini"
+        cfg.write_text(f"[pipeline]\n{key} = {work}/out\0put\n")
+        names = {"source": source, "plan": plan, "work": str(work)}
+        argv = [arg.format(**names) for arg in argv] + ["--config", str(cfg)]
+        assert cli.main(argv) == 6
+        assert f"bad value for {key}: " in capsys.readouterr().err
+        assert sorted(path.name for path in work.iterdir()) == ["in.mid", "pipeline.ini"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["plan.ini", "work"]
+
     @pytest.mark.parametrize("text, line", [
         ("[pipeline]\nmood ember\n", 2),  # no '='
         ("mood = ember\n[pipeline]\n", 1),  # key before [pipeline]
